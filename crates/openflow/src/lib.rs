@@ -23,6 +23,8 @@
 //!   interpreter that applies actions to packet headers.
 //! * [`messages`] — every OpenFlow 1.0 message, with encode/decode.
 //! * [`codec`] — stream framing (length-delimited) for the TCP deployment.
+//! * [`classifier`] — a tuple-space index answering "which rules may match
+//!   this packet" in one hash probe per distinct wildcard mask.
 //!
 //! The implementation follows the OpenFlow Switch Specification v1.0.0
 //! (wire format offsets, constants and semantics).  Everything is
@@ -33,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod actions;
+pub mod classifier;
 pub mod codec;
 pub mod constants;
 pub mod error;
@@ -43,6 +46,7 @@ pub mod types;
 pub mod wildcards;
 
 pub use actions::Action;
+pub use classifier::{PacketKey, TupleSpace};
 pub use codec::OfCodec;
 pub use error::{DecodeError, EncodeError};
 pub use flow_match::OfMatch;

@@ -287,6 +287,26 @@ impl PacketHeader {
         Ok(header)
     }
 
+    /// The ToS byte [`PacketHeader::from_bytes`] reports for `data`, read
+    /// without parsing anything else: the IPv4 ToS, or 0 for other
+    /// ethertypes and frames cut short before it.  (Frames `from_bytes`
+    /// rejects may yield any value.)  Lets a proxy test every forwarded
+    /// frame for a reserved marking at the cost of two loads.
+    pub fn peek_nw_tos(data: &[u8]) -> u8 {
+        let ethertype_at = |at: usize| {
+            data.get(at..at + 2)
+                .map(|b| u16::from_be_bytes([b[0], b[1]]))
+        };
+        let (ethertype, ip_at) = match ethertype_at(12) {
+            Some(ETHERTYPE_VLAN) => (ethertype_at(16), 18),
+            untagged => (untagged, 14),
+        };
+        match (ethertype, data.get(ip_at + 1)) {
+            (Some(ETHERTYPE_IPV4), Some(&tos)) => tos,
+            _ => 0,
+        }
+    }
+
     /// The IP source address as a raw big-endian u32 (useful for matching).
     pub fn nw_src_u32(&self) -> u32 {
         ipv4_to_u32(self.nw_src)
@@ -430,6 +450,26 @@ mod tests {
         let parsed = PacketHeader::from_bytes(&bytes).unwrap();
         assert_eq!(parsed.dl_type, 0x88cc);
         assert_eq!(parsed.nw_src, Ipv4Addr::UNSPECIFIED);
+    }
+
+    #[test]
+    fn peeked_tos_agrees_with_the_full_parse() {
+        let mut tagged = sample();
+        tagged.dl_vlan = 100;
+        tagged.nw_tos = 0xf4;
+        let mut lldp = sample();
+        lldp.dl_type = 0x88cc;
+        for header in [sample(), tagged, lldp] {
+            let bytes = header.to_bytes();
+            // Every prefix the parser accepts must peek to the parsed value.
+            for len in 0..=bytes.len() {
+                if let Ok(parsed) = PacketHeader::from_bytes(&bytes[..len]) {
+                    assert_eq!(PacketHeader::peek_nw_tos(&bytes[..len]), parsed.nw_tos);
+                }
+            }
+        }
+        assert_eq!(PacketHeader::peek_nw_tos(&tagged.to_bytes()), 0xf4);
+        assert_eq!(PacketHeader::peek_nw_tos(&[]), 0);
     }
 
     #[test]

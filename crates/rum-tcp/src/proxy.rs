@@ -29,15 +29,16 @@
 //!   starve the rest of a worker's poll set.
 //!
 //! Routing follows the [`rum::ShardRouter`]: controller traffic and timer
-//! fires go to the owning shard, probe `PacketIn`s broadcast to every shard
-//! (each consumes only what it owns), so per-switch confirmation order is
-//! byte-identical to the single-engine proxy for the same scenario.
+//! fires go to the owning shard, a probe `PacketIn` to the shards owning the
+//! switches upstream of its sender (and the sender's own), so per-switch
+//! confirmation order is byte-identical to the single-engine proxy for the
+//! same scenario.
 
 use crate::reactor::{poll_fds, PollFd, Waker};
 use crate::relay::{Endpoint, EngineRelay, RelayEffects};
 use crate::timer::TimerQueue;
 use openflow::{OfCodec, OfMessage};
-use rum::{Input, ProxyStats, Routing, RumBuilder, ShardRouter, SwitchId, TimerToken};
+use rum::{Input, ProxyStats, RumBuilder, ShardRouter, SwitchId, TimerToken};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -300,29 +301,14 @@ impl Inner {
         let mut run: Vec<Input> = Vec::new();
         let mut run_shard: Option<usize> = None;
         for input in inputs.drain(..) {
-            match self.router.route(&input) {
-                Routing::Shard(k) => {
-                    if run_shard != Some(k) {
-                        if let Some(prev) = run_shard.take() {
-                            self.feed_shard(prev, &mut run);
-                        }
-                        run_shard = Some(k);
-                    }
-                    run.push(input);
-                }
-                Routing::Broadcast => {
-                    if let Some(prev) = run_shard.take() {
+            self.router.deliver(input, |k, input| {
+                if run_shard != Some(k) {
+                    if let Some(prev) = run_shard.replace(k) {
                         self.feed_shard(prev, &mut run);
                     }
-                    let last = self.shards.len() - 1;
-                    for k in 0..last {
-                        run.push(input.clone());
-                        self.feed_shard(k, &mut run);
-                    }
-                    run.push(input);
-                    self.feed_shard(last, &mut run);
                 }
-            }
+                run.push(input);
+            });
         }
         if let Some(k) = run_shard {
             self.feed_shard(k, &mut run);

@@ -172,6 +172,10 @@ impl Fabric {
     }
 }
 
+/// A switch's attachment to the fabric: its inbox and the waker that
+/// interrupts its serve loop when a packet lands there.
+type FabricPort = (Option<Receiver<(PacketHeader, PortNo)>>, Option<Arc<Waker>>);
+
 /// Configuration of one socket-hosted switch beyond its timing model.
 #[derive(Clone)]
 pub struct SwitchHostOptions {
@@ -222,10 +226,23 @@ pub fn spawn_switch_with(
     let stream = TcpStream::connect(addr)?;
     let counters = Arc::new(SwitchCounters::default());
     let stop = Arc::new(AtomicBool::new(false));
+    // Attach to the fabric before returning: a neighbour spawned earlier may
+    // forward a packet to this switch the moment the caller gets its handle,
+    // and a packet sent to an unattached switch is dropped.
+    let fabric_rx = options
+        .fabric
+        .as_ref()
+        .map(|(fabric, idx)| fabric.attach(*idx));
+    let fabric_waker = options.fabric.as_ref().and_then(|(fabric, idx)| {
+        let waker = Arc::new(Waker::new().ok()?);
+        fabric.register_waker(*idx, Arc::clone(&waker));
+        Some(waker)
+    });
     let thread = {
         let counters = Arc::clone(&counters);
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || run(stream, addr, model, options, &counters, &stop))
+        let fabric_port = (fabric_rx, fabric_waker);
+        std::thread::spawn(move || run(stream, addr, model, options, fabric_port, &counters, &stop))
     };
     Ok(SocketSwitchHandle {
         counters,
@@ -461,6 +478,7 @@ fn run(
     addr: SocketAddr,
     model: SwitchModel,
     options: SwitchHostOptions,
+    (fabric_rx, fabric_waker): FabricPort,
     counters: &SwitchCounters,
     stop: &AtomicBool,
 ) -> SwitchReport {
@@ -469,15 +487,6 @@ fn run(
     for fm in &options.preinstall {
         behavior.preinstall(fm);
     }
-    let fabric_rx = options
-        .fabric
-        .as_ref()
-        .map(|(fabric, idx)| fabric.attach(*idx));
-    let fabric_waker = options.fabric.as_ref().and_then(|(fabric, idx)| {
-        let waker = Arc::new(Waker::new().ok()?);
-        fabric.register_waker(*idx, Arc::clone(&waker));
-        Some(waker)
-    });
     let mut host = Host {
         behavior,
         epoch,

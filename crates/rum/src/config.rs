@@ -156,7 +156,10 @@ pub struct ProbeFieldPlan {
     /// The ToS byte of freshly injected (pre-probe) packets.
     pub preprobe_tos: u8,
     /// Per-switch probe-catch ToS byte (index = switch index).
-    pub catch_tos: Vec<u8>,
+    catch_tos: Vec<u8>,
+    /// The DSCP codepoints (`tos >> 2`) in `catch_tos`, one bit each: every
+    /// forwarded PacketIn is tested against it, whatever the fleet size.
+    catch_dscps: u64,
 }
 
 impl ProbeFieldPlan {
@@ -165,7 +168,7 @@ impl ProbeFieldPlan {
     /// DSCP codepoints.
     pub fn from_links(links: &[(usize, usize)], n_switches: usize) -> Self {
         let colors = assign_probe_colors(links, n_switches);
-        let catch_tos = colors
+        let catch_tos: Vec<u8> = colors
             .iter()
             .map(|&c| {
                 let v = CATCH_TOS_BASE as i32 - 4 * c as i32;
@@ -173,9 +176,11 @@ impl ProbeFieldPlan {
                 v as u8
             })
             .collect();
+        let catch_dscps = catch_tos.iter().fold(0, |set, &c| set | 1u64 << (c >> 2));
         ProbeFieldPlan {
             preprobe_tos: PREPROBE_TOS,
             catch_tos,
+            catch_dscps,
         }
     }
 
@@ -195,11 +200,21 @@ impl ProbeFieldPlan {
         self.catch_tos[switch.index()]
     }
 
+    /// Every switch's catch value (index = switch index).
+    pub fn catch_values(&self) -> &[u8] {
+        &self.catch_tos
+    }
+
     /// True if `tos` is one of the values reserved by RUM (pre-probe or any
     /// catch value), i.e. a packet carrying it is a probe, not user traffic.
     pub fn is_probe_tos(&self, tos: u8) -> bool {
-        tos & 0xfc == self.preprobe_tos & 0xfc
-            || self.catch_tos.iter().any(|&c| c & 0xfc == tos & 0xfc)
+        tos & 0xfc == self.preprobe_tos & 0xfc || self.catch_dscps >> (tos >> 2) & 1 != 0
+    }
+
+    /// True if the Ethernet frame `data` carries a reserved ToS value —
+    /// decided from that one byte, without parsing the frame.
+    pub fn marks(&self, data: &[u8]) -> bool {
+        self.is_probe_tos(openflow::PacketHeader::peek_nw_tos(data))
     }
 
     /// The switch whose catch value is `tos`, if any.
@@ -208,6 +223,81 @@ impl ProbeFieldPlan {
             .iter()
             .position(|&c| c & 0xfc == tos & 0xfc)
             .map(SwitchId::new)
+    }
+}
+
+/// Where a returning probe can have come from: the reverse of the port maps.
+///
+/// A probe for a rule on switch *S* leaves *S* through one of its ports and
+/// is punted by the catch rule of the switch *N* behind that port.  So a
+/// probe-marked PacketIn from *N* concerns only the techniques of switches
+/// with a port leading to *N* — and, when *N*'s own port map says which
+/// switch sits behind the port the packet arrived on, only that one.
+/// Offering the probe to anyone else is not merely wasted work: catch
+/// codepoints and probe-id bands are shared across a large fleet, so a
+/// distant switch with an identical pending rule would take the probe as
+/// proof of its own rule.
+#[derive(Debug, Clone)]
+pub(crate) struct ProbeSources {
+    /// Per catch switch: the switches with a port leading to it, ascending.
+    upstream: Vec<Vec<SwitchId>>,
+    /// Per catch switch: its own port map, as a sorted list.
+    behind_port: Vec<Vec<(PortNo, SwitchId)>>,
+}
+
+impl ProbeSources {
+    pub(crate) fn new(port_maps: &[SwitchPortMap]) -> Self {
+        let mut upstream = vec![Vec::new(); port_maps.len()];
+        for (sender, map) in port_maps.iter().enumerate() {
+            let sender = SwitchId::new(sender);
+            for catch in map.port_to_switch.values() {
+                // Senders arrive in ascending order, so each list stays
+                // sorted and a repeat is always the last element.
+                if let Some(list) = upstream.get_mut(catch.index()) {
+                    if list.last() != Some(&sender) {
+                        list.push(sender);
+                    }
+                }
+            }
+        }
+        let behind_port = port_maps
+            .iter()
+            .map(|map| {
+                let mut ports: Vec<_> = map.port_to_switch.iter().map(|(&p, &s)| (p, s)).collect();
+                ports.sort_unstable();
+                ports
+            })
+            .collect();
+        ProbeSources {
+            upstream,
+            behind_port,
+        }
+    }
+
+    /// The switches with a port leading to `catch`, ascending.
+    pub(crate) fn upstream(&self, catch: SwitchId) -> &[SwitchId] {
+        self.upstream.get(catch.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// The switch `catch`'s port map places behind its port `in_port`.
+    pub(crate) fn behind(&self, catch: SwitchId, in_port: PortNo) -> Option<SwitchId> {
+        let ports = self.behind_port.get(catch.index())?;
+        let at = ports.binary_search_by_key(&in_port, |&(p, _)| p).ok()?;
+        Some(ports[at].1)
+    }
+
+    /// The techniques a probe punted by `catch`, having arrived there on
+    /// `in_port`, is offered to: [`ProbeSources::upstream`], narrowed to the
+    /// sender when the port identifies it.
+    pub(crate) fn candidates(&self, catch: SwitchId, in_port: PortNo) -> &[SwitchId] {
+        let upstream = self.upstream(catch);
+        match self.behind(catch, in_port) {
+            None => upstream,
+            Some(sender) => match upstream.binary_search(&sender) {
+                Ok(at) => &upstream[at..=at],
+                Err(_) => &[],
+            },
+        }
     }
 }
 

@@ -28,13 +28,13 @@
 //! assert!(effects.is_empty()); // the baseline installs nothing up front
 //! ```
 
-use crate::config::{RumConfig, TechniqueConfig};
+use crate::config::{ProbeSources, RumConfig, TechniqueConfig};
 use crate::general::GeneralProbing;
 use crate::probe::catch_rule;
 use crate::sequential::SequentialProbing;
 use crate::technique::{AckTechnique, TechniqueOutput};
 use crate::technique::{AdaptiveDelay, BarrierBaseline, StaticTimeout};
-use openflow::messages::FlowMod;
+use openflow::messages::{FlowMod, PacketIn};
 use openflow::{OfMessage, PacketHeader, Xid};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -341,6 +341,7 @@ struct UnconfirmedMod {
 /// flow-mod body, so a long-running deployment (the TCP proxy) does not leak
 /// per-modification state.
 struct SwitchState {
+    id: SwitchId,
     technique: Box<dyn AckTechnique>,
     /// Unconfirmed modification cookies → insertion sequence + retained body.
     unconfirmed: HashMap<u64, UnconfirmedMod>,
@@ -358,8 +359,9 @@ struct SwitchState {
 }
 
 impl SwitchState {
-    fn new(technique: Box<dyn AckTechnique>, metrics: SwitchMetrics) -> Self {
+    fn new(id: SwitchId, technique: Box<dyn AckTechnique>, metrics: SwitchMetrics) -> Self {
         SwitchState {
+            id,
             technique,
             unconfirmed: HashMap::new(),
             next_event_seq: 0,
@@ -393,7 +395,12 @@ impl SwitchState {
 /// Construct one through [`crate::RumBuilder`].
 pub struct RumEngine {
     config: RumConfig,
+    /// State of the switches this instance owns, in index order: all of them
+    /// for a standalone engine, every `shard_count`-th for a shard (see
+    /// [`RumEngine::slot`]).
     switches: Vec<SwitchState>,
+    /// Which techniques a returning probe is offered to.
+    sources: Arc<ProbeSources>,
     /// The telemetry registry every statistic lives in — the one configured
     /// through [`crate::RumBuilder::metrics`], or a private registry so the
     /// stats surface works identically with telemetry off.
@@ -419,14 +426,23 @@ impl RumEngine {
     /// [`crate::deploy`] derives the maps from its topology, other
     /// deployments must set them via [`crate::RumBuilder::port_map`]).
     pub fn new(config: RumConfig) -> Self {
+        let sources = Arc::new(ProbeSources::new(&config.port_maps));
+        RumEngine::with_sources(config, sources)
+    }
+
+    /// [`RumEngine::new`] with the probe sources of `config.port_maps`
+    /// already derived — the shards of one deployment share them.
+    pub(crate) fn with_sources(config: RumConfig, sources: Arc<ProbeSources>) -> Self {
         let registry = config
             .metrics
             .clone()
             .unwrap_or_else(|| Arc::new(Registry::new()));
         let switches = (0..config.n_switches())
+            .filter(|&i| config.owns_index(i))
             .map(|i| {
                 let switch = SwitchId::new(i);
                 SwitchState::new(
+                    switch,
                     build_technique(&config, switch),
                     SwitchMetrics::new(&registry, switch),
                 )
@@ -435,6 +451,7 @@ impl RumEngine {
         RumEngine {
             config,
             switches,
+            sources,
             registry,
             started: false,
             confirm_log: Vec::new(),
@@ -447,29 +464,43 @@ impl RumEngine {
         &self.config
     }
 
-    /// Number of monitored switches.
+    /// Number of monitored switches in the deployment.
     pub fn n_switches(&self) -> usize {
-        self.switches.len()
+        self.config.n_switches()
     }
 
-    /// All switch ids, in order.
+    /// All switch ids of the deployment, in order.
     pub fn switch_ids(&self) -> impl Iterator<Item = SwitchId> {
-        (0..self.switches.len()).map(SwitchId::new)
+        (0..self.config.n_switches()).map(SwitchId::new)
     }
 
-    /// Statistics for one monitored switch, derived from the telemetry
-    /// registry (see [`RumEngine::metrics`]).
+    /// True when `switch` belongs to the deployment and to this instance —
+    /// the switches it holds state and acts for.
+    fn acts_for(&self, switch: SwitchId) -> bool {
+        switch.index() < self.config.n_switches() && self.config.owns(switch)
+    }
+
+    /// Where an owned switch's state sits in `switches`: ownership is
+    /// striped by `index % shard_count`, so the owned indices are
+    /// `shard_count` apart.
+    fn slot(&self, switch: SwitchId) -> usize {
+        debug_assert!(self.acts_for(switch), "{switch} belongs to another shard");
+        switch.index() / self.config.shard_count.max(1)
+    }
+
+    /// Statistics for one monitored switch this instance owns, derived from
+    /// the telemetry registry (see [`RumEngine::metrics`]).
     pub fn stats(&self, switch: SwitchId) -> ProxyStats {
-        let s = &self.switches[switch.index()];
+        let s = &self.switches[self.slot(switch)];
         s.metrics.to_stats(s.unconfirmed.len() as u64)
     }
 
-    /// Total statistics summed over all monitored switches — the one
-    /// assembly point every driver reports through.
+    /// Total statistics summed over the switches this instance owns — the
+    /// one assembly point every driver reports through.
     pub fn total_stats(&self) -> ProxyStats {
         let mut total = ProxyStats::default();
-        for switch in 0..self.switches.len() {
-            total += self.stats(SwitchId::new(switch));
+        for s in &self.switches {
+            total += s.metrics.to_stats(s.unconfirmed.len() as u64);
         }
         total
     }
@@ -482,9 +513,9 @@ impl RumEngine {
         &self.registry
     }
 
-    /// The technique name running for `switch`.
+    /// The technique name running for `switch` (one this instance owns).
     pub fn technique_name(&self, switch: SwitchId) -> &'static str {
-        self.switches[switch.index()].technique.name()
+        self.switches[self.slot(switch)].technique.name()
     }
 
     /// Every confirmation the engine has emitted, in order.  Empty when
@@ -511,13 +542,10 @@ impl RumEngine {
             return effects;
         }
         self.started = true;
+        // A sharded instance acts only for the switches it owns; its peers
+        // install the catch rules of theirs.
         for i in 0..self.switches.len() {
-            // A sharded instance acts only for the switches it owns; its
-            // peers install the catch rules of theirs.
-            if !self.config.owns_index(i) {
-                continue;
-            }
-            let switch = SwitchId::new(i);
+            let switch = self.switches[i].id;
             // Install the probe-catch rule on every switch when any probing
             // technique is active (general probing needs catch rules on
             // neighbours of the probed switch, so install everywhere).
@@ -551,7 +579,9 @@ impl RumEngine {
     pub fn handle_into(&mut self, now: Duration, input: Input, effects: &mut Vec<Effect>) {
         match input {
             Input::FromController { switch, message } => {
-                self.on_controller_msg(switch, message, now, effects);
+                if self.acts_for(switch) {
+                    self.on_controller_msg(switch, message, now, effects);
+                }
             }
             Input::FromSwitch { switch, message } => {
                 self.on_switch_msg(switch, message, now, effects);
@@ -567,7 +597,7 @@ impl RumEngine {
                 // barrier releases so drivers may tick instead of tracking
                 // fine-grained timers for liveness.
                 for i in 0..self.switches.len() {
-                    self.try_release_barriers(SwitchId::new(i), now, effects);
+                    self.try_release_barriers(self.switches[i].id, now, effects);
                 }
             }
         }
@@ -593,12 +623,13 @@ impl RumEngine {
     /// sharded deployment emits byte-identical catch rules to the unsharded
     /// oracle regardless of which shard owns the switch.
     fn install_catch_rule(&mut self, switch: SwitchId, effects: &mut Vec<Effect>) {
-        let i = switch.index();
-        let generation = self.switches[i].catch_generation;
-        self.switches[i].catch_generation += 1;
-        let xid = CATCH_XID_BASE | ((i as Xid) << 8) | (generation as Xid & 0xFF);
+        let i = self.slot(switch);
+        let state = &mut self.switches[i];
+        let generation = state.catch_generation;
+        state.catch_generation += 1;
+        state.metrics.proxy_flow_mods.inc();
+        let xid = CATCH_XID_BASE | ((switch.index() as Xid) << 8) | (generation as Xid & 0xFF);
         let fm = catch_rule(self.config.probe_plan.catch_tos(switch), u64::from(xid));
-        self.switches[i].metrics.proxy_flow_mods.inc();
         effects.push(Effect::ToSwitch {
             switch,
             message: OfMessage::FlowMod { xid, body: fm },
@@ -619,8 +650,9 @@ impl RumEngine {
         // xids at or above PROXY_XID_BASE are reserved for RUM's own
         // messages; a controller using them would have its replies swallowed
         // or misattributed.  Reject loudly instead.
+        let i = self.slot(switch);
         if msg.xid() >= PROXY_XID_BASE {
-            self.switches[switch.index()].metrics.rejected_xids.inc();
+            self.switches[i].metrics.rejected_xids.inc();
             effects.push(Effect::ToController {
                 via: switch,
                 message: OfMessage::Error {
@@ -635,7 +667,7 @@ impl RumEngine {
             return;
         }
         if self.config.buffer_across_barriers
-            && !self.switches[switch.index()].pending_barriers.is_empty()
+            && !self.switches[i].pending_barriers.is_empty()
             && !is_liveness_msg(&msg)
         {
             // Ordered commands after an unconfirmed barrier are held back so
@@ -644,7 +676,7 @@ impl RumEngine {
             // with rule modifications and passes straight through — holding
             // an echo behind a slow barrier would trip keepalive timers on
             // real switches.
-            self.switches[switch.index()].buffered.push_back(msg);
+            self.switches[i].buffered.push_back(msg);
             return;
         }
         self.process_controller_msg(switch, msg, now, effects);
@@ -657,7 +689,7 @@ impl RumEngine {
         now: Duration,
         effects: &mut Vec<Effect>,
     ) {
-        let i = switch.index();
+        let i = self.slot(switch);
         match msg {
             OfMessage::FlowMod { xid, ref body } => {
                 let id = u64::from(xid);
@@ -736,7 +768,20 @@ impl RumEngine {
         now: Duration,
         effects: &mut Vec<Effect>,
     ) {
-        let i = switch.index();
+        // A returning probe concerns the techniques of the switches upstream
+        // of the sender, so it is the one switch-side input that also
+        // reaches instances which do not own the sender; everything else is
+        // the owner's alone.
+        if let OfMessage::PacketIn { body, .. } = &msg {
+            if let Some(header) = self.probe_header(body) {
+                self.on_probe_return(switch, body, &header, now, effects);
+                return;
+            }
+        }
+        if !self.acts_for(switch) {
+            return;
+        }
+        let i = self.slot(switch);
         match msg {
             OfMessage::BarrierReply { xid } => {
                 if xid >= PROXY_XID_BASE {
@@ -760,49 +805,6 @@ impl RumEngine {
                         via: switch,
                         message: OfMessage::BarrierReply { xid },
                     });
-                }
-            }
-            OfMessage::PacketIn { ref body, .. } => {
-                match PacketHeader::from_bytes(&body.data) {
-                    Ok(header) if self.config.probe_plan.is_probe_tos(header.nw_tos) => {
-                        // Only a punt performed by a rule's explicit
-                        // to-controller action can vouch for the data plane:
-                        // a probe-marked packet punted for a *table miss*
-                        // (e.g. a restarted switch whose wiped table no
-                        // longer holds even the drop-all rule) proves
-                        // nothing and must not be mistaken for a probe
-                        // return.  Either way the packet is RUM's own and
-                        // never reaches the controller.
-                        if body.reason != openflow::constants::packet_in_reason::ACTION {
-                            return;
-                        }
-                        // Probe PacketIns are the one input a sharded driver
-                        // broadcasts (any switch's probe may return via any
-                        // neighbour); the arrival switch's owner alone
-                        // accounts for the consumption.
-                        if self.config.owns(switch) {
-                            self.switches[i].metrics.probes_consumed.inc();
-                        }
-                        // Probes may belong to any monitored switch's
-                        // technique; each technique ignores probes that are
-                        // not its own, and each shard runs only the
-                        // techniques of switches it owns.
-                        for s in 0..self.switches.len() {
-                            if !self.config.owns_index(s) {
-                                continue;
-                            }
-                            let mut out = std::mem::take(&mut self.tech_out);
-                            self.switches[s]
-                                .technique
-                                .on_probe_packet(&header, now, &mut out);
-                            self.apply_outputs(SwitchId::new(s), &mut out, now, effects);
-                            self.tech_out = out;
-                        }
-                    }
-                    _ => effects.push(Effect::ToController {
-                        via: switch,
-                        message: msg,
-                    }),
                 }
             }
             OfMessage::Error { xid, .. } => {
@@ -833,6 +835,60 @@ impl RumEngine {
         }
     }
 
+    /// The parsed header of a PacketIn carrying one of RUM's own probe
+    /// packets (reserved ToS), `None` for everything else.  Traffic that is
+    /// merely passing through — every PacketIn but the probes — is told
+    /// apart by its ToS byte and never parsed.
+    fn probe_header(&self, body: &PacketIn) -> Option<PacketHeader> {
+        if !self.config.probe_plan.marks(&body.data) {
+            return None;
+        }
+        PacketHeader::from_bytes(&body.data).ok()
+    }
+
+    /// A probe packet came back through `catch`'s catch rule.  Either way
+    /// the packet is RUM's own and never reaches the controller.
+    fn on_probe_return(
+        &mut self,
+        catch: SwitchId,
+        body: &PacketIn,
+        header: &PacketHeader,
+        now: Duration,
+        effects: &mut Vec<Effect>,
+    ) {
+        // Only a punt performed by a rule's explicit to-controller action
+        // can vouch for the data plane: a probe-marked packet punted for a
+        // *table miss* (e.g. a restarted switch whose wiped table no longer
+        // holds even the drop-all rule) proves nothing and must not be
+        // mistaken for a probe return.
+        if body.reason != openflow::constants::packet_in_reason::ACTION {
+            return;
+        }
+        // A sharded driver delivers the probe to several instances; the
+        // arrival switch's owner alone accounts for the consumption.
+        if self.acts_for(catch) {
+            let i = self.slot(catch);
+            self.switches[i].metrics.probes_consumed.inc();
+        }
+        // The probe vouches for a rule of the switch that forwarded it to
+        // `catch`, so only the techniques upstream of `catch` are asked
+        // (each ignores probes that are not its own), and of those only the
+        // ones this instance runs.
+        let sources = Arc::clone(&self.sources);
+        for &sender in sources.candidates(catch, body.in_port) {
+            if !self.config.owns(sender) {
+                continue;
+            }
+            let i = self.slot(sender);
+            let mut out = std::mem::take(&mut self.tech_out);
+            self.switches[i]
+                .technique
+                .on_probe_packet(header, now, &mut out);
+            self.apply_outputs(sender, &mut out, now, effects);
+            self.tech_out = out;
+        }
+    }
+
     // ------------------------------------------------------------------
     // Timers
     // ------------------------------------------------------------------
@@ -840,16 +896,17 @@ impl RumEngine {
     /// The token encodes which switch's technique armed the timer.
     fn on_timer(&mut self, token: TimerToken, now: Duration, effects: &mut Vec<Effect>) {
         let raw = token.raw();
-        let switch = (raw >> 48) as usize;
+        let switch = SwitchId::new((raw >> 48) as usize);
         let tech_token = raw & 0x0000_FFFF_FFFF_FFFF;
-        if switch >= self.switches.len() {
+        if !self.acts_for(switch) {
             return;
         }
+        let i = self.slot(switch);
         let mut out = std::mem::take(&mut self.tech_out);
-        self.switches[switch]
+        self.switches[i]
             .technique
             .on_timer(tech_token, now, &mut out);
-        self.apply_outputs(SwitchId::new(switch), &mut out, now, effects);
+        self.apply_outputs(switch, &mut out, now, effects);
         self.tech_out = out;
     }
 
@@ -878,10 +935,10 @@ impl RumEngine {
         now: Duration,
         effects: &mut Vec<Effect>,
     ) {
-        let i = switch.index();
-        if i >= self.switches.len() {
+        if !self.acts_for(switch) {
             return;
         }
+        let i = self.slot(switch);
         self.switches[i].metrics.reconnects.inc();
         if self.config.technique.is_probing() {
             self.install_catch_rule(switch, effects);
@@ -934,7 +991,7 @@ impl RumEngine {
         now: Duration,
         effects: &mut Vec<Effect>,
     ) {
-        let i = switch.index();
+        let i = self.slot(switch);
         for output in outputs.drain(..) {
             match output {
                 TechniqueOutput::Confirm(cookie) => self.confirm(switch, cookie, now, effects),
@@ -952,7 +1009,7 @@ impl RumEngine {
                     });
                 }
                 TechniqueOutput::SetTimer { delay, token } => {
-                    let encoded = ((i as u64) << 48) | token;
+                    let encoded = ((switch.index() as u64) << 48) | token;
                     effects.push(Effect::ArmTimer {
                         delay,
                         token: TimerToken::from_raw(encoded),
@@ -963,7 +1020,7 @@ impl RumEngine {
     }
 
     fn confirm(&mut self, switch: SwitchId, cookie: u64, now: Duration, effects: &mut Vec<Effect>) {
-        let i = switch.index();
+        let i = self.slot(switch);
         let state = &mut self.switches[i];
         let Some(m) = state.unconfirmed.remove(&cookie) else {
             return;
@@ -994,7 +1051,7 @@ impl RumEngine {
     }
 
     fn try_release_barriers(&mut self, switch: SwitchId, now: Duration, effects: &mut Vec<Effect>) {
-        let i = switch.index();
+        let i = self.slot(switch);
         loop {
             let state = &mut self.switches[i];
             let Some(front) = state.pending_barriers.front() else {
@@ -1695,6 +1752,76 @@ mod tests {
             .count();
         assert_eq!(catch_reinstalls, 1, "catch rule re-installed on reconnect");
         assert_eq!(e.stats(sw).proxy_flow_mods, 2);
+    }
+
+    /// Switches 0 and 30 of a 100-switch ring share a catch colour and a
+    /// probe-id band, so identical rules make them expect identical probes;
+    /// a probe punted by switch 1 can only have come through switch 0.
+    #[test]
+    fn probe_return_is_offered_only_upstream_of_the_catching_switch() {
+        use crate::config::SwitchPortMap;
+        let n = 100;
+        let maps = (0..n)
+            .map(|i| {
+                let prev = SwitchId::new((i + n - 1) % n);
+                let mut map = SwitchPortMap::default();
+                map.port_to_switch.insert(1, prev);
+                map.port_to_switch.insert(2, SwitchId::new((i + 1) % n));
+                map.inject_via = Some((prev, 2));
+                map
+            })
+            .collect();
+        let mut e = RumBuilder::new(n)
+            .technique(TechniqueConfig::default_general())
+            .port_maps(maps)
+            .build();
+        e.start(Duration::ZERO);
+        let mut probes = [0, 30].map(|switch| {
+            e.handle(
+                Duration::ZERO,
+                Input::FromController {
+                    switch: SwitchId::new(switch),
+                    message: flow_mod(7),
+                },
+            )
+            .into_iter()
+            .find_map(|eff| match eff {
+                Effect::InjectVia {
+                    message: OfMessage::PacketOut { body, .. },
+                    ..
+                } => Some(body.data),
+                _ => None,
+            })
+            .expect("probe injected")
+        });
+        assert_eq!(probes[0], probes[1], "both expect the very same probe");
+        let data = std::mem::take(&mut probes[0]);
+        let effects = e.handle(
+            Duration::from_millis(1),
+            Input::FromSwitch {
+                switch: SwitchId::new(1),
+                message: OfMessage::PacketIn {
+                    xid: 0,
+                    body: PacketIn {
+                        buffer_id: u32::MAX,
+                        total_len: data.len() as u16,
+                        in_port: 1,
+                        reason: openflow::constants::packet_in_reason::ACTION,
+                        data,
+                    },
+                },
+            },
+        );
+        let confirmed: Vec<SwitchId> = effects
+            .iter()
+            .filter_map(|eff| match eff {
+                Effect::Confirmed { switch, .. } => Some(*switch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(confirmed, vec![SwitchId::new(0)]);
+        assert_eq!(e.stats(SwitchId::new(1)).probes_consumed, 1);
+        assert_eq!(e.stats(SwitchId::new(30)).unconfirmed, 1);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 
 use crate::config::{ProbeFieldPlan, SwitchPortMap};
 use crate::engine::SwitchId;
-use crate::probe::{synthesize_general_probe, GeneralProbe, KnownRule, ProbeSynthesisError};
+use crate::probe::{GeneralProbe, KnownRule, KnownRules, ProbeSynthesisError};
 use crate::technique::{AckTechnique, TechniqueOutput};
-use openflow::messages::{FlowMod, FlowModCommand, PacketOut};
+use openflow::messages::{FlowMod, PacketOut};
 use openflow::{Action, OfMessage, PacketHeader, Xid};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -44,7 +44,7 @@ pub struct GeneralProbing {
     ports: SwitchPortMap,
 
     /// RUM's model of the switch's flow table (controller rules + RUM rules).
-    known_rules: Vec<KnownRule>,
+    known_rules: KnownRules,
     /// Pending probe-confirmable rules, oldest first.
     pending: Vec<PendingRule>,
     /// Pending fallback confirmations: cookie -> armed.
@@ -87,7 +87,7 @@ impl GeneralProbing {
             fallback_delay,
             plan,
             ports,
-            known_rules: Vec::new(),
+            known_rules: KnownRules::new(),
             pending: Vec::new(),
             fallback_pending: HashMap::new(),
             probe_id_base,
@@ -153,47 +153,6 @@ impl GeneralProbing {
         }
     }
 
-    fn update_known_rules(&mut self, fm: &FlowMod) {
-        match fm.command {
-            FlowModCommand::Add => self.known_rules.push(KnownRule {
-                match_: fm.match_,
-                priority: fm.priority,
-                actions: fm.actions.clone(),
-            }),
-            FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
-                let mut any = false;
-                for k in &mut self.known_rules {
-                    let selected = if fm.command == FlowModCommand::ModifyStrict {
-                        k.match_ == fm.match_ && k.priority == fm.priority
-                    } else {
-                        fm.match_.covers(&k.match_)
-                    };
-                    if selected {
-                        k.actions = fm.actions.clone();
-                        any = true;
-                    }
-                }
-                if !any {
-                    self.known_rules.push(KnownRule {
-                        match_: fm.match_,
-                        priority: fm.priority,
-                        actions: fm.actions.clone(),
-                    });
-                }
-            }
-            FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
-                self.known_rules.retain(|k| {
-                    let selected = if fm.command == FlowModCommand::DeleteStrict {
-                        k.match_ == fm.match_ && k.priority == fm.priority
-                    } else {
-                        fm.match_.covers(&k.match_)
-                    };
-                    !selected
-                });
-            }
-        }
-    }
-
     fn arm_fallback(
         &mut self,
         cookie: u64,
@@ -247,7 +206,7 @@ impl AckTechnique for GeneralProbing {
 
         // Deletions cannot be confirmed by a positive probe; fall back.
         if fm.command.is_delete() {
-            self.update_known_rules(fm);
+            self.known_rules.apply(fm);
             self.arm_fallback(cookie, ProbeSynthesisError::NoForwardingOutput, out);
             return;
         }
@@ -263,16 +222,14 @@ impl AckTechnique for GeneralProbing {
         let catch_switch =
             crate::probe::first_physical_output(&fm.actions).and_then(|p| self.ports.next_hop(p));
         let result = match catch_switch {
-            Some(next) => synthesize_general_probe(
-                &rule,
-                &self.known_rules,
-                self.plan.catch_tos(next),
-                probe_id,
-            ),
+            Some(next) => {
+                self.known_rules
+                    .synthesize_probe(&rule, self.plan.catch_tos(next), probe_id)
+            }
             None => Err(ProbeSynthesisError::NoForwardingOutput),
         };
         // The rule is now part of RUM's table model either way.
-        self.update_known_rules(fm);
+        self.known_rules.apply(fm);
         match result {
             Ok(probe) => {
                 self.pending.push(PendingRule {

@@ -9,8 +9,8 @@
 //! whatever lower-priority rule would match it before the probed rule is
 //! installed, and (d) will be caught by the next-hop switch's catch rule.
 
-use openflow::messages::FlowMod;
-use openflow::{Action, MacAddr, OfMatch, PacketHeader, PortNo, Wildcards};
+use openflow::messages::{FlowMod, FlowModCommand};
+use openflow::{Action, MacAddr, OfMatch, PacketHeader, PacketKey, PortNo, TupleSpace, Wildcards};
 use std::net::Ipv4Addr;
 
 use crate::config::{CATCH_RULE_PRIORITY, PROBE_RULE_PRIORITY};
@@ -113,7 +113,7 @@ impl std::error::Error for ProbeSynthesisError {}
 
 /// A rule RUM knows to be (or to soon be) present at a switch, used for the
 /// overlap analysis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnownRule {
     /// The rule's match.
     pub match_: OfMatch,
@@ -121,6 +121,197 @@ pub struct KnownRule {
     pub priority: u16,
     /// The rule's actions.
     pub actions: Vec<Action>,
+}
+
+/// The two questions probe synthesis asks of a table model, answered by a
+/// scan over a rule slice (the reference) or by [`KnownRules`]' index.
+trait TableModel {
+    /// Would a rule of strictly higher priority than `rule` take `packet`
+    /// away from it?
+    fn hijacks(&self, rule: &KnownRule, packet: &PacketHeader, in_port: PortNo) -> bool;
+
+    /// The rule that handles `packet` while `rule` is not installed: the
+    /// highest-priority match at or below `rule`'s priority other than
+    /// `rule` itself, the most recently added among equals.
+    fn fallback(
+        &self,
+        rule: &KnownRule,
+        packet: &PacketHeader,
+        in_port: PortNo,
+    ) -> Option<&KnownRule>;
+}
+
+impl KnownRule {
+    /// True for `other` being the same table entry: identical match and
+    /// priority (OpenFlow's strict comparison).
+    fn same_entry(&self, other: &KnownRule) -> bool {
+        self.match_ == other.match_ && self.priority == other.priority
+    }
+}
+
+impl TableModel for [KnownRule] {
+    fn hijacks(&self, rule: &KnownRule, packet: &PacketHeader, in_port: PortNo) -> bool {
+        self.iter().any(|k| {
+            k.priority > rule.priority && !k.same_entry(rule) && k.match_.matches(packet, in_port)
+        })
+    }
+
+    fn fallback(
+        &self,
+        rule: &KnownRule,
+        packet: &PacketHeader,
+        in_port: PortNo,
+    ) -> Option<&KnownRule> {
+        self.iter()
+            .filter(|k| !k.same_entry(rule))
+            .filter(|k| k.priority <= rule.priority && k.match_.matches(packet, in_port))
+            .max_by_key(|k| k.priority)
+    }
+}
+
+/// RUM's model of one switch's flow table: every rule it believes is or
+/// will be installed there, in the order it learnt of them, behind a
+/// priority-bucketed tuple-space index — so synthesising a probe costs the
+/// same against 1,400 known rules as against 100.
+#[derive(Debug, Default)]
+pub struct KnownRules {
+    /// `(arrival number, rule)` in arrival order, so ascending by number.
+    rules: Vec<(u64, KnownRule)>,
+    /// Which arrival numbers may match a packet.
+    index: TupleSpace,
+    next_seq: u64,
+}
+
+impl KnownRules {
+    /// An empty table model.
+    pub fn new() -> Self {
+        KnownRules::default()
+    }
+
+    /// Number of known rules.
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// True when no rule is known.
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
+
+    /// The known rules, in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = &KnownRule> {
+        self.rules.iter().map(|(_, k)| k)
+    }
+
+    /// Adds `rule` behind every rule already known.
+    pub fn push(&mut self, rule: KnownRule) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.index.insert(&rule.match_, rule.priority, seq);
+        self.rules.push((seq, rule));
+    }
+
+    /// The rule the index knows by arrival number `seq`.
+    fn by_seq(&self, seq: u64) -> &KnownRule {
+        let at = self
+            .rules
+            .binary_search_by_key(&seq, |(s, _)| *s)
+            .expect("indexed rule exists");
+        &self.rules[at].1
+    }
+
+    /// Updates the model with a flow modification on its way to the switch:
+    /// OpenFlow 1.0's strict and loose selection for modifies and deletes;
+    /// an ADD (or a modify selecting nothing) is appended.
+    pub fn apply(&mut self, fm: &FlowMod) {
+        let strict = matches!(
+            fm.command,
+            FlowModCommand::ModifyStrict | FlowModCommand::DeleteStrict
+        );
+        let selects = |k: &KnownRule| {
+            if strict {
+                k.match_ == fm.match_ && k.priority == fm.priority
+            } else {
+                fm.match_.covers(&k.match_)
+            }
+        };
+        let learnt = || KnownRule {
+            match_: fm.match_,
+            priority: fm.priority,
+            actions: fm.actions.clone(),
+        };
+        match fm.command {
+            FlowModCommand::Add => self.push(learnt()),
+            FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
+                let mut any = false;
+                for (_, k) in self.rules.iter_mut().filter(|(_, k)| selects(k)) {
+                    k.actions = fm.actions.clone();
+                    any = true;
+                }
+                if !any {
+                    self.push(learnt());
+                }
+            }
+            FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
+                let index = &mut self.index;
+                self.rules.retain(|(seq, k)| {
+                    let doomed = selects(k);
+                    if doomed {
+                        index.remove(&k.match_, k.priority, *seq);
+                    }
+                    !doomed
+                });
+            }
+        }
+    }
+
+    /// [`synthesize_general_probe`] against this table model.
+    pub fn synthesize_probe(
+        &self,
+        rule: &KnownRule,
+        catch_tos: u8,
+        probe_id: u16,
+    ) -> Result<GeneralProbe, ProbeSynthesisError> {
+        synthesize(rule, self, catch_tos, probe_id)
+    }
+}
+
+impl TableModel for KnownRules {
+    fn hijacks(&self, rule: &KnownRule, packet: &PacketHeader, in_port: PortNo) -> bool {
+        let Some(above) = rule.priority.checked_add(1) else {
+            return false;
+        };
+        let key = PacketKey::new(packet, in_port);
+        self.index.descending(above..).any(|bucket| {
+            let mut hit = false;
+            bucket.candidates(&key, |seq| {
+                hit = hit || self.by_seq(seq).match_.matches(packet, in_port);
+            });
+            hit
+        })
+    }
+
+    fn fallback(
+        &self,
+        rule: &KnownRule,
+        packet: &PacketHeader,
+        in_port: PortNo,
+    ) -> Option<&KnownRule> {
+        let key = PacketKey::new(packet, in_port);
+        self.index.descending(..=rule.priority).find_map(|bucket| {
+            let mut latest: Option<u64> = None;
+            bucket.candidates(&key, |seq| {
+                let k = self.by_seq(seq);
+                if latest.is_none_or(|l| seq > l)
+                    && !k.same_entry(rule)
+                    && k.match_.matches(packet, in_port)
+                {
+                    latest = Some(seq);
+                }
+            });
+            latest.map(|seq| self.by_seq(seq))
+        })
+    }
 }
 
 /// A synthesised probe for one rule.
@@ -156,6 +347,15 @@ pub fn first_physical_output(actions: &[Action]) -> Option<PortNo> {
 pub fn synthesize_general_probe(
     rule: &KnownRule,
     known_rules: &[KnownRule],
+    catch_tos: u8,
+    probe_id: u16,
+) -> Result<GeneralProbe, ProbeSynthesisError> {
+    synthesize(rule, known_rules, catch_tos, probe_id)
+}
+
+fn synthesize(
+    rule: &KnownRule,
+    table: &(impl TableModel + ?Sized),
     catch_tos: u8,
     probe_id: u16,
 ) -> Result<GeneralProbe, ProbeSynthesisError> {
@@ -230,22 +430,12 @@ pub fn synthesize_general_probe(
             continue;
         }
         // (a) No strictly higher-priority rule may match the candidate.
-        let hijacked = known_rules.iter().any(|k| {
-            k.priority > rule.priority
-                && !(k.match_ == rule.match_ && k.priority == rule.priority)
-                && k.match_.matches(&candidate, in_port)
-        });
-        if hijacked {
+        if table.hijacks(rule, &candidate, in_port) {
             continue;
         }
         // (b) The best lower-or-equal-priority rule (excluding the probed one)
         // must treat the candidate observably differently.
-        let fallback = known_rules
-            .iter()
-            .filter(|k| !(k.match_ == rule.match_ && k.priority == rule.priority))
-            .filter(|k| k.priority <= rule.priority && k.match_.matches(&candidate, in_port))
-            .max_by_key(|k| k.priority);
-        if let Some(fb) = fallback {
+        if let Some(fb) = table.fallback(rule, &candidate, in_port) {
             if !Action::observably_differs(&rule.actions, &fb.actions, &candidate) {
                 return Err(ProbeSynthesisError::IndistinguishableFromFallback);
             }

@@ -6,18 +6,21 @@
 //! # Shard → switch mapping
 //!
 //! Switches are striped: shard `k` of `n` owns every switch whose index
-//! satisfies `index % n == k`.  Each shard engine is built over the *full*
-//! switch set but acts only for the switches it owns (see
-//! [`RumConfig::owns`]); every input affecting a switch is routed to its
-//! owner shard, so all state transitions of one switch serialize through one
-//! engine in arrival order — exactly as in the unsharded engine.
+//! satisfies `index % n == k`.  Each shard engine knows the whole
+//! deployment's configuration but holds state — technique, metrics,
+//! barriers — only for the switches it owns (see [`RumConfig::owns`]); every
+//! input affecting a switch is routed to its owner shard, so all state
+//! transitions of one switch serialize through one engine in arrival order —
+//! exactly as in the unsharded engine.
 //!
-//! The one exception is probe PacketIns: a probe injected for switch A can
-//! surface at any neighbour, so a probe-marked PacketIn is broadcast to all
-//! shards ([`Routing::Broadcast`]) and each shard runs only the probe
-//! matching of switches it owns.  The arrival switch's owner alone does the
-//! consumption accounting and non-probe passthrough, so nothing is
-//! double-counted or double-sent.
+//! The one exception is probe PacketIns: a probe for a rule on switch A
+//! surfaces at the neighbour behind that rule's output port.  A
+//! probe-marked PacketIn from switch N is therefore delivered to the owners
+//! of the switches with a port leading to N — of the single switch behind
+//! the port it arrived on, where N's port map names it — plus N's own owner,
+//! which alone does the consumption accounting ([`ShardRouter::deliver`]).
+//! That is one or two shards, whatever the fleet size, and each runs the
+//! probe matching only for the upstream switches it owns.
 //!
 //! # Why confirm order is preserved
 //!
@@ -29,7 +32,7 @@
 //! engine's.  Only the interleaving *across* switches may differ, which no
 //! per-switch invariant (and no connection byte stream) observes.
 
-use crate::config::{ProbeFieldPlan, RumConfig};
+use crate::config::{ProbeFieldPlan, ProbeSources, RumConfig};
 use crate::engine::{ConfirmRecord, Effect, Input, ProxyStats, RumEngine, SwitchId};
 use openflow::OfMessage;
 use std::sync::Arc;
@@ -41,7 +44,10 @@ use telemetry::Registry;
 pub enum Routing {
     /// Deliver to exactly this shard (the owner of the affected switch).
     Shard(usize),
-    /// Deliver to every shard, in shard order (probe PacketIns and ticks).
+    /// Concerns more than one shard: ticks, which go to all of them, and
+    /// probe PacketIns, which [`ShardRouter::deliver`] narrows to the
+    /// shards upstream of the sender.  Delivering to every shard, in shard
+    /// order, is always correct — the others find nothing to do.
     Broadcast,
 }
 
@@ -52,15 +58,40 @@ pub enum Routing {
 pub struct ShardRouter {
     n_shards: usize,
     probe_plan: ProbeFieldPlan,
+    sources: Arc<ProbeSources>,
+    /// Per switch N: the shards a probe PacketIn from N goes to when the
+    /// arrival port does not identify the sender — the owners of everything
+    /// upstream of N, and N's own — ascending.
+    probe_shards: Vec<Vec<usize>>,
 }
 
 impl ShardRouter {
     /// A router for `n_shards` shards over `config`'s deployment.
     pub fn new(config: &RumConfig, n_shards: usize) -> Self {
+        let sources = Arc::new(ProbeSources::new(&config.port_maps));
+        ShardRouter::with_sources(config, n_shards, sources)
+    }
+
+    fn with_sources(config: &RumConfig, n_shards: usize, sources: Arc<ProbeSources>) -> Self {
         assert!(n_shards >= 1, "a deployment needs at least one shard");
+        let probe_shards = (0..config.n_switches())
+            .map(|catch| {
+                let mut shards: Vec<usize> = sources
+                    .upstream(SwitchId::new(catch))
+                    .iter()
+                    .map(|sender| sender.index() % n_shards)
+                    .chain([catch % n_shards])
+                    .collect();
+                shards.sort_unstable();
+                shards.dedup();
+                shards
+            })
+            .collect();
         ShardRouter {
             n_shards,
             probe_plan: config.probe_plan.clone(),
+            sources,
+            probe_shards,
         }
     }
 
@@ -74,9 +105,10 @@ impl ShardRouter {
         switch.index() % self.n_shards
     }
 
-    /// Routes one input.  Everything affecting a single switch goes to its
-    /// owner; probe PacketIns (which may confirm rules of switches on any
-    /// shard) and ticks are broadcast.
+    /// Classifies one input.  Everything affecting a single switch goes to
+    /// its owner; probe PacketIns (which confirm rules of other switches)
+    /// and ticks concern several shards — [`ShardRouter::deliver`] knows
+    /// which.
     pub fn route(&self, input: &Input) -> Routing {
         match input {
             Input::FromController { switch, .. } | Input::SwitchReconnected { switch } => {
@@ -98,20 +130,58 @@ impl ShardRouter {
         }
     }
 
+    /// Hands `input` to `to_shard` once per shard it concerns, in ascending
+    /// shard order: the owner for everything affecting a single switch,
+    /// every shard for a tick, and for a probe PacketIn from switch N the
+    /// owners of the switches whose probes N can catch plus N's own (see the
+    /// module docs).
+    pub fn deliver(&self, input: Input, mut to_shard: impl FnMut(usize, Input)) {
+        let few;
+        let all: Vec<usize>;
+        let shards: &[usize] = match (self.route(&input), &input) {
+            (Routing::Shard(k), _) => {
+                few = [k, k];
+                &few[..1]
+            }
+            (
+                Routing::Broadcast,
+                Input::FromSwitch {
+                    switch,
+                    message: OfMessage::PacketIn { body, .. },
+                },
+            ) => {
+                let own = self.shard_of(*switch);
+                let sender = self.sources.behind(*switch, body.in_port);
+                let other = sender.map_or(own, |s| self.shard_of(s));
+                few = [own.min(other), own.max(other)];
+                match (sender, self.probe_shards.get(switch.index())) {
+                    (None, Some(upstream)) => upstream,
+                    _ if own == other => &few[..1],
+                    _ => &few,
+                }
+            }
+            (Routing::Broadcast, _) => {
+                all = (0..self.n_shards).collect();
+                &all
+            }
+        };
+        let (&last, rest) = shards.split_last().expect("an owner shard at least");
+        for &k in rest {
+            to_shard(k, input.clone());
+        }
+        to_shard(last, input);
+    }
+
     /// True for a PacketIn punting one of RUM's own probe packets (reserved
     /// ToS, explicit to-controller action) — the only switch-side input that
-    /// concerns techniques beyond the arrival switch's.
+    /// concerns techniques beyond the arrival switch's.  Only the ToS byte
+    /// is looked at; the engines that receive the probe parse it.
     fn is_probe_packet_in(&self, message: &OfMessage) -> bool {
         let OfMessage::PacketIn { body, .. } = message else {
             return false;
         };
-        if body.reason != openflow::constants::packet_in_reason::ACTION {
-            return false;
-        }
-        match openflow::PacketHeader::from_bytes(&body.data) {
-            Ok(header) => self.probe_plan.is_probe_tos(header.nw_tos),
-            Err(_) => false,
-        }
+        body.reason == openflow::constants::packet_in_reason::ACTION
+            && self.probe_plan.marks(&body.data)
     }
 }
 
@@ -143,13 +213,14 @@ impl ShardedEngine {
         if config.metrics.is_none() {
             config.metrics = Some(Arc::new(Registry::new()));
         }
-        let router = ShardRouter::new(&config, n_shards);
+        let sources = Arc::new(ProbeSources::new(&config.port_maps));
+        let router = ShardRouter::with_sources(&config, n_shards, Arc::clone(&sources));
         let shards = (0..n_shards)
             .map(|k| {
                 let mut shard_config = config.clone();
                 shard_config.shard_index = k;
                 shard_config.shard_count = n_shards;
-                RumEngine::new(shard_config)
+                RumEngine::with_sources(shard_config, Arc::clone(&sources))
             })
             .collect();
         ShardedEngine { shards, router }
@@ -235,16 +306,9 @@ impl ShardedEngine {
 
     /// Appending form of [`ShardedEngine::handle`].
     pub fn handle_into(&mut self, now: Duration, input: Input, effects: &mut Vec<Effect>) {
-        match self.router.route(&input) {
-            Routing::Shard(k) => self.shards[k].handle_into(now, input, effects),
-            Routing::Broadcast => {
-                let last = self.shards.len() - 1;
-                for k in 0..last {
-                    self.shards[k].handle_into(now, input.clone(), effects);
-                }
-                self.shards[last].handle_into(now, input, effects);
-            }
-        }
+        let shards = &mut self.shards;
+        self.router
+            .deliver(input, |k, input| shards[k].handle_into(now, input, effects));
     }
 
     /// Every confirmation across all shards, merged by emission time (ties
@@ -530,6 +594,70 @@ mod tests {
                 message: packet_in(user.to_bytes()),
             }),
             Routing::Shard(1)
+        );
+    }
+    /// `deliver` narrows what `route` calls a broadcast: a probe PacketIn
+    /// reaches the owner of the switch behind its arrival port and the
+    /// sender's own — or, arriving on a port the map does not name, the
+    /// owners of everything upstream — and nobody else.
+    #[test]
+    fn deliver_sends_probe_returns_upstream_only() {
+        use crate::config::SwitchPortMap;
+        let n = 12;
+        let maps = (0..n)
+            .map(|i| {
+                let mut map = SwitchPortMap::default();
+                map.port_to_switch.insert(1, SwitchId::new((i + n - 1) % n));
+                map.port_to_switch.insert(2, SwitchId::new((i + 1) % n));
+                map
+            })
+            .collect();
+        let config = RumBuilder::new(n)
+            .technique(TechniqueConfig::default_general())
+            .port_maps(maps)
+            .build_config();
+        let router = ShardRouter::new(&config, 5);
+        let shards_for = |input: Input| {
+            let mut shards = Vec::new();
+            router.deliver(input.clone(), |k, delivered| {
+                assert_eq!(delivered, input);
+                shards.push(k);
+            });
+            shards
+        };
+        let probe_from = |switch: usize, in_port: u16| {
+            let header = openflow::PacketHeader {
+                nw_tos: config.probe_plan.catch_tos(SwitchId::new(switch)),
+                ..Default::default()
+            };
+            let data = header.to_bytes();
+            Input::FromSwitch {
+                switch: SwitchId::new(switch),
+                message: OfMessage::PacketIn {
+                    xid: 0,
+                    body: openflow::messages::PacketIn {
+                        buffer_id: 0,
+                        total_len: data.len() as u16,
+                        in_port,
+                        reason: openflow::constants::packet_in_reason::ACTION,
+                        data,
+                    },
+                },
+            }
+        };
+        // Port 1 of switch 7 leads to switch 6: shards 6 % 5 and 7 % 5.
+        assert_eq!(shards_for(probe_from(7, 1)), vec![1, 2]);
+        // Port 1 of switch 0 leads to switch 11: ascending shard order.
+        assert_eq!(shards_for(probe_from(0, 1)), vec![0, 1]);
+        // An unnamed port: both neighbours of 7 (6 and 8) and 7 itself.
+        assert_eq!(shards_for(probe_from(7, 9)), vec![1, 2, 3]);
+        assert_eq!(shards_for(Input::Tick), vec![0, 1, 2, 3, 4]);
+        assert_eq!(
+            shards_for(Input::FromController {
+                switch: SwitchId::new(8),
+                message: flow_mod(1),
+            }),
+            vec![3]
         );
     }
 }

@@ -1,33 +1,33 @@
 //! OpenFlow 1.0 flow-table semantics, indexed for scale.
 //!
-//! The table keeps three structures in sync so every hot operation is
+//! The table keeps two structures in sync so every hot operation is
 //! sub-linear in the number of installed rules:
 //!
-//! * a **strict index** `(match, priority) → entry` backing `find_strict`,
-//!   strict modify/delete, counter accounting and the ADD replace check —
-//!   all O(1) expected;
-//! * **priority buckets** (a `BTreeMap` keyed by priority) so packet lookup
-//!   walks priorities from highest to lowest and stops at the first match,
-//!   and `CHECK_OVERLAP` only examines rules of the colliding priority;
-//! * inside each bucket, fully-exact rules live in a **canonical-key hash
-//!   map** probed with one hash of the packet header, while wildcarded rules
-//!   stay in an installation-ordered list that is scanned only until the
-//!   exact candidate (if any) is known to win the tie-break.
+//! * a **tuple-space index** ([`openflow::TupleSpace`]): rules are bucketed
+//!   by priority and, inside a bucket, hashed per distinct wildcard mask, so
+//!   packet lookup walks priorities from highest to lowest, probes one hash
+//!   map per mask in use and stops at the first priority with a match —
+//!   O(distinct masks), however many rules share them.  Exact rules are
+//!   simply the tuple with the empty mask.  The same slot answers the
+//!   *strict* `(match, priority)` questions — `find_strict`, strict
+//!   modify/delete, counter accounting, the ADD replace check — in O(1)
+//!   expected, and `CHECK_OVERLAP` only examines the colliding priority's
+//!   bucket;
+//! * the entries themselves, in a `BTreeMap` keyed by a monotonically
+//!   increasing installation sequence number, which preserves the
+//!   observable iteration and tie-break order of the original linear-scan
+//!   table (first installed wins; replaced entries move to the end).
 //!
-//! Entries are stored in a `BTreeMap` keyed by a monotonically increasing
-//! installation sequence number, which preserves the observable iteration
-//! and tie-break order of the original linear-scan table (first installed
-//! wins; replaced entries move to the end).  That original implementation
-//! survives as [`crate::oracle::LinearFlowTable`], the reference oracle the
-//! property tests and benchmarks compare against.
+//! That original implementation survives as
+//! [`crate::oracle::LinearFlowTable`], the reference oracle the property
+//! tests and benchmarks compare against.
 
 use openflow::constants::{
-    flow_mod_failed_code, flow_mod_flags, flow_removed_reason, port as of_port, OFP_VLAN_NONE,
+    flow_mod_failed_code, flow_mod_flags, flow_removed_reason, port as of_port,
 };
 use openflow::messages::{FlowMod, FlowModCommand};
-use openflow::{Action, MacAddr, OfMatch, PacketHeader, PortNo};
-use std::collections::{BTreeMap, HashMap};
-use std::net::Ipv4Addr;
+use openflow::{Action, OfMatch, PacketHeader, PacketKey, PortNo, TupleSpace};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// A single installed flow entry.
@@ -150,122 +150,15 @@ impl FlowTableError {
     }
 }
 
-/// The key of the strict index: exact OpenFlow "strict" semantics compare
-/// the match structure bit-for-bit plus the priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct StrictKey {
-    match_: OfMatch,
-    priority: u16,
-}
-
-impl StrictKey {
-    fn of(match_: &OfMatch, priority: u16) -> Self {
-        StrictKey {
-            match_: *match_,
-            priority,
-        }
-    }
-}
-
-/// Canonical identity of a fully-exact match, chosen so that key equality is
-/// *exactly* "this rule matches that packet":
-///
-/// * the ToS byte keeps only its DSCP bits (matching masks out ECN);
-/// * the VLAN priority is zeroed when no VLAN tag is present (matching
-///   ignores it then).
-///
-/// Both an exact rule and a concrete packet header project onto this key, so
-/// a single hash probe replaces a scan over every exact rule of a priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ExactKey {
-    in_port: PortNo,
-    dl_src: MacAddr,
-    dl_dst: MacAddr,
-    dl_vlan: u16,
-    dl_vlan_pcp: u8,
-    dl_type: u16,
-    nw_tos_dscp: u8,
-    nw_proto: u8,
-    nw_src: Ipv4Addr,
-    nw_dst: Ipv4Addr,
-    tp_src: u16,
-    tp_dst: u16,
-}
-
-impl ExactKey {
-    /// Projects a fully-exact match onto its canonical key.
-    fn from_match(m: &OfMatch) -> Self {
-        ExactKey {
-            in_port: m.in_port,
-            dl_src: m.dl_src,
-            dl_dst: m.dl_dst,
-            dl_vlan: m.dl_vlan,
-            dl_vlan_pcp: if m.dl_vlan == OFP_VLAN_NONE {
-                0
-            } else {
-                m.dl_vlan_pcp
-            },
-            dl_type: m.dl_type,
-            nw_tos_dscp: m.nw_tos & 0xfc,
-            nw_proto: m.nw_proto,
-            nw_src: m.nw_src,
-            nw_dst: m.nw_dst,
-            tp_src: m.tp_src,
-            tp_dst: m.tp_dst,
-        }
-    }
-
-    /// Projects a concrete packet header onto the canonical key an exact
-    /// rule matching it would have.
-    fn from_packet(pkt: &PacketHeader, in_port: PortNo) -> Self {
-        ExactKey {
-            in_port,
-            dl_src: pkt.dl_src,
-            dl_dst: pkt.dl_dst,
-            dl_vlan: pkt.dl_vlan,
-            dl_vlan_pcp: if pkt.dl_vlan == OFP_VLAN_NONE {
-                0
-            } else {
-                pkt.dl_vlan_pcp
-            },
-            dl_type: pkt.dl_type,
-            nw_tos_dscp: pkt.nw_tos & 0xfc,
-            nw_proto: pkt.nw_proto,
-            nw_src: pkt.nw_src,
-            nw_dst: pkt.nw_dst,
-            tp_src: pkt.tp_src,
-            tp_dst: pkt.tp_dst,
-        }
-    }
-}
-
-/// All entries of one priority.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    /// Fully-exact rules: canonical key → installation sequence numbers in
-    /// install order (several distinct matches can share a canonical key,
-    /// e.g. when they differ only in ECN bits).
-    exact: HashMap<ExactKey, Vec<u64>>,
-    /// Wildcarded rules, as installation sequence numbers in install order.
-    wild: Vec<u64>,
-    /// Number of rules in `exact` (the map counts keys, not rules).
-    exact_len: usize,
-}
-
-impl Bucket {
-    fn is_empty(&self) -> bool {
-        self.exact_len == 0 && self.wild.is_empty()
-    }
-}
-
 /// An OpenFlow 1.0 flow table with hash/priority indexes on the hot paths.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     /// Entries keyed by installation sequence number; ascending iteration is
     /// installation order.
     entries: BTreeMap<u64, FlowEntry>,
-    strict: HashMap<StrictKey, u64>,
-    buckets: BTreeMap<u16, Bucket>,
+    /// Which entries may match a packet (or equal a match), by priority and
+    /// wildcard mask.
+    index: TupleSpace,
     next_seq: u64,
     max_entries: usize,
     /// Lower bound on the earliest hard-timeout deadline of any installed
@@ -310,9 +203,22 @@ impl FlowTable {
     /// Finds the entry exactly matching `match_` and `priority` (strict
     /// semantics).
     pub fn find_strict(&self, match_: &OfMatch, priority: u16) -> Option<&FlowEntry> {
-        self.strict
-            .get(&StrictKey::of(match_, priority))
-            .map(|seq| &self.entries[seq])
+        self.strict_seq(match_, priority)
+            .map(|seq| &self.entries[&seq])
+    }
+
+    /// The sequence number of the entry whose match is bit-for-bit `match_`
+    /// at `priority`; an ADD replaces such an entry, so there is at most one.
+    fn strict_seq(&self, match_: &OfMatch, priority: u16) -> Option<u64> {
+        let mut found = None;
+        self.index
+            .bucket(priority)?
+            .strict_candidates(match_, |seq| {
+                if self.entries[&seq].match_ == *match_ {
+                    found = Some(seq);
+                }
+            });
+        found
     }
 
     /// Looks up the highest-priority entry matching a packet.  Ties are
@@ -335,27 +241,17 @@ impl FlowTable {
     }
 
     /// The matching entry's sequence number: walk priorities from highest to
-    /// lowest; within a priority the earliest-installed match wins, whether
-    /// it came from the exact hash probe or the wildcard scan.
+    /// lowest; within a priority the earliest-installed match wins, whichever
+    /// mask's hash probe (or the residual list) produced it.
     fn lookup_seq(&self, pkt: &PacketHeader, in_port: PortNo) -> Option<u64> {
-        let key = ExactKey::from_packet(pkt, in_port);
-        for bucket in self.buckets.values().rev() {
-            let exact = bucket
-                .exact
-                .get(&key)
-                .and_then(|seqs| seqs.first().copied());
-            let mut best = exact;
-            for &seq in &bucket.wild {
-                // `wild` is in installation order, so once the exact
-                // candidate is older than the remaining wildcards it wins.
-                if exact.is_some_and(|e| e <= seq) {
-                    break;
-                }
-                if self.entries[&seq].match_.matches(pkt, in_port) {
+        let key = PacketKey::new(pkt, in_port);
+        for bucket in self.index.descending(..) {
+            let mut best: Option<u64> = None;
+            bucket.candidates(&key, |seq| {
+                if best.is_none_or(|b| seq < b) && self.entries[&seq].match_.matches(pkt, in_port) {
                     best = Some(seq);
-                    break;
                 }
-            }
+            });
             if best.is_some() {
                 return best;
             }
@@ -365,8 +261,8 @@ impl FlowTable {
 
     /// Credits a matched packet to an entry (counters + idle-timeout clock).
     pub fn account(&mut self, match_: &OfMatch, priority: u16, bytes: usize, now: Duration) {
-        if let Some(seq) = self.strict.get(&StrictKey::of(match_, priority)) {
-            let e = self.entries.get_mut(seq).expect("indexed entry exists");
+        if let Some(seq) = self.strict_seq(match_, priority) {
+            let e = self.entries.get_mut(&seq).expect("indexed entry exists");
             e.packet_count += 1;
             e.byte_count += bytes as u64;
             // A hit pushes the idle deadline out; `next_expiry` stays a
@@ -393,7 +289,7 @@ impl FlowTable {
         // Per the spec, an ADD with an identical match and priority replaces
         // the existing entry (counters reset).
         let mut outcome = FlowModOutcome::default();
-        if let Some(&seq) = self.strict.get(&StrictKey::of(&fm.match_, fm.priority)) {
+        if let Some(seq) = self.strict_seq(&fm.match_, fm.priority) {
             let old = self.remove_seq(seq);
             if old.cookie != fm.cookie {
                 outcome.removed.push(old.cookie);
@@ -409,15 +305,11 @@ impl FlowTable {
     /// CHECK_OVERLAP only concerns entries of the same priority, so only the
     /// matching bucket is examined.
     fn overlaps_same_priority(&self, fm: &FlowMod) -> bool {
-        let Some(bucket) = self.buckets.get(&fm.priority) else {
-            return false;
-        };
-        bucket
-            .exact
-            .values()
-            .flatten()
-            .chain(bucket.wild.iter())
-            .any(|seq| self.entries[seq].match_.overlaps(&fm.match_))
+        self.index.bucket(fm.priority).is_some_and(|bucket| {
+            bucket
+                .ids()
+                .any(|seq| self.entries[&seq].match_.overlaps(&fm.match_))
+        })
     }
 
     fn apply_modify(
@@ -429,10 +321,8 @@ impl FlowTable {
         let mut outcome = FlowModOutcome::default();
         let mut any = false;
         if strict {
-            // The strict index makes this a single probe: at most one entry
-            // can carry an identical (match, priority) pair.
-            if let Some(seq) = self.strict.get(&StrictKey::of(&fm.match_, fm.priority)) {
-                let e = self.entries.get_mut(seq).expect("indexed entry exists");
+            if let Some(seq) = self.strict_seq(&fm.match_, fm.priority) {
+                let e = self.entries.get_mut(&seq).expect("indexed entry exists");
                 e.actions = fm.actions.clone();
                 // MODIFY does not reset counters or timeouts, per spec.
                 outcome.activated.push(fm.cookie);
@@ -458,7 +348,7 @@ impl FlowTable {
         let mut outcome = FlowModOutcome::default();
         let out_port_filter = fm.out_port;
         if strict {
-            let Some(&seq) = self.strict.get(&StrictKey::of(&fm.match_, fm.priority)) else {
+            let Some(seq) = self.strict_seq(&fm.match_, fm.priority) else {
                 return outcome;
             };
             let port_ok =
@@ -551,44 +441,13 @@ impl FlowTable {
         if let Some(deadline) = entry.expiry_deadline() {
             self.next_expiry = Some(self.next_expiry.map_or(deadline, |n| n.min(deadline)));
         }
-        self.strict
-            .insert(StrictKey::of(&entry.match_, entry.priority), seq);
-        let bucket = self.buckets.entry(entry.priority).or_default();
-        if entry.match_.is_exact() {
-            bucket
-                .exact
-                .entry(ExactKey::from_match(&entry.match_))
-                .or_default()
-                .push(seq);
-            bucket.exact_len += 1;
-        } else {
-            bucket.wild.push(seq);
-        }
+        self.index.insert(&entry.match_, entry.priority, seq);
         self.entries.insert(seq, entry);
     }
 
     fn remove_seq(&mut self, seq: u64) -> FlowEntry {
         let entry = self.entries.remove(&seq).expect("entry exists");
-        self.strict
-            .remove(&StrictKey::of(&entry.match_, entry.priority));
-        let bucket = self
-            .buckets
-            .get_mut(&entry.priority)
-            .expect("bucket exists");
-        if entry.match_.is_exact() {
-            let key = ExactKey::from_match(&entry.match_);
-            let seqs = bucket.exact.get_mut(&key).expect("exact slot exists");
-            seqs.retain(|&s| s != seq);
-            if seqs.is_empty() {
-                bucket.exact.remove(&key);
-            }
-            bucket.exact_len -= 1;
-        } else if let Ok(pos) = bucket.wild.binary_search(&seq) {
-            bucket.wild.remove(pos);
-        }
-        if bucket.is_empty() {
-            self.buckets.remove(&entry.priority);
-        }
+        self.index.remove(&entry.match_, entry.priority, seq);
         // `next_expiry` stays a (possibly stale) lower bound: removals never
         // make it invalid, and the next real expiry scan recomputes it.
         entry

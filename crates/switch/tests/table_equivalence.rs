@@ -2,11 +2,15 @@
 //! the linear-scan reference oracle ([`LinearFlowTable`]) under randomized
 //! flow-mod sequences — adds (with and without CHECK_OVERLAP and idle/hard
 //! timeouts), strict and loose modifies and deletes (with out-port filters),
-//! expiry sweeps, packet lookups and counter accounting.
+//! expiry sweeps, packet lookups and counter accounting — over
+//! wildcard-heavy tables: a dozen distinct masks per priority, rules that
+//! differ only in bits matching ignores, and the one rule shape that is not
+//! a masked comparison.
 
 use ofswitch::{FlowTable, LinearFlowTable};
+use openflow::constants::OFP_VLAN_NONE;
 use openflow::messages::{FlowMod, FlowModCommand};
-use openflow::{Action, MacAddr, OfMatch, PacketHeader};
+use openflow::{Action, MacAddr, OfMatch, PacketHeader, Wildcards};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
@@ -23,16 +27,50 @@ fn packet(rng: &mut SmallRng) -> PacketHeader {
         1000 + rng.gen_index(2) as u16,
         2000 + rng.gen_index(3) as u16,
     );
-    // Occasionally flip ECN bits so the exact index's DSCP canonicalisation
-    // is exercised.
+    // Occasionally flip ECN bits so the index's DSCP canonicalisation is
+    // exercised.
     pkt.nw_tos = (rng.gen_index(3) as u8) << 2 | rng.gen_index(4) as u8;
+    // A third of the packets carry a VLAN tag: whether a rule's VLAN
+    // priority matters depends on it.
+    if rng.gen_index(3) == 0 {
+        pkt.dl_vlan = [100, 200][rng.gen_index(2)];
+        pkt.dl_vlan_pcp = rng.gen_index(3) as u8;
+    }
     pkt
+}
+
+/// Sets bits matching ignores — values of wildcarded fields, host bits
+/// beyond a prefix, ECN bits, prefix counts past 32 — from tiny ranges, so
+/// the table holds rules that are distinct under strict comparison yet
+/// match exactly the same packets.
+fn add_ignored_bits(m: &mut OfMatch, rng: &mut SmallRng) {
+    let w = m.wildcards;
+    if w.is_wildcarded(Wildcards::IN_PORT) {
+        m.in_port = rng.gen_index(2) as u16;
+    }
+    if w.is_wildcarded(Wildcards::DL_SRC) {
+        m.dl_src = MacAddr::from_id(rng.gen_index(2) as u64);
+    }
+    if w.is_wildcarded(Wildcards::TP_SRC) {
+        m.tp_src = rng.gen_index(2) as u16;
+    }
+    if w.is_wildcarded(Wildcards::DL_VLAN_PCP) {
+        m.dl_vlan_pcp = rng.gen_index(2) as u8;
+    }
+    m.nw_tos |= rng.gen_index(2) as u8;
+    if w.nw_src_bits() >= 8 {
+        m.nw_src = Ipv4Addr::from(u32::from(m.nw_src) | rng.gen_index(2) as u32);
+    }
+    if w.nw_dst_bits() == 32 {
+        // Any count of 32..=63 wildcards the whole address.
+        m.wildcards = Wildcards(w.raw() | (rng.gen_index(2) as u32) << Wildcards::NW_DST_SHIFT);
+    }
 }
 
 /// A match drawn from a deliberately small pool so adds, strict operations
 /// and overlap checks collide often.
 fn random_match(rng: &mut SmallRng) -> OfMatch {
-    match rng.gen_index(5) {
+    let mut m = match rng.gen_index(8) {
         0 => {
             // Fully exact match derived from a plausible packet.
             let pkt = packet(rng);
@@ -45,8 +83,33 @@ fn random_match(rng: &mut SmallRng) -> OfMatch {
         2 => OfMatch::wildcard_all()
             .with_nw_src_prefix(Ipv4Addr::new(10, 0, 0, 0), [8, 16, 24][rng.gen_index(3)]),
         3 => OfMatch::wildcard_all().with_tp_dst(2000 + rng.gen_index(3) as u16),
+        4 => OfMatch::wildcard_all().with_nw_dst_prefix(
+            Ipv4Addr::new(10, 0, rng.gen_index(4) as u8 + 1, 0),
+            [8, 24][rng.gen_index(2)],
+        ),
+        5 => OfMatch::wildcard_all().with_nw_tos((rng.gen_index(3) as u8) << 2),
+        6 => {
+            // VLAN shapes: id only; id and priority; "untagged" and a
+            // priority that then never matters; and a priority without an
+            // id, which matches every untagged packet and the tagged ones
+            // of that priority — not a masked comparison.
+            let mut m = match rng.gen_index(4) {
+                0 | 1 => OfMatch::wildcard_all().with_dl_vlan([100, 200][rng.gen_index(2)]),
+                2 => OfMatch::wildcard_all().with_dl_vlan(OFP_VLAN_NONE),
+                _ => OfMatch::wildcard_all(),
+            };
+            if m.wildcards.is_wildcarded(Wildcards::DL_VLAN) || rng.gen_bool(0.5) {
+                m.wildcards = m.wildcards.with(Wildcards::DL_VLAN_PCP, false);
+                m.dl_vlan_pcp = rng.gen_index(3) as u8;
+            }
+            m
+        }
         _ => OfMatch::wildcard_all(),
+    };
+    if rng.gen_bool(0.4) {
+        add_ignored_bits(&mut m, rng);
     }
+    m
 }
 
 fn random_flow_mod(rng: &mut SmallRng, next_cookie: &mut u64) -> FlowMod {
@@ -174,5 +237,88 @@ fn indexed_table_matches_linear_oracle() {
         let later = now + Duration::from_secs(3600);
         assert_eq!(indexed.expire(later), oracle.expire(later));
         assert_same_state(&indexed, &oracle, seed, usize::MAX);
+    }
+}
+
+/// Tables that fill up: no timeouts and no delete-everything, so every
+/// priority ends up holding many rules under at least four distinct masks
+/// (with /8 and /24 prefixes, VLAN shapes and ignored-bit twins among them)
+/// while strict and loose deletes and modifies keep churning it — and every
+/// step is followed by lookups that must agree with the oracle.
+#[test]
+fn wildcard_heavy_tables_answer_every_lookup_like_the_oracle() {
+    for seed in 0..8u64 {
+        let mut rng = SmallRng::seed_from_u64(0x7_0B1E + seed);
+        let mut indexed = FlowTable::new(0);
+        let mut oracle = LinearFlowTable::new(0);
+        let mut cookie = 0u64;
+        let mut most_masks = [0usize; 3];
+        for step in 0..600 {
+            let mut fm = random_flow_mod(&mut rng, &mut cookie);
+            fm.hard_timeout = 0;
+            fm.idle_timeout = 0;
+            if fm.command == FlowModCommand::Delete && fm.match_.wildcards.matches_everything() {
+                continue;
+            }
+            assert_eq!(
+                indexed.apply(&fm, Duration::ZERO),
+                oracle.apply(&fm, Duration::ZERO),
+                "apply outcome diverged (seed {seed}, step {step})"
+            );
+            for _ in 0..4 {
+                let pkt = packet(&mut rng);
+                let in_port = rng.gen_index(3) as u16;
+                assert_eq!(
+                    indexed.peek_lookup(&pkt, in_port),
+                    oracle.peek_lookup(&pkt, in_port),
+                    "peek_lookup diverged (seed {seed}, step {step})"
+                );
+                assert_eq!(
+                    indexed.lookup(&pkt, in_port).cloned(),
+                    oracle.lookup(&pkt, in_port).cloned(),
+                    "lookup diverged (seed {seed}, step {step})"
+                );
+            }
+            for (slot, priority) in [1u16, 5, 9].into_iter().enumerate() {
+                let masks: std::collections::BTreeSet<u32> = oracle
+                    .entries()
+                    .filter(|e| e.priority == priority)
+                    .map(|e| e.match_.wildcards.raw())
+                    .collect();
+                most_masks[slot] = most_masks[slot].max(masks.len());
+            }
+        }
+        assert_same_state(&indexed, &oracle, seed, usize::MAX);
+        assert!(
+            most_masks.iter().all(|&n| n >= 4),
+            "seed {seed} never held four masks in one priority: {most_masks:?}"
+        );
+    }
+}
+
+/// Two rules of one priority under different masks both match; whichever
+/// was installed first wins, whichever hash map finds it.
+#[test]
+fn equal_priority_overlap_across_masks_resolves_by_install_order() {
+    let pkt = PacketHeader::ipv4_udp(
+        MacAddr::from_id(1),
+        MacAddr::from_id(2),
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(10, 0, 2, 1),
+        1000,
+        2000,
+    );
+    let by_prefix = OfMatch::wildcard_all().with_nw_dst_prefix(Ipv4Addr::new(10, 0, 2, 0), 24);
+    let by_port = OfMatch::wildcard_all().with_tp_dst(2000);
+    for (first, second) in [(by_prefix, by_port), (by_port, by_prefix)] {
+        let mut indexed = FlowTable::new(0);
+        let mut oracle = LinearFlowTable::new(0);
+        for (cookie, m) in [(1, first), (2, second)] {
+            let fm = FlowMod::add(m, 5, vec![Action::output(1)]).with_cookie(cookie);
+            indexed.apply(&fm, Duration::ZERO).unwrap();
+            oracle.apply(&fm, Duration::ZERO).unwrap();
+        }
+        assert_eq!(indexed.lookup(&pkt, 1).unwrap().cookie, 1);
+        assert_eq!(oracle.lookup(&pkt, 1).unwrap().cookie, 1);
     }
 }

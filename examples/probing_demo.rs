@@ -19,11 +19,11 @@ fn main() {
     let chain = ProbeFieldPlan::from_links(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5);
     println!(
         "probe-catch ToS values (triangle): {:02x?}",
-        triangle.catch_tos
+        triangle.catch_values()
     );
     println!(
         "probe-catch ToS values (5-chain):  {:02x?} (colours reused)\n",
-        chain.catch_tos
+        chain.catch_values()
     );
 
     // 2. The rules RUM installs for sequential probing.

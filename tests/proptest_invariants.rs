@@ -293,6 +293,126 @@ fn synthesized_probe_hits_exactly_the_probed_rule() {
     }
 }
 
+/// The slice-based update of RUM's table model that `KnownRules::apply`
+/// replaced, kept here as the reference for how the model evolves.
+fn apply_to_slice_model(table: &mut Vec<rum::probe::KnownRule>, fm: &FlowMod) {
+    let strict = matches!(
+        fm.command,
+        FlowModCommand::ModifyStrict | FlowModCommand::DeleteStrict
+    );
+    let selected = |k: &rum::probe::KnownRule| {
+        if strict {
+            k.match_ == fm.match_ && k.priority == fm.priority
+        } else {
+            fm.match_.covers(&k.match_)
+        }
+    };
+    let learnt = rum::probe::KnownRule {
+        match_: fm.match_,
+        priority: fm.priority,
+        actions: fm.actions.clone(),
+    };
+    match fm.command {
+        FlowModCommand::Add => table.push(learnt),
+        FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
+            let mut any = false;
+            for k in table.iter_mut().filter(|k| selected(k)) {
+                k.actions = fm.actions.clone();
+                any = true;
+            }
+            if !any {
+                table.push(learnt);
+            }
+        }
+        FlowModCommand::Delete | FlowModCommand::DeleteStrict => table.retain(|k| !selected(k)),
+    }
+}
+
+/// The indexed table model answers probe synthesis exactly like the
+/// slice-based oracle — same probe or same refusal — while adds, strict and
+/// loose modifies and deletes churn a table of overlapping rules: shared
+/// priorities, re-added entries, higher-priority hijackers of the canonical
+/// probe, prefixes over the exact pairs, and the VLAN-priority-without-id
+/// shape the index cannot hash.
+#[test]
+fn indexed_table_model_synthesises_like_the_slice_oracle() {
+    let arb_match = |rng: &mut SmallRng| {
+        let a = rng.gen_index(4) as u8 + 1;
+        let b = rng.gen_index(4) as u8 + 1;
+        match rng.gen_index(8) {
+            0..=2 => OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, a), Ipv4Addr::new(10, 1, 0, b)),
+            3 => OfMatch::wildcard_all()
+                .with_nw_dst_prefix(Ipv4Addr::new(10, 1, 0, b), [16, 24, 32][rng.gen_index(3)]),
+            4 => OfMatch::wildcard_all()
+                .with_nw_src_prefix(rum::probe::PROBE_SRC_IP, [24, 32][rng.gen_index(2)]),
+            5 => OfMatch::wildcard_all().with_tp_dst(40_001 + rng.gen_index(2) as u16),
+            6 => {
+                let mut m = OfMatch::wildcard_all();
+                m.wildcards = m.wildcards.with(Wildcards::DL_VLAN_PCP, false);
+                m.dl_vlan_pcp = rng.gen_index(2) as u8;
+                m
+            }
+            _ => OfMatch::wildcard_all(),
+        }
+    };
+    let arb_actions = |rng: &mut SmallRng| match rng.gen_index(5) {
+        0 => vec![],
+        1 | 2 => vec![Action::output(2)],
+        3 => vec![Action::output(3)],
+        _ => vec![Action::SetNwTos(0x04), Action::output(2)],
+    };
+    for seed in 0..6 {
+        let mut rng = rng_for(100 + seed);
+        let mut oracle: Vec<rum::probe::KnownRule> = Vec::new();
+        let mut indexed = rum::probe::KnownRules::new();
+        let mut probes = 0;
+        for step in 0..500 {
+            let fm = FlowMod {
+                command: match rng.gen_index(10) {
+                    0..=5 => FlowModCommand::Add,
+                    6 => FlowModCommand::Modify,
+                    7 => FlowModCommand::ModifyStrict,
+                    8 => FlowModCommand::DeleteStrict,
+                    // A loose delete by a wildcard would keep emptying the
+                    // table; pairs and prefixes still take their share.
+                    _ if rng.gen_bool(0.7) => FlowModCommand::Add,
+                    _ => FlowModCommand::Delete,
+                },
+                ..FlowMod::add(
+                    arb_match(&mut rng),
+                    [0u16, 50, 100, 100, 200, 65_535][rng.gen_index(6)],
+                    arb_actions(&mut rng),
+                )
+            };
+            // Probe before the table learns of the rule and after, as the
+            // technique does for fresh rules and for re-sent ones.
+            let rule = rum::probe::KnownRule {
+                match_: fm.match_,
+                priority: fm.priority,
+                actions: fm.actions.clone(),
+            };
+            for phase in ["before", "after"] {
+                let expected = rum::probe::synthesize_general_probe(&rule, &oracle, 0xf8, 77);
+                assert_eq!(
+                    indexed.synthesize_probe(&rule, 0xf8, 77),
+                    expected,
+                    "seed {seed}, step {step}, {phase} {fm:?}"
+                );
+                probes += usize::from(expected.is_ok());
+                if phase == "before" {
+                    apply_to_slice_model(&mut oracle, &fm);
+                    indexed.apply(&fm);
+                    assert!(
+                        indexed.iter().eq(oracle.iter()),
+                        "seed {seed}, step {step}: models diverged on {fm:?}"
+                    );
+                }
+            }
+        }
+        assert!(probes > 50 && oracle.len() > 20, "seed {seed}: a thin run");
+    }
+}
+
 /// The session multiplexer's shared-budget invariant: under random ack
 /// interleavings across many concurrent tenants, the number of
 /// sent-but-unconfirmed modifications never exceeds the global window, no
