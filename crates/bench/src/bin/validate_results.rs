@@ -40,203 +40,12 @@
 //! false acks at at least that many switches, plus a TCP soak row at the
 //! same fleet size — the 1,000-switch regression gate.
 //!
-//! The build environment has no serde, so this ships a minimal JSON parser —
-//! enough for the flat document the harness emits.
+//! The build environment has no serde; the document is read with the
+//! workspace's one hand-rolled parser, `telemetry::json`.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, what: &str) -> String {
-        format!("{what} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.error("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or_else(|| self.error("unclosed string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.error("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.error("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through byte by byte;
-                    // the input came from a &str so it is valid UTF-8.
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn document(mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.error("trailing garbage"));
-        }
-        Ok(v)
-    }
-}
+use telemetry::json::{self, Value as Json};
 
 fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a Json, String> {
     obj.get(key).ok_or_else(|| format!("missing key \"{key}\""))
@@ -244,9 +53,10 @@ fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a Json, Strin
 
 fn num(obj: &BTreeMap<String, Json>, key: &str) -> Result<f64, String> {
     match get(obj, key)? {
-        Json::Num(n) => Ok(*n),
         Json::Null => Ok(f64::NAN), // latency of an incomplete run
-        other => Err(format!("\"{key}\" is not a number: {other:?}")),
+        other => other
+            .as_f64()
+            .ok_or_else(|| format!("\"{key}\" is not a number: {other:?}")),
     }
 }
 
@@ -352,7 +162,7 @@ fn validate_matrix(
         let completion_is_null =
             match get(row, "completion_ms").map_err(|e| format!("{context}: {e}"))? {
                 Json::Null => true,
-                Json::Num(v) if v.is_finite() && *v >= 0.0 => false,
+                v if v.as_f64().is_some_and(|v| v.is_finite() && v >= 0.0) => false,
                 other => return Err(format!("{context}: bad completion_ms {other:?}")),
             };
         // Schema 4: per-technique applicability.  A not-applicable cell was
@@ -619,7 +429,7 @@ fn validate(
         return Err("document root is not an object".into());
     };
     let schema = match get(root, "schema")? {
-        Json::Num(v) if (2.0..=8.0).contains(v) && v.fract() == 0.0 => *v as u32,
+        Json::Int(v @ 2..=8) => *v as u32,
         other => {
             return Err(format!(
                 "schema must be 2, 3, 4, 5, 6, 7 or 8, got {other:?}"
@@ -781,7 +591,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let doc = match Parser::new(&text).document() {
+    let doc = match json::parse(&text) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("validate_results: {path} is not valid JSON: {e}");
@@ -814,7 +624,7 @@ mod tests {
     use super::*;
 
     fn doc(text: &str) -> Json {
-        Parser::new(text).document().expect("valid JSON")
+        json::parse(text).expect("valid JSON")
     }
 
     const SCHEMA2: &str = r#"{

@@ -1,17 +1,17 @@
-//! The simulator driver for the sans-IO [`UpdateSession`].
+//! The simulator transport for controller-side [`Machine`]s.
 //!
-//! [`Controller`] is a thin `simnet` node, the controller-side mirror of how
+//! [`MachineNode`] is a thin `simnet` node, the controller-side mirror of how
 //! `rum::RumProxy` drives `rum::RumEngine`: it translates simulator events
-//! into [`SessionInput`]s, executes the returned [`SessionEffect`]s through
-//! the simulator [`Context`] (control messages, timers, trace records), and
-//! exposes the session for post-run inspection.  All plan-execution logic —
-//! dependency gating, the window, acknowledgment modes, the failure policy —
-//! lives in the session; the `rum_tcp` crate drives the very same state
-//! machine over real TCP sockets.
+//! into [`MachineInput`]s and executes the lowered [`MachineEffect`]s through
+//! the simulator [`Context`] (control messages, timers, trace records).  All
+//! logic lives in the machine; `rum_tcp::TcpDriver` drives the very same
+//! machines over real TCP sockets.  [`Controller`] is the node driving one
+//! [`SessionMachine`]; `sessiond::MuxController` wraps the multi-tenant one.
 
+use crate::machine::{Machine, MachineEffect, MachineInput, SessionMachine};
 use crate::plan::UpdatePlan;
-use crate::resync::{is_resync_token, Reconciler, ResyncConfig, ResyncEffect, ResyncInput};
-use crate::session::{ConnId, SessionEffect, SessionInput, SessionTimerToken, UpdateSession};
+use crate::resync::{Reconciler, ResyncConfig};
+use crate::session::{ConnId, UpdateSession};
 use openflow::OfMessage;
 use simnet::{Context, EventPayload, Node, NodeId, SimTime, TraceEvent};
 use std::any::Any;
@@ -20,65 +20,36 @@ use std::collections::HashMap;
 // Re-exported for the many callers that predate the session split.
 pub use crate::session::AckMode;
 
-/// Timer token used to start the update; session timers are offset by one.
+/// Timer token used to start the run; machine timers are offset by one.
 const TOKEN_START: u64 = 0;
 
-/// A controller node that executes an [`UpdatePlan`] against a set of switch
-/// connections by driving an [`UpdateSession`] inside the simulator.
-pub struct Controller {
+/// A controller node driving a [`Machine`] against a set of switch
+/// connections inside the simulator.
+pub struct MachineNode<M: Machine> {
     label: String,
-    session: UpdateSession,
+    machine: M,
     connections: Vec<NodeId>,
     control_latency: SimTime,
     start_at: SimTime,
     started: bool,
-    /// PacketIns from nodes that are not plan connections (the session only
-    /// sees traffic on known connections).
+    /// PacketIns from nodes that are not switch connections (the machine
+    /// only sees traffic on known connections).
     stray_packet_ins: u64,
-    /// Optional reconciliation engine; when enabled, a Hello on a mapped
-    /// connection (the simulator's reconnect signal — nothing else initiates
-    /// one mid-session) starts a resync once the main session settles.
-    resync: Option<Reconciler>,
 }
 
-impl Controller {
-    /// Creates a controller executing `plan` with the given acknowledgment
-    /// mode and window, starting the update at `start_at`.
-    pub fn new(
-        label: impl Into<String>,
-        plan: UpdatePlan,
-        ack_mode: AckMode,
-        window: usize,
-        start_at: SimTime,
-    ) -> Self {
-        Controller {
+impl<M: Machine> MachineNode<M> {
+    /// Creates a node that feeds `machine` [`MachineInput::Started`] at
+    /// `start_at`.
+    pub fn with_machine(label: impl Into<String>, machine: M, start_at: SimTime) -> Self {
+        MachineNode {
             label: label.into(),
-            session: UpdateSession::new(plan, ack_mode, window),
+            machine,
             connections: Vec::new(),
             control_latency: SimTime::from_micros(200),
             start_at,
             started: false,
             stray_packet_ins: 0,
-            resync: None,
         }
-    }
-
-    /// Enables declarative resync: every confirmed modification joins the
-    /// reconciler's desired store, and a reconnecting switch is read back
-    /// and repaired until its table matches.  Returns the reconciler so the
-    /// caller can seed preinstalled state or attach metrics.
-    pub fn enable_resync(&mut self, config: ResyncConfig) -> &mut Reconciler {
-        self.resync.insert(Reconciler::new(config))
-    }
-
-    /// The reconciler, if resync is enabled.
-    pub fn reconciler(&self) -> Option<&Reconciler> {
-        self.resync.as_ref()
-    }
-
-    /// Mutable access to the reconciler, if resync is enabled.
-    pub fn reconciler_mut(&mut self) -> Option<&mut Reconciler> {
-        self.resync.as_mut()
     }
 
     /// Sets the nodes terminating each switch connection (index = the
@@ -93,81 +64,36 @@ impl Controller {
         self.control_latency = latency;
     }
 
-    /// Read access to the update session (plan, timestamps, outcome).
-    pub fn session(&self) -> &UpdateSession {
-        &self.session
+    /// The machine, for post-run inspection.
+    pub fn machine(&self) -> &M {
+        &self.machine
     }
 
-    /// Mutable access to the update session, e.g. to set a
-    /// [`crate::session::FailurePolicy`] before the run starts.
-    pub fn session_mut(&mut self) -> &mut UpdateSession {
-        &mut self.session
+    /// Mutable access to the machine, e.g. to configure it before the run.
+    pub fn machine_mut(&mut self) -> &mut M {
+        &mut self.machine
     }
 
-    /// The update plan.
-    pub fn plan(&self) -> &UpdatePlan {
-        self.session.plan()
+    /// PacketIns received from nodes that are not switch connections.
+    pub fn stray_packet_ins(&self) -> u64 {
+        self.stray_packet_ins
     }
 
-    /// Number of confirmed modifications.
-    pub fn confirmed_count(&self) -> usize {
-        self.session.confirmed_count()
-    }
-
-    /// Number of sent modifications.
-    pub fn sent_count(&self) -> usize {
-        self.session.sent_count()
-    }
-
-    /// Modifications rejected by the switch or given up on by the failure
-    /// policy.
-    pub fn failed(&self) -> &[u64] {
-        self.session.failed()
-    }
-
-    /// True once every modification in the plan is confirmed.
-    pub fn is_complete(&self) -> bool {
-        self.session.is_complete()
-    }
-
-    /// When the last modification was confirmed, if the update finished.
-    pub fn completed_at(&self) -> Option<SimTime> {
-        self.session.completed_at().map(SimTime::from)
-    }
-
-    /// Confirmation time per modification id, in simulation time.
-    pub fn confirmation_times(&self) -> HashMap<u64, SimTime> {
-        self.session
-            .confirmation_times()
-            .iter()
-            .map(|(&id, &d)| (id, SimTime::from(d)))
-            .collect()
-    }
-
-    /// Send time per modification id, in simulation time.
-    pub fn send_times(&self) -> HashMap<u64, SimTime> {
-        self.session
-            .send_times()
-            .iter()
-            .map(|(&id, &d)| (id, SimTime::from(d)))
-            .collect()
-    }
-
-    /// PacketIn messages received (e.g. probes leaking to a non-RUM
-    /// controller, or data packets punted by a switch).
-    pub fn packet_ins_received(&self) -> u64 {
-        self.session.packet_ins_received() + self.stray_packet_ins
-    }
-
-    /// Feeds one input into the session and executes the effects.
-    fn drive(&mut self, input: SessionInput, ctx: &mut Context<'_>) {
-        let effects = self.session.handle(ctx.now().into(), input);
+    /// Feeds one input into the machine and executes the effects.
+    fn drive(&mut self, input: MachineInput, ctx: &mut Context<'_>) {
+        let mut effects = Vec::new();
+        self.machine.handle(ctx.now().into(), input, &mut effects);
         for effect in effects {
-            match effect {
-                SessionEffect::Send { conn, message } => {
-                    // A reply addressed to the sentinel conn of an unmapped
-                    // sender has nowhere to go; plan sends always resolve.
+            match self.machine.lower(effect) {
+                MachineEffect::Send { conn, message } => {
+                    // A reply addressed to an unmapped sender has nowhere to
+                    // go; a send with no connections at all is a wiring bug.
                     let Some(&node) = self.connections.get(conn.index()) else {
+                        assert!(
+                            !self.connections.is_empty() || conn == ConnId::UNMAPPED,
+                            "controller {} has no switch connections configured",
+                            self.label
+                        );
                         continue;
                     };
                     if let OfMessage::FlowMod { ref body, .. } = message {
@@ -178,110 +104,27 @@ impl Controller {
                     }
                     ctx.send_control(node, message, self.control_latency);
                 }
-                SessionEffect::ArmTimer { delay, token } => {
-                    ctx.set_timer(delay.into(), token.raw() + 1);
-                }
-                SessionEffect::Confirmed { id } => {
+                MachineEffect::ArmTimer { delay, raw } => ctx.set_timer(delay.into(), raw + 1),
+                MachineEffect::Confirmed { cookie } => {
                     ctx.record(TraceEvent::ControlPlaneConfirmed {
-                        cookie: id,
-                        time: ctx.now(),
-                    });
-                    // A confirmed rule is now desired state: remember it so
-                    // a later restart can be repaired declaratively.
-                    if let Some(resync) = self.resync.as_mut() {
-                        if let Some(m) = self.session.plan().get(id) {
-                            resync.store_mut().note_confirmed(m.target, &m.flow_mod);
-                        }
-                    }
-                }
-                SessionEffect::Rejected { id, err_type, code } => {
-                    ctx.record(TraceEvent::Marker {
-                        label: format!(
-                            "{}: flow-mod {id} rejected (type {err_type}, code {code})",
-                            self.label
-                        ),
+                        cookie,
                         time: ctx.now(),
                     });
                 }
-                SessionEffect::Completed { .. } => {
-                    ctx.record(TraceEvent::Marker {
-                        label: format!("{}: update complete", self.label),
-                        time: ctx.now(),
-                    });
-                    self.drive_resync(ResyncInput::SessionSettled, ctx);
-                }
-                SessionEffect::Aborted { report } => {
-                    ctx.record(TraceEvent::Marker {
-                        label: format!(
-                            "{}: update aborted (mod {} failed, {} cancelled, {} rolled back)",
-                            self.label,
-                            report.failed,
-                            report.cancelled.len(),
-                            report.rolled_back.len()
-                        ),
-                        time: ctx.now(),
-                    });
-                    self.drive_resync(ResyncInput::SessionSettled, ctx);
-                }
+                MachineEffect::Note { text, .. } => self.mark(&text, ctx),
             }
         }
     }
 
-    /// Feeds one input into the reconciler (when enabled) and executes the
-    /// effects through the simulator.
-    fn drive_resync(&mut self, input: ResyncInput, ctx: &mut Context<'_>) {
-        let Some(resync) = self.resync.as_mut() else {
-            return;
-        };
-        let effects = resync.handle(ctx.now().into(), input);
-        for effect in effects {
-            match effect {
-                ResyncEffect::Send { conn, message } => {
-                    let Some(&node) = self.connections.get(conn.index()) else {
-                        continue;
-                    };
-                    if let OfMessage::FlowMod { ref body, .. } = message {
-                        ctx.record(TraceEvent::FlowModSent {
-                            cookie: body.cookie,
-                            time: ctx.now(),
-                        });
-                    }
-                    ctx.send_control(node, message, self.control_latency);
-                }
-                ResyncEffect::ArmTimer { delay, token } => {
-                    // Same +1 offset as session timers; resync tokens are
-                    // `>= RESYNC_TIMER_BASE`, so the two namespaces never
-                    // collide and firing routes on magnitude.
-                    ctx.set_timer(delay.into(), token + 1);
-                }
-                ResyncEffect::Converged { conn, rounds, .. } => {
-                    ctx.record(TraceEvent::Marker {
-                        label: format!(
-                            "{}: resync converged for {conn} after {rounds} round(s)",
-                            self.label
-                        ),
-                        time: ctx.now(),
-                    });
-                }
-                ResyncEffect::GaveUp {
-                    conn,
-                    rounds,
-                    final_diff,
-                } => {
-                    ctx.record(TraceEvent::Marker {
-                        label: format!(
-                            "{}: resync gave up on {conn} after {rounds} round(s), {final_diff} rule(s) off",
-                            self.label
-                        ),
-                        time: ctx.now(),
-                    });
-                }
-            }
-        }
+    fn mark(&self, text: &str, ctx: &mut Context<'_>) {
+        ctx.record(TraceEvent::Marker {
+            label: format!("{}: {text}", self.label),
+            time: ctx.now(),
+        });
     }
 }
 
-impl Node for Controller {
+impl<M: Machine + 'static> Node for MachineNode<M> {
     fn name(&self) -> String {
         self.label.clone()
     }
@@ -294,99 +137,37 @@ impl Node for Controller {
         match event {
             EventPayload::Timer { token: TOKEN_START } if !self.started => {
                 self.started = true;
-                assert!(
-                    !self.connections.is_empty() || self.session.plan().is_empty(),
-                    "controller {} has no switch connections configured",
-                    self.label
-                );
-                ctx.record(TraceEvent::Marker {
-                    label: format!("{}: update start", self.label),
-                    time: ctx.now(),
-                });
-                self.drive(SessionInput::Started, ctx);
+                self.mark("start", ctx);
+                self.drive(MachineInput::Started, ctx);
             }
             EventPayload::Timer { token } if token > TOKEN_START => {
-                let raw = token - 1;
-                if is_resync_token(raw) {
-                    self.drive_resync(ResyncInput::TimerFired { token: raw }, ctx);
-                } else {
-                    self.drive(
-                        SessionInput::TimerFired {
-                            token: SessionTimerToken::from_raw(raw),
-                        },
-                        ctx,
-                    );
-                }
+                self.drive(MachineInput::TimerFired { raw: token - 1 }, ctx);
             }
-            EventPayload::Timer { .. } => {}
+            EventPayload::Timer { .. } | EventPayload::Packet { .. } => {}
             EventPayload::Control { from, message } => {
-                match self.connections.iter().position(|&n| n == from) {
-                    Some(index) => {
-                        let conn = ConnId::new(index);
-                        if self.resync.is_some() {
-                            match &message {
-                                // A switch only sends Hello mid-run when it
-                                // reattaches after a restart: answer the
-                                // handshake and flag the reconnect.
-                                OfMessage::Hello { xid } => {
-                                    let xid = *xid;
-                                    ctx.send_control(
-                                        from,
-                                        OfMessage::Hello { xid },
-                                        self.control_latency,
-                                    );
-                                    self.drive_resync(ResyncInput::SwitchReconnected { conn }, ctx);
-                                    return;
-                                }
-                                // Aged-out rules leave the desired store no
-                                // matter which engine is currently live.
-                                OfMessage::FlowRemoved { .. } => {
-                                    self.drive_resync(
-                                        ResyncInput::FromSwitch { conn, message },
-                                        ctx,
-                                    );
-                                    return;
-                                }
-                                _ => {}
-                            }
-                            // Replies belong to whichever engine is live:
-                            // the session until it settles, the reconciler
-                            // (readbacks, delta acks) afterwards.
-                            if self.session.outcome().is_some() {
-                                self.drive_resync(ResyncInput::FromSwitch { conn, message }, ctx);
-                                return;
-                            }
-                        }
-                        self.drive(SessionInput::FromSwitch { conn, message }, ctx)
+                if let Some(index) = self.connections.iter().position(|&n| n == from) {
+                    let conn = ConnId::new(index);
+                    return self.drive(MachineInput::FromSwitch { conn, message }, ctx);
+                }
+                // Traffic from nodes outside the switch connections (e.g. a
+                // RUM proxy relaying an ack that surfaced at a neighbouring
+                // switch): answer liveness directly and count punted
+                // packets here; acknowledgments correlate by cookie, not by
+                // connection, so they go into the machine under a conn that
+                // sends can never resolve to.
+                let conn = ConnId::UNMAPPED;
+                let latency = self.control_latency;
+                match message {
+                    OfMessage::PacketIn { .. } => self.stray_packet_ins += 1,
+                    OfMessage::EchoRequest { xid, data } => {
+                        ctx.send_control(from, OfMessage::EchoReply { xid, data }, latency)
                     }
-                    None => match message {
-                        // Traffic from nodes outside the plan's connections
-                        // (e.g. a RUM proxy relaying an ack that surfaced at
-                        // a neighbouring switch): answer liveness directly
-                        // and count punted packets here; acknowledgments
-                        // correlate by cookie, not by connection, so they go
-                        // into the session under a sentinel conn that plan
-                        // sends can never resolve to.
-                        OfMessage::PacketIn { .. } => self.stray_packet_ins += 1,
-                        OfMessage::EchoRequest { xid, data } => ctx.send_control(
-                            from,
-                            OfMessage::EchoReply { xid, data },
-                            self.control_latency,
-                        ),
-                        OfMessage::Hello { xid } => {
-                            ctx.send_control(from, OfMessage::Hello { xid }, self.control_latency)
-                        }
-                        other => self.drive(
-                            SessionInput::FromSwitch {
-                                conn: ConnId::new(usize::MAX),
-                                message: other,
-                            },
-                            ctx,
-                        ),
-                    },
+                    OfMessage::Hello { xid } => {
+                        ctx.send_control(from, OfMessage::Hello { xid }, latency)
+                    }
+                    message => self.drive(MachineInput::FromSwitch { conn, message }, ctx),
                 }
             }
-            EventPayload::Packet { .. } => {}
         }
     }
 
@@ -396,6 +177,107 @@ impl Node for Controller {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// A controller node that executes an [`UpdatePlan`] by driving a
+/// [`SessionMachine`] inside the simulator.
+pub type Controller = MachineNode<SessionMachine>;
+
+impl Controller {
+    /// Creates a controller executing `plan` with the given acknowledgment
+    /// mode and window, starting the update at `start_at`.
+    pub fn new(
+        label: impl Into<String>,
+        plan: UpdatePlan,
+        ack_mode: AckMode,
+        window: usize,
+        start_at: SimTime,
+    ) -> Self {
+        let session = UpdateSession::new(plan, ack_mode, window);
+        Self::with_machine(label, SessionMachine::new(session), start_at)
+    }
+
+    /// See [`SessionMachine::enable_resync`].  In the simulator a Hello on a
+    /// mapped connection is the reconnect signal — nothing else initiates
+    /// one mid-session.
+    pub fn enable_resync(&mut self, config: ResyncConfig) -> &mut Reconciler {
+        self.machine.enable_resync(config)
+    }
+
+    /// The reconciler, if resync is enabled.
+    pub fn reconciler(&self) -> Option<&Reconciler> {
+        self.machine.reconciler()
+    }
+
+    /// Mutable access to the reconciler, if resync is enabled.
+    pub fn reconciler_mut(&mut self) -> Option<&mut Reconciler> {
+        self.machine.reconciler_mut()
+    }
+
+    /// Read access to the update session (plan, timestamps, outcome).
+    pub fn session(&self) -> &UpdateSession {
+        self.machine.session()
+    }
+
+    /// Mutable access to the update session, e.g. to set a
+    /// [`crate::session::FailurePolicy`] before the run starts.
+    pub fn session_mut(&mut self) -> &mut UpdateSession {
+        self.machine.session_mut()
+    }
+
+    /// The update plan.
+    pub fn plan(&self) -> &UpdatePlan {
+        self.session().plan()
+    }
+
+    /// Number of confirmed modifications.
+    pub fn confirmed_count(&self) -> usize {
+        self.session().confirmed_count()
+    }
+
+    /// Number of sent modifications.
+    pub fn sent_count(&self) -> usize {
+        self.session().sent_count()
+    }
+
+    /// Modifications rejected by the switch or given up on by the failure
+    /// policy.
+    pub fn failed(&self) -> &[u64] {
+        self.session().failed()
+    }
+
+    /// True once every modification in the plan is confirmed.
+    pub fn is_complete(&self) -> bool {
+        self.session().is_complete()
+    }
+
+    /// When the last modification was confirmed, if the update finished.
+    pub fn completed_at(&self) -> Option<SimTime> {
+        self.session().completed_at().map(SimTime::from)
+    }
+
+    /// Confirmation time per modification id, in simulation time.
+    pub fn confirmation_times(&self) -> HashMap<u64, SimTime> {
+        sim_times(self.session().confirmation_times())
+    }
+
+    /// Send time per modification id, in simulation time.
+    pub fn send_times(&self) -> HashMap<u64, SimTime> {
+        sim_times(self.session().send_times())
+    }
+
+    /// PacketIn messages received (e.g. probes leaking to a non-RUM
+    /// controller, or data packets punted by a switch).
+    pub fn packet_ins_received(&self) -> u64 {
+        self.session().packet_ins_received() + self.stray_packet_ins
+    }
+}
+
+fn sim_times(times: &HashMap<u64, std::time::Duration>) -> HashMap<u64, SimTime> {
+    times
+        .iter()
+        .map(|(&id, &d)| (id, SimTime::from(d)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -642,6 +524,35 @@ mod tests {
         // Mod 1 was sent 1 + 2 retries = 3 times, plus one rollback delete.
         let sw = sim.node_ref::<OpenFlowSwitch>(sw_id).unwrap();
         assert_eq!(sw.flow_mods_processed(), 4);
+    }
+
+    /// A send to a conn with no connection behind it is dropped, not a
+    /// panic: the mod for the unwired second switch goes nowhere while the
+    /// first switch's mod confirms.
+    #[test]
+    fn send_to_an_unmapped_conn_is_dropped() {
+        let rule = |i| {
+            FlowMod::add(
+                OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, i), Ipv4Addr::new(10, 1, 0, 1)),
+                100,
+                vec![Action::output(2)],
+            )
+        };
+        let mut plan = UpdatePlan::new();
+        plan.add(1, 0, rule(1)).unwrap();
+        plan.add(2, 1, rule(2)).unwrap();
+        let (sim, ctrl_id, sw_id) = run_with_switch(
+            plan,
+            AckMode::Barriers { batch: 1 },
+            10,
+            SwitchModel::faithful(),
+            SimTime::from_secs(2),
+        );
+        let ctrl = sim.node_ref::<Controller>(ctrl_id).unwrap();
+        assert_eq!(ctrl.sent_count(), 2);
+        assert_eq!(ctrl.session().confirmed_order(), &[1]);
+        let sw = sim.node_ref::<OpenFlowSwitch>(sw_id).unwrap();
+        assert_eq!(sw.flow_mods_processed(), 1);
     }
 
     #[test]

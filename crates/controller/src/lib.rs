@@ -14,9 +14,12 @@
 //!   engine: acknowledgment modes (no-wait, barrier-based, RUM fine-grained
 //!   acks), the outstanding window, dependency gating and the failure policy,
 //!   all behind a pure input → effects interface.
-//! * [`controller`] — the [`controller::Controller`] simulation node, a thin
-//!   driver of the session (the `rum_tcp` crate drives the same session over
-//!   real TCP sockets).
+//! * [`machine`] — the [`machine::Machine`] boundary every controller
+//!   transport drives, and [`machine::SessionMachine`]: the session plus the
+//!   optional [`resync`] reconciler, with the arbitration between the two.
+//! * [`controller`] — [`controller::MachineNode`], the one simulator
+//!   transport for machines, and [`controller::Controller`], the node driving
+//!   a `SessionMachine` (`rum_tcp::TcpDriver` is the socket transport).
 //! * [`scenarios`] — builders for the paper's experimental setups: the
 //!   triangle path-migration testbed (Figures 1b, 6, 7) and the single-switch
 //!   bulk-update workload (Figure 8 and Table 1).
@@ -26,17 +29,18 @@
 
 pub mod backoff;
 pub mod controller;
+pub mod machine;
 pub mod plan;
 pub mod resync;
 pub mod scenarios;
 pub mod session;
 
 pub use backoff::BackoffPolicy;
-pub use controller::Controller;
+pub use controller::{Controller, MachineNode};
+pub use machine::{Machine, MachineEffect, MachineInput, SessionMachine};
 pub use plan::{PlanError, PlannedMod, UpdatePlan};
 pub use resync::{
-    is_resync_token, DesiredStore, Reconciler, ResyncConfig, ResyncEffect, ResyncInput,
-    ResyncRound, ResyncStatus,
+    DesiredStore, Reconciler, ResyncConfig, ResyncEffect, ResyncInput, ResyncRound, ResyncStatus,
 };
 pub use scenarios::{BulkUpdateScenario, TriangleScenario};
 pub use session::{

@@ -59,8 +59,8 @@ pub const RESYNC_XID_BASE: Xid = 0x6000_0000;
 pub const RESYNC_DELETE_XID_BASE: Xid = 0x7000_0000;
 
 /// All reconciler timer tokens are `>= RESYNC_TIMER_BASE`; session timer
-/// tokens are small sequence numbers, so drivers route a fired timer by
-/// magnitude alone.
+/// tokens are small sequence numbers, so [`crate::SessionMachine`] routes a
+/// fired timer by magnitude alone.
 pub const RESYNC_TIMER_BASE: u64 = 1 << 32;
 
 /// Rules whose cookie is in the RUM proxy's reserved namespace (probe and
@@ -320,12 +320,6 @@ pub enum ResyncEffect {
         /// Difference observed by the last completed readback.
         final_diff: usize,
     },
-}
-
-/// True if `token` belongs to the reconciler's timer namespace (drivers
-/// route fired timers on this).
-pub const fn is_resync_token(token: u64) -> bool {
-    token >= RESYNC_TIMER_BASE
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -887,11 +881,12 @@ impl Reconciler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::machine::is_resync_token;
     use openflow::actions::Action;
 
-    fn rule(priority: u16, cookie: u64) -> FlowMod {
+    pub(crate) fn rule(priority: u16, cookie: u64) -> FlowMod {
         let mut fm = FlowMod::add(
             OfMatch::wildcard_all(),
             priority,
@@ -904,7 +899,7 @@ mod tests {
         fm
     }
 
-    fn stats_entry(fm: &FlowMod) -> FlowStatsEntry {
+    pub(crate) fn stats_entry(fm: &FlowMod) -> FlowStatsEntry {
         FlowStatsEntry {
             table_id: 0,
             match_: fm.match_,
@@ -920,7 +915,7 @@ mod tests {
         }
     }
 
-    fn flow_reply(xid: Xid, more: bool, entries: Vec<FlowStatsEntry>) -> OfMessage {
+    pub(crate) fn flow_reply(xid: Xid, more: bool, entries: Vec<FlowStatsEntry>) -> OfMessage {
         OfMessage::StatsReply {
             xid,
             more,

@@ -10,7 +10,9 @@
 //! [`SessionInput`]s together with the current time and executes the typed
 //! [`SessionEffect`]s it returns.
 //!
-//! Two drivers ship with the workspace and run the **same** session:
+//! The workspace's transports reach it through [`crate::SessionMachine`]
+//! (the session behind the shared [`crate::Machine`] boundary) and run the
+//! **same** session:
 //!
 //! * [`crate::Controller`] — a node for the deterministic discrete-event
 //!   simulator (`simnet`); all paper experiments run this way.
@@ -104,6 +106,12 @@ pub enum AckMode {
 pub struct ConnId(usize);
 
 impl ConnId {
+    /// Stands in for a sender that is not one of the deployment's switch
+    /// connections (the simulator delivers control messages from any node).
+    /// Acknowledgments correlate by cookie, so such traffic still reaches
+    /// the session; no driver resolves this id, so replies to it are dropped.
+    pub const UNMAPPED: ConnId = ConnId(usize::MAX);
+
     /// The `index`-th switch connection.
     pub const fn new(index: usize) -> Self {
         ConnId(index)

@@ -1,311 +1,16 @@
-//! The TCP driver for the sans-IO [`UpdateSession`]: the paper's
-//! consistent-update controller, running over real sockets.
-//!
-//! [`TcpUpdateController`] listens for its switch connections (usually the
-//! RUM proxy impersonating the switches), assigns them [`ConnId`]s in accept
-//! order, and — once every expected connection is up — feeds the session
-//! [`SessionInput::Started`].  From then on it is a pure message pump: reader
-//! threads decode OpenFlow frames into [`SessionInput::FromSwitch`], a timer
-//! thread replays [`SessionInput::TimerFired`], and every
-//! [`SessionEffect`] the session returns is executed mechanically (writes,
-//! timer arming).  All consistency logic — dependency gating, the window,
-//! acknowledgment modes, the failure policy — lives in the session, which is
-//! the exact state machine the simulator's `controller::Controller` drives.
+//! The paper's consistent-update controller over real sockets: a
+//! [`SessionMachine`] (one [`UpdateSession`], optionally with declarative
+//! resync) behind the shared [`TcpDriver`].  The simulator's
+//! `controller::Controller` drives the exact same machine.
 
-use crate::legacy::{reader_loop, writer_loop, Route};
-use crate::timer::TimerQueue;
-use controller::{
-    is_resync_token, ConnId, Reconciler, ResyncConfig, ResyncEffect, ResyncInput, SessionEffect,
-    SessionInput, SessionOutcome, UpdateSession,
-};
-use openflow::OfMessage;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use crate::driver::{TcpDriver, TcpDriverHandle};
+use controller::{Reconciler, ResyncConfig, SessionMachine, SessionOutcome, UpdateSession};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-struct ControllerState {
-    session: UpdateSession,
-    /// Optional reconciliation engine; a mid-run Hello on an attached
-    /// connection is the reconnect signal (the switch host replays the
-    /// handshake on reattach and the RUM proxy forwards it), mirroring the
-    /// simulator driver exactly.
-    resync: Option<Reconciler>,
-    routes: Vec<Route>,
-    /// Reusable per-connection encode buffers: all sends of one drain are
-    /// coalesced into a single chunk (→ one socket write) per connection.
-    send_bufs: Vec<Vec<u8>>,
-    /// Reusable effects buffer for session drains.
-    effects: Vec<SessionEffect>,
-    /// Which `ConnId` slots currently have a live connection.  A switch
-    /// that drops its connection (e.g. the restart fault) frees its slot;
-    /// the reconnect claims the lowest free slot again, so a single
-    /// restarted switch reattaches under its original `ConnId`.
-    attached: Vec<bool>,
-    /// Per-slot attach generation, so a thread outliving its connection
-    /// cannot tear down the slot's newer connection.
-    generation: Vec<u64>,
-    /// Total connections ever attached (reconnects included).
-    total_accepted: usize,
-    started: bool,
-}
-
-struct Inner {
-    state: Mutex<ControllerState>,
-    /// Notified whenever the session reaches a terminal outcome.
-    done: Condvar,
-    timers: TimerQueue,
-    stop: AtomicBool,
-    epoch: Instant,
-}
-
-impl Inner {
-    fn now(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
-    /// Feeds one input under the lock and executes the returned effects.
-    fn drive(self: &Arc<Self>, input: SessionInput) {
-        self.drive_batch(std::iter::once(input));
-    }
-
-    /// Feeds a batch of inputs (e.g. every message decoded from one socket
-    /// read) under a single lock acquisition, encoding all resulting sends
-    /// into per-connection buffers flushed as one chunk each — one write
-    /// per connection per drain, no per-effect allocation.
-    fn drive_batch(self: &Arc<Self>, inputs: impl IntoIterator<Item = SessionInput>) {
-        let now = self.now();
-        let mut timers = Vec::new();
-        let mut notify = false;
-        {
-            let mut st = self.state.lock().unwrap();
-            let st = &mut *st;
-            for input in inputs {
-                notify |= apply_session(st, now, input, &mut timers);
-            }
-            flush_routes(st);
-        }
-        self.arm_timers(timers);
-        if notify {
-            self.done.notify_all();
-        }
-    }
-
-    /// Feeds one input into the reconciler (when enabled) and executes the
-    /// effects: same lock, same coalesced writes as session inputs.
-    fn drive_resync(self: &Arc<Self>, input: ResyncInput) {
-        let now = self.now();
-        let mut timers = Vec::new();
-        let notify;
-        {
-            let mut st = self.state.lock().unwrap();
-            let st = &mut *st;
-            notify = apply_resync(st, now, input, &mut timers);
-            flush_routes(st);
-        }
-        self.arm_timers(timers);
-        if notify {
-            self.done.notify_all();
-        }
-    }
-
-    /// Routes every message decoded from one socket read to the engine it
-    /// belongs to — the session while it is live; the reconciler for
-    /// reconnect Hellos, FlowRemoved notifications and everything after the
-    /// session settles — under a single lock acquisition.
-    fn drive_conn_messages(self: &Arc<Self>, conn: ConnId, msgs: &mut Vec<OfMessage>) {
-        let now = self.now();
-        let mut timers = Vec::new();
-        let mut notify = false;
-        {
-            let mut st = self.state.lock().unwrap();
-            let st = &mut *st;
-            for message in msgs.drain(..) {
-                if st.resync.is_some() {
-                    match message {
-                        // A mid-run Hello means the switch behind this
-                        // connection restarted and replayed its handshake:
-                        // answer it (completing the handshake) and flag the
-                        // reconnect.
-                        OfMessage::Hello { xid } => {
-                            let buf = &mut st.send_bufs[conn.index()];
-                            let _ = OfMessage::Hello { xid }.encode_into(buf);
-                            notify |= apply_resync(
-                                st,
-                                now,
-                                ResyncInput::SwitchReconnected { conn },
-                                &mut timers,
-                            );
-                            continue;
-                        }
-                        // Aged-out rules leave the desired store no matter
-                        // which engine is currently live.
-                        OfMessage::FlowRemoved { .. } => {
-                            apply_resync(
-                                st,
-                                now,
-                                ResyncInput::FromSwitch { conn, message },
-                                &mut timers,
-                            );
-                            continue;
-                        }
-                        _ => {}
-                    }
-                    if st.session.outcome().is_some() {
-                        notify |= apply_resync(
-                            st,
-                            now,
-                            ResyncInput::FromSwitch { conn, message },
-                            &mut timers,
-                        );
-                        continue;
-                    }
-                }
-                notify |= apply_session(
-                    st,
-                    now,
-                    SessionInput::FromSwitch { conn, message },
-                    &mut timers,
-                );
-            }
-            flush_routes(st);
-        }
-        self.arm_timers(timers);
-        if notify {
-            self.done.notify_all();
-        }
-    }
-
-    fn arm_timers(&self, timers: Vec<(Duration, u64)>) {
-        let now = Instant::now();
-        for (delay, token) in timers {
-            self.timers.arm(now + delay, token);
-        }
-    }
-
-    /// Starts the update once all expected connections are attached.
-    fn maybe_start(self: &Arc<Self>) {
-        let ready = {
-            let mut st = self.state.lock().unwrap();
-            if st.attached.iter().all(|&a| a) && !st.started {
-                st.started = true;
-                true
-            } else {
-                false
-            }
-        };
-        if ready {
-            self.drive(SessionInput::Started);
-        }
-    }
-}
-
-/// Feeds one input into the session and executes its effects against the
-/// shared state: sends encode into the per-connection buffers (flushed by
-/// [`flush_routes`]), timers are collected as `(delay, raw token)` pairs
-/// for arming outside the lock.  When resync is enabled, confirmations feed
-/// the desired store and a terminal outcome opens the reconciliation gate
-/// under the same lock acquisition — no switch message can race in between.
-/// Returns whether the `done` condvar should be notified.
-fn apply_session(
-    st: &mut ControllerState,
-    now: Duration,
-    input: SessionInput,
-    timers: &mut Vec<(Duration, u64)>,
-) -> bool {
-    let mut finished = false;
-    st.effects.clear();
-    let mut effects = std::mem::take(&mut st.effects);
-    st.session
-        .drain_into(now, std::iter::once(input), &mut effects);
-    for effect in effects.drain(..) {
-        match effect {
-            SessionEffect::Send { conn, message } => {
-                let buf = &mut st.send_bufs[conn.index()];
-                let len_before = buf.len();
-                if message.encode_into(buf).is_err() {
-                    buf.truncate(len_before);
-                }
-            }
-            SessionEffect::ArmTimer { delay, token } => {
-                timers.push((delay, token.raw()));
-            }
-            SessionEffect::Confirmed { id } => {
-                if let Some(resync) = st.resync.as_mut() {
-                    if let Some(m) = st.session.plan().get(id) {
-                        resync.store_mut().note_confirmed(m.target, &m.flow_mod);
-                    }
-                }
-            }
-            SessionEffect::Rejected { .. } => {}
-            SessionEffect::Completed { .. } | SessionEffect::Aborted { .. } => {
-                finished = true;
-            }
-        }
-    }
-    st.effects = effects;
-    if finished {
-        apply_resync(st, now, ResyncInput::SessionSettled, timers);
-    }
-    finished
-}
-
-/// Feeds one input into the reconciler (no-op while resync is disabled) and
-/// executes its effects the same way [`apply_session`] does.  Returns
-/// whether a switch reached a terminal resync state (converged or gave up)
-/// — waiters on the `done` condvar re-check their counts.
-fn apply_resync(
-    st: &mut ControllerState,
-    now: Duration,
-    input: ResyncInput,
-    timers: &mut Vec<(Duration, u64)>,
-) -> bool {
-    let Some(resync) = st.resync.as_mut() else {
-        return false;
-    };
-    let mut terminal = false;
-    for effect in resync.handle(now, input) {
-        match effect {
-            ResyncEffect::Send { conn, message } => {
-                let buf = &mut st.send_bufs[conn.index()];
-                let len_before = buf.len();
-                if message.encode_into(buf).is_err() {
-                    buf.truncate(len_before);
-                }
-            }
-            ResyncEffect::ArmTimer { delay, token } => timers.push((delay, token)),
-            ResyncEffect::Converged { .. } | ResyncEffect::GaveUp { .. } => terminal = true,
-        }
-    }
-    terminal
-}
-
-/// Flushes every non-empty per-connection buffer as one chunk — one socket
-/// write per connection per drain.
-fn flush_routes(st: &mut ControllerState) {
-    for (route, buf) in st.routes.iter_mut().zip(st.send_bufs.iter_mut()) {
-        if !buf.is_empty() {
-            route.send_bytes(std::mem::take(buf));
-        }
-    }
-}
-
-/// A consistent-update controller serving an [`UpdateSession`] over TCP.
-///
-/// Switch connections attach in accept order: the first accepted socket
-/// becomes [`ConnId`] 0 (= plan `SwitchRef` 0) and so on, which matches how
-/// the RUM proxy dials one upstream connection per switch as that switch
-/// connects.  Deployments that need a deterministic mapping connect the
-/// switches one at a time (see [`TcpControllerHandle::connections`]).
-pub struct TcpUpdateController {
-    listen_addr: SocketAddr,
-    session: UpdateSession,
-    resync: Option<Reconciler>,
-    n_connections: usize,
-    epoch: Instant,
-}
+/// A consistent-update controller serving an [`UpdateSession`] over TCP;
+/// the update begins once every expected connection is up.
+pub type TcpUpdateController = TcpDriver<SessionMachine>;
 
 impl TcpUpdateController {
     /// Creates a controller executing `session` once `n_connections` switch
@@ -328,184 +33,38 @@ impl TcpUpdateController {
         n_connections: usize,
         epoch: Instant,
     ) -> Self {
-        let max_target = session.plan().targets().into_iter().max();
-        if let Some(max) = max_target {
+        if let Some(max) = session.plan().targets().into_iter().max() {
             assert!(
                 max < n_connections,
                 "plan targets switch {max} but only {n_connections} connections are expected"
             );
         }
-        TcpUpdateController {
+        TcpDriver {
             listen_addr,
-            session,
-            resync: None,
+            machine: SessionMachine::new(session),
             n_connections,
             epoch,
         }
     }
 
-    /// Enables declarative resync: every confirmed modification is recorded
-    /// in a desired store, and once the session settles, any switch that
-    /// replays its handshake (i.e. restarted and reconnected) is read back
-    /// and repaired until its flow table matches the store.  Returns the
-    /// reconciler so callers can seed the desired store (pre-installed
-    /// rules) before [`TcpUpdateController::start`].
+    /// See [`SessionMachine::enable_resync`].  Over TCP a mid-run Hello is
+    /// the reconnect signal: the switch host replays the handshake on
+    /// reattach and the RUM proxy forwards it.  Seed the returned
+    /// reconciler's desired store (pre-installed rules) before
+    /// [`TcpDriver::start`].
     pub fn enable_resync(&mut self, config: ResyncConfig) -> &mut Reconciler {
-        self.resync.insert(Reconciler::new(config))
+        self.machine.enable_resync(config)
     }
-
-    /// Binds the listener and starts accepting connections on background
-    /// threads.  The update begins automatically once all expected
-    /// connections are up.
-    pub fn start(self) -> std::io::Result<TcpControllerHandle> {
-        let listener = TcpListener::bind(self.listen_addr)?;
-        let local_addr = listener.local_addr()?;
-        let n_connections = self.n_connections;
-        let inner = Arc::new(Inner {
-            state: Mutex::new(ControllerState {
-                session: self.session,
-                resync: self.resync,
-                routes: (0..n_connections)
-                    .map(|_| Route::Pending(Vec::new()))
-                    .collect(),
-                send_bufs: (0..n_connections).map(|_| Vec::new()).collect(),
-                effects: Vec::new(),
-                attached: vec![false; n_connections],
-                generation: vec![0; n_connections],
-                total_accepted: 0,
-                started: false,
-            }),
-            done: Condvar::new(),
-            timers: TimerQueue::new(),
-            stop: AtomicBool::new(false),
-            epoch: self.epoch,
-        });
-
-        let timer_thread = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || {
-                let fire_inner = Arc::clone(&inner);
-                inner.timers.run(&inner.stop, move |token| {
-                    // Session and resync timers share one queue; the token
-                    // namespaces are disjoint by construction.
-                    if is_resync_token(token) {
-                        fire_inner.drive_resync(ResyncInput::TimerFired { token });
-                    } else {
-                        fire_inner.drive(SessionInput::TimerFired {
-                            token: controller::SessionTimerToken::from_raw(token),
-                        });
-                    }
-                });
-            })
-        };
-
-        let accept_inner = Arc::clone(&inner);
-        let accept_thread = std::thread::spawn(move || {
-            for incoming in listener.incoming() {
-                if accept_inner.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = incoming else {
-                    continue;
-                };
-                let (conn, generation) = {
-                    let mut st = accept_inner.state.lock().unwrap();
-                    // Claim the lowest free slot; a switch that dropped its
-                    // connection (switch restart) reattaches under its
-                    // original ConnId.  Surplus connections are dropped.
-                    //
-                    // Limitation: the mapping is positional, not
-                    // authenticated — with several switches down at once,
-                    // whoever re-dials first gets the lowest freed slot.
-                    // Deployments that restart more than one switch
-                    // concurrently need datapath-id re-identification from
-                    // a features handshake, which this prototype (like the
-                    // paper's) does not perform.
-                    let Some(slot) = st.attached.iter().position(|&a| !a) else {
-                        continue;
-                    };
-                    st.attached[slot] = true;
-                    st.generation[slot] += 1;
-                    st.total_accepted += 1;
-                    (ConnId::new(slot), st.generation[slot])
-                };
-                attach_connection(&accept_inner, conn, generation, stream);
-                accept_inner.maybe_start();
-            }
-        });
-
-        Ok(TcpControllerHandle {
-            local_addr,
-            inner,
-            accept_thread: Some(accept_thread),
-            timer_thread: Some(timer_thread),
-        })
-    }
-}
-
-/// Wires one accepted switch connection: a writer thread draining the
-/// conn's outbox and a reader thread feeding the session.  Either thread
-/// ending detaches the slot so a restarted switch can reconnect under the
-/// same `ConnId`; messages sent meanwhile buffer in the pending route and
-/// flush on reattach.
-fn attach_connection(inner: &Arc<Inner>, conn: ConnId, generation: u64, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let reader = stream.try_clone().expect("clone switch stream");
-    let (tx, rx) = channel::<Vec<u8>>();
-    inner.state.lock().unwrap().routes[conn.index()].connect(tx);
-    // A failed write ends the writer loop gracefully; the session-level
-    // failure policy (timeout → retry → abort) handles the silent switch.
-    {
-        let inner = Arc::clone(inner);
-        std::thread::spawn(move || {
-            writer_loop(rx, stream, None);
-            detach_connection(&inner, conn, generation);
-        });
-    }
-    {
-        let inner = Arc::clone(inner);
-        std::thread::spawn(move || {
-            reader_loop(reader, |msgs| {
-                inner.drive_conn_messages(conn, msgs);
-            });
-            detach_connection(&inner, conn, generation);
-        });
-    }
-}
-
-/// Frees one slot after its connection died: resets the route to buffering
-/// mode (the writer thread drains what was already queued, shuts the socket
-/// down and exits — see `writer_loop`) and marks the slot free for a
-/// reconnect.  Generation-guarded and idempotent.
-fn detach_connection(inner: &Arc<Inner>, conn: ConnId, generation: u64) {
-    let mut st = inner.state.lock().unwrap();
-    if !st.attached[conn.index()] || st.generation[conn.index()] != generation {
-        return;
-    }
-    st.attached[conn.index()] = false;
-    st.routes[conn.index()] = Route::Pending(Vec::new());
 }
 
 /// A handle to a running TCP update controller.
-pub struct TcpControllerHandle {
-    /// The address the controller actually listens on (useful with port 0).
-    pub local_addr: SocketAddr,
-    inner: Arc<Inner>,
-    accept_thread: Option<JoinHandle<()>>,
-    timer_thread: Option<JoinHandle<()>>,
-}
+pub type TcpControllerHandle = TcpDriverHandle<SessionMachine>;
 
 impl TcpControllerHandle {
-    /// Number of switch connections accepted so far (reconnects included).
-    pub fn connections(&self) -> usize {
-        self.inner.state.lock().unwrap().total_accepted
-    }
-
-    /// Runs `f` against the session under the lock — the unified inspection
-    /// surface (confirm counts, timestamps, outcome), identical to what the
-    /// simulator driver exposes.
+    /// Runs `f` against the session under the lock (confirm counts,
+    /// timestamps, outcome).
     pub fn with_session<R>(&self, f: impl FnOnce(&UpdateSession) -> R) -> R {
-        f(&self.inner.state.lock().unwrap().session)
+        self.with(|m| f(m.session()))
     }
 
     /// Every confirmation the session recorded, in order.
@@ -513,74 +72,37 @@ impl TcpControllerHandle {
         self.with_session(|s| s.confirmed_order().to_vec())
     }
 
-    /// Runs `f` against the reconciler under the lock — `None` when resync
-    /// was never enabled.  The same inspection surface (status, trace,
-    /// desired store) the simulator driver exposes.
+    /// Runs `f` against the reconciler under the lock (status, trace,
+    /// desired store) — `None` when resync was never enabled.
     pub fn with_reconciler<R>(&self, f: impl FnOnce(&Reconciler) -> R) -> Option<R> {
-        self.inner.state.lock().unwrap().resync.as_ref().map(f)
+        self.with(|m| m.reconciler().map(f))
     }
 
     /// Blocks until at least `n` switches have reached a terminal resync
     /// state (converged or gave up) or `timeout` elapses; returns whether
     /// they did.
     pub fn wait_for_resync(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            if st.resync.as_ref().is_some_and(|r| r.terminal_count() >= n) {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self.inner.done.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-        }
+        self.wait_until(timeout, |m| {
+            m.reconciler().is_some_and(|r| r.terminal_count() >= n)
+        })
     }
 
     /// Blocks until the session reaches a terminal outcome (completed or
     /// aborted) or `timeout` elapses; returns the outcome if there is one.
     pub fn wait_for_outcome(&self, timeout: Duration) -> Option<SessionOutcome> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            if let Some(outcome) = st.session.outcome() {
-                return Some(outcome.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self.inner.done.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-        }
-    }
-
-    /// Asks the accept and timer loops to stop and waits for them.
-    /// Established connection threads terminate when their sockets close.
-    pub fn shutdown(mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.timers.wake();
-        // Unblock the accept loop with a throw-away connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.timer_thread.take() {
-            let _ = t.join();
-        }
+        self.wait_until(timeout, |m| m.session().outcome().is_some());
+        self.with_session(|s| s.outcome().cloned())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::testing::acking_switch;
     use controller::{AckMode, FailurePolicy, UpdatePlan};
     use openflow::messages::FlowMod;
-    use openflow::{Action, OfCodec, OfMatch, OfMessage};
-    use std::io::{Read, Write};
-    use std::net::Ipv4Addr;
+    use openflow::{Action, OfMatch};
+    use std::net::{Ipv4Addr, TcpStream};
 
     fn plan(n: u64) -> UpdatePlan {
         let mut plan = UpdatePlan::new();
@@ -600,43 +122,6 @@ mod tests {
             .unwrap();
         }
         plan
-    }
-
-    /// A scripted in-process switch: acks every flow-mod with a RUM-style
-    /// fine-grained acknowledgment, which is what the proxy would send.
-    fn acking_switch(addr: SocketAddr) -> JoinHandle<Vec<u64>> {
-        std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect to controller");
-            stream
-                .set_read_timeout(Some(Duration::from_secs(3)))
-                .unwrap();
-            let mut codec = OfCodec::new();
-            let mut buf = [0u8; 2048];
-            let mut acks = Vec::new();
-            let mut seen = Vec::new();
-            'conn: loop {
-                let n = match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => n,
-                };
-                codec.feed(&buf[..n]);
-                acks.clear();
-                while let Ok(Some(msg)) = codec.next_message() {
-                    if let OfMessage::FlowMod { xid, .. } = msg {
-                        seen.push(u64::from(xid));
-                        OfMessage::rum_ack(xid)
-                            .encode_into(&mut acks)
-                            .expect("encodable ack");
-                    }
-                }
-                // One write per read batch; a failed write means the
-                // controller hung up — stop acking instead of panicking.
-                if !acks.is_empty() && stream.write_all(&acks).is_err() {
-                    break 'conn;
-                }
-            }
-            seen
-        })
     }
 
     #[test]
@@ -751,6 +236,29 @@ mod tests {
             report.control_rules, desired,
             "table equals the desired store"
         );
+    }
+
+    /// A send to a conn without a slot is dropped, not a panic: the reply
+    /// to a message fed under the unmapped conn goes nowhere and the driver
+    /// keeps serving.
+    #[test]
+    fn send_to_an_unmapped_conn_is_dropped() {
+        use controller::{ConnId, Machine, MachineInput};
+
+        let session = UpdateSession::new(plan(1), AckMode::RumAcks, 1);
+        let ctrl = TcpUpdateController::new("127.0.0.1:0".parse().unwrap(), session, 1);
+        let handle = ctrl.start().expect("controller starts");
+        handle.drive(|machine, now, effects| {
+            let conn = ConnId::UNMAPPED;
+            let message = openflow::OfMessage::Hello { xid: 1 };
+            machine.handle(now, MachineInput::FromSwitch { conn, message }, effects);
+            assert_eq!(effects.len(), 1, "the session answers the Hello");
+        });
+        let switch = acking_switch(handle.local_addr);
+        let outcome = handle.wait_for_outcome(Duration::from_secs(5));
+        assert!(matches!(outcome, Some(SessionOutcome::Completed { .. })));
+        handle.shutdown();
+        drop(switch);
     }
 
     #[test]

@@ -22,65 +22,21 @@
 //!   against this implementation *in the same run*, so the committed
 //!   baseline is honest, not a stale number.
 //!
-//! The module also hosts the shared connection plumbing (`Route`,
-//! `writer_loop`, `reader_loop`) still used by the controller-side
-//! harnesses, which keep their thread-based design.
+//! The per-connection plumbing it shares with the controller-side driver
+//! (`Route`, `writer_loop`, `reader_loop`) lives in the `conn` module.
 
+use crate::conn::{reader_loop, writer_loop, Route};
 use crate::proxy::{ProxyConfig, ProxyCounters};
 use crate::relay::{Endpoint, EngineRelay, RelayEffects};
 use crate::timer::TimerQueue;
-use openflow::{OfCodec, OfMessage};
 use rum::{ProxyStats, RumBuilder, SwitchId};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::{Gauge, Registry};
-
-/// Where encoded bytes for one endpoint go: buffered until the connection
-/// exists, then straight into its writer thread's queue as whole batches.
-pub(crate) enum Route {
-    /// No connection yet; encoded bytes queue up and flush on attach.
-    Pending(Vec<u8>),
-    /// A live connection's writer-thread inbox (one chunk per drain batch).
-    Connected(Sender<Vec<u8>>),
-}
-
-impl Route {
-    /// Hands one encoded batch to the endpoint.  Returns `true` when the
-    /// chunk was enqueued on a live connection's outbox (so callers can
-    /// track queue depth), `false` when it was buffered or dropped.
-    pub(crate) fn send_bytes(&mut self, bytes: Vec<u8>) -> bool {
-        if bytes.is_empty() {
-            return false;
-        }
-        match self {
-            Route::Pending(q) => {
-                q.extend_from_slice(&bytes);
-                false
-            }
-            Route::Connected(tx) => {
-                // A closed channel means the connection died; the engine's
-                // timers will cope, exactly as with a lossy control channel.
-                tx.send(bytes).is_ok()
-            }
-        }
-    }
-
-    /// Returns `true` when buffered pending bytes were flushed onto the
-    /// fresh connection as one chunk.
-    pub(crate) fn connect(&mut self, tx: Sender<Vec<u8>>) -> bool {
-        if let Route::Pending(q) = std::mem::replace(self, Route::Connected(tx.clone())) {
-            if !q.is_empty() {
-                return tx.send(q).is_ok();
-            }
-        }
-        false
-    }
-}
 
 struct SwitchRoutes {
     to_switch: Route,
@@ -491,83 +447,6 @@ fn detach_connection(inner: &Arc<Inner>, switch: SwitchId, generation: u64) {
     st.attached[switch.index()] = false;
     st.routes[switch.index()].to_switch = Route::Pending(Vec::new());
     st.routes[switch.index()].to_controller = Route::Pending(Vec::new());
-}
-
-/// Stop coalescing queued chunks into one write past this size; the
-/// remainder simply becomes the next write.
-const MAX_COALESCED_WRITE: usize = 256 * 1024;
-
-/// Drains an outbox of encoded chunks into a socket until either side goes
-/// away.  Chunks that queued up while the previous write was in flight are
-/// coalesced into a single `write_all`, so a burst of engine drains costs
-/// one syscall, not one per drain.  A failed write ends the loop gracefully
-/// (the caller detaches the connection and the reconnect logic takes over).
-///
-/// On exit the socket is shut down in both directions.  This is
-/// load-bearing for reconnects: dropping the stream alone leaves the fd
-/// open through the reader's clone, so the *peer* would never see EOF and
-/// never free its slot.  And because an mpsc receiver keeps yielding queued
-/// messages after every sender is dropped, a detach (which drops the
-/// sender) lets the writer drain everything already routed — e.g. the acks
-/// for barrier replies a restarting switch flushed with its dying breath —
-/// before the FIN goes out.
-pub(crate) fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: TcpStream, depth: Option<Arc<Gauge>>) {
-    let consumed = |n: i64| {
-        if let Some(g) = &depth {
-            g.add(-n);
-        }
-    };
-    // `recv` keeps yielding queued chunks after the senders are dropped
-    // (detach), then errors — that is the drain.
-    while let Ok(mut pending) = rx.recv() {
-        let mut chunks = 1i64;
-        // The first chunk is written from its own allocation (no copy —
-        // the common keeping-up case); only chunks that queued up behind
-        // an in-flight write get appended to it.
-        while pending.len() < MAX_COALESCED_WRITE {
-            match rx.try_recv() {
-                Ok(chunk) => {
-                    pending.extend_from_slice(&chunk);
-                    chunks += 1;
-                }
-                Err(_) => break,
-            }
-        }
-        consumed(chunks);
-        if stream.write_all(&pending).is_err() {
-            break;
-        }
-    }
-    // Chunks abandoned by a failed write still count as consumed: the
-    // gauge tracks what a live connection has queued, not lost bytes.
-    while rx.try_recv().is_ok() {
-        consumed(1);
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
-/// Reads OpenFlow frames off a socket and hands every batch decoded from
-/// one read to `sink` at once, so the receiver can drain the whole batch
-/// under a single engine lock and emit a single write per destination.
-pub(crate) fn reader_loop(mut stream: TcpStream, mut sink: impl FnMut(&mut Vec<OfMessage>)) {
-    let mut codec = OfCodec::new();
-    let mut buf = [0u8; 4096];
-    let mut msgs: Vec<OfMessage> = Vec::new();
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => n,
-        };
-        codec.feed(&buf[..n]);
-        msgs.clear();
-        let framing_ok = codec.drain_messages_into(&mut msgs).is_ok();
-        if !msgs.is_empty() {
-            sink(&mut msgs);
-        }
-        if !framing_ok {
-            return; // framing error: give up on this connection
-        }
-    }
 }
 
 #[cfg(test)]

@@ -5,49 +5,59 @@
 //! was a controller, and the proxy then connects to a real controller using
 //! multiple connections, impersonating the switches."*
 //!
-//! This crate is a thin **driver** for the deployment-agnostic
-//! [`rum::RumEngine`]: the same sans-IO core that powers the simulator
-//! experiments runs here over real sockets.  The crate splits cleanly in
-//! two:
+//! This crate holds the **TCP transports** for the workspace's sans-IO
+//! machines; every decision lives in the machines, which the simulator
+//! drives byte for byte the same.
 //!
-//! * [`relay::EngineRelay`] — the sans-IO adapter: takes decoded OpenFlow
-//!   messages plus wall-clock time, returns endpoint-tagged messages, timer
-//!   requests and confirmations.  Fully unit-testable without sockets.
-//! * [`proxy::RumTcpProxy`] — the socket machinery: listener, one upstream
-//!   controller connection per accepted switch, reader/writer threads with
-//!   [`openflow::OfCodec`] framing, and a timer thread feeding engine
-//!   timeouts back in.
+//! Proxy side (the RUM layer between switches and controller):
 //!
-//! Since the consistent-update controller became sans-IO too
-//! (`controller::UpdateSession`), this crate also completes the paper's
-//! prototype chain on real sockets:
+//! * [`relay::EngineRelay`] — the sans-IO adapter around
+//!   [`rum::RumEngine`]: takes decoded OpenFlow messages plus wall-clock
+//!   time, returns endpoint-tagged messages, timer requests and
+//!   confirmations.  Fully unit-testable without sockets.
+//! * [`proxy::RumTcpProxy`] — the sharded event-loop proxy: one accept
+//!   thread plus a handful of workers, each running a hand-rolled `poll(2)`
+//!   reactor (the `reactor` module, the only one allowed to touch FFI) over
+//!   the connections, engines and timers of its shards.  It serves 1,000
+//!   switches without a thread per connection.
+//! * [`legacy::LegacyRumTcpProxy`] — the pre-shard thread-per-connection
+//!   proxy, kept only as the conformance oracle and in-run baseline the
+//!   sharded proxy is checked and measured against.
 //!
-//! * [`controller::TcpUpdateController`] — the TCP driver of the update
-//!   session: executes a dependency-ordered plan over accepted switch
-//!   connections, with the same window/ack-mode/failure-policy logic as the
-//!   simulator controller.
+//! Controller side (the paper's update controller, completing the chain):
+//!
+//! * [`driver::TcpDriver`] — the one transport for any
+//!   `controller::Machine`: listener, slot table, a reader and a writer
+//!   thread per switch connection, a timer thread, and a handle to inspect,
+//!   wait on and shut down the running machine.
+//! * [`controller::TcpUpdateController`] and
+//!   [`mux_controller::TcpMuxController`] — that driver typed for
+//!   `controller::SessionMachine` (one update session, optionally with
+//!   declarative resync) and `sessiond::SessionMux` (many tenant sessions):
+//!   constructors and typed accessors, nothing else.
 //! * [`switch_host`] — `ofswitch` flow tables and behaviour models hosted
 //!   behind a TCP client, emulating buggy (early barrier reply) or faithful
 //!   switches.
 //!
+//! The thread-per-connection plumbing the controller-side driver and the
+//! legacy proxy share (`Route`, `reader_loop`, `writer_loop`) lives in the
+//! private `conn` module; `timer` is the deadline queue behind their timer
+//! threads.
+//!
 //! Every acknowledgment technique the engine supports (barriers, static
-//! timeout, adaptive delay, sequential and general probing) is therefore
-//! available over TCP by construction — select one with
+//! timeout, adaptive delay, sequential and general probing) is available
+//! over TCP by construction — select one with
 //! [`rum::RumBuilder::technique`].  The probing techniques additionally need
 //! port maps describing the physical testbed (see
-//! [`rum::RumBuilder::port_map`]).
-//!
-//! The crate is self-contained and synchronous: std networking plus a
-//! hand-rolled `poll(2)` reactor (the `reactor` module, the only one allowed to
-//! touch FFI).  The sharded proxy serves 1,000 switches from a handful of
-//! event-loop workers; the original thread-per-connection proxy survives as
-//! [`legacy::LegacyRumTcpProxy`] — the conformance oracle and the honest
-//! in-run baseline the sharded proxy's speedup is measured against.
+//! [`rum::RumBuilder::port_map`]).  The crate is self-contained and
+//! synchronous: std networking only.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod conn;
 pub mod controller;
+pub mod driver;
 pub mod legacy;
 pub mod mux_controller;
 pub mod proxy;
@@ -57,6 +67,7 @@ pub mod switch_host;
 mod timer;
 
 pub use controller::{TcpControllerHandle, TcpUpdateController};
+pub use driver::{TcpDriver, TcpDriverHandle};
 pub use legacy::{LegacyProxyHandle, LegacyRumTcpProxy};
 pub use mux_controller::{TcpMuxController, TcpMuxHandle};
 pub use proxy::{wait_for, ProxyConfig, ProxyCounters, ProxyHandle, RumTcpProxy};

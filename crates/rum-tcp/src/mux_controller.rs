@@ -1,128 +1,22 @@
-//! The TCP driver for the sans-IO [`SessionMux`]: many concurrent tenant
-//! sessions multiplexed over one set of real switch connections.
+//! Many concurrent tenant sessions over one set of real switch
+//! connections: a [`SessionMux`] behind the shared [`TcpDriver`].
 //!
-//! [`TcpMuxController`] is the multi-session sibling of
-//! [`crate::TcpUpdateController`].  The socket plumbing is identical —
-//! accept-order [`ConnId`] slots, reader threads batching decoded frames, a
-//! writer thread per connection coalescing each drain into one write, a
-//! timer thread — but the state machine behind the lock is a
-//! [`SessionMux`], and plans are **submitted at runtime** through
-//! [`TcpMuxHandle::submit`]: the churn interface a soak harness streams
-//! hundreds of plans through.  Admission (namespace isolation, conflict
-//! policy) happens synchronously in `submit`, so a rejected plan surfaces as
-//! a typed [`AdmitError`] to the submitting thread, not as a late failure.
+//! Unlike the single-session controller, plans are **submitted at runtime**
+//! through [`TcpMuxHandle::submit`]: the churn interface a soak harness
+//! streams hundreds of plans through.  Admission (namespace isolation,
+//! conflict policy) happens synchronously in `submit`, so a rejected plan
+//! surfaces as a typed [`AdmitError`] to the submitting thread, not as a
+//! late failure.
 
-use crate::legacy::{reader_loop, writer_loop, Route};
-use crate::timer::TimerQueue;
-use controller::{ConnId, UpdatePlan};
-use sessiond::{AdmitError, MuxConfig, MuxEffect, MuxInput, MuxTimerToken, SessionId, SessionMux};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use crate::driver::{TcpDriver, TcpDriverHandle};
+use controller::UpdatePlan;
+use sessiond::{AdmitError, MuxConfig, SessionId, SessionMux};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-struct MuxState {
-    mux: SessionMux,
-    routes: Vec<Route>,
-    /// Reusable per-connection encode buffers (one socket write per drain).
-    send_bufs: Vec<Vec<u8>>,
-    /// Reusable effects buffer for mux drains.
-    effects: Vec<MuxEffect>,
-    /// Which `ConnId` slots currently have a live connection.
-    attached: Vec<bool>,
-    /// Per-slot attach generation (see `TcpUpdateController`).
-    generation: Vec<u64>,
-    /// Total connections ever attached (reconnects included).
-    total_accepted: usize,
-}
-
-struct Inner {
-    state: Mutex<MuxState>,
-    /// Notified whenever any session reaches a terminal outcome.
-    done: Condvar,
-    timers: TimerQueue,
-    stop: AtomicBool,
-    epoch: Instant,
-}
-
-impl Inner {
-    fn now(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
-    /// Feeds one input under the lock and executes the returned effects.
-    fn drive(self: &Arc<Self>, input: MuxInput) {
-        self.drive_batch(std::iter::once(input));
-    }
-
-    /// Feeds a batch of inputs under a single lock acquisition.
-    fn drive_batch(self: &Arc<Self>, inputs: impl IntoIterator<Item = MuxInput>) {
-        let now = self.now();
-        let mut st = self.state.lock().unwrap();
-        let st = &mut *st;
-        st.effects.clear();
-        for input in inputs {
-            st.mux.handle(now, input, &mut st.effects);
-        }
-        let effects = std::mem::take(&mut st.effects);
-        self.execute(st, effects);
-    }
-
-    /// Executes mux effects against the socket routes; must be called with
-    /// the state borrowed from the lock guard.  Timer arming and completion
-    /// notification happen inline (the timer queue and condvar are not
-    /// behind the state lock).
-    fn execute(self: &Arc<Self>, st: &mut MuxState, mut effects: Vec<MuxEffect>) {
-        let mut finished = false;
-        let arm_base = Instant::now();
-        for effect in effects.drain(..) {
-            match effect {
-                MuxEffect::Send { conn, message } => {
-                    let Some(buf) = st.send_bufs.get_mut(conn.index()) else {
-                        continue;
-                    };
-                    let len_before = buf.len();
-                    if message.encode_into(buf).is_err() {
-                        buf.truncate(len_before);
-                    }
-                }
-                MuxEffect::ArmTimer { delay, token } => {
-                    self.timers.arm(arm_base + delay, token.raw());
-                }
-                MuxEffect::SessionCompleted { .. } | MuxEffect::SessionAborted { .. } => {
-                    finished = true;
-                }
-                MuxEffect::SessionStarted { .. }
-                | MuxEffect::Confirmed { .. }
-                | MuxEffect::Rejected { .. } => {}
-            }
-        }
-        for (route, buf) in st.routes.iter_mut().zip(st.send_bufs.iter_mut()) {
-            if !buf.is_empty() {
-                route.send_bytes(std::mem::take(buf));
-            }
-        }
-        // Keep the (emptied) allocation for the next drain.
-        st.effects = effects;
-        if finished {
-            self.done.notify_all();
-        }
-    }
-}
-
-/// A multi-tenant update controller serving a [`SessionMux`] over TCP.
-///
-/// Switch connections attach in accept order ([`ConnId`] 0 first), exactly
-/// like [`crate::TcpUpdateController`]; plans arrive afterwards through
-/// [`TcpMuxHandle::submit`].
-pub struct TcpMuxController {
-    listen_addr: SocketAddr,
-    mux: SessionMux,
-    n_connections: usize,
-    epoch: Instant,
-}
+/// A multi-tenant update controller serving a [`SessionMux`] over TCP;
+/// plans arrive after [`TcpDriver::start`] through [`TcpMuxHandle::submit`].
+pub type TcpMuxController = TcpDriver<SessionMux>;
 
 impl TcpMuxController {
     /// Creates a mux controller expecting `n_connections` switch
@@ -140,9 +34,9 @@ impl TcpMuxController {
         n_connections: usize,
         epoch: Instant,
     ) -> Self {
-        TcpMuxController {
+        TcpDriver {
             listen_addr,
-            mux: SessionMux::new(config),
+            machine: SessionMux::new(config),
             n_connections,
             epoch,
         }
@@ -151,159 +45,32 @@ impl TcpMuxController {
     /// Mutable access to the mux before the run starts, e.g. to attach a
     /// telemetry registry.
     pub fn mux_mut(&mut self) -> &mut SessionMux {
-        &mut self.mux
+        &mut self.machine
     }
-
-    /// Binds the listener and starts accepting connections on background
-    /// threads.  Plans submitted before a connection attaches buffer in the
-    /// pending route and flush on attach.
-    pub fn start(self) -> std::io::Result<TcpMuxHandle> {
-        let listener = TcpListener::bind(self.listen_addr)?;
-        let local_addr = listener.local_addr()?;
-        let n_connections = self.n_connections;
-        let inner = Arc::new(Inner {
-            state: Mutex::new(MuxState {
-                mux: self.mux,
-                routes: (0..n_connections)
-                    .map(|_| Route::Pending(Vec::new()))
-                    .collect(),
-                send_bufs: (0..n_connections).map(|_| Vec::new()).collect(),
-                effects: Vec::new(),
-                attached: vec![false; n_connections],
-                generation: vec![0; n_connections],
-                total_accepted: 0,
-            }),
-            done: Condvar::new(),
-            timers: TimerQueue::new(),
-            stop: AtomicBool::new(false),
-            epoch: self.epoch,
-        });
-
-        let timer_thread = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || {
-                let fire_inner = Arc::clone(&inner);
-                inner.timers.run(&inner.stop, move |token| {
-                    fire_inner.drive(MuxInput::TimerFired {
-                        token: MuxTimerToken::from_raw(token),
-                    });
-                });
-            })
-        };
-
-        let accept_inner = Arc::clone(&inner);
-        let accept_thread = std::thread::spawn(move || {
-            for incoming in listener.incoming() {
-                if accept_inner.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = incoming else {
-                    continue;
-                };
-                let (conn, generation) = {
-                    let mut st = accept_inner.state.lock().unwrap();
-                    // Lowest free slot; restarts reattach under their
-                    // original ConnId (positional, like the single-session
-                    // controller).
-                    let Some(slot) = st.attached.iter().position(|&a| !a) else {
-                        continue;
-                    };
-                    st.attached[slot] = true;
-                    st.generation[slot] += 1;
-                    st.total_accepted += 1;
-                    (ConnId::new(slot), st.generation[slot])
-                };
-                attach_connection(&accept_inner, conn, generation, stream);
-            }
-        });
-
-        Ok(TcpMuxHandle {
-            local_addr,
-            inner,
-            accept_thread: Some(accept_thread),
-            timer_thread: Some(timer_thread),
-        })
-    }
-}
-
-/// Wires one accepted switch connection (same shape as the single-session
-/// controller: writer thread + reader thread, generation-guarded detach).
-fn attach_connection(inner: &Arc<Inner>, conn: ConnId, generation: u64, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let reader = stream.try_clone().expect("clone switch stream");
-    let (tx, rx) = channel::<Vec<u8>>();
-    inner.state.lock().unwrap().routes[conn.index()].connect(tx);
-    {
-        let inner = Arc::clone(inner);
-        std::thread::spawn(move || {
-            writer_loop(rx, stream, None);
-            detach_connection(&inner, conn, generation);
-        });
-    }
-    {
-        let inner = Arc::clone(inner);
-        std::thread::spawn(move || {
-            reader_loop(reader, |msgs| {
-                inner.drive_batch(
-                    msgs.drain(..)
-                        .map(|message| MuxInput::FromSwitch { conn, message }),
-                );
-            });
-            detach_connection(&inner, conn, generation);
-        });
-    }
-}
-
-/// Frees one slot after its connection died (generation-guarded).
-fn detach_connection(inner: &Arc<Inner>, conn: ConnId, generation: u64) {
-    let mut st = inner.state.lock().unwrap();
-    if !st.attached[conn.index()] || st.generation[conn.index()] != generation {
-        return;
-    }
-    st.attached[conn.index()] = false;
-    st.routes[conn.index()] = Route::Pending(Vec::new());
 }
 
 /// A handle to a running TCP mux controller.
-pub struct TcpMuxHandle {
-    /// The address the controller actually listens on (useful with port 0).
-    pub local_addr: SocketAddr,
-    inner: Arc<Inner>,
-    accept_thread: Option<JoinHandle<()>>,
-    timer_thread: Option<JoinHandle<()>>,
-}
+pub type TcpMuxHandle = TcpDriverHandle<SessionMux>;
 
 impl TcpMuxHandle {
-    /// Number of switch connections accepted so far (reconnects included).
-    pub fn connections(&self) -> usize {
-        self.inner.state.lock().unwrap().total_accepted
-    }
-
     /// Submits one tenant plan.  Admission is synchronous: a conflict under
     /// [`sessiond::ConflictPolicy::Reject`], an oversized id or namespace
     /// exhaustion comes back as a typed [`AdmitError`] right here.  On
     /// admission the session's first window of sends goes out (or buffers
     /// on not-yet-attached routes) before this returns.
     pub fn submit(&self, plan: UpdatePlan) -> Result<SessionId, AdmitError> {
-        let now = self.inner.now();
-        let mut st = self.inner.state.lock().unwrap();
-        let st = &mut *st;
-        st.effects.clear();
-        let result = st.mux.submit(plan, now, &mut st.effects);
-        let effects = std::mem::take(&mut st.effects);
-        self.inner.execute(st, effects);
-        result
+        self.drive(|mux, now, effects| mux.submit(plan, now, effects))
     }
 
-    /// Runs `f` against the mux under the lock — the unified inspection
-    /// surface (per-session state, confirm orders, outcomes, counters).
+    /// Runs `f` against the mux under the lock (per-session state, confirm
+    /// orders, outcomes, counters).
     pub fn with_mux<R>(&self, f: impl FnOnce(&SessionMux) -> R) -> R {
-        f(&self.inner.state.lock().unwrap().mux)
+        self.with(f)
     }
 
     /// One session's confirmation order (local plan ids).
     pub fn confirmed_order(&self, session: SessionId) -> Vec<u64> {
-        self.with_mux(|m| {
+        self.with(|m| {
             m.session(session)
                 .map(|s| s.confirmed_order().to_vec())
                 .unwrap_or_default()
@@ -313,43 +80,18 @@ impl TcpMuxHandle {
     /// Blocks until every submitted session reached a terminal outcome or
     /// `timeout` elapses; true if all sessions are done.
     pub fn wait_all_done(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            if st.mux.all_done() {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self.inner.done.wait_timeout(st, deadline - now).unwrap();
-            st = guard;
-        }
-    }
-
-    /// Asks the accept and timer loops to stop and waits for them.
-    pub fn shutdown(mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.timers.wake();
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.timer_thread.take() {
-            let _ = t.join();
-        }
+        self.wait_until(timeout, SessionMux::all_done)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::testing::acking_switch;
     use controller::AckMode;
     use openflow::messages::FlowMod;
-    use openflow::{Action, OfCodec, OfMatch, OfMessage};
+    use openflow::{Action, OfMatch};
     use sessiond::{ConflictPolicy, SessionState};
-    use std::io::{Read, Write};
     use std::net::Ipv4Addr;
 
     fn tenant_plan(tenant: u8, n: u8) -> UpdatePlan {
@@ -370,40 +112,6 @@ mod tests {
             .unwrap();
         }
         plan
-    }
-
-    /// A scripted in-process switch acking every flow-mod RUM-style.
-    fn acking_switch(addr: SocketAddr) -> JoinHandle<Vec<u64>> {
-        std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect to controller");
-            stream
-                .set_read_timeout(Some(Duration::from_secs(3)))
-                .unwrap();
-            let mut codec = OfCodec::new();
-            let mut buf = [0u8; 4096];
-            let mut acks = Vec::new();
-            let mut seen = Vec::new();
-            'conn: loop {
-                let n = match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => n,
-                };
-                codec.feed(&buf[..n]);
-                acks.clear();
-                while let Ok(Some(msg)) = codec.next_message() {
-                    if let OfMessage::FlowMod { xid, .. } = msg {
-                        seen.push(u64::from(xid));
-                        OfMessage::rum_ack(xid)
-                            .encode_into(&mut acks)
-                            .expect("encodable ack");
-                    }
-                }
-                if !acks.is_empty() && stream.write_all(&acks).is_err() {
-                    break 'conn;
-                }
-            }
-            seen
-        })
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //!   4000-rule plan cannot starve a 3-rule tenant.
 //!
 //! Like every core in this workspace, the mux performs no I/O: drivers feed
-//! [`MuxInput`]s and execute [`MuxEffect`]s.  Two drivers ship:
-//! [`MuxController`] for the deterministic simulator and
-//! `rum_tcp::TcpMuxController` for real sockets — the cross-driver equality
+//! [`MuxInput`]s and execute [`MuxEffect`]s.  It implements
+//! `controller::Machine`, so the workspace's two controller transports serve
+//! it unchanged: [`MuxController`] in the deterministic simulator and
+//! `rum_tcp::TcpMuxController` over real sockets — the cross-driver equality
 //! tests hold per session, exactly as they do for the single-session plane.
 
 #![forbid(unsafe_code)]

@@ -26,8 +26,8 @@
 //! globally-unique barrier xids and keeps a translation table.
 
 use controller::{
-    AbortReport, AckMode, ConnId, FailurePolicy, SessionEffect, SessionInput, SessionOutcome,
-    SessionTimerToken, UpdatePlan, UpdateSession,
+    AbortReport, AckMode, ConnId, FailurePolicy, Machine, MachineEffect, MachineInput,
+    SessionEffect, SessionInput, SessionOutcome, SessionTimerToken, UpdatePlan, UpdateSession,
 };
 use openflow::{OfMatch, OfMessage, Xid};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -983,6 +983,46 @@ impl SessionMux {
             self.tenants[idx].deficit = 0;
         }
         progressed
+    }
+}
+
+/// The mux behind the transport boundary.  Plans arrive through
+/// [`SessionMux::submit`], so [`MachineInput::Started`] means nothing here.
+impl Machine for SessionMux {
+    type Effect = MuxEffect;
+
+    fn handle(&mut self, now: Duration, input: MachineInput, effects: &mut Vec<MuxEffect>) {
+        let input = match input {
+            MachineInput::Started => return,
+            MachineInput::FromSwitch { conn, message } => MuxInput::FromSwitch { conn, message },
+            MachineInput::TimerFired { raw } => MuxInput::TimerFired {
+                token: MuxTimerToken::from_raw(raw),
+            },
+        };
+        SessionMux::handle(self, now, input, effects)
+    }
+
+    fn lower(&self, effect: MuxEffect) -> MachineEffect {
+        match effect {
+            MuxEffect::Send { conn, message } => MachineEffect::Send { conn, message },
+            MuxEffect::ArmTimer { delay, token } => MachineEffect::ArmTimer {
+                delay,
+                raw: token.raw(),
+            },
+            // The wire cookie, so data-plane activation joins (which see
+            // wire cookies) line up.
+            MuxEffect::Confirmed { session, id } => MachineEffect::Confirmed {
+                cookie: self.base(session).unwrap_or(0) + id,
+            },
+            // Session milestones, rendered for the trace.
+            other => MachineEffect::Note {
+                terminal: matches!(
+                    other,
+                    MuxEffect::SessionCompleted { .. } | MuxEffect::SessionAborted { .. }
+                ),
+                text: format!("{other:?}"),
+            },
+        }
     }
 }
 

@@ -1,248 +1,115 @@
-//! The simulator driver for the sans-IO [`SessionMux`].
+//! The simulator deployment of the [`SessionMux`].
 //!
 //! [`MuxController`] is to the mux what `controller::Controller` is to a
-//! single [`controller::UpdateSession`]: a thin `simnet` node translating
-//! simulator events into [`MuxInput`]s and executing the returned
-//! [`MuxEffect`]s through the simulator [`Context`].  Plans are registered
-//! before the run and submitted together when the start timer fires, so a
-//! whole tenant population contends from the first instant — the
-//! "millions of users" regime in miniature.
+//! single session: the shared [`MachineNode`] transport around a machine.
+//! Plans are registered before the run and submitted together when the node
+//! starts, so a whole tenant population contends from the first instant —
+//! the "millions of users" regime in miniature.
 
-use crate::mux::{
-    AdmitError, MuxConfig, MuxEffect, MuxInput, MuxTimerToken, SessionId, SessionMux,
-};
-use controller::{ConnId, UpdatePlan};
-use openflow::OfMessage;
-use simnet::{Context, EventPayload, Node, NodeId, SimTime, TraceEvent};
+use crate::mux::{AdmitError, MuxConfig, MuxEffect, SessionId, SessionMux};
+use controller::{Machine, MachineEffect, MachineInput, MachineNode, UpdatePlan};
+use simnet::{Context, EventPayload, Node, NodeId, SimTime};
 use std::any::Any;
+use std::time::Duration;
 
-/// Timer token used to start the run; mux timers are offset by one.
-const TOKEN_START: u64 = 0;
-
-/// A controller node that submits many tenant plans to a [`SessionMux`] and
-/// drives the mux inside the simulator.
-pub struct MuxController {
-    label: String,
+/// A [`SessionMux`] whose tenant plans are staged up front and submitted on
+/// [`MachineInput::Started`].
+struct StagedMux {
     mux: SessionMux,
-    /// Plans queued for submission when the start timer fires.
+    /// Plans queued for submission at start.
     pending_plans: Vec<UpdatePlan>,
     /// Per-plan submission results, in registration order.
     submissions: Vec<Result<SessionId, AdmitError>>,
-    connections: Vec<NodeId>,
-    control_latency: SimTime,
-    start_at: SimTime,
-    started: bool,
-    /// PacketIns from nodes outside the configured connections.
-    stray_packet_ins: u64,
 }
+
+impl Machine for StagedMux {
+    type Effect = MuxEffect;
+
+    fn handle(&mut self, now: Duration, input: MachineInput, effects: &mut Vec<MuxEffect>) {
+        if matches!(input, MachineInput::Started) {
+            for plan in std::mem::take(&mut self.pending_plans) {
+                self.submissions.push(self.mux.submit(plan, now, effects));
+            }
+            return;
+        }
+        Machine::handle(&mut self.mux, now, input, effects)
+    }
+
+    fn lower(&self, effect: MuxEffect) -> MachineEffect {
+        self.mux.lower(effect)
+    }
+}
+
+/// A controller node that submits many tenant plans to a [`SessionMux`] and
+/// drives the mux inside the simulator.
+pub struct MuxController(MachineNode<StagedMux>);
 
 impl MuxController {
     /// Creates a mux controller that starts submitting at `start_at`.
     pub fn new(label: impl Into<String>, config: MuxConfig, start_at: SimTime) -> Self {
-        MuxController {
-            label: label.into(),
+        let staged = StagedMux {
             mux: SessionMux::new(config),
             pending_plans: Vec::new(),
             submissions: Vec::new(),
-            connections: Vec::new(),
-            control_latency: SimTime::from_micros(200),
-            start_at,
-            started: false,
-            stray_packet_ins: 0,
-        }
+        };
+        MuxController(MachineNode::with_machine(label, staged, start_at))
     }
 
     /// Registers one tenant plan for submission at start time.  Returns the
     /// registration index; pair it with [`MuxController::submission_results`]
     /// after the run to find the tenant's [`SessionId`] (or admission error).
     pub fn add_plan(&mut self, plan: UpdatePlan) -> usize {
-        self.pending_plans.push(plan);
-        self.pending_plans.len() - 1
+        let pending = &mut self.0.machine_mut().pending_plans;
+        pending.push(plan);
+        pending.len() - 1
     }
 
     /// Sets the nodes terminating each switch connection (index = the
     /// `SwitchRef` used in the plans).
     pub fn set_connections(&mut self, connections: Vec<NodeId>) {
-        self.connections = connections;
+        self.0.set_connections(connections);
     }
 
     /// Sets the one-way control-channel latency used for outgoing messages.
     pub fn set_control_latency(&mut self, latency: SimTime) {
-        self.control_latency = latency;
+        self.0.set_control_latency(latency);
     }
 
     /// Read access to the mux (per-session state, outcomes, counters).
     pub fn mux(&self) -> &SessionMux {
-        &self.mux
+        &self.0.machine().mux
     }
 
     /// Mutable access to the mux, e.g. to attach metrics before the run.
     pub fn mux_mut(&mut self) -> &mut SessionMux {
-        &mut self.mux
+        &mut self.0.machine_mut().mux
     }
 
     /// One result per registered plan, in registration order.  Empty until
-    /// the start timer fires.
+    /// the node starts.
     pub fn submission_results(&self) -> &[Result<SessionId, AdmitError>] {
-        &self.submissions
+        &self.0.machine().submissions
     }
 
     /// PacketIn messages received across the mux and unmapped senders.
     pub fn packet_ins_received(&self) -> u64 {
-        self.mux.packet_ins() + self.stray_packet_ins
-    }
-
-    /// Executes mux effects through the simulator context.
-    fn execute(&mut self, effects: Vec<MuxEffect>, ctx: &mut Context<'_>) {
-        for effect in effects {
-            match effect {
-                MuxEffect::Send { conn, message } => {
-                    let Some(&node) = self.connections.get(conn.index()) else {
-                        continue;
-                    };
-                    if let OfMessage::FlowMod { ref body, .. } = message {
-                        ctx.record(TraceEvent::FlowModSent {
-                            cookie: body.cookie,
-                            time: ctx.now(),
-                        });
-                    }
-                    ctx.send_control(node, message, self.control_latency);
-                }
-                MuxEffect::ArmTimer { delay, token } => {
-                    ctx.set_timer(delay.into(), token.raw() + 1);
-                }
-                MuxEffect::Confirmed { session, id } => {
-                    // Record the wire cookie so data-plane activation joins
-                    // (which see wire cookies) line up.
-                    let global = self.mux.base(session).unwrap_or(0) + id;
-                    ctx.record(TraceEvent::ControlPlaneConfirmed {
-                        cookie: global,
-                        time: ctx.now(),
-                    });
-                }
-                MuxEffect::Rejected {
-                    session,
-                    id,
-                    err_type,
-                    code,
-                } => {
-                    ctx.record(TraceEvent::Marker {
-                        label: format!(
-                            "{}: {session} mod {id} rejected (type {err_type}, code {code})",
-                            self.label
-                        ),
-                        time: ctx.now(),
-                    });
-                }
-                MuxEffect::SessionStarted { session } => {
-                    ctx.record(TraceEvent::Marker {
-                        label: format!("{}: {session} started (conflicts cleared)", self.label),
-                        time: ctx.now(),
-                    });
-                }
-                MuxEffect::SessionCompleted { session, .. } => {
-                    ctx.record(TraceEvent::Marker {
-                        label: format!("{}: {session} complete", self.label),
-                        time: ctx.now(),
-                    });
-                }
-                MuxEffect::SessionAborted { session, report } => {
-                    ctx.record(TraceEvent::Marker {
-                        label: format!(
-                            "{}: {session} aborted (mod {} failed, {} cancelled)",
-                            self.label,
-                            report.failed,
-                            report.cancelled.len()
-                        ),
-                        time: ctx.now(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Feeds one input into the mux and executes the effects.
-    fn drive(&mut self, input: MuxInput, ctx: &mut Context<'_>) {
-        let mut effects = Vec::new();
-        self.mux.handle(ctx.now().into(), input, &mut effects);
-        self.execute(effects, ctx);
+        self.mux().packet_ins() + self.0.stray_packet_ins()
     }
 }
 
+/// Delegates to the wrapped node; the wrapper itself is the registered node
+/// so that `Simulator::node_ref::<MuxController>` finds it.
 impl Node for MuxController {
     fn name(&self) -> String {
-        self.label.clone()
+        self.0.name()
     }
 
     fn start(&mut self, ctx: &mut Context<'_>) {
-        ctx.set_timer(self.start_at, TOKEN_START);
+        self.0.start(ctx);
     }
 
     fn handle(&mut self, event: EventPayload, ctx: &mut Context<'_>) {
-        match event {
-            EventPayload::Timer { token: TOKEN_START } if !self.started => {
-                self.started = true;
-                assert!(
-                    !self.connections.is_empty() || self.pending_plans.is_empty(),
-                    "mux controller {} has no switch connections configured",
-                    self.label
-                );
-                ctx.record(TraceEvent::Marker {
-                    label: format!(
-                        "{}: submitting {} tenant plans",
-                        self.label,
-                        self.pending_plans.len()
-                    ),
-                    time: ctx.now(),
-                });
-                let plans = std::mem::take(&mut self.pending_plans);
-                for plan in plans {
-                    let mut effects = Vec::new();
-                    let result = self.mux.submit(plan, ctx.now().into(), &mut effects);
-                    self.submissions.push(result);
-                    self.execute(effects, ctx);
-                }
-            }
-            EventPayload::Timer { token } if token > TOKEN_START => {
-                self.drive(
-                    MuxInput::TimerFired {
-                        token: MuxTimerToken::from_raw(token - 1),
-                    },
-                    ctx,
-                );
-            }
-            EventPayload::Timer { .. } => {}
-            EventPayload::Control { from, message } => {
-                match self.connections.iter().position(|&n| n == from) {
-                    Some(index) => self.drive(
-                        MuxInput::FromSwitch {
-                            conn: ConnId::new(index),
-                            message,
-                        },
-                        ctx,
-                    ),
-                    None => match message {
-                        OfMessage::PacketIn { .. } => self.stray_packet_ins += 1,
-                        OfMessage::EchoRequest { xid, data } => ctx.send_control(
-                            from,
-                            OfMessage::EchoReply { xid, data },
-                            self.control_latency,
-                        ),
-                        OfMessage::Hello { xid } => {
-                            ctx.send_control(from, OfMessage::Hello { xid }, self.control_latency)
-                        }
-                        other => self.drive(
-                            MuxInput::FromSwitch {
-                                conn: ConnId::new(usize::MAX),
-                                message: other,
-                            },
-                            ctx,
-                        ),
-                    },
-                }
-            }
-            EventPayload::Packet { .. } => {}
-        }
+        self.0.handle(event, ctx);
     }
 
     fn as_any(&self) -> &dyn Any {

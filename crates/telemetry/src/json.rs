@@ -1,21 +1,28 @@
-//! A minimal self-contained JSON encoder/parser for snapshot lines.
+//! A minimal self-contained JSON encoder/parser: snapshot lines here, and
+//! the `BENCH_results.json` documents `rum_bench`'s validator reads.
 //!
 //! crates.io is unreachable from the build environment, so — like the
-//! `crates/shims` stand-ins — the wire format is hand-rolled: just enough
-//! JSON for `{"counters":{..},"gauges":{..},"histograms":{..}}` lines
-//! (objects, strings, integers, floats).
+//! `crates/shims` stand-ins — the wire format is hand-rolled.  The encoder
+//! side covers what `{"counters":{..},"gauges":{..},"histograms":{..}}`
+//! lines need; the parser accepts any JSON document.
 
 use std::collections::BTreeMap;
 
-/// A parsed JSON value (the subset snapshots use).
+/// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool(bool),
     /// An integer (no fraction or exponent in the source text).
     Int(i64),
     /// A floating-point number.
     Float(f64),
     /// A string.
     Str(String),
+    /// An array.
+    Arr(Vec<Value>),
     /// An object with sorted keys.
     Obj(BTreeMap<String, Value>),
 }
@@ -135,13 +142,45 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
             Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected '{}' at byte {}",
                 other as char, self.pos
             )),
             None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, String> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("expected '{lit}' at byte {}", self.pos))
+        }
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b']') => return Ok(Value::Arr(items)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos - 1)),
+            }
         }
     }
 
@@ -237,8 +276,10 @@ impl<'a> Parser<'a> {
                 .map(Value::Float)
                 .map_err(|e| format!("bad number '{text}': {e}"))
         } else {
+            // An integer too wide for `i64` still parses, as a float.
             text.parse::<i64>()
                 .map(Value::Int)
+                .or_else(|_| text.parse::<f64>().map(Value::Float))
                 .map_err(|e| format!("bad number '{text}': {e}"))
         }
     }
@@ -265,6 +306,26 @@ mod tests {
         write_string(&mut out, "a\"b\\c\nd\te");
         let v = parse(&format!("{{{out}:1}}")).unwrap();
         assert!(v.as_obj().unwrap().contains_key("a\"b\\c\nd\te"));
+    }
+
+    #[test]
+    fn parses_arrays_booleans_and_null() {
+        let v = parse(r#"{"rows":[{"ok":true,"p99":null},{"ok":false}],"none":[]}"#).unwrap();
+        let obj = v.as_obj().unwrap();
+        let Value::Arr(rows) = &obj["rows"] else {
+            panic!("rows: {:?}", obj["rows"]);
+        };
+        assert_eq!(rows[0].as_obj().unwrap()["ok"], Value::Bool(true));
+        assert_eq!(rows[0].as_obj().unwrap()["p99"], Value::Null);
+        assert_eq!(rows[1].as_obj().unwrap()["ok"], Value::Bool(false));
+        assert_eq!(obj["none"], Value::Arr(Vec::new()));
+        assert!(parse("[1,]").is_err());
+        assert!(parse("[1 2]").is_err());
+        assert!(parse("nul").is_err());
+        assert_eq!(
+            parse("18446744073709551616").unwrap().as_f64(),
+            Some(2f64.powi(64))
+        );
     }
 
     #[test]

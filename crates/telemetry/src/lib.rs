@@ -53,7 +53,7 @@
 #![warn(missing_docs)]
 
 mod hist;
-mod json;
+pub mod json;
 mod metrics;
 mod registry;
 mod server;
