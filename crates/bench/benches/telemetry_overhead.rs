@@ -3,7 +3,8 @@
 //! updates (sharded counter increment + per-thread recorder observation).
 //! The two curves should be near-indistinguishable — `bench_results` records
 //! the same comparison as the `telemetry_overhead/*` rows of
-//! `BENCH_results.json`, gated at < 3% by `validate_results`.
+//! `BENCH_results.json`, whose per-apply difference in ns `validate_results`
+//! gates.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rum_bench::throughput::{bulk_flow_mods, install_indexed, install_indexed_instrumented};

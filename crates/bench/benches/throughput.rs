@@ -1,18 +1,13 @@
-//! Criterion-registered throughput benches for the message-pipeline hot
-//! paths: bulk flow-mod install into the indexed [`ofswitch::FlowTable`]
-//! (10k–1M entries, with the linear-scan oracle as baseline at the sizes
-//! where its quadratic cost is still tolerable), OpenFlow codec
-//! encode/decode throughput, and sans-IO engine/session drain rates.
+//! Criterion-registered bulk flow-mod install into the indexed
+//! [`ofswitch::FlowTable`] (10k–1M entries), with the linear-scan oracle as
+//! baseline at the size where its quadratic cost is still tolerable.
 //!
-//! `cargo bench --bench throughput` prints ops/sec-comparable wall times;
-//! the same workloads feed the `bench_results` binary that writes the
-//! `BENCH_results.json` throughput rows.
+//! `cargo bench --bench throughput` prints comparable wall times; the same
+//! workloads feed the `flow_mod_install/*` rows `bench_results` writes to
+//! `BENCH_results.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rum_bench::throughput::{
-    bulk_flow_mods, codec_messages, decode_throughput, encode_throughput, engine_drain_throughput,
-    install_indexed, install_linear, session_drain_throughput,
-};
+use rum_bench::throughput::{bulk_flow_mods, install_indexed, install_linear};
 
 fn flow_mod_install(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_mod_install");
@@ -33,38 +28,5 @@ fn flow_mod_install(c: &mut Criterion) {
     group.finish();
 }
 
-fn codec_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("codec_throughput");
-    group.sample_size(20);
-    let msgs = codec_messages(4096);
-    let mut wire = Vec::new();
-    encode_throughput(&msgs, &mut wire);
-    let frozen = wire.clone();
-    group.bench_function("encode_4096_msgs_reused_buffer", |b| {
-        b.iter(|| encode_throughput(black_box(&msgs), &mut wire))
-    });
-    group.bench_function("decode_4096_msgs", |b| {
-        b.iter(|| decode_throughput(black_box(&frozen), msgs.len()))
-    });
-    group.finish();
-}
-
-fn engine_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_throughput");
-    group.sample_size(10);
-    group.bench_function("rum_engine_drain_8192_inputs", |b| {
-        b.iter(|| engine_drain_throughput(8192))
-    });
-    group.bench_function("update_session_drain_8192_mods", |b| {
-        b.iter(|| session_drain_throughput(8192))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    flow_mod_install,
-    codec_throughput,
-    engine_throughput
-);
+criterion_group!(benches, flow_mod_install);
 criterion_main!(benches);

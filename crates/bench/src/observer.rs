@@ -225,7 +225,7 @@ fn shard_field(name: &str) -> Option<(usize, &str)> {
 
 /// The sharded-proxy section: one row per engine shard with its drain
 /// batches, messages emitted and live outbox depth.  Silent when the
-/// legacy thread-per-connection proxy (no shard metrics) is attached.
+/// snapshot carries no shard metrics (a registry no proxy is attached to).
 fn render_shards(snapshot: &Snapshot, out: &mut String) {
     #[derive(Default)]
     struct ShardRow {
@@ -535,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_section_is_silent_for_the_legacy_proxy() {
+    fn shard_section_is_silent_without_shard_metrics() {
         let text = render(&populated_registry().snapshot());
         assert!(!text.contains("shards ("), "{text}");
     }

@@ -95,13 +95,12 @@ impl ExperimentRecord {
 }
 
 /// One throughput experiment's aggregate result, persisted alongside the
-/// latency records in `BENCH_results.json` (schema 2).
+/// latency records in `BENCH_results.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputRecord {
     /// Experiment name (e.g. `flow_mod_install/indexed_100k`).
     pub experiment: String,
-    /// Operations per run (flow-mods installed, messages coded, inputs
-    /// drained).
+    /// Operations per run (flow-mods installed).
     pub ops: u64,
     /// Median elapsed wall time across runs, in milliseconds.
     pub median_elapsed_ms: f64,
@@ -112,11 +111,12 @@ pub struct ThroughputRecord {
     /// Ops/sec of the linear-scan reference on the same workload, when the
     /// baseline was measured; the JSON row then carries a `speedup` field.
     pub baseline_ops_per_sec: Option<f64>,
-    /// Slowdown relative to the uninstrumented variant of the same workload
-    /// in percent, when one was measured (the `telemetry_overhead` rows,
-    /// schema 5).  May be slightly negative: it is a difference of two
-    /// noisy measurements.
-    pub overhead_pct: Option<f64>,
+    /// Extra nanoseconds per operation over the uninstrumented variant of
+    /// the same workload, when one was measured (the `telemetry_overhead`
+    /// rows).  An absolute cost, not a ratio, so it does not move when the
+    /// workload underneath gets faster.  May be slightly negative: it is a
+    /// difference of two noisy measurements.
+    pub overhead_ns_per_op: Option<f64>,
 }
 
 impl ThroughputRecord {
@@ -130,7 +130,7 @@ impl ThroughputRecord {
             ops_per_sec: ops as f64 / (median / 1000.0),
             runs: elapsed_ms.len(),
             baseline_ops_per_sec: None,
-            overhead_pct: None,
+            overhead_ns_per_op: None,
         }
     }
 
@@ -140,10 +140,10 @@ impl ThroughputRecord {
         self
     }
 
-    /// Attaches the measured slowdown (percent) over the uninstrumented
-    /// variant of the same workload.
-    pub fn with_overhead(mut self, overhead_pct: f64) -> Self {
-        self.overhead_pct = Some(overhead_pct);
+    /// Attaches the measured per-operation cost (ns) over the
+    /// uninstrumented variant of the same workload.
+    pub fn with_overhead(mut self, overhead_ns_per_op: f64) -> Self {
+        self.overhead_ns_per_op = Some(overhead_ns_per_op);
         self
     }
 
@@ -154,9 +154,9 @@ impl ThroughputRecord {
     }
 }
 
-/// One scenario-matrix cell as persisted to `BENCH_results.json` (schema 5;
-/// resync fields since schema 7): the reliability measurement of one
-/// (driver, fault model, technique) combination.
+/// One scenario-matrix cell as persisted to `BENCH_results.json`: the
+/// reliability measurement of one (driver, fault model, technique)
+/// combination.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixRecord {
     /// `simnet` or `tcp`.
@@ -165,8 +165,8 @@ pub struct MatrixRecord {
     pub fault: String,
     /// Technique label (e.g. `barrier-only`, `rum-general`).
     pub technique: String,
-    /// Monitored switches in the run's topology (schema 8): 3 for the
-    /// classic bulk chain, 64/1,000 for the sharded scale rows.
+    /// Monitored switches in the run's topology: 3 for the classic bulk
+    /// chain, 64/1,000 for the sharded scale rows.
     pub switches: u64,
     /// Rules in the plan.
     pub planned: u64,
@@ -185,8 +185,8 @@ pub struct MatrixRecord {
     /// False when the technique's soundness claim does not apply under this
     /// fault model (the cell was recorded with zero counts, not run).
     pub applicable: bool,
-    /// Reconciliation verdict — present only on `restart_resync` cells
-    /// (schema 7): did the declarative resync restore the wiped table?
+    /// Reconciliation verdict — present only on `restart_resync` cells: did
+    /// the declarative resync restore the wiped table?
     pub resync: Option<ResyncVerdict>,
 }
 
@@ -210,7 +210,7 @@ impl From<&MatrixCell> for MatrixRecord {
     }
 }
 
-/// One session-soak run as persisted to `BENCH_results.json` (schema 6):
+/// One session-soak run as persisted to `BENCH_results.json`:
 /// hundreds of concurrent tenant sessions multiplexed through `sessiond`
 /// on one driver under one fault model, with ground-truth verdicts and
 /// confirm-latency tail percentiles.
@@ -220,8 +220,8 @@ pub struct SessionSoakRecord {
     pub driver: String,
     /// Fault-model name of the device under test (e.g. `early_reply`).
     pub fault: String,
-    /// Monitored switches behind the proxy (schema 8): 3 for the classic
-    /// chain, 1,000 for the sharded scale soak.
+    /// Monitored switches behind the proxy: 3 for the classic chain, 1,000
+    /// for the sharded scale soak.
     pub switches: u64,
     /// Concurrently admitted tenant sessions.
     pub sessions: u64,
@@ -269,12 +269,12 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// Renders the records as the `BENCH_results.json` document, schema 8
+/// Renders the records as the `BENCH_results.json` document, schema 9
 /// (handwritten JSON — the build environment has no serde):
 ///
 /// ```json
 /// {
-///   "schema": 8,
+///   "schema": 9,
 ///   "results": [
 ///     {"experiment": "...", "median_completion_ms": f, "p95_completion_ms": f,
 ///      "confirms": n, "runs": n}
@@ -282,23 +282,23 @@ fn json_num(v: f64) -> String {
 ///   "throughput": [
 ///     {"experiment": "...", "ops": n, "median_elapsed_ms": f,
 ///      "ops_per_sec": f, "runs": n,
-///      "baseline_ops_per_sec": f, "speedup": f,   // optional pair
-///      "overhead_pct": f}                         // telemetry_overhead rows
+///      "baseline_ops_per_sec": f, "speedup": f,   // flow_mod_install/indexed_*
+///      "overhead_ns_per_op": f}                   // telemetry_overhead/*
 ///   ],
 ///   "scenario_matrix": [
 ///     {"experiment": "scenario_matrix/<driver>/<fault>/<technique>",
 ///      "driver": "...", "fault": "...", "technique": "...",
-///      "switches": n,                                     // schema 8
+///      "switches": n,
 ///      "planned": n, "confirmed": n, "false_acks": n, "missed_acks": n,
 ///      "false_ack_rate": f, "missed_ack_rate": f, "completion_ms": f|null,
 ///      "applicable": true|false,
 ///      "resync_converged": b, "resync_rounds": n,        // restart_resync
 ///      "resync_final_diff": n, "resync_delta_mods": n,   // rows only
-///      "resync_table_matches": b}                        // (schema 7)
+///      "resync_table_matches": b}
 ///   ],
 ///   "session_soak": [
 ///     {"experiment": "session_soak/<driver>/<fault>",
-///      "driver": "...", "fault": "...", "switches": n,    // schema 8
+///      "driver": "...", "fault": "...", "switches": n,
 ///      "sessions": n, "completed": n,
 ///      "aborted": n, "planned_mods": n, "confirmed_mods": n,
 ///      "false_acks": n, "missed_acks": n, "stray_acks": n,
@@ -313,7 +313,7 @@ pub fn results_json(
     matrix: &[MatrixRecord],
     soak: &[SessionSoakRecord],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": 8,\n  \"results\": [\n");
+    let mut out = String::from("{\n  \"schema\": 9,\n  \"results\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"experiment\": \"{}\", \"median_completion_ms\": {}, \
@@ -344,8 +344,8 @@ pub fn results_json(
                 json_num(speedup)
             ));
         }
-        if let Some(overhead) = r.overhead_pct {
-            row.push_str(&format!(", \"overhead_pct\": {}", json_num(overhead)));
+        if let Some(overhead) = r.overhead_ns_per_op {
+            row.push_str(&format!(", \"overhead_ns_per_op\": {}", json_num(overhead)));
         }
         row.push_str(&format!(
             "}}{}\n",
@@ -546,7 +546,7 @@ mod tests {
         let throughput = vec![
             ThroughputRecord::from_runs("flow_mod_install/indexed_1k", 1000, &[2.0, 4.0, 3.0])
                 .with_baseline(1000.0),
-            ThroughputRecord::from_runs("codec/encode", 64, &[1.0]),
+            ThroughputRecord::from_runs("flow_mod_install/linear_1k", 1000, &[400.0]),
             ThroughputRecord::from_runs("telemetry_overhead/indexed_1k", 1000, &[3.1])
                 .with_overhead(1.25),
         ];
@@ -640,10 +640,10 @@ mod tests {
             },
         ];
         let json = results_json(&records, &throughput, &matrix, &soak);
-        assert!(json.contains("\"schema\": 8"));
+        assert!(json.contains("\"schema\": 9"));
         assert!(
             json.contains("\"switches\": 1000"),
-            "schema 8 rows carry the fleet size"
+            "rows carry the fleet size"
         );
         assert!(json.contains("\"median_completion_ms\": 2.000"));
         assert!(json.contains("\\\"x\\\""), "quotes must be escaped");
@@ -657,15 +657,15 @@ mod tests {
         assert!(json.contains("\"baseline_ops_per_sec\": 1000.000"));
         assert!(json.contains("\"speedup\": 333.333"));
         // The record without a baseline omits the speedup fields.
-        let codec_row = json.lines().find(|l| l.contains("codec/encode")).unwrap();
-        assert!(!codec_row.contains("speedup"));
-        assert!(!codec_row.contains("overhead_pct"));
-        // The overhead row carries its measured slowdown.
+        let linear_row = json.lines().find(|l| l.contains("/linear_1k")).unwrap();
+        assert!(!linear_row.contains("speedup"));
+        assert!(!linear_row.contains("overhead_ns_per_op"));
+        // The overhead row carries its measured per-op cost.
         let overhead_row = json
             .lines()
             .find(|l| l.contains("telemetry_overhead/"))
             .unwrap();
-        assert!(overhead_row.contains("\"overhead_pct\": 1.250"));
+        assert!(overhead_row.contains("\"overhead_ns_per_op\": 1.250"));
         assert!(!overhead_row.contains("speedup"));
         // The matrix section carries rates, counts and the composed name.
         assert!(json.contains("scenario_matrix/simnet/early_reply/barrier-only"));
@@ -674,7 +674,7 @@ mod tests {
         assert!(json.contains("\"completion_ms\": 812.500"));
         assert!(json.contains("\"completion_ms\": null"));
         assert!(json.contains("\"applicable\": true"));
-        // Resync fields appear only on the restart_resync row (schema 7).
+        // Resync fields appear only on the restart_resync row.
         let resync_row = json.lines().find(|l| l.contains("restart_resync")).unwrap();
         assert!(resync_row.contains("\"resync_converged\": true"));
         assert!(resync_row.contains("\"resync_rounds\": 2"));
@@ -700,8 +700,8 @@ mod tests {
         assert_eq!(r.median_elapsed_ms, 5.0);
         assert_eq!(r.ops_per_sec, 100_000.0);
         assert_eq!(r.speedup(), None);
-        assert_eq!(r.overhead_pct, None);
-        assert_eq!(r.clone().with_overhead(1.5).overhead_pct, Some(1.5));
+        assert_eq!(r.overhead_ns_per_op, None);
+        assert_eq!(r.clone().with_overhead(1.5).overhead_ns_per_op, Some(1.5));
         assert_eq!(r.with_baseline(10_000.0).speedup(), Some(10.0));
     }
 

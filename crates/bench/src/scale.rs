@@ -29,8 +29,8 @@ use openflow::messages::FlowMod;
 use openflow::{Action, DatapathId, OfMatch};
 use rum::{deploy, RumBuilder, SwitchId, SwitchPortMap};
 use rum_tcp::{
-    spawn_switch_with, wait_for, Fabric, LegacyRumTcpProxy, ProxyConfig, RumTcpProxy,
-    SwitchHostOptions, TcpMuxController, TcpUpdateController,
+    spawn_switch_with, wait_for, Fabric, ProxyConfig, RumTcpProxy, SwitchHostOptions,
+    TcpMuxController, TcpUpdateController,
 };
 use simnet::{OpenFlowSwitch, SimTime, Simulator};
 use std::collections::HashMap;
@@ -176,26 +176,16 @@ fn classify_scale(
 const SCALE_SIM_START: SimTime = SimTime::from_millis(10);
 
 /// One fleet-scale run's artefacts: the matrix verdict plus the engine-side
-/// per-switch confirm orders, which the cross-driver conformance tests
-/// compare byte-for-byte between drivers and against the single-engine
-/// oracle.
+/// per-switch confirm orders, which the conformance tests compare
+/// byte-for-byte against the single-engine oracle in virtual time and as
+/// per-switch sets across drivers.
 #[derive(Debug)]
 pub struct ScaleCellOutcome {
-    /// The classified verdict row (schema-8 `switches` included).
+    /// The classified verdict row (`switches` included).
     pub cell: MatrixCell,
     /// `per_switch_orders[i]` = the cookies switch `i` confirmed, in the
     /// order the engine confirmed them.
     pub per_switch_orders: Vec<Vec<u64>>,
-}
-
-/// Which TCP wire path serves the fleet in [`run_tcp_scale_cell_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleProxy {
-    /// The readiness-driven event-loop proxy ([`rum_tcp::RumTcpProxy`]).
-    EventLoop,
-    /// The pre-shard thread-per-connection proxy
-    /// ([`rum_tcp::LegacyRumTcpProxy`]) — the conformance oracle.
-    Legacy,
 }
 
 /// Runs the fleet-scale cell on the simulator driver with the default
@@ -309,36 +299,16 @@ fn scale_budget(n_switches: usize) -> Duration {
     Duration::from_secs(15) + Duration::from_millis(60) * n_switches as u32
 }
 
-/// Runs the fleet-scale cell on the real-socket driver with the default
-/// sharded event-loop proxy.
+/// Runs the fleet-scale cell on the real-socket driver: `n` fabric-ringed
+/// switch hosts (fast_buggy early-reply adversaries) connected one at a
+/// time (so proxy slot `i` = fabric index `i` = plan target `i`), the
+/// sharded event-loop proxy at [`SCALE_SHARDS`], and a
+/// `TcpUpdateController` that starts the update only once the whole fleet
+/// is attached.
 pub fn run_tcp_scale_cell(
     n_switches: usize,
     rules_per_switch: usize,
     seed: u64,
-    registry: &Registry,
-) -> ScaleCellOutcome {
-    run_tcp_scale_cell_with(
-        n_switches,
-        rules_per_switch,
-        seed,
-        SCALE_SHARDS,
-        ScaleProxy::EventLoop,
-        registry,
-    )
-}
-
-/// Runs the fleet-scale cell on the real-socket driver: `n` fabric-ringed
-/// switch hosts (fast_buggy early-reply adversaries) connected one at a
-/// time (so proxy slot `i` = fabric index `i` = plan target `i`), the
-/// chosen wire path, and a `TcpUpdateController` that starts the update
-/// only once the whole fleet is attached.  `ScaleProxy::Legacy` with
-/// `shards = 1` is the pre-shard oracle.
-pub fn run_tcp_scale_cell_with(
-    n_switches: usize,
-    rules_per_switch: usize,
-    seed: u64,
-    shards: usize,
-    wire_path: ScaleProxy,
     registry: &Registry,
 ) -> ScaleCellOutcome {
     let fault = scale_fault(&SwitchModel::fast_buggy(), seed);
@@ -361,46 +331,12 @@ pub fn run_tcp_scale_cell_with(
         controller_addr: ctrl_handle.local_addr,
     };
     let builder = RumBuilder::new(n_switches)
-        .shards(shards)
+        .shards(SCALE_SHARDS)
         .technique(probing(&fault.model, window))
         .port_maps(ring_port_maps(n_switches));
-    // Both wire paths serve the same engine; a tiny closure pair erases the
-    // concrete handle type once the two calls the cell needs are captured.
-    type OrderFn = Box<dyn Fn(SwitchId) -> Vec<u64>>;
-    let (proxy_addr, order_for, shutdown_proxy): (_, OrderFn, Box<dyn FnOnce()>) = match wire_path {
-        ScaleProxy::EventLoop => {
-            let h = RumTcpProxy::new(proxy_config, builder)
-                .start()
-                .expect("event-loop proxy starts");
-            let h = std::rc::Rc::new(h);
-            let order = std::rc::Rc::clone(&h);
-            (
-                h.local_addr,
-                Box::new(move |sw| order.confirmed_order_for(sw)) as OrderFn,
-                Box::new(move || {
-                    std::rc::Rc::into_inner(h)
-                        .expect("order closure dropped first")
-                        .shutdown()
-                }) as Box<dyn FnOnce()>,
-            )
-        }
-        ScaleProxy::Legacy => {
-            let h = LegacyRumTcpProxy::new(proxy_config, builder)
-                .start()
-                .expect("legacy proxy starts");
-            let h = std::rc::Rc::new(h);
-            let order = std::rc::Rc::clone(&h);
-            (
-                h.local_addr,
-                Box::new(move |sw| order.confirmed_order_for(sw)) as OrderFn,
-                Box::new(move || {
-                    std::rc::Rc::into_inner(h)
-                        .expect("order closure dropped first")
-                        .shutdown()
-                }) as Box<dyn FnOnce()>,
-            )
-        }
-    };
+    let proxy_handle = RumTcpProxy::new(proxy_config, builder)
+        .start()
+        .expect("proxy starts");
 
     let fabric = Fabric::new();
     for i in 0..n_switches {
@@ -409,7 +345,7 @@ pub fn run_tcp_scale_cell_with(
     let mut hosts = Vec::with_capacity(n_switches);
     for i in 0..n_switches {
         let host = spawn_switch_with(
-            proxy_addr,
+            proxy_handle.local_addr,
             fault.model.clone(),
             SwitchHostOptions {
                 faults: fault.faults.clone(),
@@ -436,11 +372,10 @@ pub fn run_tcp_scale_cell_with(
         )
     });
     let per_switch_orders: Vec<Vec<u64>> = (0..n_switches)
-        .map(|i| order_for(SwitchId::new(i)))
+        .map(|i| proxy_handle.confirmed_order_for(SwitchId::new(i)))
         .collect();
-    drop(order_for);
     ctrl_handle.shutdown();
-    shutdown_proxy();
+    proxy_handle.shutdown();
     for h in &hosts {
         h.stop();
     }
@@ -469,7 +404,7 @@ pub fn run_tcp_scale_cell_with(
 /// tenant `t` targets switch `t % n` of an `n`-switch early-reply ring, so
 /// the whole fleet carries tenant load concurrently.  Confirmations are
 /// judged per tenant against the **target switch's** ground truth; the
-/// record carries `switches = n` (schema 8).
+/// record carries `switches = n`.
 pub fn run_tcp_scale_soak(
     cfg: &SoakConfig,
     n_switches: usize,

@@ -22,7 +22,7 @@
 //! counters flow through the telemetry registry
 //! (`soak.{driver}.{fault}.{false_acks,missed_acks}`), and per-modification
 //! confirm latencies feed the tail percentiles (p50/p99/p99.9) of the
-//! `session_soak` section of `BENCH_results.json` (schema 6).
+//! `session_soak` section of `BENCH_results.json`.
 
 use crate::report::{percentile, SessionSoakRecord};
 use crate::scenario_matrix::{restart_reconnect_delay, tcp_port_maps, FaultModel};

@@ -1,14 +1,13 @@
-//! Throughput workloads shared by the Criterion benches and the
-//! `bench_results` binary: bulk flow-mod install into the (indexed and
-//! linear-scan) flow tables, OpenFlow codec encode/decode, and sans-IO
-//! engine drains.  Each workload returns the elapsed wall time for a known
-//! number of operations so callers derive ops/sec however they aggregate.
+//! The workloads of `crates/bench`'s two wall-clock gates, shared by the
+//! Criterion benches and the `bench_results` binary: bulk flow-mod install
+//! into the indexed and the linear-scan flow table, and the same indexed
+//! install with the telemetry hot-path operations active.  Each workload
+//! returns the elapsed wall time for a known number of operations so callers
+//! derive ops/sec however they aggregate.
 
-use controller::{AckMode, SessionInput, UpdateSession};
 use ofswitch::{FlowTable, LinearFlowTable};
 use openflow::messages::FlowMod;
-use openflow::{Action, OfCodec, OfMatch, OfMessage};
-use rum::{Input, RumBuilder, SwitchId, TechniqueConfig};
+use openflow::{Action, OfMatch};
 use telemetry::{Recorder, Registry};
 
 use std::net::Ipv4Addr;
@@ -91,117 +90,6 @@ pub fn install_linear(mods: &[FlowMod]) -> Duration {
     elapsed
 }
 
-/// A representative message mix for codec throughput: flow-mods punctuated
-/// by barriers, the proxy's steady-state traffic.
-pub fn codec_messages(n: usize) -> Vec<OfMessage> {
-    bulk_flow_mods(n)
-        .into_iter()
-        .enumerate()
-        .map(|(i, body)| {
-            if i % 8 == 7 {
-                OfMessage::BarrierRequest { xid: i as u32 }
-            } else {
-                OfMessage::FlowMod {
-                    xid: i as u32,
-                    body,
-                }
-            }
-        })
-        .collect()
-}
-
-/// Encodes the batch into a reused buffer (the zero-alloc send path);
-/// returns the elapsed time for `msgs.len()` encodes.
-pub fn encode_throughput(msgs: &[OfMessage], wire: &mut Vec<u8>) -> Duration {
-    wire.clear();
-    let codec = OfCodec::new();
-    let start = Instant::now();
-    codec.encode_batch_into(msgs, wire).expect("encodable");
-    start.elapsed()
-}
-
-/// Feeds pre-encoded wire bytes through the streaming decoder with a reused
-/// message buffer; returns the elapsed time for decoding all of `expected`
-/// messages.
-pub fn decode_throughput(wire: &[u8], expected: usize) -> Duration {
-    let mut codec = OfCodec::new();
-    let mut msgs = Vec::with_capacity(expected);
-    let start = Instant::now();
-    codec.feed(wire);
-    codec.drain_messages_into(&mut msgs).expect("decodable");
-    let elapsed = start.elapsed();
-    assert_eq!(msgs.len(), expected);
-    elapsed
-}
-
-/// Drives `n` controller flow-mods through a [`rum::RumEngine`] via the
-/// allocation-free `handle_into` entry point (effects buffer reused across
-/// inputs); returns the elapsed time for the `n` inputs.
-pub fn engine_drain_throughput(n: usize) -> Duration {
-    let mut engine = RumBuilder::new(1)
-        .technique(TechniqueConfig::BarrierBaseline)
-        .build();
-    engine.start(Duration::ZERO);
-    let sw = SwitchId::new(0);
-    let mods = bulk_flow_mods(n);
-    let mut effects = Vec::new();
-    let start = Instant::now();
-    for (i, body) in mods.into_iter().enumerate() {
-        effects.clear();
-        engine.handle_into(
-            Duration::from_micros(i as u64),
-            Input::FromController {
-                switch: sw,
-                message: OfMessage::FlowMod {
-                    xid: i as u32,
-                    body,
-                },
-            },
-            &mut effects,
-        );
-        assert!(!effects.is_empty());
-    }
-    start.elapsed()
-}
-
-/// Drives an `n`-modification flat plan through an [`UpdateSession`] with
-/// RUM acks via the allocation-free `handle_into`/`drain_into` entry points;
-/// returns the elapsed time for the full send + confirm cycle.
-pub fn session_drain_throughput(n: usize) -> Duration {
-    let mut plan = controller::UpdatePlan::new();
-    for (i, fm) in bulk_flow_mods(n).into_iter().enumerate() {
-        plan.add(i as u64 + 1, 0, fm).expect("distinct ids");
-    }
-    let mut session = UpdateSession::new(plan, AckMode::RumAcks, 64);
-    let conn = controller::ConnId::new(0);
-    let mut effects = Vec::new();
-    let start = Instant::now();
-    session.handle_into(Duration::ZERO, SessionInput::Started, &mut effects);
-    let mut at = Duration::ZERO;
-    while !session.is_complete() {
-        // Ack every flow-mod sent in the previous drain; each ack frees a
-        // window slot and triggers the next send.
-        let acks: Vec<SessionInput> = effects
-            .iter()
-            .filter_map(|e| match e {
-                controller::SessionEffect::Send {
-                    message: OfMessage::FlowMod { xid, .. },
-                    ..
-                } => Some(SessionInput::FromSwitch {
-                    conn,
-                    message: OfMessage::rum_ack(*xid),
-                }),
-                _ => None,
-            })
-            .collect();
-        assert!(!acks.is_empty(), "session must make progress");
-        at += Duration::from_micros(1);
-        effects.clear();
-        session.drain_into(at, acks, &mut effects);
-    }
-    start.elapsed()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,12 +99,6 @@ mod tests {
         let mods = bulk_flow_mods(64);
         assert!(install_indexed(&mods) > Duration::ZERO);
         assert!(install_linear(&mods) > Duration::ZERO);
-        let msgs = codec_messages(64);
-        let mut wire = Vec::new();
-        assert!(encode_throughput(&msgs, &mut wire) > Duration::ZERO);
-        assert!(decode_throughput(&wire, msgs.len()) > Duration::ZERO);
-        assert!(engine_drain_throughput(64) > Duration::ZERO);
-        assert!(session_drain_throughput(64) > Duration::ZERO);
     }
 
     #[test]

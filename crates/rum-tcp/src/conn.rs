@@ -1,15 +1,13 @@
-//! Thread-per-connection socket plumbing shared by the controller-side
-//! [`crate::driver`] and the [`crate::legacy`] proxy: a [`Route`] that
-//! buffers encoded bytes until its connection exists, a writer loop draining
-//! the route's outbox into the socket, and a reader loop handing every batch
-//! decoded from one socket read to a sink.
+//! Thread-per-connection socket plumbing of the controller-side
+//! [`crate::driver`]: a [`Route`] that buffers encoded bytes until its
+//! connection exists, a writer loop draining the route's outbox into the
+//! socket, and a reader loop handing every batch decoded from one socket
+//! read to a sink.
 
 use openflow::{OfCodec, OfMessage};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
-use telemetry::Gauge;
 
 /// Where encoded bytes for one endpoint go: buffered until the connection
 /// exists, then straight into its writer thread's queue as whole batches.
@@ -21,35 +19,30 @@ pub(crate) enum Route {
 }
 
 impl Route {
-    /// Hands one encoded batch to the endpoint.  Returns `true` when the
-    /// chunk was enqueued on a live connection's outbox (so callers can
-    /// track queue depth), `false` when it was buffered or dropped.
-    pub(crate) fn send_bytes(&mut self, bytes: Vec<u8>) -> bool {
+    /// Hands one encoded batch to the endpoint: buffered while the
+    /// connection is down, queued on its writer thread otherwise.
+    pub(crate) fn send_bytes(&mut self, bytes: Vec<u8>) {
         if bytes.is_empty() {
-            return false;
+            return;
         }
         match self {
-            Route::Pending(q) => {
-                q.extend_from_slice(&bytes);
-                false
-            }
+            Route::Pending(q) => q.extend_from_slice(&bytes),
             Route::Connected(tx) => {
-                // A closed channel means the connection died; the engine's
+                // A closed channel means the connection died; the machine's
                 // timers will cope, exactly as with a lossy control channel.
-                tx.send(bytes).is_ok()
+                let _ = tx.send(bytes);
             }
         }
     }
 
-    /// Returns `true` when buffered pending bytes were flushed onto the
-    /// fresh connection as one chunk.
-    pub(crate) fn connect(&mut self, tx: Sender<Vec<u8>>) -> bool {
+    /// Switches to the fresh connection, flushing buffered pending bytes
+    /// onto it as one chunk.
+    pub(crate) fn connect(&mut self, tx: Sender<Vec<u8>>) {
         if let Route::Pending(q) = std::mem::replace(self, Route::Connected(tx.clone())) {
             if !q.is_empty() {
-                return tx.send(q).is_ok();
+                let _ = tx.send(q);
             }
         }
-        false
     }
 }
 
@@ -71,37 +64,22 @@ const MAX_COALESCED_WRITE: usize = 256 * 1024;
 /// sender) lets the writer drain everything already routed — e.g. the acks
 /// for barrier replies a restarting switch flushed with its dying breath —
 /// before the FIN goes out.
-pub(crate) fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: TcpStream, depth: Option<Arc<Gauge>>) {
-    let consumed = |n: i64| {
-        if let Some(g) = &depth {
-            g.add(-n);
-        }
-    };
+pub(crate) fn writer_loop(rx: Receiver<Vec<u8>>, mut stream: TcpStream) {
     // `recv` keeps yielding queued chunks after the senders are dropped
     // (detach), then errors — that is the drain.
     while let Ok(mut pending) = rx.recv() {
-        let mut chunks = 1i64;
         // The first chunk is written from its own allocation (no copy —
         // the common keeping-up case); only chunks that queued up behind
         // an in-flight write get appended to it.
         while pending.len() < MAX_COALESCED_WRITE {
             match rx.try_recv() {
-                Ok(chunk) => {
-                    pending.extend_from_slice(&chunk);
-                    chunks += 1;
-                }
+                Ok(chunk) => pending.extend_from_slice(&chunk),
                 Err(_) => break,
             }
         }
-        consumed(chunks);
         if stream.write_all(&pending).is_err() {
             break;
         }
-    }
-    // Chunks abandoned by a failed write still count as consumed: the
-    // gauge tracks what a live connection has queued, not lost bytes.
-    while rx.try_recv().is_ok() {
-        consumed(1);
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }

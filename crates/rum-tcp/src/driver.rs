@@ -271,7 +271,7 @@ where
     // policy (timeout → retry → abort) handles the silent switch.
     let writer_shared = Arc::clone(shared);
     std::thread::spawn(move || {
-        writer_loop(rx, stream, None);
+        writer_loop(rx, stream);
         detach(&writer_shared, slot, generation);
     });
     let reader_shared = Arc::clone(shared);

@@ -20,9 +20,6 @@
 //!   reactor (the `reactor` module, the only one allowed to touch FFI) over
 //!   the connections, engines and timers of its shards.  It serves 1,000
 //!   switches without a thread per connection.
-//! * [`legacy::LegacyRumTcpProxy`] — the pre-shard thread-per-connection
-//!   proxy, kept only as the conformance oracle and in-run baseline the
-//!   sharded proxy is checked and measured against.
 //!
 //! Controller side (the paper's update controller, completing the chain):
 //!
@@ -39,10 +36,9 @@
 //!   behind a TCP client, emulating buggy (early barrier reply) or faithful
 //!   switches.
 //!
-//! The thread-per-connection plumbing the controller-side driver and the
-//! legacy proxy share (`Route`, `reader_loop`, `writer_loop`) lives in the
-//! private `conn` module; `timer` is the deadline queue behind their timer
-//! threads.
+//! The controller-side driver's thread-per-connection plumbing (`Route`,
+//! `reader_loop`, `writer_loop`) lives in the private `conn` module; `timer`
+//! is the deadline queue behind the proxy's and the driver's timer threads.
 //!
 //! Every acknowledgment technique the engine supports (barriers, static
 //! timeout, adaptive delay, sequential and general probing) is available
@@ -58,7 +54,6 @@
 mod conn;
 pub mod controller;
 pub mod driver;
-pub mod legacy;
 pub mod mux_controller;
 pub mod proxy;
 pub(crate) mod reactor;
@@ -68,7 +63,6 @@ mod timer;
 
 pub use controller::{TcpControllerHandle, TcpUpdateController};
 pub use driver::{TcpDriver, TcpDriverHandle};
-pub use legacy::{LegacyProxyHandle, LegacyRumTcpProxy};
 pub use mux_controller::{TcpMuxController, TcpMuxHandle};
 pub use proxy::{wait_for, ProxyConfig, ProxyCounters, ProxyHandle, RumTcpProxy};
 pub use relay::{Endpoint, EngineRelay, RelayEffects};

@@ -11,8 +11,7 @@
 //!                 wakers ◀── timer thread / other workers  outboxes
 //! ```
 //!
-//! Compared to the pre-shard proxy (kept as [`crate::LegacyRumTcpProxy`]),
-//! which spent four threads and one global engine mutex per accepted
+//! Instead of four threads and one global engine mutex per accepted
 //! switch, this implementation:
 //!
 //! * splits the engine by [`SwitchId`] into shards (see
@@ -146,14 +145,14 @@ struct ShardState {
 /// The write half of one proxied connection endpoint: queued encoded
 /// chunks, the partial-write offset into the front chunk, and the stream
 /// to flush into (absent while the connection is down — bytes then queue
-/// exactly like the legacy proxy's pending buffer and flush on attach).
+/// and flush on attach).
 struct EndpointState {
     stream: Option<TcpStream>,
     queue: VecDeque<Vec<u8>>,
     /// How much of `queue.front()` has already been written.
     offset: usize,
     /// Chunks queued on a live connection but not yet fully written
-    /// (`proxy.sw{i}.*_outbox_depth`, mirroring the legacy gauges).
+    /// (`proxy.sw{i}.*_outbox_depth`).
     depth: Arc<Gauge>,
     /// Aggregate of the owning shard (`proxy.shard{k}.outbox_depth`).
     shard_depth: Arc<Gauge>,
@@ -190,7 +189,7 @@ impl EndpointState {
     }
 
     /// Drops the stream and every queued chunk (the engine re-issues
-    /// unconfirmed modifications on reconnect, as with the legacy proxy).
+    /// unconfirmed modifications on reconnect).
     fn on_detach(&mut self) {
         if let Some(s) = self.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
@@ -538,8 +537,7 @@ impl ProxyHandle {
 /// Accepted connections are assigned [`SwitchId`]s in accept order; the
 /// engine must be built for the number of switches expected to connect,
 /// and surplus connections are refused.  Shard count comes from
-/// [`rum::RumBuilder::shards`] (default 1 — single-engine behaviour,
-/// byte-identical to the legacy proxy's confirmation order).
+/// [`rum::RumBuilder::shards`] (default 1 — single-engine behaviour).
 pub struct RumTcpProxy {
     config: ProxyConfig,
     builder: RumBuilder,
@@ -1225,8 +1223,11 @@ mod tests {
         handle.shutdown();
     }
 
-    /// A switch that loses its TCP connection frees its slot; the reconnect
-    /// is attached to the same [`SwitchId`] instead of being refused.
+    /// A switch that loses its TCP connection frees its slot, and every
+    /// re-dial is attached to the same [`SwitchId`] instead of being refused:
+    /// each reattach (generation > 1) feeds the engine one
+    /// `SwitchReconnected`, and a detach reported late by a *previous*
+    /// attach cannot tear down the slot's live connection.
     #[test]
     fn reconnect_reuses_the_freed_slot() {
         let controller_listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1239,26 +1240,55 @@ mod tests {
             RumBuilder::new(1).technique(TechniqueConfig::BarrierBaseline),
         );
         let handle = proxy.start().unwrap();
-        let first = TcpStream::connect(handle.local_addr).unwrap();
+        let sw = SwitchId::new(0);
+        let slot = || handle.inner.slots[sw.index()].state.lock().unwrap();
+
+        let mut conn = Some(TcpStream::connect(handle.local_addr).unwrap());
         assert!(wait_for(
             || handle.counters().connections() == 1,
             Duration::from_secs(2),
         ));
-        drop(first);
-        // Detachment is asynchronous (the worker must observe EOF); keep
-        // re-dialling until the freed slot is claimed again.
-        let mut second = None;
-        assert!(wait_for(
-            || {
-                if handle.counters().connections() >= 2 {
-                    return true;
-                }
-                second = TcpStream::connect(handle.local_addr).ok();
-                false
-            },
-            Duration::from_secs(3),
-        ));
-        assert_eq!(handle.counters().connections(), 2);
+        for round in 2..=3u64 {
+            drop(conn.take());
+            // Detachment is asynchronous (the worker must observe EOF); dial
+            // only once the slot is free, so the dial deterministically
+            // claims it.
+            assert!(
+                wait_for(|| !slot().attached, Duration::from_secs(3)),
+                "round {round}: the dead connection must free its slot"
+            );
+            conn = Some(TcpStream::connect(handle.local_addr).unwrap());
+            assert!(
+                wait_for(
+                    || handle.counters().connections() == round,
+                    Duration::from_secs(3),
+                ),
+                "reconnect {round} must be accepted"
+            );
+            assert!(wait_for(
+                || handle.stats(sw).reconnects == round - 1,
+                Duration::from_secs(2),
+            ));
+        }
+        assert_eq!(handle.counters().connections(), 3);
+        assert_eq!(handle.stats(sw).reconnects, 2);
+        // All three attaches used the single engine slot.
+        assert_eq!(slot().generation, 3);
+
+        // A worker entry from the first attach (generation 1) reports its
+        // death only now: the newer connection must survive.
+        handle.inner.detach(sw.index(), 1);
+        {
+            let st = slot();
+            assert!(st.attached, "stale detach must be a no-op");
+            assert!(
+                st.to_switch.stream.is_some(),
+                "the reconnected endpoint must stay live"
+            );
+        }
+        // The *current* generation still detaches normally.
+        handle.inner.detach(sw.index(), 3);
+        assert!(!slot().attached);
         handle.shutdown();
     }
 

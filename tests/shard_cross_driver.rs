@@ -6,22 +6,25 @@
 //! the single-engine (pre-shard) oracle.  These property tests check both,
 //! over multiple seeds, at a 64-switch fleet:
 //!
-//! * **cross-driver**: per-switch confirm orders and matrix verdicts are
-//!   identical between the simnet run and the TCP run of the same seed;
 //! * **cross-engine**: per-switch confirm orders and verdicts are identical
-//!   between the 8-shard engine and the unsharded oracle (simnet), and
-//!   between the event-loop proxy and the pre-shard thread-per-connection
-//!   proxy (TCP);
+//!   between the 8-shard engine and the unsharded oracle on simnet, where
+//!   both sides run against virtual time and order is well-defined;
+//! * **cross-driver**: matrix verdicts and per-switch confirm *sets* are
+//!   identical between the simnet run and the TCP run of the same seed.
+//!   Exact order is not compared across this boundary: on the wall-clock
+//!   side a re-probe tick can straddle a data-plane activation and swap two
+//!   confirms of one switch without either run being wrong;
 //! * **soundness**: every run has zero false acks and zero missed acks.
 //!
 //! The same invariants at 1,000 switches are covered twice: by the ignored
 //! [`full_fleet_cross_driver_soundness`] run below (too slow for the
 //! default suite; run it with `--ignored`), and continuously by the
 //! committed `BENCH_results.json`, whose 1,000-switch rows CI gates through
-//! `validate_results --min-matrix-switches 1000`.
+//! `validate_results`' switch-count floor.
 
 use rum_bench::scale::{
-    run_simnet_scale_cell_with, run_tcp_scale_cell_with, ScaleCellOutcome, ScaleProxy, SCALE_SHARDS,
+    run_simnet_scale_cell, run_simnet_scale_cell_with, run_tcp_scale_cell, ScaleCellOutcome,
+    SCALE_SHARDS,
 };
 use rum_bench::scenario_matrix::MatrixCell;
 use telemetry::Registry;
@@ -62,34 +65,42 @@ fn assert_sound(out: &ScaleCellOutcome, label: &str) {
     );
 }
 
-/// (a) simnet vs TCP: the same seed produces the same per-switch confirm
-/// orders and the same matrix verdict on both drivers, because every
-/// ordering decision lives in the shared sharded engine, not the drivers.
+/// Each switch's confirmed cookies as a set (sorted): what two runs must
+/// agree on when at least one of them is timed by the wall clock.
+fn per_switch_sets(out: &ScaleCellOutcome) -> Vec<Vec<u64>> {
+    let mut sets = out.per_switch_orders.clone();
+    sets.iter_mut().for_each(|order| order.sort_unstable());
+    sets
+}
+
+/// Runs the same seed on both drivers and checks soundness on each side,
+/// verdict identity, and per-switch confirm-set identity.
+fn assert_drivers_agree(fleet: usize, seed: u64) {
+    let registry = Registry::new();
+    let sim = run_simnet_scale_cell(fleet, RULES_PER_SWITCH, seed, &registry);
+    let tcp = run_tcp_scale_cell(fleet, RULES_PER_SWITCH, seed, &registry);
+    assert_sound(&sim, &format!("simnet {fleet} seed {seed}"));
+    assert_sound(&tcp, &format!("tcp {fleet} seed {seed}"));
+    assert_eq!(
+        verdict(&sim.cell),
+        verdict(&tcp.cell),
+        "{fleet} switches, seed {seed}: matrix verdicts diverged between drivers"
+    );
+    assert_eq!(
+        per_switch_sets(&sim),
+        per_switch_sets(&tcp),
+        "{fleet} switches, seed {seed}: a switch confirmed different rules on the two drivers"
+    );
+}
+
+/// (a) simnet vs TCP: the same seed produces the same matrix verdict and
+/// the same per-switch confirm sets on both drivers, because every
+/// confirmation decision lives in the shared sharded engine, not the
+/// drivers.
 #[test]
 fn drivers_agree_on_per_switch_confirm_orders_at_fleet_scale() {
     for seed in SEEDS {
-        let registry = Registry::new();
-        let sim =
-            run_simnet_scale_cell_with(FLEET, RULES_PER_SWITCH, seed, SCALE_SHARDS, &registry);
-        let tcp = run_tcp_scale_cell_with(
-            FLEET,
-            RULES_PER_SWITCH,
-            seed,
-            SCALE_SHARDS,
-            ScaleProxy::EventLoop,
-            &registry,
-        );
-        assert_sound(&sim, &format!("simnet seed {seed}"));
-        assert_sound(&tcp, &format!("tcp seed {seed}"));
-        assert_eq!(
-            verdict(&sim.cell),
-            verdict(&tcp.cell),
-            "seed {seed}: matrix verdicts diverged between drivers"
-        );
-        assert_eq!(
-            sim.per_switch_orders, tcp.per_switch_orders,
-            "seed {seed}: per-switch confirm orders diverged between drivers"
-        );
+        assert_drivers_agree(FLEET, seed);
     }
 }
 
@@ -113,62 +124,13 @@ fn sharded_engine_matches_the_single_engine_oracle_on_simnet() {
     }
 }
 
-/// (b) on the wire: the readiness-driven event-loop proxy and the pre-shard
-/// thread-per-connection proxy (the original wire path, kept as
-/// `LegacyRumTcpProxy`) produce identical per-switch confirm orders and
-/// verdicts for the same seed.
-#[test]
-fn event_loop_proxy_matches_the_pre_shard_proxy() {
-    let seed = SEEDS[0];
-    let registry = Registry::new();
-    let event_loop = run_tcp_scale_cell_with(
-        FLEET,
-        RULES_PER_SWITCH,
-        seed,
-        SCALE_SHARDS,
-        ScaleProxy::EventLoop,
-        &registry,
-    );
-    let legacy = run_tcp_scale_cell_with(
-        FLEET,
-        RULES_PER_SWITCH,
-        seed,
-        1,
-        ScaleProxy::Legacy,
-        &registry,
-    );
-    assert_sound(&event_loop, "event-loop");
-    assert_sound(&legacy, "legacy");
-    assert_eq!(verdict(&event_loop.cell), verdict(&legacy.cell));
-    assert_eq!(
-        event_loop.per_switch_orders, legacy.per_switch_orders,
-        "the event loop changed a per-switch confirm order vs the pre-shard wire path"
-    );
-}
-
-/// The full 1,000-switch conformance run — several minutes of wall clock,
-/// so it is ignored by default; CI covers the same scale through the
-/// committed BENCH gate.  `cargo test --release -- --ignored
-/// full_fleet_cross_driver_soundness` runs it directly.
+/// The full 1,000-switch conformance run — seconds of wall clock but a
+/// thousand switch-host threads and two thousand sockets, so it is ignored
+/// by default; CI covers the same scale through the committed BENCH gate.
+/// `cargo test --release -- --ignored full_fleet_cross_driver_soundness`
+/// runs it directly.
 #[test]
 #[ignore]
 fn full_fleet_cross_driver_soundness() {
-    const FULL_FLEET: usize = 1_000;
-    let registry = Registry::new();
-    let sim = run_simnet_scale_cell_with(FULL_FLEET, RULES_PER_SWITCH, 42, SCALE_SHARDS, &registry);
-    let tcp = run_tcp_scale_cell_with(
-        FULL_FLEET,
-        RULES_PER_SWITCH,
-        42,
-        SCALE_SHARDS,
-        ScaleProxy::EventLoop,
-        &registry,
-    );
-    assert_sound(&sim, "simnet 1000");
-    assert_sound(&tcp, "tcp 1000");
-    assert_eq!(verdict(&sim.cell), verdict(&tcp.cell));
-    assert_eq!(
-        sim.per_switch_orders, tcp.per_switch_orders,
-        "per-switch confirm orders diverged between drivers at 1,000 switches"
-    );
+    assert_drivers_agree(1_000, 42);
 }
