@@ -16,17 +16,28 @@
 //! | §5.1 barrier-layer overhead        | [`experiments::run_barrier_layer`]     | `barrier_layer_overhead` |
 //! | §5.2 PacketIn/PacketOut rates      | [`experiments::run_pktio_rates`]       | `pktio_rates` |
 //!
-//! The gates — the technique × fault [`scenario_matrix`], the multi-tenant
-//! [`session_soak`], the fleet-size [`scale`] rows and the two ratio
-//! workloads in [`throughput`] (indexed-vs-linear install, telemetry cost) —
-//! are run by `bench_results` and checked by `validate_results`.  Wall-clock
-//! throughput and latency of the proxy chain are not measured here: that is
-//! the repository benchmark's job (`benchmark/README.md`).
+//! The gates — run by `bench_results`, checked by `validate_results` — are
+//! one experiment shape (controller, RUM proxy layer, misbehaving switches,
+//! every acknowledgment joined against data-plane ground truth) on both
+//! drivers, so they share one private harness:
+//!
+//! | Module | What it is |
+//! |---|---|
+//! | `fleet` (private) | the harness: chain/ring topology from one link list, one stand-up per driver around the caller's controller, one tear-down (on TCP also on unwind), one ground-truth join |
+//! | [`scenario_matrix`] | adds the technique × fault sweep, the single-session cell and the `restart_resync` verdict |
+//! | [`session_soak`] | adds the tenant population through one mux and the confirm-latency percentiles |
+//! | [`scale`] | adds fleet size: the `n`-switch ring plan, sharding and per-switch confirm orders |
+//!
+//! The two ratio workloads in [`throughput`] (indexed-vs-linear install,
+//! telemetry cost) complete the gate set.  Wall-clock throughput and latency
+//! of the proxy chain are not measured here: that is the repository
+//! benchmark's job (`benchmark/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+mod fleet;
 pub mod observer;
 pub mod report;
 pub mod scale;
@@ -40,3 +51,6 @@ pub use experiments::{
 pub use report::{ExperimentRecord, SessionSoakRecord, ThroughputRecord};
 pub use scenario_matrix::{MatrixCell, MatrixTechnique};
 pub use session_soak::{SoakConfig, SoakOutcome};
+
+#[cfg(test)]
+mod golden;

@@ -15,22 +15,28 @@
 //!
 //! The same matrix runs on **both drivers** of the shared behaviour engine:
 //! the deterministic simulator (`simnet`) and the real-socket prototype
-//! (`rum-tcp`, with the in-process data-plane [`Fabric`] carrying probe
+//! (`rum-tcp`, with the in-process data-plane `Fabric` carrying probe
 //! packets between switch hosts).  Because fault decisions are pure hashes
 //! of `(seed, cookie)`, the adversary is identical on both drivers.
+//!
+//! Standing the fleet up, tearing it down and the ground-truth join are
+//! `crate::fleet`'s; this module adds the fault columns, the technique
+//! sweep, the single-session cell (`run_cell`, shared with `crate::scale`)
+//! and the `restart_resync` column's reconciler and table-equality verdict.
 
+use crate::fleet::{
+    join_ground_truth, loopback, preinstalled_drop_all, FleetSpec, ReadBack, SimFleet, TcpFleet,
+    Topology, SIM_START,
+};
 use controller::scenarios::BulkUpdateScenario;
 use controller::{
-    AckMode, BackoffPolicy, Controller, DesiredStore, FailurePolicy, ResyncConfig, ResyncStatus,
-    UpdateSession,
+    AckMode, BackoffPolicy, Controller, DesiredStore, FailurePolicy, Reconciler, ResyncConfig,
+    ResyncStatus, SessionMachine, UpdatePlan, UpdateSession,
 };
-use ofswitch::{BarrierMode, FaultPlan, FlowEntry, GroundTruth, SwitchModel};
-use rum::{deploy, RumBuilder, SwitchId, SwitchPortMap, TechniqueConfig};
-use rum_tcp::{
-    spawn_switch_with, Fabric, ProxyConfig, RumTcpProxy, SwitchHostOptions, TcpUpdateController,
-};
-use simnet::{OpenFlowSwitch, SimTime, Simulator};
-use std::collections::HashMap;
+use ofswitch::{BarrierMode, FaultPlan, FlowEntry, SwitchModel};
+use rum::TechniqueConfig;
+use rum_tcp::TcpUpdateController;
+use simnet::SimTime;
 use std::time::{Duration, Instant};
 use telemetry::Registry;
 
@@ -245,18 +251,6 @@ pub fn resync_config(model: &SwitchModel) -> ResyncConfig {
     }
 }
 
-/// The drop-all rule every matrix scenario preinstalls on the device under
-/// test (`controller::scenarios` uses the same identity); `restart_resync`
-/// cells seed the desired store with it so the reconciler restores it too.
-fn preinstalled_drop_all() -> openflow::messages::FlowMod {
-    openflow::messages::FlowMod::add(
-        openflow::OfMatch::wildcard_all(),
-        controller::scenarios::DROP_ALL_PRIORITY,
-        vec![],
-    )
-    .with_cookie(controller::scenarios::COOKIE_PREINSTALLED)
-}
-
 /// Joins the reconciler's own claim with switch-side ground truth into the
 /// cell verdict.  A cell where the reconnect never reached the reconciler
 /// (no status) records a non-converged verdict instead of panicking.
@@ -389,60 +383,194 @@ impl MatrixCell {
     }
 }
 
-/// Classifies a run: joins the controller's confirmation times against the
-/// device under test's ground truth.
-///
-/// The counts are driven *through* the telemetry registry — one
-/// `matrix.{driver}.{fault}.{technique}.{false_acks,missed_acks}` counter
-/// pair per cell, the same vocabulary live runs use — and the cell reads
-/// its numbers back as counter deltas, so the registry and the report can
-/// never disagree.
-#[allow(clippy::too_many_arguments)] // private join of a run's artefacts
-fn classify(
-    driver: &'static str,
-    fault: &FaultModel,
-    technique: &MatrixTechnique,
-    planned: &[u64],
-    confirmations: &HashMap<u64, Duration>,
-    truth: &GroundTruth,
-    completion_ms: Option<f64>,
-    registry: &Registry,
-) -> MatrixCell {
-    let prefix = format!("matrix.{driver}.{}.{}", fault.name, technique.label());
-    let false_ctr = registry.counter(&format!("{prefix}.false_acks"));
-    let missed_ctr = registry.counter(&format!("{prefix}.missed_acks"));
-    let (false_before, missed_before) = (false_ctr.get(), missed_ctr.get());
-    for &cookie in planned {
-        match confirmations.get(&cookie) {
-            Some(&at) => {
-                if !truth.active_at(cookie, at) {
-                    false_ctr.inc();
-                }
-            }
-            None => missed_ctr.inc(),
+/// Which driver of the shared behaviour engine a gate run uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Driver {
+    /// The deterministic simulator: virtual time, bit-repeatable per seed.
+    Simnet,
+    /// Real loopback sockets: wall-clock time.
+    Tcp,
+}
+
+impl Driver {
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Driver::Simnet => "simnet",
+            Driver::Tcp => "tcp",
         }
     }
-    let false_acks = (false_ctr.get() - false_before) as usize;
-    let missed_acks = (missed_ctr.get() - missed_before) as usize;
-    MatrixCell {
-        driver,
-        fault: fault.name.to_string(),
-        technique: technique.label(),
-        // The classic cells all run the 3-switch bulk chain; the sharded
-        // scale cells (`crate::scale`) overwrite this with the fleet size.
-        switches: 3,
-        planned: planned.len(),
-        confirmed: planned.len() - missed_acks,
-        false_acks,
-        missed_acks,
-        completion_ms,
-        applicable: true,
-        resync: None,
+
+    /// The buggy early-reply model the driver's gate runs build on: the
+    /// paper's HP 5406zl in virtual time, a scaled-down twin on wall clock.
+    pub(crate) fn base_model(self) -> SwitchModel {
+        match self {
+            Driver::Simnet => SwitchModel::hp5406zl(),
+            Driver::Tcp => SwitchModel::fast_buggy(),
+        }
     }
 }
 
-/// When the simulated controller starts pushing the update.
-const SIM_START: SimTime = SimTime::from_millis(10);
+/// One single-session gate run on top of the fleet harness: what the chain
+/// cells here and the ring cells of `crate::scale` vary.
+pub(crate) struct CellRun<'a> {
+    pub(crate) technique: &'a MatrixTechnique,
+    pub(crate) fault: &'a FaultModel,
+    pub(crate) topology: Topology,
+    pub(crate) shards: usize,
+    pub(crate) plan: UpdatePlan,
+    /// Simulated horizon; a stalled cell (wedged rules, lost acks) simply
+    /// reports missed acks.
+    pub(crate) horizon: SimTime,
+    /// Wall-clock completion budget once the fleet is attached.
+    pub(crate) budget: Duration,
+}
+
+/// Extra wall-clock budget for the reconciliation loop of a
+/// `restart_resync` cell after the main session settled: the reattach, up
+/// to eight readback rounds and the backoff between them all fit in a small
+/// fraction of this — the slack only matters on a loaded CI machine.
+const TCP_RESYNC_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Runs one cell: the caller's plan through one session against the fleet,
+/// every planned rule joined against its own switch's ground truth.  The
+/// verdict counters are `matrix.{driver}.{fault}.{technique}.*` on the
+/// chain and `scale.{driver}.{n}.{fault}.{technique}.*` on an `n`-ring.
+pub(crate) fn run_cell(
+    driver: Driver,
+    run: CellRun<'_>,
+    seed: u64,
+    registry: &Registry,
+) -> (MatrixCell, ReadBack) {
+    let (technique, fault, topology) = (run.technique, run.fault, run.topology);
+    let (ack_mode, rum_technique) = match technique {
+        MatrixTechnique::BarrierOnly => (AckMode::Barriers { batch: 1 }, None),
+        MatrixTechnique::Rum(t) => (AckMode::RumAcks, Some(t.clone())),
+    };
+    let spec = FleetSpec {
+        topology,
+        fault,
+        technique: rum_technique,
+        shards: run.shards,
+    };
+    let planned: Vec<(u64, usize)> = run.plan.mods().iter().map(|m| (m.id, m.target)).collect();
+    let window = run.plan.len().max(1);
+    let mut session = UpdateSession::new(run.plan, ack_mode, window);
+    let resync = resync_enabled(fault);
+    if resync {
+        session.set_failure_policy(resync_session_policy(&fault.model));
+    }
+    // `restart_resync` cells seed the desired store with the preinstalled
+    // drop-all, so the reconciler restores it too.
+    let arm = |reconciler: &mut Reconciler| {
+        reconciler
+            .store_mut()
+            .note_confirmed(0, &preinstalled_drop_all());
+        reconciler.attach_metrics(registry);
+    };
+
+    // Both drivers expose the same machine, so both are read the same way:
+    // confirmation times, completion in ms — timed from the first send, so
+    // start-up and attach waits do not count — and the reconciler's claim
+    // about the device under test with its desired store.
+    let read = |machine: &SessionMachine| {
+        let session = machine.session();
+        let started = session.send_times().values().min();
+        let completion_ms = (session.completed_at().zip(started))
+            .map(|(done, &start)| done.saturating_sub(start).as_nanos() as f64 / 1e6);
+        let claim = |r: &Reconciler| (r.status(0).cloned(), r.store().clone());
+        (
+            session.confirmation_times().clone(),
+            completion_ms,
+            machine.reconciler().map(claim),
+        )
+    };
+    let ((confirmations, completion_ms, resync_state), read_back) = match driver {
+        Driver::Simnet => {
+            let mut ctrl =
+                Controller::with_machine("ctrl", SessionMachine::new(session), SIM_START);
+            if resync {
+                arm(ctrl.enable_resync(resync_config(&fault.model)));
+            }
+            let mut fleet = SimFleet::stand_up(&spec, seed, ctrl, Controller::set_connections);
+            fleet.sim.run_until(run.horizon);
+            (read(fleet.controller().machine()), fleet.read_back())
+        }
+        Driver::Tcp => {
+            let epoch = Instant::now();
+            let mut ctrl =
+                TcpUpdateController::new_with_epoch(loopback(), session, spec.connections(), epoch);
+            if resync {
+                arm(ctrl.enable_resync(resync_config(&fault.model)));
+            }
+            let fleet = TcpFleet::stand_up(&spec, epoch, ctrl);
+            fleet.controller().wait_for_outcome(run.budget);
+            // The main session settling opens the reconciliation gate; the
+            // readback/delta loop gets its own budget.
+            if resync {
+                fleet.controller().wait_for_resync(1, TCP_RESYNC_TIMEOUT);
+            }
+            (fleet.controller().with(read), fleet.tear_down())
+        }
+    };
+
+    let namespace = match topology {
+        Topology::Chain => format!("matrix.{}", driver.label()),
+        Topology::Ring(n) => format!("scale.{}.{n}", driver.label()),
+    };
+    let prefix = format!("{namespace}.{}.{}", fault.name, technique.label());
+    let (false_acks, missed_acks) = join_ground_truth(
+        &planned,
+        &confirmations,
+        &read_back.truths,
+        &prefix,
+        registry,
+    );
+    let cell = MatrixCell {
+        driver: driver.label(),
+        fault: fault.name.to_string(),
+        technique: technique.label(),
+        switches: topology.len(),
+        planned: planned.len(),
+        confirmed: planned.len() - missed_acks as usize,
+        false_acks: false_acks as usize,
+        missed_acks: missed_acks as usize,
+        completion_ms,
+        applicable: true,
+        resync: resync_state
+            .map(|(status, store)| resync_verdict(status.as_ref(), &store, &read_back.dut_entries)),
+    };
+    (cell, read_back)
+}
+
+/// How long a TCP cell may wait for completion before it is recorded as
+/// stalled (missed acks).  Scaled for `SwitchModel::fast_buggy` timings.
+const TCP_COMPLETION_TIMEOUT: Duration = Duration::from_millis(2_500);
+
+/// One cell of the classic matrix: `n_rules` bulk rules at the device under
+/// test of the 3-switch chain.
+fn run_chain_cell(
+    driver: Driver,
+    technique: &MatrixTechnique,
+    fault: &FaultModel,
+    n_rules: usize,
+    seed: u64,
+    registry: &Registry,
+) -> MatrixCell {
+    let scenario = BulkUpdateScenario {
+        n_rules,
+        ..Default::default()
+    };
+    let run = CellRun {
+        technique,
+        fault,
+        topology: Topology::Chain,
+        shards: 1,
+        plan: scenario.plan(),
+        horizon: SimTime::from_secs(90),
+        budget: TCP_COMPLETION_TIMEOUT,
+    };
+    run_cell(driver, run, seed, registry).0
+}
 
 /// Runs one cell on the simulator driver.
 pub fn run_simnet_cell(
@@ -451,378 +579,50 @@ pub fn run_simnet_cell(
     n_rules: usize,
     seed: u64,
 ) -> MatrixCell {
-    run_simnet_cell_with_metrics(technique, fault, n_rules, seed, &Registry::new())
-}
-
-/// Like [`run_simnet_cell`], recording the cell's verdict counters into
-/// `registry` (metric names `matrix.simnet.{fault}.{technique}.*`).
-pub fn run_simnet_cell_with_metrics(
-    technique: &MatrixTechnique,
-    fault: &FaultModel,
-    n_rules: usize,
-    seed: u64,
-    registry: &Registry,
-) -> MatrixCell {
-    let mut sim = Simulator::new(seed);
-    let scenario = BulkUpdateScenario {
-        n_rules,
-        packets_per_sec: 0,
-        model: fault.model.clone(),
-        faults: fault.faults.clone(),
-        // Restarted switches come back (only the restart column trips this):
-        // the reboot outlives every pre-restart confirmation timer, then the
-        // reattach replays the handshake and the proxy re-issues unconfirmed
-        // modifications.
-        reconnect_delay: Some(restart_reconnect_delay(&fault.model)),
-        ..Default::default()
-    };
-    let net = scenario.build(&mut sim);
-    // The device under test is monitored-switch 0, matching the TCP driver
-    // (it connects to the proxy first there), so RUM's per-switch xid
-    // streams — and with them the ack-loss fault's per-xid decisions — line
-    // up across drivers.
-    let switches = [net.sw_b, net.sw_a, net.sw_c];
-    let window = n_rules.max(1);
-
-    let ack_mode = match technique {
-        MatrixTechnique::BarrierOnly => AckMode::Barriers { batch: 1 },
-        MatrixTechnique::Rum(_) => AckMode::RumAcks,
-    };
-    let mut ctrl = Controller::new("ctrl", net.plan.clone(), ack_mode, window, SIM_START);
-    if resync_enabled(fault) {
-        ctrl.session_mut()
-            .set_failure_policy(resync_session_policy(&fault.model));
-        let reconciler = ctrl.enable_resync(resync_config(&fault.model));
-        reconciler
-            .store_mut()
-            .note_confirmed(0, &preinstalled_drop_all());
-        reconciler.attach_metrics(registry);
-    }
-    let ctrl_id = sim.add_node(ctrl);
-    match technique {
-        MatrixTechnique::BarrierOnly => {
-            sim.node_mut::<Controller>(ctrl_id)
-                .unwrap()
-                .set_connections(vec![net.sw_b]);
-            sim.node_mut::<OpenFlowSwitch>(net.sw_b)
-                .unwrap()
-                .connect_controller(ctrl_id);
-        }
-        MatrixTechnique::Rum(t) => {
-            let builder = RumBuilder::new(switches.len()).technique(t.clone());
-            let (proxies, _handle) = deploy(&mut sim, builder, ctrl_id, &switches);
-            sim.node_mut::<Controller>(ctrl_id)
-                .unwrap()
-                .set_connections(vec![proxies[0]]);
-            for (idx, sw) in switches.iter().enumerate() {
-                sim.node_mut::<OpenFlowSwitch>(*sw)
-                    .unwrap()
-                    .connect_controller(proxies[idx]);
-            }
-        }
-    }
-
-    // A generous horizon; stalled cells (wedged rules, lost acks) simply
-    // report missed acks.
-    sim.run_until(SimTime::from_secs(90));
-
-    let planned: Vec<u64> = (0..n_rules).map(BulkUpdateScenario::rule_cookie).collect();
-    let ctrl = sim.node_ref::<Controller>(ctrl_id).unwrap();
-    let confirmations: HashMap<u64, Duration> = ctrl.session().confirmation_times().clone();
-    let completion_ms = ctrl
-        .completed_at()
-        .map(|t| t.saturating_sub(SIM_START).as_millis_f64());
-    let truth = sim
-        .node_ref::<OpenFlowSwitch>(net.sw_b)
-        .unwrap()
-        .behavior()
-        .ground_truth()
-        .clone();
-    let mut cell = classify(
-        "simnet",
-        fault,
+    run_chain_cell(
+        Driver::Simnet,
         technique,
-        &planned,
-        &confirmations,
-        &truth,
-        completion_ms,
-        registry,
-    );
-    if resync_enabled(fault) {
-        let entries: Vec<FlowEntry> = sim
-            .node_ref::<OpenFlowSwitch>(net.sw_b)
-            .unwrap()
-            .behavior()
-            .control_table()
-            .entries()
-            .cloned()
-            .collect();
-        let ctrl = sim.node_ref::<Controller>(ctrl_id).unwrap();
-        let reconciler = ctrl.reconciler().expect("resync was enabled");
-        cell.resync = Some(resync_verdict(
-            reconciler.status(0),
-            reconciler.store(),
-            &entries,
-        ));
-    }
-    cell
+        fault,
+        n_rules,
+        seed,
+        &Registry::new(),
+    )
 }
-
-/// Port maps of the TCP chain in proxy `SwitchId` space: the device under
-/// test connects first (SwitchId 0 = controller `ConnId` 0 = plan target
-/// 0), then the upstream helper A (1), then the downstream helper C (2).
-/// Ports mirror `controller::scenarios::bulk_ports`: B1 ↔ A2, B2 ↔ C1.
-pub(crate) fn tcp_port_maps() -> Vec<SwitchPortMap> {
-    let b = SwitchId::new(0);
-    let a = SwitchId::new(1);
-    let c = SwitchId::new(2);
-    let mut map_b = SwitchPortMap::default();
-    map_b.port_to_switch.insert(1, a);
-    map_b.port_to_switch.insert(2, c);
-    map_b.inject_via = Some((a, 2));
-    let mut map_a = SwitchPortMap::default();
-    map_a.port_to_switch.insert(2, b);
-    map_a.inject_via = Some((b, 1));
-    let mut map_c = SwitchPortMap::default();
-    map_c.port_to_switch.insert(1, b);
-    map_c.inject_via = Some((b, 2));
-    vec![map_b, map_a, map_c]
-}
-
-/// How long a TCP cell may wait for completion before it is recorded as
-/// stalled (missed acks).  Scaled for `SwitchModel::fast_buggy` timings.
-const TCP_COMPLETION_TIMEOUT: Duration = Duration::from_millis(2_500);
-
-/// Extra wall-clock budget for the reconciliation loop of a
-/// `restart_resync` cell after the main session settled: the reattach, up
-/// to eight readback rounds and the backoff between them all fit in a small
-/// fraction of this — the slack only matters on a loaded CI machine.
-const TCP_RESYNC_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Runs one cell on the real-socket driver: a `TcpUpdateController`, the
-/// RUM TCP proxy (for RUM techniques), and fabric-linked switch hosts.
+/// RUM TCP proxy (for RUM techniques), and fabric-linked switch hosts.  The
+/// adversary's seed travels in `fault`.
 pub fn run_tcp_cell(technique: &MatrixTechnique, fault: &FaultModel, n_rules: usize) -> MatrixCell {
-    run_tcp_cell_with_metrics(technique, fault, n_rules, &Registry::new())
+    run_chain_cell(Driver::Tcp, technique, fault, n_rules, 0, &Registry::new())
 }
 
-/// Like [`run_tcp_cell`], recording the cell's verdict counters into
-/// `registry` (metric names `matrix.tcp.{fault}.{technique}.*`).
-pub fn run_tcp_cell_with_metrics(
-    technique: &MatrixTechnique,
-    fault: &FaultModel,
-    n_rules: usize,
-    registry: &Registry,
-) -> MatrixCell {
-    let scenario = BulkUpdateScenario {
-        n_rules,
-        packets_per_sec: 0,
-        model: fault.model.clone(),
-        faults: fault.faults.clone(),
-        ..Default::default()
-    };
-    let plan = scenario.plan();
-    let planned: Vec<u64> = (0..n_rules).map(BulkUpdateScenario::rule_cookie).collect();
-    let epoch = Instant::now();
-    let window = n_rules.max(1);
-    let drop_all = preinstalled_drop_all();
-
-    let (ack_mode, n_connections) = match technique {
-        MatrixTechnique::BarrierOnly => (AckMode::Barriers { batch: 1 }, 1),
-        MatrixTechnique::Rum(_) => (AckMode::RumAcks, 3),
-    };
-    let mut session = UpdateSession::new(plan, ack_mode, window);
-    if resync_enabled(fault) {
-        session.set_failure_policy(resync_session_policy(&fault.model));
-    }
-    let mut ctrl = TcpUpdateController::new_with_epoch(
-        "127.0.0.1:0".parse().unwrap(),
-        session,
-        n_connections,
-        epoch,
-    );
-    if resync_enabled(fault) {
-        let reconciler = ctrl.enable_resync(resync_config(&fault.model));
-        reconciler.store_mut().note_confirmed(0, &drop_all);
-        reconciler.attach_metrics(registry);
-    }
-    let ctrl_handle = ctrl.start().expect("controller starts");
-
-    let mut proxy_handle = None;
-    let switch_target = match technique {
-        MatrixTechnique::BarrierOnly => ctrl_handle.local_addr,
-        MatrixTechnique::Rum(t) => {
-            let proxy = RumTcpProxy::new(
-                ProxyConfig {
-                    listen_addr: "127.0.0.1:0".parse().unwrap(),
-                    controller_addr: ctrl_handle.local_addr,
-                },
-                RumBuilder::new(3)
-                    .technique(t.clone())
-                    .port_maps(tcp_port_maps()),
-            );
-            let handle = proxy.start().expect("proxy starts");
-            let addr = handle.local_addr;
-            proxy_handle = Some(handle);
-            addr
-        }
-    };
-
-    // The device under test always connects first (SwitchId/ConnId 0).
-    let fabric = Fabric::new();
-    fabric.link(0, 1, 1, 2); // B port1 <-> A port2
-    fabric.link(0, 2, 2, 1); // B port2 <-> C port1
-    let dut = spawn_switch_with(
-        switch_target,
-        fault.model.clone(),
-        SwitchHostOptions {
-            faults: fault.faults.clone(),
-            epoch: Some(epoch),
-            fabric: Some((fabric.clone(), 0)),
-            preinstall: vec![drop_all.clone()],
-            reconnect_delay: Some(restart_reconnect_delay(&fault.model)),
-        },
-    )
-    .expect("device under test connects");
-    assert!(
-        rum_tcp::wait_for(|| ctrl_handle.connections() >= 1, Duration::from_secs(5)),
-        "device under test did not reach the controller"
-    );
-    let mut helpers = Vec::new();
-    if matches!(technique, MatrixTechnique::Rum(_)) {
-        for (i, helper_idx) in [(2usize, 1usize), (3, 2)] {
-            let handle = spawn_switch_with(
-                switch_target,
-                SwitchModel::faithful(),
-                SwitchHostOptions {
-                    epoch: Some(epoch),
-                    fabric: Some((fabric.clone(), helper_idx)),
-                    preinstall: vec![drop_all.clone()],
-                    ..Default::default()
-                },
-            )
-            .expect("helper switch connects");
-            assert!(
-                rum_tcp::wait_for(|| ctrl_handle.connections() >= i, Duration::from_secs(5)),
-                "helper switch {helper_idx} did not reach the controller"
-            );
-            helpers.push(handle);
-        }
-    }
-
-    let outcome = ctrl_handle.wait_for_outcome(TCP_COMPLETION_TIMEOUT);
-    // In a `restart_resync` cell, the main session settling opens the
-    // reconciliation gate; give the readback/delta loop its own budget and
-    // snapshot the reconciler's claim plus the desired store before
-    // teardown (the table itself is judged from the device's report below).
-    let resync_state: Option<(Option<ResyncStatus>, DesiredStore)> = if resync_enabled(fault) {
-        ctrl_handle.wait_for_resync(1, TCP_RESYNC_TIMEOUT);
-        ctrl_handle.with_reconciler(|r| (r.status(0).cloned(), r.store().clone()))
-    } else {
-        None
-    };
-    let (confirmations, completed_at, update_start) = ctrl_handle.with_session(|s| {
-        (
-            s.confirmation_times().clone(),
-            s.completed_at(),
-            // The update starts at the first send, not at the process
-            // epoch: listener/proxy start-up and switch connect waits must
-            // not count towards completion, mirroring how the simnet cell
-            // measures from the controller's start instant.
-            s.send_times().values().min().copied(),
-        )
-    });
-    let _ = outcome;
-    // Tear down: controller first, then the proxy, then the switch hosts
-    // (their reports carry the ground truth).
-    ctrl_handle.shutdown();
-    if let Some(handle) = proxy_handle {
-        handle.shutdown();
-    }
-    dut.stop();
-    for h in &helpers {
-        h.stop();
-    }
-    let report = dut.join();
-    for h in helpers {
-        let _ = h.join();
-    }
-
-    let completion_ms = match (completed_at, update_start) {
-        (Some(done), Some(start)) => Some(done.saturating_sub(start).as_secs_f64() * 1e3),
-        _ => None,
-    };
-    let mut cell = classify(
-        "tcp",
-        fault,
-        technique,
-        &planned,
-        &confirmations,
-        &report.truth,
-        completion_ms,
-        registry,
-    );
-    if let Some((status, store)) = resync_state {
-        cell.resync = Some(resync_verdict(
-            status.as_ref(),
-            &store,
-            &report.control_entries,
-        ));
-    }
-    cell
-}
-
-/// Runs the full matrix on the simulator driver.
-pub fn run_simnet_matrix(n_rules: usize, seed: u64) -> Vec<MatrixCell> {
-    run_simnet_matrix_with_metrics(n_rules, seed, &Registry::new())
-}
-
-/// Like [`run_simnet_matrix`], accumulating every cell's verdict counters
-/// into `registry` — serve it with [`telemetry::serve`] to watch a long
-/// sweep fill in live.
-pub fn run_simnet_matrix_with_metrics(
-    n_rules: usize,
-    seed: u64,
-    registry: &Registry,
-) -> Vec<MatrixCell> {
-    let base = SwitchModel::hp5406zl();
+/// The full sweep on one driver, every cell's verdict counters accumulating
+/// in one registry.
+fn run_matrix(driver: Driver, n_rules: usize, seed: u64) -> Vec<MatrixCell> {
+    let base = driver.base_model();
+    let registry = Registry::new();
     let mut cells = Vec::new();
     for fault in fault_models(&base, seed, n_rules) {
         for technique in MatrixTechnique::all(&base) {
             cells.push(if technique_applicable(&technique, &fault) {
-                run_simnet_cell_with_metrics(&technique, &fault, n_rules, seed, registry)
+                run_chain_cell(driver, &technique, &fault, n_rules, seed, &registry)
             } else {
-                MatrixCell::not_applicable("simnet", &fault, &technique)
+                MatrixCell::not_applicable(driver.label(), &fault, &technique)
             });
         }
     }
     cells
+}
+
+/// Runs the full matrix on the simulator driver.
+pub fn run_simnet_matrix(n_rules: usize, seed: u64) -> Vec<MatrixCell> {
+    run_matrix(Driver::Simnet, n_rules, seed)
 }
 
 /// Runs the full matrix on the real-socket driver (wall-clock time; uses
 /// the scaled-down `fast_buggy` model).
 pub fn run_tcp_matrix(n_rules: usize, seed: u64) -> Vec<MatrixCell> {
-    run_tcp_matrix_with_metrics(n_rules, seed, &Registry::new())
-}
-
-/// Like [`run_tcp_matrix`], accumulating every cell's verdict counters
-/// into `registry`.
-pub fn run_tcp_matrix_with_metrics(
-    n_rules: usize,
-    seed: u64,
-    registry: &Registry,
-) -> Vec<MatrixCell> {
-    let base = SwitchModel::fast_buggy();
-    let mut cells = Vec::new();
-    for fault in fault_models(&base, seed, n_rules) {
-        for technique in MatrixTechnique::all(&base) {
-            cells.push(if technique_applicable(&technique, &fault) {
-                run_tcp_cell_with_metrics(&technique, &fault, n_rules, registry)
-            } else {
-                MatrixCell::not_applicable("tcp", &fault, &technique)
-            });
-        }
-    }
-    cells
+    run_matrix(Driver::Tcp, n_rules, seed)
 }
 
 /// Renders the matrix as a fault × technique grid of
@@ -930,8 +730,14 @@ mod tests {
         let base = SwitchModel::hp5406zl();
         let early = &fault_models(&base, 42, 8)[0];
         let registry = Registry::new();
-        let cell =
-            run_simnet_cell_with_metrics(&MatrixTechnique::BarrierOnly, early, 8, 42, &registry);
+        let cell = run_chain_cell(
+            Driver::Simnet,
+            &MatrixTechnique::BarrierOnly,
+            early,
+            8,
+            42,
+            &registry,
+        );
         let snap = registry.snapshot();
         assert_eq!(
             snap.counters["matrix.simnet.early_reply.barrier-only.false_acks"],
@@ -943,8 +749,14 @@ mod tests {
         );
         // A second run over the same registry accumulates in telemetry but
         // still reports per-run deltas in the cell.
-        let again =
-            run_simnet_cell_with_metrics(&MatrixTechnique::BarrierOnly, early, 8, 42, &registry);
+        let again = run_chain_cell(
+            Driver::Simnet,
+            &MatrixTechnique::BarrierOnly,
+            early,
+            8,
+            42,
+            &registry,
+        );
         assert_eq!(again.false_acks, cell.false_acks);
         let snap = registry.snapshot();
         assert_eq!(
@@ -991,8 +803,14 @@ mod tests {
         assert!(resync_enabled(fault) && !resync_enabled(plain_restart));
 
         let registry = Registry::new();
-        let cell =
-            run_simnet_cell_with_metrics(&MatrixTechnique::BarrierOnly, fault, 8, 42, &registry);
+        let cell = run_chain_cell(
+            Driver::Simnet,
+            &MatrixTechnique::BarrierOnly,
+            fault,
+            8,
+            42,
+            &registry,
+        );
         let verdict = cell.resync.expect("restart_resync cells carry a verdict");
         assert!(verdict.is_clean(), "verdict: {verdict:?}");
         assert!(

@@ -11,35 +11,35 @@
 //! budget from the first instant, then waits a bounded wall-clock budget
 //! for completion.
 //!
-//! The harness runs on **both drivers** of the mux — the deterministic
+//! The soak runs on **both drivers** of the mux — the deterministic
 //! simulator ([`sessiond::MuxController`]) and real sockets
 //! ([`rum_tcp::TcpMuxController`]) — with the same namespace scheme, so the
 //! per-session confirm orders are comparable across drivers for the same
-//! seed.  Every confirmation is classified against the device under test's
-//! data-plane ground truth, exactly like the scenario matrix: a confirm
-//! while the rule was not in the data plane is a **false ack**, a planned
-//! rule never confirmed inside the budget is a **missed ack**.  The verdict
-//! counters flow through the telemetry registry
-//! (`soak.{driver}.{fault}.{false_acks,missed_acks}`), and per-modification
-//! confirm latencies feed the tail percentiles (p50/p99/p99.9) of the
-//! `session_soak` section of `BENCH_results.json`.
+//! seed.  The fleet and the ground-truth join are `crate::fleet`'s, exactly
+//! as in the scenario matrix (a confirm while the rule was not in the data
+//! plane is a **false ack**, a planned rule never confirmed inside the
+//! budget a **missed ack**, counted under
+//! `soak.{driver}.{fault}.{false_acks,missed_acks}`); this module adds the
+//! tenant population and its plans, the mux in front of the fleet, and the
+//! per-modification confirm latencies behind the tail percentiles
+//! (p50/p99/p99.9) of the `session_soak` section of `BENCH_results.json`.
 
-use crate::report::{percentile, SessionSoakRecord};
-use crate::scenario_matrix::{restart_reconnect_delay, tcp_port_maps, FaultModel};
-use controller::scenarios::{
-    bulk_ports, BulkUpdateScenario, COOKIE_PREINSTALLED, DROP_ALL_PRIORITY, FLOW_RULE_PRIORITY,
+use crate::fleet::{
+    join_ground_truth, loopback, FleetSpec, SimFleet, TcpFleet, Topology, SIM_START,
 };
+use crate::report::{percentile, SessionSoakRecord};
+use crate::scale::RING_OUT_PORT;
+use crate::scenario_matrix::{Driver, FaultModel};
+use controller::scenarios::{bulk_ports, FLOW_RULE_PRIORITY};
 use controller::{AckMode, SessionOutcome, UpdatePlan};
-use ofswitch::{GroundTruth, SwitchModel};
+use ofswitch::SwitchModel;
 use openflow::messages::FlowMod;
 use openflow::{Action, OfMatch};
-use rum::{deploy, RumBuilder, TechniqueConfig};
-use rum_tcp::{
-    spawn_switch_with, wait_for, Fabric, ProxyConfig, RumTcpProxy, SwitchHostOptions,
-    TcpMuxController,
-};
+use rum::TechniqueConfig;
+use rum_tcp::TcpMuxController;
 use sessiond::{MuxConfig, MuxController, SessionId, SessionMux};
-use simnet::{OpenFlowSwitch, SimTime, Simulator};
+use simnet::SimTime;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,26 +96,24 @@ pub fn early_reply_fault(base: &SwitchModel, seed: u64) -> FaultModel {
         .expect("fault_models is never empty")
 }
 
-/// One tenant's plan: `mods` dependency-free rules in the tenant's own
-/// `10.t.t.r` match space (disjoint across tenants, so admission never
-/// conflicts), all targeting the device under test (switch reference 0) and
-/// forwarding towards the downstream helper — the same rule shape the bulk
-/// scenario uses, so the probing fabric carries the probes.
-pub fn tenant_plan(tenant: usize, mods: usize) -> UpdatePlan {
-    tenant_plan_for(tenant, mods, 0, bulk_ports::B_TO_C)
+/// Where tenant `t`'s rules land and where they forward to: the device
+/// under test and its downstream helper on the chain (the same rule shape
+/// the bulk scenario uses, so the probing fabric carries the probes);
+/// switch `t % n` and its successor on an `n`-ring, so the whole fleet
+/// carries tenant load.
+fn tenant_target(topology: Topology, tenant: usize) -> (controller::plan::SwitchRef, u16) {
+    match topology {
+        Topology::Chain => (0, bulk_ports::B_TO_C),
+        Topology::Ring(n) => (tenant % n, RING_OUT_PORT),
+    }
 }
 
-/// Like [`tenant_plan`] but targeting an arbitrary switch reference with an
-/// explicit output port — the shape the sharded scale soak uses, where
-/// tenant `t` lands on switch `t % n` of the ring and forwards to its
-/// successor.
-pub fn tenant_plan_for(
-    tenant: usize,
-    mods: usize,
-    target: controller::plan::SwitchRef,
-    out_port: u16,
-) -> UpdatePlan {
+/// One tenant's plan: `mods` dependency-free rules in the tenant's own
+/// `10.t.t.r` match space (disjoint across tenants, so admission never
+/// conflicts), all on the tenant's [`tenant_target`].
+fn tenant_plan(topology: Topology, tenant: usize, mods: usize) -> UpdatePlan {
     assert!(mods < 255, "per-tenant rule space is one /24");
+    let (target, out_port) = tenant_target(topology, tenant);
     let mut plan = UpdatePlan::new();
     for r in 0..mods {
         let id = r as u64 + 1;
@@ -144,7 +142,7 @@ pub fn tenant_plan_for(
 /// determined by the session's dispatch rule — the property the
 /// cross-driver equality check rests on.  Concurrency comes from the tenant
 /// population, not from within a session.
-pub(crate) fn mux_config(cfg: &SoakConfig) -> MuxConfig {
+fn mux_config(cfg: &SoakConfig) -> MuxConfig {
     MuxConfig {
         ack_mode: AckMode::RumAcks,
         session_window: 1,
@@ -167,18 +165,20 @@ pub(crate) fn probing(model: &SwitchModel, window: usize) -> TechniqueConfig {
 }
 
 /// One tenant's run artefacts, read back from the mux after the run.
-pub(crate) struct TenantResult {
-    pub(crate) order: Vec<u64>,
+struct TenantResult {
+    order: Vec<u64>,
     /// Per planned mod: (wire cookie, send time, confirm time).
-    pub(crate) mods: Vec<(u64, Option<Duration>, Option<Duration>)>,
-    pub(crate) completed: bool,
-    pub(crate) aborted: bool,
+    mods: Vec<(u64, Option<Duration>, Option<Duration>)>,
+    completed: bool,
+    aborted: bool,
 }
 
-/// Reads every tenant's confirmations, send times and outcome out of the
-/// mux (both drivers expose the same `SessionMux` surface).
-pub(crate) fn collect(mux: &SessionMux, sids: &[SessionId], mods: usize) -> Vec<TenantResult> {
-    sids.iter()
+/// Reads every tenant's confirmations, send times and outcome, plus the
+/// acknowledgments the mux could attribute to no tenant, out of the mux
+/// (both drivers expose the same `SessionMux` surface).
+fn collect(mux: &SessionMux, sids: &[SessionId], mods: usize) -> (Vec<TenantResult>, u64) {
+    let tenants = sids
+        .iter()
         .map(|&sid| {
             let s = mux.session(sid).expect("admitted session exists");
             let base = mux.base(sid).unwrap_or(0);
@@ -199,70 +199,9 @@ pub(crate) fn collect(mux: &SessionMux, sids: &[SessionId], mods: usize) -> Vec<
                 aborted: matches!(mux.outcome(sid), Some(SessionOutcome::Aborted { .. })),
             }
         })
-        .collect()
+        .collect();
+    (tenants, mux.stray_acks())
 }
-
-/// Joins every tenant's confirmations against the device under test's
-/// ground truth and aggregates the soak record.  Verdicts are driven
-/// *through* the registry (`soak.{driver}.{fault}.*` counters, read back as
-/// deltas), the same pattern the scenario matrix uses, so live telemetry
-/// and the report can never disagree.
-#[allow(clippy::too_many_arguments)] // private join of a run's artefacts
-pub(crate) fn summarise(
-    driver: &'static str,
-    fault: &str,
-    switches: u64,
-    tenants: &[TenantResult],
-    truths: &[&GroundTruth],
-    stray_acks: u64,
-    wall_ms: f64,
-    registry: &Registry,
-) -> SessionSoakRecord {
-    assert_eq!(truths.len(), tenants.len(), "one ground truth per tenant");
-    let false_ctr = registry.counter(&format!("soak.{driver}.{fault}.false_acks"));
-    let missed_ctr = registry.counter(&format!("soak.{driver}.{fault}.missed_acks"));
-    let (false_before, missed_before) = (false_ctr.get(), missed_ctr.get());
-    let mut latencies_ms = Vec::new();
-    let mut planned = 0u64;
-    let mut confirmed = 0u64;
-    for (t, truth) in tenants.iter().zip(truths) {
-        for &(wire, send, confirm) in &t.mods {
-            planned += 1;
-            match confirm {
-                Some(at) => {
-                    confirmed += 1;
-                    if !truth.active_at(wire, at) {
-                        false_ctr.inc();
-                    }
-                    if let Some(sent) = send {
-                        latencies_ms.push(at.saturating_sub(sent).as_secs_f64() * 1e3);
-                    }
-                }
-                None => missed_ctr.inc(),
-            }
-        }
-    }
-    SessionSoakRecord {
-        driver: driver.to_string(),
-        fault: fault.to_string(),
-        switches,
-        sessions: tenants.len() as u64,
-        completed: tenants.iter().filter(|t| t.completed).count() as u64,
-        aborted: tenants.iter().filter(|t| t.aborted).count() as u64,
-        planned_mods: planned,
-        confirmed_mods: confirmed,
-        false_acks: false_ctr.get() - false_before,
-        missed_acks: missed_ctr.get() - missed_before,
-        stray_acks,
-        p50_confirm_ms: percentile(&latencies_ms, 0.5).unwrap_or(f64::NAN),
-        p99_confirm_ms: percentile(&latencies_ms, 0.99).unwrap_or(f64::NAN),
-        p999_confirm_ms: percentile(&latencies_ms, 0.999).unwrap_or(f64::NAN),
-        wall_ms,
-    }
-}
-
-/// When the simulated mux starts submitting the tenant population.
-const SOAK_SIM_START: SimTime = SimTime::from_millis(10);
 
 /// Simulated horizon: generous against the hp5406zl's ~250 mods/s and
 /// 290 ms data-plane lag; an incomplete run reports missed acks instead of
@@ -270,186 +209,122 @@ const SOAK_SIM_START: SimTime = SimTime::from_millis(10);
 const SOAK_SIM_HORIZON: SimTime = SimTime::from_secs(120);
 
 /// Runs the soak on the simulator driver (hp5406zl base model, simulated
-/// time).  `wall_ms` is the simulated span from submission to the last
-/// confirmation.
+/// time) over the bulk chain.  `wall_ms` is the simulated span from
+/// submission to the last confirmation.
 pub fn run_simnet_soak(
     cfg: &SoakConfig,
     fault: &FaultModel,
     registry: &Arc<Registry>,
 ) -> SoakOutcome {
-    let mut sim = Simulator::new(cfg.seed);
-    // The bulk chain (A — B — C) with an empty plan: topology, preinstalls
-    // and fault wiring only; the tenants bring their own plans.
-    let scenario = BulkUpdateScenario {
-        n_rules: 0,
-        packets_per_sec: 0,
-        model: fault.model.clone(),
-        faults: fault.faults.clone(),
-        reconnect_delay: Some(restart_reconnect_delay(&fault.model)),
-        ..Default::default()
-    };
-    let net = scenario.build(&mut sim);
-    // Device under test first, matching the TCP driver's accept order.
-    let switches = [net.sw_b, net.sw_a, net.sw_c];
-
-    let mut ctrl = MuxController::new("soakd", mux_config(cfg), SOAK_SIM_START);
-    ctrl.mux_mut().attach_metrics(registry);
-    for t in 0..cfg.sessions {
-        ctrl.add_plan(tenant_plan(t, cfg.mods_per_session));
-    }
-    let ctrl_id = sim.add_node(ctrl);
-    let builder =
-        RumBuilder::new(switches.len()).technique(probing(&fault.model, cfg.global_window));
-    let (proxies, _handle) = deploy(&mut sim, builder, ctrl_id, &switches);
-    sim.node_mut::<MuxController>(ctrl_id)
-        .unwrap()
-        .set_connections(vec![proxies[0]]);
-    for (idx, sw) in switches.iter().enumerate() {
-        sim.node_mut::<OpenFlowSwitch>(*sw)
-            .unwrap()
-            .connect_controller(proxies[idx]);
-    }
-    sim.run_until(SOAK_SIM_HORIZON);
-
-    let ctrl = sim.node_ref::<MuxController>(ctrl_id).unwrap();
-    let sids: Vec<SessionId> = ctrl
-        .submission_results()
-        .iter()
-        .map(|r| *r.as_ref().expect("disjoint tenant plans all admit"))
-        .collect();
-    let tenants = collect(ctrl.mux(), &sids, cfg.mods_per_session);
-    let truth = sim
-        .node_ref::<OpenFlowSwitch>(net.sw_b)
-        .unwrap()
-        .behavior()
-        .ground_truth()
-        .clone();
-    let start: Duration = SOAK_SIM_START.into();
-    let wall_ms = tenants
-        .iter()
-        .flat_map(|t| t.mods.iter().filter_map(|&(_, _, c)| c))
-        .max()
-        .map(|last| last.saturating_sub(start).as_secs_f64() * 1e3)
-        .unwrap_or(f64::NAN);
-    let record = summarise(
-        "simnet",
-        fault.name,
-        3,
-        &tenants,
-        &vec![&truth; tenants.len()],
-        ctrl.mux().stray_acks(),
-        wall_ms,
-        registry,
-    );
-    SoakOutcome {
-        record,
-        per_session_orders: tenants.into_iter().map(|t| t.order).collect(),
-    }
+    run_soak(Driver::Simnet, cfg, fault, Topology::Chain, 1, registry)
 }
 
 /// Runs the soak on the real-socket driver (fast_buggy base model, wall
-/// clock): `TcpMuxController` behind the RUM TCP proxy, fabric-linked
-/// switch hosts, all tenant plans submitted up front so the whole
-/// population is concurrently in flight, then a bounded wait.
+/// clock) over the bulk chain: all tenant plans submitted up front so the
+/// whole population is concurrently in flight, then a bounded wait.
 pub fn run_tcp_soak(cfg: &SoakConfig, fault: &FaultModel, registry: &Arc<Registry>) -> SoakOutcome {
-    let epoch = Instant::now();
-    let drop_all = FlowMod::add(OfMatch::wildcard_all(), DROP_ALL_PRIORITY, vec![])
-        .with_cookie(COOKIE_PREINSTALLED);
+    run_soak(Driver::Tcp, cfg, fault, Topology::Chain, 1, registry)
+}
 
-    let mut ctrl =
-        TcpMuxController::new_with_epoch("127.0.0.1:0".parse().unwrap(), mux_config(cfg), 3, epoch);
-    ctrl.mux_mut().attach_metrics(registry);
-    let handle = ctrl.start().expect("mux controller starts");
+/// One soak run: the tenant population through one mux against the fleet,
+/// every tenant's confirmations joined against its target switch's ground
+/// truth (counters `soak.{driver}.{fault}.*`), the per-modification
+/// send → confirm latencies feeding the tail percentiles.
+pub(crate) fn run_soak(
+    driver: Driver,
+    cfg: &SoakConfig,
+    fault: &FaultModel,
+    topology: Topology,
+    shards: usize,
+    registry: &Arc<Registry>,
+) -> SoakOutcome {
+    let spec = FleetSpec {
+        topology,
+        fault,
+        technique: Some(probing(&fault.model, cfg.global_window)),
+        shards,
+    };
+    let plan = |t| tenant_plan(topology, t, cfg.mods_per_session);
+    let ((tenants, stray_acks), truths, wall_ms) = match driver {
+        Driver::Simnet => {
+            let mut ctrl = MuxController::new("soakd", mux_config(cfg), SIM_START);
+            ctrl.mux_mut().attach_metrics(registry);
+            for t in 0..cfg.sessions {
+                ctrl.add_plan(plan(t));
+            }
+            let mut fleet =
+                SimFleet::stand_up(&spec, cfg.seed, ctrl, MuxController::set_connections);
+            fleet.sim.run_until(SOAK_SIM_HORIZON);
+            let ctrl = fleet.controller();
+            let sids: Vec<SessionId> = (ctrl.submission_results().iter())
+                .map(|r| *r.as_ref().expect("disjoint tenant plans all admit"))
+                .collect();
+            let collected = collect(ctrl.mux(), &sids, cfg.mods_per_session);
+            let start: Duration = SIM_START.into();
+            let wall_ms = (collected.0.iter())
+                .flat_map(|t| t.mods.iter().filter_map(|&(_, _, c)| c))
+                .max()
+                .map(|last| last.saturating_sub(start).as_secs_f64() * 1e3)
+                .unwrap_or(f64::NAN);
+            (collected, fleet.read_back().truths, wall_ms)
+        }
+        Driver::Tcp => {
+            let epoch = Instant::now();
+            let (addr, n) = (loopback(), spec.connections());
+            let mut ctrl = TcpMuxController::new_with_epoch(addr, mux_config(cfg), n, epoch);
+            ctrl.mux_mut().attach_metrics(registry);
+            let fleet = TcpFleet::stand_up(&spec, epoch, ctrl);
+            let handle = fleet.controller();
+            let started = Instant::now();
+            let sids: Vec<SessionId> = (0..cfg.sessions)
+                .map(|t| {
+                    handle
+                        .submit(plan(t))
+                        .expect("disjoint tenant plans all admit")
+                })
+                .collect();
+            handle.wait_all_done(cfg.budget);
+            let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+            let collected = handle.with_mux(|m| collect(m, &sids, cfg.mods_per_session));
+            (collected, fleet.tear_down().truths, wall_ms)
+        }
+    };
 
-    let proxy = RumTcpProxy::new(
-        ProxyConfig {
-            listen_addr: "127.0.0.1:0".parse().unwrap(),
-            controller_addr: handle.local_addr,
-        },
-        RumBuilder::new(3)
-            .technique(probing(&fault.model, cfg.global_window))
-            .port_maps(tcp_port_maps()),
-    );
-    let proxy_handle = proxy.start().expect("proxy starts");
-    let switch_target = proxy_handle.local_addr;
-
-    // The device under test always connects first (SwitchId/ConnId 0).
-    let fabric = Fabric::new();
-    fabric.link(0, 1, 1, 2); // B port1 <-> A port2
-    fabric.link(0, 2, 2, 1); // B port2 <-> C port1
-    let dut = spawn_switch_with(
-        switch_target,
-        fault.model.clone(),
-        SwitchHostOptions {
-            faults: fault.faults.clone(),
-            epoch: Some(epoch),
-            fabric: Some((fabric.clone(), 0)),
-            preinstall: vec![drop_all.clone()],
-            reconnect_delay: Some(restart_reconnect_delay(&fault.model)),
-        },
-    )
-    .expect("device under test connects");
-    assert!(
-        wait_for(|| handle.connections() >= 1, Duration::from_secs(5)),
-        "device under test did not reach the controller"
-    );
-    let mut helpers = Vec::new();
-    for (i, helper_idx) in [(2usize, 1usize), (3, 2)] {
-        let h = spawn_switch_with(
-            switch_target,
-            SwitchModel::faithful(),
-            SwitchHostOptions {
-                epoch: Some(epoch),
-                fabric: Some((fabric.clone(), helper_idx)),
-                preinstall: vec![drop_all.clone()],
-                ..Default::default()
-            },
-        )
-        .expect("helper switch connects");
-        assert!(
-            wait_for(|| handle.connections() >= i, Duration::from_secs(5)),
-            "helper switch {helper_idx} did not reach the controller"
-        );
-        helpers.push(h);
+    let mut planned = Vec::new();
+    let mut confirmations = HashMap::new();
+    let mut latencies_ms = Vec::new();
+    for (t, tenant) in tenants.iter().enumerate() {
+        let target = tenant_target(topology, t).0;
+        for &(wire, send, confirm) in &tenant.mods {
+            planned.push((wire, target));
+            if let Some(at) = confirm {
+                confirmations.insert(wire, at);
+                if let Some(sent) = send {
+                    latencies_ms.push(at.saturating_sub(sent).as_secs_f64() * 1e3);
+                }
+            }
+        }
     }
-
-    let started = Instant::now();
-    let mut sids = Vec::with_capacity(cfg.sessions);
-    for t in 0..cfg.sessions {
-        sids.push(
-            handle
-                .submit(tenant_plan(t, cfg.mods_per_session))
-                .expect("disjoint tenant plans all admit"),
-        );
-    }
-    handle.wait_all_done(cfg.budget);
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let (tenants, strays) =
-        handle.with_mux(|m| (collect(m, &sids, cfg.mods_per_session), m.stray_acks()));
-
-    // Tear down: controller first, then the proxy, then the switch hosts
-    // (the device under test's report carries the ground truth).
-    handle.shutdown();
-    proxy_handle.shutdown();
-    dut.stop();
-    for h in &helpers {
-        h.stop();
-    }
-    let report = dut.join();
-    for h in helpers {
-        let _ = h.join();
-    }
-
-    let record = summarise(
-        "tcp",
-        fault.name,
-        3,
-        &tenants,
-        &vec![&report.truth; tenants.len()],
-        strays,
+    let prefix = format!("soak.{}.{}", driver.label(), fault.name);
+    let (false_acks, missed_acks) =
+        join_ground_truth(&planned, &confirmations, &truths, &prefix, registry);
+    let record = SessionSoakRecord {
+        driver: driver.label().to_string(),
+        fault: fault.name.to_string(),
+        switches: topology.len() as u64,
+        sessions: tenants.len() as u64,
+        completed: tenants.iter().filter(|t| t.completed).count() as u64,
+        aborted: tenants.iter().filter(|t| t.aborted).count() as u64,
+        planned_mods: planned.len() as u64,
+        confirmed_mods: confirmations.len() as u64,
+        false_acks,
+        missed_acks,
+        stray_acks,
+        p50_confirm_ms: percentile(&latencies_ms, 0.5).unwrap_or(f64::NAN),
+        p99_confirm_ms: percentile(&latencies_ms, 0.99).unwrap_or(f64::NAN),
+        p999_confirm_ms: percentile(&latencies_ms, 0.999).unwrap_or(f64::NAN),
         wall_ms,
-        registry,
-    );
+    };
     SoakOutcome {
         record,
         per_session_orders: tenants.into_iter().map(|t| t.order).collect(),
@@ -463,8 +338,8 @@ mod tests {
     /// Tenant match spaces never collide, so admission never serialises.
     #[test]
     fn tenant_plans_are_disjoint() {
-        let a = tenant_plan(3, 4);
-        let b = tenant_plan(259, 4);
+        let a = tenant_plan(Topology::Chain, 3, 4);
+        let b = tenant_plan(Topology::Chain, 259, 4);
         assert_eq!(a.len(), 4);
         for m in a.mods() {
             for n in b.mods() {
