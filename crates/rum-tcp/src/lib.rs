@@ -32,9 +32,13 @@
 //!   `controller::SessionMachine` (one update session, optionally with
 //!   declarative resync) and `sessiond::SessionMux` (many tenant sessions):
 //!   constructors and typed accessors, nothing else.
-//! * [`switch_host`] — `ofswitch` flow tables and behaviour models hosted
-//!   behind a TCP client, emulating buggy (early barrier reply) or faithful
-//!   switches.
+//! * [`switch_host`] — the `ofswitch::Datapath` machine hosted behind a TCP
+//!   client, emulating buggy (early barrier reply) or faithful switches.
+//!   Every switch decision is the machine's; the host owns the wall clock,
+//!   the `poll(2)` loop, the deferred-reply queue, the [`Fabric`] cables and
+//!   re-dialing.  Pacing stays with the simulator driver: this loop sleeps
+//!   in whole milliseconds, so a 30–40 µs spacing would cost every probe
+//!   round trip ~0.5–1 ms.
 //!
 //! The controller-side driver's thread-per-connection plumbing (`Route`,
 //! `reader_loop`, `writer_loop`) lives in the private `conn` module; `timer`

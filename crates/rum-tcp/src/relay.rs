@@ -152,13 +152,6 @@ impl EngineRelay {
         self.dispatch(Input::FromSwitch { switch, message }, out);
     }
 
-    /// Switch `switch` re-established its control connection after a
-    /// restart: the engine re-installs its rules and re-issues unconfirmed
-    /// modifications (see [`rum::Input::SwitchReconnected`]).
-    pub fn on_switch_reconnected_into(&mut self, switch: SwitchId, out: &mut RelayEffects) {
-        self.dispatch(Input::SwitchReconnected { switch }, out);
-    }
-
     /// A timer scheduled from an earlier [`RelayEffects`] expired.
     pub fn on_timer(&mut self, token: TimerToken) -> RelayEffects {
         let mut out = RelayEffects::default();

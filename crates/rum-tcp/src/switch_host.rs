@@ -1,33 +1,37 @@
-//! A socket-hosted OpenFlow switch: the shared `ofswitch::Behavior` engine
+//! A socket-hosted OpenFlow switch: the shared `ofswitch::Datapath` machine
 //! served over a real TCP connection.
 //!
-//! This is the second driver of the same behaviour state machine the
-//! simulator node (`simnet::OpenFlowSwitch`) runs: flow-table semantics,
-//! the lagging data plane, barrier modes and the seedable [`FaultPlan`] all
-//! live in the engine; this module only moves bytes.  The serve loop:
+//! This is the second driver of the same switch machine the simulator node
+//! (`simnet::OpenFlowSwitch`) runs.  Every decision — handshake and stats
+//! replies, `PacketOut` execution, lookup in the lagging data plane,
+//! table-miss and drop policy, barrier modes, the seedable [`FaultPlan`] —
+//! lives in the machine; this module only moves bytes.  What stays here is
+//! transport:
 //!
-//! * decodes OpenFlow frames and feeds flow-mods/barriers into the engine;
-//! * executes [`BehaviorAction`]s — replies carry an earliest-send time
-//!   (control-plane busy time, faithful-barrier data-plane horizon), so the
-//!   loop holds them in a small deadline heap instead of sleeping on the
-//!   socket;
-//! * wakes for the engine's `next_deadline` (data-plane syncs, in-flight
-//!   TCAM batches) so activations happen at model time, not read time.
+//! * the wall clock against a shared epoch, and the `poll(2)` loop that
+//!   wakes for socket bytes, a fabric packet or the machine's
+//!   `next_deadline`, so activations happen at model time, not read time;
+//! * delivering a reply no earlier than its `at` (control-plane busy time,
+//!   faithful-barrier horizon) from a small deadline queue instead of
+//!   sleeping on the socket;
+//! * cabling: the in-process [`Fabric`], a registry of (switch, port) →
+//!   (switch, port) links emulating the physical cables of the paper's
+//!   testbed.  A RUM probe then takes the real path — `PacketOut` to a
+//!   neighbour, data-plane lookup at each hop (against the *lagging*
+//!   table), and a `PacketIn` from whichever switch's catch rule fires —
+//!   all over genuine sockets on the control side;
+//! * the socket's life: restart tear-down, reboot sleep, re-dialing.
 //!
-//! For the probing techniques, switch hosts can additionally be wired into
-//! an in-process [`Fabric`]: a registry of (switch, port) → (switch, port)
-//! links emulating the physical cables of the paper's testbed.  A RUM probe
-//! then takes the real path — `PacketOut` to a neighbour, data-plane lookup
-//! at each hop (against the *lagging* table), and a `PacketIn` from
-//! whichever switch's catch rule fires — all over genuine sockets on the
-//! control side.
+//! Pacing stays with the simulator: this loop sleeps in whole-millisecond
+//! `poll(2)` calls, so honouring the model's 30–40 µs `PacketOut` /
+//! `PacketIn` spacing would add ~0.5–1 ms to every probe round trip.  Only
+//! the `packet_out_time` CPU charge is applied, on arrival.
 
 use crate::reactor::{poll_fds, PollFd, Waker};
-use ofswitch::{Behavior, BehaviorAction, FaultPlan, GroundTruth, SwitchModel};
-use openflow::constants::{packet_in_reason, port as of_port};
-use openflow::messages::{FlowMod, PacketIn, PacketOut, StatsRequest};
-use openflow::{Action, OfCodec, OfMessage, PacketHeader, PortNo};
-use std::collections::{BinaryHeap, HashMap};
+use ofswitch::{BehaviorAction, Datapath, FaultPlan, GroundTruth, SwitchModel};
+use openflow::messages::FlowMod;
+use openflow::{DatapathId, OfCodec, OfMessage, PacketHeader, PortNo};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -44,8 +48,6 @@ pub struct SwitchCounters {
     pub flow_mods: AtomicU64,
     /// Barrier requests answered.
     pub barriers: AtomicU64,
-    /// Echo requests answered.
-    pub echos: AtomicU64,
     /// Modifications rejected with an error.
     pub errors: AtomicU64,
 }
@@ -104,18 +106,22 @@ impl SocketSwitchHandle {
 /// lets RUM's probe packets travel switch-to-switch in the TCP deployment.
 #[derive(Clone, Default)]
 pub struct Fabric {
-    inner: Arc<FabricInner>,
+    inner: Arc<Mutex<FabricInner>>,
 }
 
 #[derive(Default)]
 struct FabricInner {
-    links: Mutex<HashMap<(usize, PortNo), (usize, PortNo)>>,
-    inboxes: Mutex<HashMap<usize, Sender<(PacketHeader, PortNo)>>>,
-    /// Per-switch wake-ups: a serve loop blocked in `poll` on its socket is
-    /// interrupted the instant a packet lands in its inbox, so probe hops
+    links: HashMap<(usize, PortNo), (usize, PortNo)>,
+    /// Per attached switch: its inbox, and the waker that interrupts its
+    /// serve loop's `poll` the instant a packet lands there — probe hops
     /// are event-driven instead of bounded below by a poll quantum.
-    wakers: Mutex<HashMap<usize, Arc<Waker>>>,
+    attached: HashMap<usize, (Sender<Arrival>, Arc<Waker>)>,
 }
+
+/// A packet at the end of a cable: its header and the port it arrives on.
+type Arrival = (PacketHeader, PortNo);
+/// A switch's end of its attachment: the inbox and the waker to poll.
+type FabricPort = (Receiver<Arrival>, Arc<Waker>);
 
 impl Fabric {
     /// An empty fabric.
@@ -123,18 +129,21 @@ impl Fabric {
         Fabric::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, FabricInner> {
+        self.inner.lock().expect("no fabric user panics mid-update")
+    }
+
     /// Adds a bidirectional link between `(a, port_a)` and `(b, port_b)`.
     pub fn link(&self, a: usize, port_a: PortNo, b: usize, port_b: PortNo) {
-        let mut links = self.inner.links.lock().unwrap();
-        links.insert((a, port_a), (b, port_b));
-        links.insert((b, port_b), (a, port_a));
+        let mut inner = self.lock();
+        inner.links.insert((a, port_a), (b, port_b));
+        inner.links.insert((b, port_b), (a, port_a));
     }
 
     /// The linked ports of switch `idx` (for FLOOD handling).
     pub fn ports_of(&self, idx: usize) -> Vec<PortNo> {
-        let links = self.inner.links.lock().unwrap();
-        let mut ports: Vec<PortNo> = links
-            .keys()
+        let inner = self.lock();
+        let mut ports: Vec<PortNo> = (inner.links.keys())
             .filter(|(sw, _)| *sw == idx)
             .map(|(_, p)| *p)
             .collect();
@@ -142,71 +151,49 @@ impl Fabric {
         ports
     }
 
-    fn attach(&self, idx: usize) -> Receiver<(PacketHeader, PortNo)> {
+    fn attach(&self, idx: usize) -> std::io::Result<FabricPort> {
         let (tx, rx) = channel();
-        self.inner.inboxes.lock().unwrap().insert(idx, tx);
-        rx
-    }
-
-    /// Registers the waker a serve loop polls alongside its socket, so
-    /// [`Fabric::send`] can interrupt the peer's sleep the moment a packet
-    /// arrives.
-    fn register_waker(&self, idx: usize, waker: Arc<Waker>) {
-        self.inner.wakers.lock().unwrap().insert(idx, waker);
+        let waker = Arc::new(Waker::new()?);
+        self.lock().attached.insert(idx, (tx, Arc::clone(&waker)));
+        Ok((rx, waker))
     }
 
     /// Puts `header` on switch `from`'s `out_port`; it arrives at the peer
     /// (if the port is linked and the peer is attached) and wakes the
     /// peer's serve loop immediately.
     fn send(&self, from: usize, out_port: PortNo, header: PacketHeader) {
-        let Some(&(peer, peer_port)) = self.inner.links.lock().unwrap().get(&(from, out_port))
-        else {
+        let inner = self.lock();
+        let Some(&(peer, peer_port)) = inner.links.get(&(from, out_port)) else {
             return;
         };
-        if let Some(tx) = self.inner.inboxes.lock().unwrap().get(&peer) {
+        if let Some((tx, waker)) = inner.attached.get(&peer) {
             let _ = tx.send((header, peer_port));
-        }
-        if let Some(waker) = self.inner.wakers.lock().unwrap().get(&peer) {
             waker.wake();
         }
     }
 }
 
-/// A switch's attachment to the fabric: its inbox and the waker that
-/// interrupts its serve loop when a packet lands there.
-type FabricPort = (Option<Receiver<(PacketHeader, PortNo)>>, Option<Arc<Waker>>);
-
 /// Configuration of one socket-hosted switch beyond its timing model.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct SwitchHostOptions {
-    /// Fault plan driven by the shared behaviour engine.
+    /// Fault plan driven by the shared switch machine.
     pub faults: FaultPlan,
     /// Epoch all behaviour times are measured against.  Share one `Instant`
     /// across the controller and every switch of an experiment so
     /// confirmation times and data-plane activation times are comparable.
     pub epoch: Option<Instant>,
-    /// Data-plane wiring: the fabric and this switch's index in it.
+    /// Data-plane wiring: the fabric and this switch's index in it.  The
+    /// switch reports datapath id `index + 1` (1 when unwired) and ports up
+    /// to its highest linked one.
     pub fabric: Option<(Fabric, usize)>,
     /// Rules installed in both tables before serving (the paper pre-installs
     /// drop-all and initial-path rules the same way).
     pub preinstall: Vec<FlowMod>,
     /// After the restart fault tears the connection down, how long the
     /// switch stays down before it re-dials the same address, reattaches
-    /// the behaviour engine and replays the OpenFlow handshake.  `None`
-    /// (the default) leaves it down forever — the pre-reconnect behaviour.
+    /// the machine and replays the OpenFlow handshake.  `None` (the
+    /// default) leaves it down forever.
     pub reconnect_delay: Option<Duration>,
-}
-
-impl Default for SwitchHostOptions {
-    fn default() -> Self {
-        SwitchHostOptions {
-            faults: FaultPlan::none(),
-            epoch: None,
-            fabric: None,
-            preinstall: Vec::new(),
-            reconnect_delay: None,
-        }
-    }
 }
 
 /// Connects to `addr` (the RUM proxy or a controller) and serves a
@@ -229,20 +216,14 @@ pub fn spawn_switch_with(
     // Attach to the fabric before returning: a neighbour spawned earlier may
     // forward a packet to this switch the moment the caller gets its handle,
     // and a packet sent to an unattached switch is dropped.
-    let fabric_rx = options
-        .fabric
-        .as_ref()
-        .map(|(fabric, idx)| fabric.attach(*idx));
-    let fabric_waker = options.fabric.as_ref().and_then(|(fabric, idx)| {
-        let waker = Arc::new(Waker::new().ok()?);
-        fabric.register_waker(*idx, Arc::clone(&waker));
-        Some(waker)
-    });
+    let port = match &options.fabric {
+        Some((fabric, idx)) => Some(fabric.attach(*idx)?),
+        None => None,
+    };
     let thread = {
         let counters = Arc::clone(&counters);
         let stop = Arc::clone(&stop);
-        let fabric_port = (fabric_rx, fabric_waker);
-        std::thread::spawn(move || run(stream, addr, model, options, fabric_port, &counters, &stop))
+        std::thread::spawn(move || run(stream, addr, model, options, port, &counters, &stop))
     };
     Ok(SocketSwitchHandle {
         counters,
@@ -251,52 +232,16 @@ pub fn spawn_switch_with(
     })
 }
 
-/// A reply the behaviour engine scheduled for the future.
-struct DeferredReply {
-    at: Duration,
-    seq: u64,
-    message: OfMessage,
-}
-
-impl PartialEq for DeferredReply {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for DeferredReply {}
-impl PartialOrd for DeferredReply {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DeferredReply {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on (at, seq).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 struct Host {
-    behavior: Behavior,
+    datapath: Datapath,
     epoch: Instant,
     fabric: Option<(Fabric, usize)>,
-    fabric_rx: Option<Receiver<(PacketHeader, PortNo)>>,
-    /// Polled alongside the socket when a fabric is wired: `Fabric::send`
-    /// into this switch's inbox interrupts the serve loop's sleep, so hop
-    /// delivery latency is wake-driven, not quantised by a poll interval.
-    fabric_waker: Option<Arc<Waker>>,
-    deferred: BinaryHeap<DeferredReply>,
+    /// Replies the machine scheduled for the future, by (due time, order).
+    deferred: BTreeMap<(Duration, u64), OfMessage>,
     next_defer_seq: u64,
     actions: Vec<BehaviorAction>,
     reply_buf: Vec<u8>,
     disconnect: bool,
-    /// True between our reattach `Hello` going out and the peer's `Hello`
-    /// coming back; that reply completes the handshake and must not be
-    /// answered with yet another `Hello` (the two sides would ping-pong).
-    hello_pending: bool,
 }
 
 impl Host {
@@ -304,158 +249,80 @@ impl Host {
         self.epoch.elapsed()
     }
 
-    /// Queues a fresh switch-side handshake `Hello` for the next
-    /// connection (used when a re-dial attempt died before delivering the
-    /// one the reattach queued).
-    fn queue_hello(&mut self) {
-        let seq = self.next_defer_seq;
-        self.next_defer_seq += 1;
-        self.deferred.push(DeferredReply {
-            at: self.now(),
-            seq,
-            message: OfMessage::Hello { xid: 0 },
-        });
-    }
-
-    /// Drains engine actions into the deferred-reply heap.
-    fn absorb_actions(&mut self) {
-        for action in std::mem::take(&mut self.actions) {
+    /// Runs one machine call and executes what it returned: replies into
+    /// the deferred queue, PacketIns onto the wire, packets onto the fabric.
+    fn run(&mut self, call: impl FnOnce(&mut Datapath, Duration, &mut Vec<BehaviorAction>)) {
+        let (now, mut actions) = (self.now(), std::mem::take(&mut self.actions));
+        call(&mut self.datapath, now, &mut actions);
+        for action in actions.drain(..) {
             match action {
                 BehaviorAction::Reply { at, message } => {
-                    let seq = self.next_defer_seq;
+                    self.deferred.insert((at, self.next_defer_seq), message);
                     self.next_defer_seq += 1;
-                    self.deferred.push(DeferredReply { at, seq, message });
                 }
-                BehaviorAction::Activated { .. } | BehaviorAction::Deactivated { .. } => {
-                    // Recorded in the engine's ground truth; nothing to send.
+                BehaviorAction::PacketIn { message } => {
+                    let _ = message.encode_into(&mut self.reply_buf);
                 }
+                BehaviorAction::Output { port, header } => {
+                    if let Some((fabric, idx)) = &self.fabric {
+                        fabric.send(*idx, port, header);
+                    }
+                }
+                BehaviorAction::Flood { except, header } => {
+                    if let Some((fabric, idx)) = &self.fabric {
+                        for port in fabric.ports_of(*idx) {
+                            if port != except {
+                                fabric.send(*idx, port, header);
+                            }
+                        }
+                    }
+                }
+                // Recorded in the machine's ground truth / nothing to send.
+                BehaviorAction::Activated { .. }
+                | BehaviorAction::Deactivated { .. }
+                | BehaviorAction::Dropped => {}
                 BehaviorAction::Restarted { at } => {
                     // Replies the serial control plane emitted *before* the
                     // reboot instant logically left the switch already —
-                    // they sit in the deferred heap only because wall time
+                    // they sit in the deferred queue only because wall time
                     // lags model time.  Flush them ahead of the close (the
                     // simulator delivers them the same way); anything later
                     // dies with the reboot.
-                    while self.deferred.peek().is_some_and(|r| r.at <= at) {
-                        let r = self.deferred.pop().expect("peeked");
-                        let _ = r.message.encode_into(&mut self.reply_buf);
-                    }
+                    self.flush_replies_due(at);
                     self.deferred.clear();
                     self.disconnect = true;
                 }
             }
         }
-    }
-
-    fn advance(&mut self) {
-        let now = self.now();
-        let mut actions = std::mem::take(&mut self.actions);
-        self.behavior.advance(now, &mut actions);
         self.actions = actions;
-        self.absorb_actions();
     }
 
-    /// Encodes every due deferred reply into `reply_buf`, in schedule order.
-    fn flush_due_replies(&mut self) {
-        let now = self.now();
-        while self.deferred.peek().is_some_and(|r| r.at <= now) {
-            let r = self.deferred.pop().expect("peeked");
-            let _ = r.message.encode_into(&mut self.reply_buf);
+    /// Encodes every deferred reply due by `now` into `reply_buf`, in
+    /// schedule order.
+    fn flush_replies_due(&mut self, now: Duration) {
+        while let Some(first) = self.deferred.first_entry() {
+            if first.key().0 > now {
+                break;
+            }
+            let _ = first.remove().encode_into(&mut self.reply_buf);
         }
     }
 
-    /// How long the serve loop may sleep before something needs attention.
-    /// Fabric packets no longer bound this: they arrive through the waker,
-    /// so the only deadlines are the engine's and the deferred replies'.
+    /// How long the serve loop may sleep before something needs attention:
+    /// the machine's next deadline or the next deferred reply (fabric
+    /// packets arrive through the waker).
     fn poll_timeout(&self) -> Duration {
-        let mut horizon: Option<Duration> = self.behavior.next_deadline();
-        if let Some(r) = self.deferred.peek() {
-            horizon = Some(horizon.map_or(r.at, |h| h.min(r.at)));
-        }
+        let reply_due = self.deferred.first_key_value().map(|(k, _)| k.0);
+        let horizon = match (self.datapath.next_deadline(), reply_due) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
         let cap = Duration::from_millis(50);
         match horizon {
             Some(at) => at
                 .saturating_sub(self.now())
                 .clamp(Duration::from_micros(500), cap),
             None => cap,
-        }
-    }
-
-    fn emit_packet_in(&mut self, header: &PacketHeader, in_port: PortNo, reason: u8) {
-        let data = header.to_bytes();
-        let body = PacketIn {
-            buffer_id: openflow::constants::NO_BUFFER,
-            total_len: data.len() as u16,
-            in_port,
-            reason,
-            data,
-        };
-        let _ = OfMessage::PacketIn { xid: 0, body }.encode_into(&mut self.reply_buf);
-    }
-
-    /// Sends `header` out of `port`, interpreting OpenFlow special ports.
-    fn output(&mut self, header: &PacketHeader, in_port: PortNo, port: PortNo) {
-        match port {
-            of_port::CONTROLLER => {
-                self.emit_packet_in(header, in_port, packet_in_reason::ACTION);
-            }
-            of_port::IN_PORT => {
-                if let Some((fabric, idx)) = &self.fabric {
-                    fabric.send(*idx, in_port, *header);
-                }
-            }
-            of_port::FLOOD | of_port::ALL => {
-                if let Some((fabric, idx)) = self.fabric.clone() {
-                    for p in fabric.ports_of(idx) {
-                        if p != in_port {
-                            fabric.send(idx, p, *header);
-                        }
-                    }
-                }
-            }
-            of_port::TABLE | of_port::NORMAL | of_port::LOCAL | of_port::NONE => {}
-            physical => {
-                if let Some((fabric, idx)) = &self.fabric {
-                    fabric.send(*idx, physical, *header);
-                }
-            }
-        }
-    }
-
-    /// A packet arriving on the data plane (from the fabric or OFPP_TABLE):
-    /// look it up in the lagging data-plane table and forward.
-    fn forward_via_table(&mut self, header: PacketHeader, in_port: PortNo) {
-        let now = self.now();
-        let verdict = self.behavior.classify_packet(now, &header, in_port, 64);
-        if !verdict.matched {
-            return; // no miss_send_len plumbing on the TCP host
-        }
-        let rewritten = verdict.rewritten;
-        for port in verdict.outputs {
-            self.output(&rewritten, in_port, port);
-        }
-    }
-
-    /// Executes a `PacketOut` from the controller/proxy (probe injection).
-    fn execute_packet_out(&mut self, po: PacketOut) {
-        let Ok(header) = PacketHeader::from_bytes(&po.data) else {
-            return;
-        };
-        let now = self.now();
-        let cost = self.behavior.model().packet_out_time;
-        self.behavior.consume_cpu(now, cost);
-        let (rewritten, outputs) = Action::apply_list(&po.actions, &header);
-        let in_port = if po.in_port == of_port::NONE {
-            0
-        } else {
-            po.in_port
-        };
-        for port in outputs {
-            if port == of_port::TABLE {
-                self.forward_via_table(rewritten, in_port);
-            } else {
-                self.output(&rewritten, in_port, port);
-            }
         }
     }
 }
@@ -470,35 +337,41 @@ fn interruptible_sleep(delay: Duration, stop: &AtomicBool) {
 
 /// The switch's whole life: serve one connection until it ends; when the
 /// ending was the restart fault and a reconnect delay is configured, stay
-/// down for that long, reattach the behaviour engine (which replays the
-/// switch-side `Hello`), re-dial the same address and keep serving — the
-/// same switch identity, rebooted with empty tables.
+/// down for that long, reattach the machine (which replays the switch-side
+/// `Hello`), re-dial the same address and keep serving — the same switch
+/// identity, rebooted with empty tables.
 fn run(
     first_stream: TcpStream,
     addr: SocketAddr,
     model: SwitchModel,
     options: SwitchHostOptions,
-    (fabric_rx, fabric_waker): FabricPort,
+    port: Option<FabricPort>,
     counters: &SwitchCounters,
     stop: &AtomicBool,
 ) -> SwitchReport {
-    let epoch = options.epoch.unwrap_or_else(Instant::now);
-    let mut behavior = Behavior::new(model, options.faults.clone());
+    let (dpid, n_ports) = match &options.fabric {
+        Some((fabric, idx)) => (*idx as u64 + 1, fabric.ports_of(*idx).last().copied()),
+        None => (1, None),
+    };
+    let mut datapath = Datapath::new(
+        format!("s{dpid}"),
+        DatapathId::new(dpid),
+        n_ports.unwrap_or(0),
+        model,
+        options.faults.clone(),
+    );
     for fm in &options.preinstall {
-        behavior.preinstall(fm);
+        datapath.behavior_mut().preinstall(fm);
     }
     let mut host = Host {
-        behavior,
-        epoch,
+        datapath,
+        epoch: options.epoch.unwrap_or_else(Instant::now),
         fabric: options.fabric.clone(),
-        fabric_rx,
-        fabric_waker,
-        deferred: BinaryHeap::new(),
+        deferred: BTreeMap::new(),
         next_defer_seq: 0,
         actions: Vec::new(),
         reply_buf: Vec::new(),
         disconnect: false,
-        hello_pending: false,
     };
 
     let mut stream = Some(first_stream);
@@ -508,13 +381,14 @@ fn run(
     // peer that is genuinely gone ends the loop (~3 s of attempts).
     let mut barren_redials: u32 = 0;
     while let Some(conn) = stream.take() {
-        let got_any = serve_conn(conn, &mut host, counters, stop);
+        let got_any = serve_conn(conn, &mut host, port.as_ref(), counters, stop);
         if stop.load(Ordering::SeqCst) {
             break;
         }
+        let reattaches = host.datapath.behavior().counters().reattaches;
         if host.disconnect {
             // The restart fault: stay down for the reboot, reattach the
-            // engine (queueing the handshake Hello for the next
+            // machine (queueing the handshake Hello for the next
             // connection), then re-dial below.
             let Some(delay) = options.reconnect_delay else {
                 break;
@@ -525,11 +399,8 @@ fn run(
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let mut actions = std::mem::take(&mut host.actions);
-            host.behavior.reattach(host.now(), &mut actions);
-            host.actions = actions;
-            host.absorb_actions();
-        } else if host.behavior.counters().reattaches > 0 && !got_any && barren_redials < 300 {
+            host.run(|dp, now, out| dp.reattach(now, out));
+        } else if reattaches > 0 && !got_any && barren_redials < 300 {
             // A freshly re-dialed connection died silently: the peer's
             // accept loop found no free slot (the old pair's teardown had
             // not finished) and dropped us.  Queue a fresh handshake Hello
@@ -540,11 +411,10 @@ fn run(
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            host.queue_hello();
+            host.run(|dp, now, out| dp.rehello(now, out));
         } else {
             break;
         }
-        host.hello_pending = true;
         while !stop.load(Ordering::SeqCst) {
             match TcpStream::connect(addr) {
                 Ok(s) => {
@@ -559,15 +429,16 @@ fn run(
     // plane accepted (minus wedged rules, which never apply by design) —
     // including batches whose synchronisation was burst-delayed far beyond
     // the nominal worst case.
+    let now = host.now();
+    let behavior = host.datapath.behavior_mut();
     if !host.disconnect {
-        let mut actions = Vec::new();
-        host.behavior.settle(host.now(), &mut actions);
+        behavior.settle(now, &mut Vec::new());
     }
     SwitchReport {
-        control_rules: host.behavior.control_table().len(),
-        data_rules: host.behavior.data_table().len(),
-        control_entries: host.behavior.control_table().entries().cloned().collect(),
-        truth: host.behavior.ground_truth().clone(),
+        control_rules: behavior.control_table().len(),
+        data_rules: behavior.data_table().len(),
+        control_entries: behavior.control_table().entries().cloned().collect(),
+        truth: behavior.ground_truth().clone(),
     }
 }
 
@@ -579,12 +450,13 @@ fn run(
 fn serve_conn(
     mut stream: TcpStream,
     host: &mut Host,
+    port: Option<&FabricPort>,
     counters: &SwitchCounters,
     stop: &AtomicBool,
 ) -> bool {
     let _ = stream.set_nodelay(true);
     // Safety net only: the readiness gating below means reads should not
-    // block, but a spurious wakeup must never stall the engine's deadlines.
+    // block, but a spurious wakeup must never stall the machine's deadlines.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let mut codec = OfCodec::new();
     let mut buf = [0u8; 4096];
@@ -596,19 +468,16 @@ fn serve_conn(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        // 1. Let the engine catch up (syncs, TCAM batches, barrier horizons).
-        host.advance();
+        // 1. Let the machine catch up (syncs, TCAM batches, barrier horizons).
+        host.run(|dp, now, out| dp.advance(now, out));
 
         // 2. Drain the data-plane inbox (probe packets hopping the fabric).
-        if let Some(rx) = host.fabric_rx.take() {
-            while let Ok((header, in_port)) = rx.try_recv() {
-                host.forward_via_table(header, in_port);
-            }
-            host.fabric_rx = Some(rx);
+        while let Some(Ok((header, in_port))) = port.map(|(rx, _)| rx.try_recv()) {
+            host.run(|dp, now, out| dp.on_packet(now, header, in_port, 64, out));
         }
 
         // 3. Ship every reply whose schedule time has come, as one write.
-        host.flush_due_replies();
+        host.flush_replies_due(host.now());
         if !host.reply_buf.is_empty() {
             let flushed = stream.write_all(&host.reply_buf).is_ok();
             host.reply_buf.clear();
@@ -624,17 +493,17 @@ fn serve_conn(
         }
 
         // 4. Sleep until socket bytes arrive, a fabric packet wakes us, or
-        //    the next engine deadline passes — whichever comes first.
+        //    the next machine deadline passes — whichever comes first.
         let timeout = host.poll_timeout();
         let timeout_ms = timeout.as_micros().div_ceil(1000) as i32;
         pfds.clear();
         pfds.push(PollFd::new(stream.as_raw_fd(), true, false));
-        if let Some(waker) = &host.fabric_waker {
+        if let Some((_, waker)) = port {
             pfds.push(PollFd::new(waker.fd(), true, false));
         }
         poll_fds(&mut pfds, timeout_ms);
-        if pfds.len() > 1 && pfds[1].readable() {
-            if let Some(waker) = &host.fabric_waker {
+        if let (Some(pfd), Some((_, waker))) = (pfds.get(1), port) {
+            if pfd.readable() {
                 waker.drain();
             }
         }
@@ -659,55 +528,19 @@ fn serve_conn(
         let framing_ok = codec.drain_messages_into(&mut msgs).is_ok();
         got_any |= !msgs.is_empty();
         for msg in msgs.drain(..) {
-            let now = host.now();
-            match msg {
-                OfMessage::FlowMod { xid, body } => {
-                    let mut actions = std::mem::take(&mut host.actions);
-                    host.behavior.on_flow_mod(now, xid, body, &mut actions);
-                    host.actions = actions;
-                    host.absorb_actions();
+            host.run(|dp, now, out| {
+                if matches!(msg, OfMessage::PacketOut { .. }) {
+                    // Pacing's CPU charge, on arrival (see module docs).
+                    let cost = dp.behavior().model().packet_out_time;
+                    dp.behavior_mut().consume_cpu(now, cost);
                 }
-                OfMessage::BarrierRequest { xid } => {
-                    let mut actions = std::mem::take(&mut host.actions);
-                    host.behavior.on_barrier(now, xid, &mut actions);
-                    host.actions = actions;
-                    host.absorb_actions();
-                }
-                OfMessage::StatsRequest {
-                    xid,
-                    body: StatsRequest::Flow { ref match_, .. },
-                } => {
-                    let mut actions = std::mem::take(&mut host.actions);
-                    host.behavior.on_flow_stats(now, xid, match_, &mut actions);
-                    host.actions = actions;
-                    host.absorb_actions();
-                }
-                OfMessage::EchoRequest { xid, data } => {
-                    counters.echos.fetch_add(1, Ordering::SeqCst);
-                    let _ = OfMessage::EchoReply { xid, data }.encode_into(&mut host.reply_buf);
-                }
-                OfMessage::Hello { xid } => {
-                    // A Hello answering our reattach Hello completes the
-                    // handshake; answering it again would ping-pong forever.
-                    if host.hello_pending {
-                        host.hello_pending = false;
-                    } else {
-                        let _ = OfMessage::Hello { xid }.encode_into(&mut host.reply_buf);
-                    }
-                }
-                OfMessage::PacketOut { body, .. } => host.execute_packet_out(body),
-                _ => {}
-            }
+                dp.on_control(now, msg, out)
+            });
         }
-        counters
-            .flow_mods
-            .store(host.behavior.counters().flow_mods, Ordering::SeqCst);
-        counters
-            .barriers
-            .store(host.behavior.counters().barriers, Ordering::SeqCst);
-        counters
-            .errors
-            .store(host.behavior.counters().errors, Ordering::SeqCst);
+        let engine = host.datapath.behavior().counters();
+        counters.flow_mods.store(engine.flow_mods, Ordering::SeqCst);
+        counters.barriers.store(engine.barriers, Ordering::SeqCst);
+        counters.errors.store(engine.errors, Ordering::SeqCst);
         if !framing_ok {
             break;
         }
@@ -718,7 +551,7 @@ fn serve_conn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openflow::messages::FlowMod;
+    use openflow::messages::PacketOut;
     use openflow::{Action, OfMatch};
     use std::net::TcpListener;
 

@@ -163,11 +163,6 @@ impl Simulator {
         &self.trace
     }
 
-    /// Mutable access to the trace (e.g. to add markers between phases).
-    pub fn trace_mut(&mut self) -> &mut TraceSink {
-        &mut self.trace
-    }
-
     /// The registered name of a node.
     pub fn name_of(&self, id: NodeId) -> &str {
         &self.names[id.index()]
@@ -253,20 +248,6 @@ impl Simulator {
             self.step();
         }
         self.now = self.now.max(deadline);
-    }
-
-    /// Runs until the event queue drains or `safety_deadline` is reached
-    /// (whichever comes first).  Traffic generators re-arm themselves, so
-    /// most experiments use [`Simulator::run_until`] with an explicit end
-    /// time instead.
-    pub fn run_until_idle(&mut self, safety_deadline: SimTime) {
-        self.ensure_started();
-        while let Some(t) = self.queue.peek_time() {
-            if t > safety_deadline {
-                break;
-            }
-            self.step();
-        }
     }
 }
 

@@ -158,12 +158,6 @@ impl FlowUpdateSummary {
             _ => SimTime::ZERO,
         }
     }
-
-    /// The flow update time used by Figures 6 and 7: when the flow started
-    /// using the new path.
-    pub fn update_completed_at(&self) -> Option<SimTime> {
-        self.first_new_path
-    }
 }
 
 /// The activation-delay sample behind Figure 8: one per rule modification.

@@ -1,25 +1,28 @@
-//! The simulator driver for the shared switch-behaviour engine.
+//! The simulator driver of the shared switch machine.
 //!
-//! [`OpenFlowSwitch`] is a thin `simnet` node around
-//! [`ofswitch::Behavior`]: it translates simulator events (control messages,
-//! timers, data-plane packets) into behaviour-engine calls and executes the
-//! returned [`BehaviorAction`]s through the simulator [`Context`] — delayed
-//! control replies, trace records for data-plane activations, timer arming
-//! from [`Behavior::next_deadline`].  All switch semantics — the lagging
-//! data plane, barrier modes, and the seedable fault plan — live in the
-//! engine, which `rum_tcp::switch_host` drives over real TCP sockets.
+//! [`OpenFlowSwitch`] is a thin `simnet` node around [`ofswitch::Datapath`]:
+//! it hands every simulator event (control message, data-plane packet,
+//! timer) to the machine and executes the returned [`BehaviorAction`]s
+//! through the simulator [`Context`].  Every switch decision — handshake
+//! and stats replies, `PacketOut` execution, lookup in the lagging data
+//! plane, table-miss and drop policy, barrier modes, the fault plan — lives
+//! in the machine, which `rum_tcp::switch_host` drives over real sockets.
 //!
-//! Driver-level concerns that stay here: the OpenFlow handshake surface
-//! (features/config/stats replies), PacketOut execution and PacketIn
-//! emission with their rate limiters, and data-plane forwarding across the
-//! simulated topology.
+//! What stays here is transport: virtual time and the deadline timer,
+//! delivering a reply no earlier than its `at`, cabling ([`Topology`]
+//! resolves floods and unwired ports), trace records and [`SimPacket`]
+//! identity, the reboot timer — and **pacing**: the `PacketOut` queue, the
+//! `PacketIn` spacing/suppression and their CPU charges are applied here to
+//! the machine's inputs and outputs.  Pacing is not in the machine because
+//! the TCP host sleeps in whole-millisecond `poll(2)` calls: honouring a
+//! 30–40 µs spacing there would add ~0.5–1 ms to every probe round trip
+//! (and moving the charge would shift virtual time under the golden test).
+//!
+//! [`Topology`]: crate::topology::Topology
 
-use ofswitch::{Behavior, BehaviorAction, FaultPlan, FlowTable, SwitchModel};
-use openflow::constants::{error_type, packet_in_reason, port as of_port};
-use openflow::messages::{
-    ErrorMsg, FeaturesReply, PacketIn, PacketOut, StatsReply, StatsRequest, SwitchConfig,
-};
-use openflow::{Action, DatapathId, OfMessage, PacketHeader, PortNo};
+use ofswitch::{Behavior, BehaviorAction, Datapath, FaultPlan, FlowTable, SwitchModel};
+use openflow::messages::PacketOut;
+use openflow::{DatapathId, OfMessage, PacketHeader, Xid};
 
 use crate::engine::Context;
 use crate::event::EventPayload;
@@ -30,8 +33,8 @@ use crate::time::SimTime;
 use std::any::Any;
 use std::collections::VecDeque;
 
-/// Timer token: re-examine the behaviour engine (sync ticks, in-flight
-/// batches, withheld barriers).
+/// Timer token: re-examine the machine (sync ticks, in-flight batches,
+/// withheld barriers).
 const TOKEN_BEHAVIOR: u64 = 0;
 /// Timer token: execute queued PacketOut messages.
 const TOKEN_PACKET_OUT: u64 = 2;
@@ -39,35 +42,26 @@ const TOKEN_PACKET_OUT: u64 = 2;
 const TOKEN_RECONNECT: u64 = 3;
 
 /// A simulated OpenFlow 1.0 switch: the simnet driver of the shared
-/// [`Behavior`] engine.
+/// [`Datapath`] machine.
 pub struct OpenFlowSwitch {
-    label: String,
-    dpid: DatapathId,
-    n_ports: u16,
-    behavior: Behavior,
+    datapath: Datapath,
     controller: Option<NodeId>,
 
-    pending_packet_outs: VecDeque<(SimTime, PacketOut)>,
+    /// Paced `PacketOut`s: execution time and the message's two halves.
+    pending_packet_outs: VecDeque<(SimTime, Xid, PacketOut)>,
     packet_out_available_at: SimTime,
     packet_in_available_at: SimTime,
-    config: SwitchConfig,
-    /// The earliest armed behaviour deadline, to avoid flooding the event
+    /// The earliest armed machine deadline, to avoid flooding the event
     /// queue with duplicate timers.
     armed_deadline: Option<SimTime>,
-    /// Reusable behaviour-action buffer.
+    /// Reusable action buffer.
     actions: Vec<BehaviorAction>,
     /// How long a restarted switch stays down before it reattaches and
-    /// replays the handshake.  `None` (the default) leaves it down forever,
-    /// matching the pre-reconnect behaviour.
+    /// replays the handshake.  `None` (the default) leaves it down forever.
     reconnect_delay: Option<std::time::Duration>,
-    /// True between our reattach `Hello` going out and the peer's `Hello`
-    /// coming back; that reply completes the handshake and must not be
-    /// answered with yet another `Hello`.
-    hello_pending: bool,
 
     packet_ins_sent: u64,
     packet_ins_suppressed: u64,
-    packet_outs_processed: u64,
     data_packets_forwarded: u64,
     data_packets_dropped: u64,
 }
@@ -93,22 +87,16 @@ impl OpenFlowSwitch {
         faults: FaultPlan,
     ) -> Self {
         OpenFlowSwitch {
-            label: label.into(),
-            dpid,
-            n_ports,
-            behavior: Behavior::new(model, faults),
+            datapath: Datapath::new(label, dpid, n_ports, model, faults),
             controller: None,
             pending_packet_outs: VecDeque::new(),
             packet_out_available_at: SimTime::ZERO,
             packet_in_available_at: SimTime::ZERO,
-            config: SwitchConfig::default(),
             armed_deadline: None,
             actions: Vec::new(),
             reconnect_delay: None,
-            hello_pending: false,
             packet_ins_sent: 0,
             packet_ins_suppressed: 0,
-            packet_outs_processed: 0,
             data_packets_forwarded: 0,
             data_packets_dropped: 0,
         }
@@ -121,8 +109,8 @@ impl OpenFlowSwitch {
     }
 
     /// Makes a restarted switch come back: after `delay` it reattaches the
-    /// behaviour engine and replays the OpenFlow handshake towards its
-    /// controller connection.  `None` (the default) keeps it down forever.
+    /// machine and replays the OpenFlow handshake towards its controller
+    /// connection.  `None` (the default) keeps it down forever.
     pub fn set_reconnect_delay(&mut self, delay: Option<std::time::Duration>) {
         self.reconnect_delay = delay;
     }
@@ -131,47 +119,47 @@ impl OpenFlowSwitch {
     /// channel and all timing models.  Used to pre-install state before an
     /// experiment starts, like the paper pre-installs the initial paths.
     pub fn preinstall(&mut self, fm: &openflow::messages::FlowMod) {
-        self.behavior.preinstall(fm);
+        self.datapath.behavior_mut().preinstall(fm);
     }
 
     /// The switch's datapath id.
     pub fn dpid(&self) -> DatapathId {
-        self.dpid
+        self.datapath.dpid()
     }
 
     /// The behaviour engine (model, fault plan, tables, ground truth).
     pub fn behavior(&self) -> &Behavior {
-        &self.behavior
+        self.datapath.behavior()
     }
 
     /// The behaviour model.
     pub fn model(&self) -> &SwitchModel {
-        self.behavior.model()
+        self.behavior().model()
     }
 
     /// The control-plane view of the flow table.
     pub fn control_table(&self) -> &FlowTable {
-        self.behavior.control_table()
+        self.behavior().control_table()
     }
 
     /// The data-plane view of the flow table.
     pub fn data_table(&self) -> &FlowTable {
-        self.behavior.data_table()
+        self.behavior().data_table()
     }
 
     /// Number of accepted modifications not yet visible in the data plane.
     pub fn dataplane_backlog(&self) -> usize {
-        self.behavior.dataplane_backlog()
+        self.behavior().dataplane_backlog()
     }
 
     /// Flow modifications processed so far.
     pub fn flow_mods_processed(&self) -> u64 {
-        self.behavior.counters().flow_mods
+        self.behavior().counters().flow_mods
     }
 
     /// Barrier requests processed so far.
     pub fn barriers_processed(&self) -> u64 {
-        self.behavior.counters().barriers
+        self.behavior().counters().barriers
     }
 
     /// PacketIn messages emitted so far.
@@ -186,10 +174,11 @@ impl OpenFlowSwitch {
 
     /// PacketOut messages executed so far.
     pub fn packet_outs_processed(&self) -> u64 {
-        self.packet_outs_processed
+        self.datapath.packet_outs()
     }
 
-    /// Data-plane packets forwarded so far.
+    /// Data-plane packets that left on at least one wired port (or went to
+    /// the controller) so far.
     pub fn data_packets_forwarded(&self) -> u64 {
         self.data_packets_forwarded
     }
@@ -201,33 +190,32 @@ impl OpenFlowSwitch {
 
     /// The time at which the control-plane CPU becomes free.
     pub fn busy_until(&self) -> SimTime {
-        self.behavior.busy_until().into()
+        self.behavior().busy_until().into()
     }
 
     fn send_to_controller(&self, ctx: &mut Context<'_>, msg: OfMessage, extra_delay: SimTime) {
         if let Some(ctrl) = self.controller {
-            let latency: SimTime = self.behavior.model().control_latency.into();
+            let latency: SimTime = self.model().control_latency.into();
             ctx.send_control(ctrl, msg, latency + extra_delay);
         }
     }
 
-    // ------------------------------------------------------------------
-    // Behaviour-engine plumbing
-    // ------------------------------------------------------------------
-
-    /// Advances the engine to `now`, executes any produced actions, and
-    /// re-arms the deadline timer.
-    fn drive(&mut self, ctx: &mut Context<'_>) {
+    /// Runs one machine call and executes what it returned.  `packet` is
+    /// the identity data-plane actions act on: the arrived packet, or the
+    /// injected one a `PacketOut` creates.
+    fn run(
+        &mut self,
+        ctx: &mut Context<'_>,
+        packet: Option<&SimPacket>,
+        call: impl FnOnce(&mut Datapath, &mut Vec<BehaviorAction>),
+    ) {
         let now = ctx.now();
         let mut actions = std::mem::take(&mut self.actions);
-        self.behavior.advance(now.into(), &mut actions);
-        self.execute_actions(&mut actions, ctx);
-        self.actions = actions;
-        self.rearm_deadline(ctx);
-    }
-
-    fn execute_actions(&mut self, actions: &mut Vec<BehaviorAction>, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+        call(&mut self.datapath, &mut actions);
+        let (mut sent, mut dropped) = (false, false);
+        let send = |ctx: &mut Context<'_>, port, header| {
+            packet.is_some_and(|p| ctx.send_packet(port, p.forwarded(ctx.self_id(), header)))
+        };
         for action in actions.drain(..) {
             match action {
                 BehaviorAction::Reply { at, message } => {
@@ -256,7 +244,10 @@ impl OpenFlowSwitch {
                     self.pending_packet_outs.clear();
                     let at: SimTime = at.into();
                     ctx.record(TraceEvent::Marker {
-                        label: format!("{}: switch restarted (tables wiped)", self.label),
+                        label: format!(
+                            "{}: switch restarted (tables wiped)",
+                            self.datapath.label()
+                        ),
                         time: at,
                     });
                     if let Some(delay) = self.reconnect_delay {
@@ -264,12 +255,34 @@ impl OpenFlowSwitch {
                         ctx.set_timer(delay, TOKEN_RECONNECT);
                     }
                 }
+                BehaviorAction::PacketIn { message } => {
+                    self.emit_packet_in(message, ctx);
+                    sent = true;
+                }
+                BehaviorAction::Output { port, header } => sent |= send(ctx, port, header),
+                BehaviorAction::Flood { except, header } => {
+                    for port in ctx.topology().ports_of(ctx.self_id()) {
+                        sent |= port != except && send(ctx, port, header);
+                    }
+                }
+                BehaviorAction::Dropped => dropped = true,
+            }
+        }
+        self.actions = actions;
+        // An output onto an unwired port went nowhere: that is a drop too.
+        if let Some(packet) = packet {
+            if sent && !dropped {
+                self.data_packets_forwarded += 1;
+            } else {
+                self.record_drop(packet, ctx);
             }
         }
     }
 
+    /// Timers are armed lazily from the machine's deadlines; an idle switch
+    /// schedules nothing.
     fn rearm_deadline(&mut self, ctx: &mut Context<'_>) {
-        let Some(deadline) = self.behavior.next_deadline() else {
+        let Some(deadline) = self.datapath.next_deadline() else {
             return;
         };
         let deadline: SimTime = deadline.into();
@@ -280,210 +293,26 @@ impl OpenFlowSwitch {
         ctx.set_timer(deadline.saturating_sub(ctx.now()), TOKEN_BEHAVIOR);
     }
 
-    // ------------------------------------------------------------------
-    // Control-plane message handling
-    // ------------------------------------------------------------------
-
-    fn handle_control(&mut self, from: NodeId, msg: OfMessage, ctx: &mut Context<'_>) {
-        if self.controller.is_none() {
-            // Adopt whoever speaks to us first as our controller connection.
-            self.controller = Some(from);
-        }
+    /// Pacing: PacketOut processing consumes control-plane CPU (slowing rule
+    /// installation slightly) and is rate limited: the message reaches the
+    /// machine when its slot comes up.
+    fn queue_packet_out(&mut self, xid: Xid, po: PacketOut, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let mut actions = std::mem::take(&mut self.actions);
-        let consumed = self.behavior.handle_message(now.into(), &msg, &mut actions);
-        self.execute_actions(&mut actions, ctx);
-        self.actions = actions;
-        if consumed {
-            self.rearm_deadline(ctx);
-            return;
-        }
-        match msg {
-            OfMessage::Hello { xid } => {
-                // A Hello answering our own reattach Hello completes the
-                // handshake; answering it again would ping-pong forever.
-                if self.hello_pending {
-                    self.hello_pending = false;
-                } else {
-                    self.send_to_controller(ctx, OfMessage::Hello { xid }, SimTime::ZERO);
-                }
-            }
-            OfMessage::EchoRequest { xid, data } => {
-                self.send_to_controller(ctx, OfMessage::EchoReply { xid, data }, SimTime::ZERO);
-            }
-            OfMessage::FeaturesRequest { xid } => {
-                let body = FeaturesReply::simulated(self.dpid, self.n_ports);
-                self.send_to_controller(ctx, OfMessage::FeaturesReply { xid, body }, SimTime::ZERO);
-            }
-            OfMessage::GetConfigRequest { xid } => {
-                self.send_to_controller(
-                    ctx,
-                    OfMessage::GetConfigReply {
-                        xid,
-                        config: self.config,
-                    },
-                    SimTime::ZERO,
-                );
-            }
-            OfMessage::SetConfig { config, .. } => {
-                self.config = config;
-            }
-            OfMessage::PacketOut { body, .. } => self.handle_packet_out(body, ctx),
-            OfMessage::StatsRequest { xid, body } => self.handle_stats(xid, body, ctx),
-            OfMessage::EchoReply { .. }
-            | OfMessage::Vendor { .. }
-            | OfMessage::PortMod { .. }
-            | OfMessage::QueueGetConfig { .. }
-            | OfMessage::Error { .. } => {
-                // Accepted and ignored by the simulated switch.
-            }
-            other => {
-                // Controller-bound messages arriving at a switch indicate a
-                // mis-wired experiment; reply with a BAD_REQUEST error.
-                let err = OfMessage::Error {
-                    xid: other.xid(),
-                    body: ErrorMsg {
-                        err_type: error_type::BAD_REQUEST,
-                        code: 0,
-                        data: Vec::new(),
-                    },
-                };
-                self.send_to_controller(ctx, err, SimTime::ZERO);
-            }
-        }
-    }
-
-    fn handle_packet_out(&mut self, po: PacketOut, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        // PacketOut processing consumes control-plane CPU (slowing rule
-        // installation slightly) and is rate limited.
-        let cost = self.behavior.model().packet_out_time;
-        self.behavior.consume_cpu(now.into(), cost);
-        let interval: SimTime = self.behavior.model().packet_out_interval.into();
+        let cost = self.model().packet_out_time;
+        self.datapath.behavior_mut().consume_cpu(now.into(), cost);
+        let interval: SimTime = self.model().packet_out_interval.into();
         let exec_at = self.packet_out_available_at.max(now);
         self.packet_out_available_at = exec_at + interval;
-        self.pending_packet_outs.push_back((exec_at, po));
-        let delay = exec_at.saturating_sub(now);
-        ctx.set_timer(delay, TOKEN_PACKET_OUT);
+        self.pending_packet_outs.push_back((exec_at, xid, po));
+        ctx.set_timer(exec_at.saturating_sub(now), TOKEN_PACKET_OUT);
     }
 
-    fn execute_packet_out(&mut self, po: PacketOut, ctx: &mut Context<'_>) {
-        self.packet_outs_processed += 1;
-        let Ok(header) = PacketHeader::from_bytes(&po.data) else {
-            return;
-        };
-        let packet = SimPacket::new(header, u64::from(po.buffer_id), ctx.now(), ctx.self_id())
-            .into_injected();
-        let (rewritten, outputs) = Action::apply_list(&po.actions, &header);
-        for port in outputs {
-            match port {
-                of_port::TABLE => {
-                    let in_port = if po.in_port == of_port::NONE {
-                        0
-                    } else {
-                        po.in_port
-                    };
-                    let mut p = packet.clone();
-                    p.header = rewritten;
-                    self.forward_via_table(p, in_port, ctx);
-                }
-                of_port::CONTROLLER => {
-                    self.emit_packet_in(&rewritten, po.in_port, packet_in_reason::ACTION, ctx);
-                }
-                _ => {
-                    let mut p = packet.clone();
-                    p.header = rewritten;
-                    ctx.send_packet(port, p.with_hop(ctx.self_id()));
-                }
-            }
-        }
-    }
-
-    fn handle_stats(&mut self, xid: u32, req: StatsRequest, ctx: &mut Context<'_>) {
-        let control_table = self.behavior.control_table();
-        let reply = match req {
-            StatsRequest::Desc => StatsReply::Desc {
-                mfr_desc: "RUM reproduction".into(),
-                hw_desc: format!("simulated switch ({:?})", self.model().barrier_mode),
-                sw_desc: "ofswitch".into(),
-                serial_num: format!("{}", self.dpid),
-                dp_desc: self.label.clone(),
-            },
-            // Flow stats are answered by `Behavior::handle_message` (including
-            // fragmentation and stats-targeted faults); they never reach here.
-            StatsRequest::Flow { .. } => return,
-            StatsRequest::Aggregate { match_, .. } => {
-                let mut packet_count = 0;
-                let mut byte_count = 0;
-                let mut flow_count = 0;
-                for e in control_table.entries() {
-                    if match_.covers(&e.match_) {
-                        packet_count += e.packet_count;
-                        byte_count += e.byte_count;
-                        flow_count += 1;
-                    }
-                }
-                StatsReply::Aggregate {
-                    packet_count,
-                    byte_count,
-                    flow_count,
-                }
-            }
-            StatsRequest::Table => StatsReply::Table(vec![openflow::messages::TableStatsEntry {
-                table_id: 0,
-                name: "main".into(),
-                wildcards: openflow::Wildcards::ALL,
-                max_entries: if self.model().table_capacity == 0 {
-                    65535
-                } else {
-                    self.model().table_capacity as u32
-                },
-                active_count: control_table.len() as u32,
-                lookup_count: self.behavior.data_table().lookup_count,
-                matched_count: self.behavior.data_table().matched_count,
-            }]),
-            StatsRequest::Port { .. } => StatsReply::Port(
-                (1..=self.n_ports)
-                    .map(|p| openflow::messages::PortStatsEntry {
-                        port_no: p,
-                        tx_packets: self.data_packets_forwarded,
-                        rx_packets: self.data_packets_forwarded,
-                        ..Default::default()
-                    })
-                    .collect(),
-            ),
-            StatsRequest::Other { stats_type, .. } => StatsReply::Other {
-                stats_type,
-                body: Vec::new(),
-            },
-        };
-        self.send_to_controller(
-            ctx,
-            OfMessage::StatsReply {
-                xid,
-                more: false,
-                body: reply,
-            },
-            SimTime::ZERO,
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // Data-plane forwarding
-    // ------------------------------------------------------------------
-
-    fn emit_packet_in(
-        &mut self,
-        header: &PacketHeader,
-        in_port: PortNo,
-        reason: u8,
-        ctx: &mut Context<'_>,
-    ) {
+    /// Pacing: the PacketIn path is rate limited; when the limiter is saturated the
+    /// switch silently drops the notification (observed behaviour under
+    /// overload).
+    fn emit_packet_in(&mut self, msg: OfMessage, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        // The PacketIn path is rate limited; when the limiter is saturated
-        // the switch silently drops the notification (observed behaviour
-        // under overload).
-        let interval: SimTime = self.behavior.model().packet_in_interval.into();
+        let interval: SimTime = self.model().packet_in_interval.into();
         let backlog = self.packet_in_available_at.saturating_sub(now);
         if backlog > interval * 64 {
             self.packet_ins_suppressed += 1;
@@ -491,18 +320,9 @@ impl OpenFlowSwitch {
         }
         let emit_at = self.packet_in_available_at.max(now);
         self.packet_in_available_at = emit_at + interval;
-        let cost = self.behavior.model().packet_in_time;
-        self.behavior.consume_cpu(now.into(), cost);
+        let cost = self.model().packet_in_time;
+        self.datapath.behavior_mut().consume_cpu(now.into(), cost);
         self.packet_ins_sent += 1;
-        let data = header.to_bytes();
-        let body = PacketIn {
-            buffer_id: openflow::constants::NO_BUFFER,
-            total_len: data.len() as u16,
-            in_port,
-            reason,
-            data,
-        };
-        let msg = OfMessage::PacketIn { xid: 0, body };
         self.send_to_controller(ctx, msg, emit_at.saturating_sub(now));
     }
 
@@ -517,103 +337,54 @@ impl OpenFlowSwitch {
             });
         }
     }
-
-    fn forward_via_table(&mut self, packet: SimPacket, in_port: PortNo, ctx: &mut Context<'_>) {
-        let verdict =
-            self.behavior
-                .classify_packet(ctx.now().into(), &packet.header, in_port, packet.size);
-        if !verdict.matched {
-            self.record_drop(&packet, ctx);
-            if self.config.miss_send_len > 0 {
-                self.emit_packet_in(&packet.header, in_port, packet_in_reason::NO_MATCH, ctx);
-            }
-            return;
-        }
-        if verdict.outputs.is_empty() {
-            // An empty action list is an explicit drop rule.
-            self.record_drop(&packet, ctx);
-            return;
-        }
-        let forwarded = packet.forwarded(ctx.self_id(), verdict.rewritten);
-        let mut sent_any = false;
-        for port in verdict.outputs {
-            match port {
-                of_port::CONTROLLER => {
-                    self.emit_packet_in(&verdict.rewritten, in_port, packet_in_reason::ACTION, ctx);
-                    sent_any = true;
-                }
-                of_port::IN_PORT => {
-                    sent_any |= ctx.send_packet(in_port, forwarded.clone());
-                }
-                of_port::FLOOD | of_port::ALL => {
-                    for p in ctx.topology().ports_of(ctx.self_id()) {
-                        if p != in_port {
-                            sent_any |= ctx.send_packet(p, forwarded.clone());
-                        }
-                    }
-                }
-                of_port::TABLE | of_port::NORMAL | of_port::LOCAL | of_port::NONE => {}
-                physical => {
-                    sent_any |= ctx.send_packet(physical, forwarded.clone());
-                }
-            }
-        }
-        if sent_any {
-            self.data_packets_forwarded += 1;
-        } else {
-            self.record_drop(&packet, ctx);
-        }
-    }
 }
 
 impl Node for OpenFlowSwitch {
     fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn start(&mut self, _ctx: &mut Context<'_>) {
-        // Timers are armed lazily from the behaviour engine's deadlines; an
-        // idle switch schedules nothing.
+        self.datapath.label().to_string()
     }
 
     fn handle(&mut self, event: EventPayload, ctx: &mut Context<'_>) {
-        // Always let the engine catch up first: sync ticks and in-flight
+        let now = ctx.now();
+        // Always let the machine catch up first: sync ticks and in-flight
         // batches due before this event must be visible to it.
-        self.drive(ctx);
+        self.run(ctx, None, |dp, out| dp.advance(now.into(), out));
+        self.rearm_deadline(ctx);
         match event {
-            EventPayload::Control { from, message } => self.handle_control(from, message, ctx),
+            EventPayload::Control { from, message } => {
+                // Adopt whoever speaks to us first as our controller.
+                self.controller.get_or_insert(from);
+                match message {
+                    OfMessage::PacketOut { xid, body } => self.queue_packet_out(xid, body, ctx),
+                    other => self.run(ctx, None, |dp, out| dp.on_control(now.into(), other, out)),
+                }
+            }
             EventPayload::Packet { packet, in_port } => {
-                self.forward_via_table(packet, in_port, ctx)
+                self.run(ctx, Some(&packet), |dp, out| {
+                    dp.on_packet(now.into(), packet.header, in_port, packet.size, out)
+                });
             }
             EventPayload::Timer { token } => match token {
-                TOKEN_BEHAVIOR => {
-                    // drive() above already advanced the engine; just allow
-                    // re-arming for the next deadline.
-                    self.armed_deadline = None;
-                }
+                // The advance above did the work; just allow re-arming for
+                // the next deadline.
+                TOKEN_BEHAVIOR => self.armed_deadline = None,
                 TOKEN_PACKET_OUT => {
-                    let now = ctx.now();
-                    while let Some((exec_at, _)) = self.pending_packet_outs.front() {
-                        if *exec_at > now {
-                            break;
-                        }
-                        let (_, po) = self.pending_packet_outs.pop_front().expect("front");
-                        self.execute_packet_out(po, ctx);
+                    while self.pending_packet_outs.front().is_some_and(|p| p.0 <= now) {
+                        let (_, xid, body) = self.pending_packet_outs.pop_front().expect("front");
+                        // Identity only: every `Output` brings its own header.
+                        let id = u64::from(body.buffer_id);
+                        let injected =
+                            SimPacket::new(PacketHeader::default(), id, now, ctx.self_id())
+                                .into_injected();
+                        let msg = OfMessage::PacketOut { xid, body };
+                        self.run(ctx, Some(&injected), |dp, out| {
+                            dp.on_control(now.into(), msg, out)
+                        });
                     }
                 }
-                TOKEN_RECONNECT => {
-                    // The reboot finished: reattach the behaviour engine and
-                    // replay the handshake (the engine emits the switch-side
-                    // Hello as a Reply action executed below).
-                    let now = ctx.now();
-                    let mut actions = std::mem::take(&mut self.actions);
-                    self.behavior.reattach(now.into(), &mut actions);
-                    if !actions.is_empty() {
-                        self.hello_pending = true;
-                    }
-                    self.execute_actions(&mut actions, ctx);
-                    self.actions = actions;
-                }
+                // The reboot finished: reattach the machine, which replays
+                // the handshake (the switch-side Hello comes back as a Reply).
+                TOKEN_RECONNECT => self.run(ctx, None, |dp, out| dp.reattach(now.into(), out)),
                 _ => {}
             },
         }
@@ -635,8 +406,7 @@ mod tests {
     use crate::measure::FlowId;
     use crate::traffic::{FlowSpec, Host};
     use openflow::messages::FlowMod;
-    use openflow::OfMatch;
-    use std::any::Any;
+    use openflow::{Action, OfMatch, PortNo};
     use std::net::Ipv4Addr;
 
     /// A stub controller that records everything the switch sends and can be
@@ -695,54 +465,6 @@ mod tests {
             )
             .with_cookie(cookie),
         }
-    }
-
-    #[test]
-    fn handshake_messages_are_answered() {
-        let mut sim = Simulator::new(1);
-        let sw_id = NodeId(1);
-        let ctrl = StubController::new(vec![
-            (SimTime::from_millis(1), sw_id, OfMessage::Hello { xid: 1 }),
-            (
-                SimTime::from_millis(2),
-                sw_id,
-                OfMessage::FeaturesRequest { xid: 2 },
-            ),
-            (
-                SimTime::from_millis(3),
-                sw_id,
-                OfMessage::EchoRequest {
-                    xid: 3,
-                    data: vec![1, 2],
-                },
-            ),
-            (
-                SimTime::from_millis(4),
-                sw_id,
-                OfMessage::GetConfigRequest { xid: 4 },
-            ),
-            (
-                SimTime::from_millis(5),
-                sw_id,
-                OfMessage::StatsRequest {
-                    xid: 5,
-                    body: StatsRequest::Desc,
-                },
-            ),
-        ]);
-        let ctrl_id = sim.add_node(ctrl);
-        let mut sw = OpenFlowSwitch::new("s1", DatapathId::new(1), 4, SwitchModel::faithful());
-        sw.connect_controller(ctrl_id);
-        let added = sim.add_node(sw);
-        assert_eq!(added, sw_id);
-        sim.run_until(SimTime::from_millis(100));
-        let ctrl = sim.node_ref::<StubController>(ctrl_id).unwrap();
-        let names: Vec<&str> = ctrl.received.iter().map(|(_, m)| m.name()).collect();
-        assert!(names.contains(&"Hello"));
-        assert!(names.contains(&"FeaturesReply"));
-        assert!(names.contains(&"EchoReply"));
-        assert!(names.contains(&"GetConfigReply"));
-        assert!(names.contains(&"StatsReply"));
     }
 
     #[test]
@@ -866,18 +588,40 @@ mod tests {
             SimTime::from_millis(400),
         ));
         h2.expect_flow(&header, FlowId(0));
+        // Two more flows that must not arrive: one no rule matches, one whose
+        // rule points at the unwired port 3.
+        let flow_header = |i| {
+            crate::traffic::flow_header(
+                i,
+                openflow::MacAddr::from_id(1),
+                openflow::MacAddr::from_id(2),
+            )
+        };
+        let (missed, unwired) = (flow_header(7), flow_header(8));
+        for (id, h) in [(7, missed), (8, unwired)] {
+            h1.add_tx_flow(FlowSpec::constant_rate(
+                FlowId(id),
+                h,
+                1,
+                100,
+                SimTime::ZERO,
+                SimTime::from_millis(100),
+            ));
+        }
         let h1_id = sim.add_node(h1);
         let h2_id = sim.add_node(h2);
         let mut sw = OpenFlowSwitch::new("s1", DatapathId::new(1), 4, SwitchModel::faithful());
         // Pre-install: traffic from h1 (port 1) forwarded out port 2 to h2.
-        sw.preinstall(
-            &FlowMod::add(
-                OfMatch::ipv4_pair(header.nw_src, header.nw_dst),
-                10,
-                vec![Action::output(2)],
-            )
-            .with_cookie(1),
-        );
+        for (h, port, cookie) in [(header, 2, 1), (unwired, 3, 2)] {
+            sw.preinstall(
+                &FlowMod::add(
+                    OfMatch::ipv4_pair(h.nw_src, h.nw_dst),
+                    10,
+                    vec![Action::output(port)],
+                )
+                .with_cookie(cookie),
+            );
+        }
         let sw_id = sim.add_node(sw);
         sim.topology_mut()
             .add_link(h1_id, 1, sw_id, 1, SimTime::from_micros(50));
@@ -888,126 +632,11 @@ mod tests {
         assert_eq!(delivered, 100, "250 pkt/s for 400 ms");
         let sw = sim.node_ref::<OpenFlowSwitch>(sw_id).unwrap();
         assert_eq!(sw.data_packets_forwarded(), 100);
-        assert_eq!(sw.data_packets_dropped(), 0);
-    }
-
-    #[test]
-    fn unmatched_packets_are_dropped_and_counted() {
-        let mut sim = Simulator::new(1);
-        let mut h1 = Host::new("h1");
-        let header = crate::traffic::flow_header(
-            7,
-            openflow::MacAddr::from_id(1),
-            openflow::MacAddr::from_id(2),
-        );
-        h1.add_tx_flow(FlowSpec::constant_rate(
-            FlowId(7),
-            header,
-            1,
-            100,
-            SimTime::ZERO,
-            SimTime::from_millis(100),
-        ));
-        let h1_id = sim.add_node(h1);
-        let mut sw = OpenFlowSwitch::new("s1", DatapathId::new(1), 2, SwitchModel::faithful());
-        // No controller connected and miss_send_len left at default: the
-        // switch still counts the miss as a drop.
-        sw.connect_controller(NodeId(0)); // point back at the host; it ignores control traffic
-        let sw_id = sim.add_node(sw);
-        sim.topology_mut()
-            .add_link(h1_id, 1, sw_id, 1, SimTime::from_micros(50));
-        sim.run_until(SimTime::from_millis(300));
-        let sw = sim.node_ref::<OpenFlowSwitch>(sw_id).unwrap();
-        assert_eq!(sw.data_packets_dropped(), 10);
-        assert_eq!(sim.trace().dropped_packets(None), 10);
-    }
-
-    #[test]
-    fn drop_rule_drops_without_packet_in() {
-        let mut sim = Simulator::new(1);
-        let mut h1 = Host::new("h1");
-        let header = crate::traffic::flow_header(
-            3,
-            openflow::MacAddr::from_id(1),
-            openflow::MacAddr::from_id(2),
-        );
-        h1.add_tx_flow(FlowSpec::constant_rate(
-            FlowId(3),
-            header,
-            1,
-            100,
-            SimTime::ZERO,
-            SimTime::from_millis(50),
-        ));
-        let h1_id = sim.add_node(h1);
-        let mut sw = OpenFlowSwitch::new("s1", DatapathId::new(1), 2, SwitchModel::faithful());
-        sw.preinstall(&FlowMod::add(OfMatch::wildcard_all(), 0, vec![]).with_cookie(1));
-        sw.connect_controller(NodeId(0));
-        let sw_id = sim.add_node(sw);
-        sim.topology_mut()
-            .add_link(h1_id, 1, sw_id, 1, SimTime::from_micros(50));
-        sim.run_until(SimTime::from_millis(200));
-        let sw = sim.node_ref::<OpenFlowSwitch>(sw_id).unwrap();
-        assert_eq!(sw.data_packets_dropped(), 5);
-        assert_eq!(
-            sw.packet_ins_sent(),
-            0,
-            "drop rule must not create PacketIns"
-        );
-    }
-
-    #[test]
-    fn packet_out_injects_into_data_plane() {
-        let mut sim = Simulator::new(1);
-        let mut h2 = Host::new("h2");
-        let header = crate::traffic::flow_header(
-            0,
-            openflow::MacAddr::from_id(1),
-            openflow::MacAddr::from_id(2),
-        );
-        h2.expect_flow(&header, FlowId(0));
-        let h2_id = sim.add_node(h2);
-
-        // The switch will be node 2; the controller (node 1) sends it a
-        // PacketOut that outputs the frame directly on port 2, plus one that
-        // goes through the flow table (OFPP_TABLE).
-        let sw_id = NodeId(2);
-        let direct = OfMessage::PacketOut {
-            xid: 1,
-            body: PacketOut::single_port(2, header.to_bytes()),
-        };
-        let via_table = OfMessage::PacketOut {
-            xid: 2,
-            body: PacketOut::via_table(header.to_bytes()),
-        };
-        let ctrl_id = sim.add_node(StubController::new(vec![
-            (SimTime::from_millis(1), sw_id, direct),
-            (SimTime::from_millis(2), sw_id, via_table),
-        ]));
-
-        let mut sw = OpenFlowSwitch::new("s1", DatapathId::new(1), 2, SwitchModel::faithful());
-        sw.preinstall(
-            &FlowMod::add(
-                OfMatch::ipv4_pair(header.nw_src, header.nw_dst),
-                10,
-                vec![Action::output(2)],
-            )
-            .with_cookie(5),
-        );
-        sw.connect_controller(ctrl_id);
-        let added = sim.add_node(sw);
-        assert_eq!(added, sw_id);
-        sim.topology_mut()
-            .add_link(sw_id, 2, h2_id, 1, SimTime::from_micros(50));
-        sim.run_until(SimTime::from_millis(100));
-
-        assert_eq!(
-            sim.trace().delivered_packets(Some(FlowId(0))),
-            2,
-            "both the direct and the via-table PacketOut reach the host"
-        );
-        let sw = sim.node_ref::<OpenFlowSwitch>(sw_id).unwrap();
-        assert_eq!(sw.packet_outs_processed(), 2);
+        // The miss and the unwired output both count and trace as drops;
+        // only the miss is reported (no controller is connected to hear it).
+        assert_eq!(sw.data_packets_dropped(), 20);
+        assert_eq!(sim.trace().dropped_packets(None), 20);
+        assert_eq!(sw.packet_ins_sent(), 10);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! It is a sans-IO state machine in the same style as `rum::RumEngine` and
 //! `controller::UpdateSession`: drivers feed it decoded OpenFlow messages
 //! plus the current time (a [`Duration`] since an arbitrary driver epoch)
-//! and execute the [`BehaviorAction`]s it returns.  Two drivers share it:
+//! and execute the [`BehaviorAction`]s it returns.  Two drivers share it,
+//! through [`crate::Datapath`], which adds the rest of the switch:
 //!
 //! * `simnet::OpenFlowSwitch` — the discrete-event simulator node;
 //! * `rum_tcp::switch_host` — the same switch served over a real TCP socket.
@@ -348,6 +349,29 @@ pub enum BehaviorAction {
         /// When the restart happened.
         at: Duration,
     },
+    /// A `PacketIn` for the control channel, due now.  Not a `Reply`: a
+    /// driver may pace or suppress it (`Datapath` emits these; see there).
+    PacketIn {
+        /// The complete `OfMessage::PacketIn`.
+        message: OfMessage,
+    },
+    /// `header` leaves the switch on physical `port`.
+    Output {
+        /// The port.
+        port: PortNo,
+        /// The header after rewrites.
+        header: PacketHeader,
+    },
+    /// `header` leaves on every cabled port but `except` (`FLOOD`/`ALL`).
+    Flood {
+        /// The ingress port.
+        except: PortNo,
+        /// The header after rewrites.
+        header: PacketHeader,
+    },
+    /// The data plane dropped the packet: table miss, drop rule, or only
+    /// outputs that lead nowhere.
+    Dropped,
 }
 
 /// What the data plane decided about one packet.
@@ -795,8 +819,8 @@ impl Behavior {
     }
 
     /// Handles one control-plane message.  Returns true when the engine
-    /// consumed it; liveness and driver-level messages (echo, stats,
-    /// PacketOut, ...) return false and stay with the driver.
+    /// consumed it; everything else (echo, other stats, PacketOut, ...)
+    /// returns false and is [`crate::Datapath`]'s to answer.
     pub fn handle_message(
         &mut self,
         now: Duration,

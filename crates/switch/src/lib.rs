@@ -24,6 +24,10 @@
 //!   delayed sync bursts, ack loss/duplication, restart with table wipe),
 //!   and the [`GroundTruth`] timeline used to classify acknowledgments as
 //!   true or false.
+//! * [`datapath`] — the whole switch as one sans-IO machine: a
+//!   [`Behavior`] plus the handshake and stats surface, `PacketOut`
+//!   execution, data-plane forwarding and table-miss policy.  This is what
+//!   the two drivers run.
 //!
 //! Time throughout is [`std::time::Duration`] since an arbitrary driver
 //! epoch — simulation start or wall-clock process start, the engine only
@@ -33,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod behavior;
+pub mod datapath;
 pub mod flow_table;
 pub mod model;
 pub mod oracle;
@@ -41,6 +46,7 @@ pub use behavior::{
     classify_confirmations, Behavior, BehaviorAction, BehaviorCounters, ConfirmVerdict, FaultPlan,
     GroundTruth, PacketVerdict, TruthEvent,
 };
+pub use datapath::Datapath;
 pub use flow_table::{FlowEntry, FlowModOutcome, FlowTable};
 pub use model::{BarrierMode, SwitchModel};
 pub use oracle::LinearFlowTable;
