@@ -3,91 +3,37 @@
 //! [`TcpDriver`] listens for the machine's switch connections (usually the
 //! RUM proxy impersonating the switches), assigns them [`ConnId`]s in accept
 //! order and, once every expected connection is up, feeds
-//! [`MachineInput::Started`].  From then on it is a pure message pump:
-//! reader threads decode OpenFlow frames into [`MachineInput::FromSwitch`],
-//! a timer thread replays [`MachineInput::TimerFired`], and every effect is
-//! executed mechanically.  One socket read is one lock acquisition; all its
-//! sends are coalesced into one chunk (→ one socket write) per connection;
-//! timers are armed after the lock is released.  Every decision lives in the
-//! machine, which `controller::MachineNode` drives in the simulator.
+//! [`MachineInput::Started`].  From then on it is a pure message pump: the
+//! connection layer's worker decodes OpenFlow frames into
+//! [`MachineInput::FromSwitch`], a timer thread replays
+//! [`MachineInput::TimerFired`], and every effect is executed mechanically.
+//! One socket read is one lock acquisition; all its sends are coalesced into
+//! one chunk per connection, pushed to that connection's outbox under the
+//! lock and flushed after it; timers are armed after the lock is released.
+//! Every decision lives in the machine, which `controller::MachineNode`
+//! drives in the simulator.
+//!
+//! The sockets belong to the private `conn` module — the same accept loop,
+//! slot table, outboxes and `poll(2)` worker the proxy runs on, here with
+//! one socket per slot and one worker.  What this module owns is the
+//! machine lock, the effect execution above and the "last slot filled →
+//! `Started`" rule.
 
-use crate::conn::{reader_loop, writer_loop, Route};
+use crate::conn::{Conns, Outbox, Transport};
 use crate::timer::TimerQueue;
 use controller::{ConnId, Machine, MachineEffect, MachineInput};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
+use openflow::OfMessage;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which [`ConnId`] slots currently have a live connection.
-///
-/// The mapping is positional, not authenticated: with several switches down
-/// at once, whoever re-dials first gets the lowest freed slot.  Deployments
-/// that restart more than one switch concurrently need datapath-id
-/// re-identification from a features handshake, which this prototype (like
-/// the paper's) does not perform.
-pub(crate) struct SlotTable {
-    attached: Vec<bool>,
-    /// Per-slot attach generation, so a thread outliving its connection
-    /// cannot tear down the slot's newer connection.
-    generation: Vec<u64>,
-    /// Total connections ever attached (reconnects included).
-    accepted: usize,
-}
-
-impl SlotTable {
-    pub(crate) fn new(n: usize) -> Self {
-        SlotTable {
-            attached: vec![false; n],
-            generation: vec![0; n],
-            accepted: 0,
-        }
-    }
-
-    /// Claims the lowest free slot, so a single restarted switch reattaches
-    /// under its original `ConnId`.  `None` for a surplus connection.
-    pub(crate) fn claim(&mut self) -> Option<(usize, u64)> {
-        let slot = self.attached.iter().position(|&a| !a)?;
-        self.attached[slot] = true;
-        self.generation[slot] += 1;
-        self.accepted += 1;
-        Some((slot, self.generation[slot]))
-    }
-
-    /// Undoes a claim that never became an attach: the slot is free again
-    /// under the generation it had before.
-    pub(crate) fn unclaim(&mut self, slot: usize) {
-        self.attached[slot] = false;
-        self.generation[slot] -= 1;
-        self.accepted -= 1;
-    }
-
-    /// Frees `slot` if `generation` is still its current attach; a thread
-    /// from an earlier attach reporting its death late is a no-op.
-    pub(crate) fn detach(&mut self, slot: usize, generation: u64) -> bool {
-        let current = self.attached[slot] && self.generation[slot] == generation;
-        if current {
-            self.attached[slot] = false;
-        }
-        current
-    }
-
-    fn all_attached(&self) -> bool {
-        self.attached.iter().all(|&a| a)
-    }
-}
 
 struct State<M: Machine> {
     machine: M,
     /// Reusable effects buffer.
     effects: Vec<M::Effect>,
-    /// Per slot; sends to a detached slot buffer and flush on reattach.
-    routes: Vec<Route>,
     /// Reusable per-connection encode buffers.
     send_bufs: Vec<Vec<u8>>,
-    slots: SlotTable,
     started: bool,
 }
 
@@ -95,8 +41,10 @@ struct Shared<M: Machine> {
     state: Mutex<State<M>>,
     /// Notified whenever the machine reports something terminal.
     done: Condvar,
+    /// One socket per slot; sends to a detached slot queue in its outbox
+    /// and flush on reattach.
+    conns: Conns,
     timers: TimerQueue,
-    stop: AtomicBool,
     epoch: Instant,
 }
 
@@ -112,6 +60,7 @@ impl<M: Machine> Shared<M> {
     fn drive<R>(&self, f: impl FnOnce(&mut M, Duration, &mut Vec<M::Effect>) -> R) -> R {
         let now = self.epoch.elapsed();
         let mut timers = Vec::new();
+        let mut touched = Vec::new();
         let mut notify = false;
         let result = {
             let mut st = self.state();
@@ -136,9 +85,10 @@ impl<M: Machine> Shared<M> {
                 }
             }
             st.effects = effects;
-            for (route, buf) in st.routes.iter_mut().zip(st.send_bufs.iter_mut()) {
+            for (slot, buf) in st.send_bufs.iter_mut().enumerate() {
                 if !buf.is_empty() {
-                    route.send_bytes(std::mem::take(buf));
+                    self.conns.push(slot, 0, std::mem::take(buf));
+                    touched.push(slot);
                 }
             }
             result
@@ -146,6 +96,9 @@ impl<M: Machine> Shared<M> {
         let armed_at = Instant::now();
         for (delay, raw) in timers {
             self.timers.arm(armed_at + delay, raw);
+        }
+        for slot in touched {
+            self.conns.flush(slot);
         }
         if notify {
             self.done.notify_all();
@@ -155,6 +108,43 @@ impl<M: Machine> Shared<M> {
 
     fn feed(&self, input: MachineInput) {
         self.drive(|machine, now, effects| machine.handle(now, input, effects));
+    }
+}
+
+impl<M> Transport for Shared<M>
+where
+    M: Machine + Send + 'static,
+    M::Effect: Send,
+{
+    fn conns(&self) -> &Conns {
+        &self.conns
+    }
+
+    fn open(&self, accepted: TcpStream) -> std::io::Result<Vec<TcpStream>> {
+        Ok(vec![accepted])
+    }
+
+    /// The connection that fills the last slot starts the machine.
+    fn attached(&self, _slot: usize, _generation: u64) {
+        let full = self.conns.all_attached();
+        let start = {
+            let mut st = self.state();
+            let start = full && !st.started;
+            st.started |= start;
+            start
+        };
+        if start {
+            self.feed(MachineInput::Started);
+        }
+    }
+
+    fn received(&self, slot: usize, _side: usize, msgs: &mut Vec<OfMessage>) {
+        let conn = ConnId::new(slot);
+        self.drive(|machine, now, effects| {
+            for message in msgs.drain(..) {
+                machine.handle(now, MachineInput::FromSwitch { conn, message }, effects);
+            }
+        })
     }
 }
 
@@ -181,124 +171,37 @@ where
     /// threads.  Sends to a connection that has not attached yet buffer and
     /// flush on attach.
     pub fn start(self) -> std::io::Result<TcpDriverHandle<M>> {
-        let listener = TcpListener::bind(self.listen_addr)?;
-        let local_addr = listener.local_addr()?;
         let n = self.n_connections;
+        let outboxes = (0..n).map(|_| vec![Outbox::new(Vec::new())]).collect();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 machine: self.machine,
                 effects: Vec::new(),
-                routes: (0..n).map(|_| Route::Pending(Vec::new())).collect(),
                 send_bufs: vec![Vec::new(); n],
-                slots: SlotTable::new(n),
                 started: false,
             }),
             done: Condvar::new(),
+            // One worker: the single machine lock serialises input anyway.
+            conns: Conns::bind(self.listen_addr, outboxes, 1)?,
             timers: TimerQueue::new(),
-            stop: AtomicBool::new(false),
             epoch: self.epoch,
         });
 
         let timer_thread = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let timers = &shared.timers;
-                timers.run(&shared.stop, |raw| {
+                shared.timers.run(shared.conns.stopping(), |raw| {
                     shared.feed(MachineInput::TimerFired { raw })
                 });
             })
         };
-
-        let accept_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                for incoming in listener.incoming() {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = incoming else {
-                        continue;
-                    };
-                    // Surplus connections are dropped.
-                    let Some((slot, generation)) = shared.state().slots.claim() else {
-                        continue;
-                    };
-                    // A failed attach (fd exhaustion at fleet scale) drops
-                    // the connection so the peer retries, and frees the slot
-                    // for it.
-                    if attach(&shared, slot, generation, stream).is_err() {
-                        shared.state().slots.unclaim(slot);
-                    }
-                }
-            })
-        };
+        Conns::start(&shared);
 
         Ok(TcpDriverHandle {
-            local_addr,
+            local_addr: shared.conns.local_addr,
             shared,
-            accept_thread,
             timer_thread,
         })
-    }
-}
-
-/// Wires one accepted switch connection: a writer thread draining the
-/// slot's outbox and a reader thread feeding the machine.  Either thread
-/// ending detaches the slot so a restarted switch can reconnect under the
-/// same `ConnId`.  The connection that fills the last slot starts the
-/// machine.
-fn attach<M>(
-    shared: &Arc<Shared<M>>,
-    slot: usize,
-    generation: u64,
-    stream: TcpStream,
-) -> std::io::Result<()>
-where
-    M: Machine + Send + 'static,
-    M::Effect: Send,
-{
-    let _ = stream.set_nodelay(true);
-    let reader = stream.try_clone()?;
-    let (tx, rx) = channel::<Vec<u8>>();
-    let start = {
-        let mut st = shared.state();
-        st.routes[slot].connect(tx);
-        let start = st.slots.all_attached() && !st.started;
-        st.started |= start;
-        start
-    };
-    // A failed write ends the writer loop gracefully; the machine's failure
-    // policy (timeout → retry → abort) handles the silent switch.
-    let writer_shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        writer_loop(rx, stream);
-        detach(&writer_shared, slot, generation);
-    });
-    let reader_shared = Arc::clone(shared);
-    std::thread::spawn(move || {
-        let conn = ConnId::new(slot);
-        reader_loop(reader, |msgs| {
-            reader_shared.drive(|machine, now, effects| {
-                for message in msgs.drain(..) {
-                    machine.handle(now, MachineInput::FromSwitch { conn, message }, effects);
-                }
-            })
-        });
-        detach(&reader_shared, slot, generation);
-    });
-    if start {
-        shared.feed(MachineInput::Started);
-    }
-    Ok(())
-}
-
-/// Frees one slot after its connection died: the route goes back to
-/// buffering (the writer thread drains what was already queued, shuts the
-/// socket down and exits — see `writer_loop`).  Generation-guarded.
-fn detach<M: Machine>(shared: &Shared<M>, slot: usize, generation: u64) {
-    let mut st = shared.state();
-    if st.slots.detach(slot, generation) {
-        st.routes[slot] = Route::Pending(Vec::new());
     }
 }
 
@@ -307,14 +210,13 @@ pub struct TcpDriverHandle<M: Machine> {
     /// The address the controller actually listens on (useful with port 0).
     pub local_addr: SocketAddr,
     shared: Arc<Shared<M>>,
-    accept_thread: JoinHandle<()>,
     timer_thread: JoinHandle<()>,
 }
 
 impl<M: Machine> TcpDriverHandle<M> {
     /// Number of switch connections accepted so far (reconnects included).
     pub fn connections(&self) -> usize {
-        self.shared.state().slots.accepted
+        self.shared.conns.accepted()
     }
 
     /// Runs `f` against the machine under the lock — the inspection surface,
@@ -348,14 +250,11 @@ impl<M: Machine> TcpDriverHandle<M> {
         }
     }
 
-    /// Asks the accept and timer loops to stop and waits for them.
-    /// Established connection threads terminate when their sockets close.
+    /// Asks the accept, timer and worker loops to stop and waits for them;
+    /// the worker shuts every attached socket down on its way out.
     pub fn shutdown(self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.conns.shutdown();
         self.shared.timers.wake();
-        // Unblock the accept loop with a throw-away connection.
-        let _ = TcpStream::connect(self.local_addr);
-        let _ = self.accept_thread.join();
         let _ = self.timer_thread.join();
     }
 }
@@ -410,45 +309,106 @@ pub(crate) mod testing {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::testing::acking_switch;
+    use crate::mux_controller::TcpMuxController;
+    use crate::proxy::wait_for;
+    use controller::{AckMode, UpdatePlan};
+    use openflow::messages::FlowMod;
+    use openflow::{Action, OfMatch};
+    use sessiond::{MuxConfig, SessionState};
+    use std::io::Read;
+    use std::net::{Ipv4Addr, TcpStream};
+    use std::sync::Arc;
+    use std::time::Duration;
 
-    #[test]
-    fn failed_attach_restores_the_slot_and_its_generation() {
-        let mut slots = SlotTable::new(2);
-        assert_eq!(slots.claim(), Some((0, 1)));
-        slots.unclaim(0);
-        assert_eq!(slots.accepted, 0);
-        assert!(!slots.all_attached());
-        // The next dial claims the same slot as a first attach, not as a
-        // reconnect.
-        assert_eq!(slots.claim(), Some((0, 1)));
-        assert_eq!(slots.accepted, 1);
+    fn plan(tenant: u8, switches: &[usize], mods: u32) -> UpdatePlan {
+        let mut plan = UpdatePlan::new();
+        for i in 0..mods {
+            let [_, a, b, c] = i.to_be_bytes();
+            let src = Ipv4Addr::new(10 + tenant, a, b, c);
+            let matching = OfMatch::ipv4_pair(src, Ipv4Addr::new(10, 200, 0, 1));
+            let switch = switches[i as usize % switches.len()];
+            let fm = FlowMod::add(matching, 100, vec![Action::output(2)]);
+            plan.add(u64::from(i) + 1, switch, fm).unwrap();
+        }
+        plan
     }
 
+    /// The driver side of what `tests/eventloop_robustness.rs` pins for the
+    /// proxy: a connection whose peer never reads leaves residue only in
+    /// its own outbox while a session on the other connections completes,
+    /// and `shutdown()` still returns — with every driver thread gone and
+    /// every socket shut.
     #[test]
-    fn stale_generation_detach_is_a_no_op() {
-        let mut slots = SlotTable::new(1);
-        let (slot, first) = slots.claim().unwrap();
-        assert!(slots.detach(slot, first));
-        assert!(!slots.detach(slot, first), "detach is idempotent");
-        let (_, second) = slots.claim().unwrap();
-        assert_eq!(second, first + 1, "reconnects bump the generation");
-        // A thread from the first attach reports its death only now.
-        assert!(!slots.detach(slot, first));
-        assert!(slots.all_attached(), "the newer connection survives");
-        assert!(slots.detach(slot, second));
-        assert_eq!(slots.accepted, 2);
-    }
+    fn peer_that_never_reads_backs_up_only_its_own_outbox() {
+        // Windows wide enough that the whole blast is released at once:
+        // ~5.4 MB towards slot 0, more than its kernel buffers take.
+        const BLAST: u32 = 60_000;
+        let config = MuxConfig {
+            ack_mode: AckMode::RumAcks,
+            session_window: BLAST as usize,
+            global_window: 2 * BLAST as usize,
+            quantum: u64::from(BLAST),
+            ..MuxConfig::default()
+        };
+        let ctrl = TcpMuxController::new("127.0.0.1:0".parse().unwrap(), config, 3);
+        let handle = ctrl.start().expect("controller starts");
+        // Dial one at a time so slot order is dial order: slot 0 never
+        // reads, slots 1 and 2 ack everything.
+        let mut stalled = TcpStream::connect(handle.local_addr).unwrap();
+        let mut switches = Vec::new();
+        for n in 2..=3 {
+            assert!(wait_for(
+                || handle.connections() == n - 1,
+                Duration::from_secs(3)
+            ));
+            switches.push(acking_switch(handle.local_addr));
+        }
+        assert!(wait_for(
+            || handle.connections() == 3,
+            Duration::from_secs(3)
+        ));
 
-    #[test]
-    fn surplus_connection_is_refused_and_lowest_free_slot_is_reused() {
-        let mut slots = SlotTable::new(2);
-        assert_eq!(slots.claim(), Some((0, 1)));
-        assert_eq!(slots.claim(), Some((1, 1)));
-        assert!(slots.all_attached());
-        assert_eq!(slots.claim(), None);
-        assert_eq!(slots.accepted, 2, "a refused connection is not counted");
-        assert!(slots.detach(0, 1));
-        assert_eq!(slots.claim(), Some((0, 2)));
+        let blast = handle.submit(plan(0, &[0], BLAST)).expect("admitted");
+        let served = handle.submit(plan(1, &[1, 2], 8)).expect("admitted");
+        assert!(
+            handle.wait_until(Duration::from_secs(5), |m| {
+                m.state(served) == Some(&SessionState::Done)
+            }),
+            "the session on the live connections must complete"
+        );
+        assert_eq!(handle.confirmed_order(served).len(), 8);
+        assert_eq!(
+            handle.with(|m| m.state(blast).cloned()),
+            Some(SessionState::Running)
+        );
+        let queued = handle.shared.conns.queued();
+        assert!(queued[0] > 0, "slot 0's socket is full: {queued:?}");
+        assert_eq!(queued[1..], [0, 0], "nobody else pays for it");
+
+        // Every driver thread holds the shared state; once `shutdown` has
+        // joined them all, the handle's reference was the last one.
+        let shared = Arc::downgrade(&handle.shared);
+        handle.shutdown();
+        assert!(shared.upgrade().is_none(), "a driver thread is still alive");
+        // The worker shut the sockets on its way out: the stalled peer
+        // reads what was in flight, then EOF (or a reset), never a timeout.
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut buf = vec![0u8; 1 << 16];
+        loop {
+            match stalled.read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}");
+                    break;
+                }
+            }
+        }
+        for switch in switches {
+            let _ = switch.join();
+        }
     }
 }

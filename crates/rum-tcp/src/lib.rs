@@ -15,18 +15,15 @@
 //!   [`rum::RumEngine`]: takes decoded OpenFlow messages plus wall-clock
 //!   time, returns endpoint-tagged messages, timer requests and
 //!   confirmations.  Fully unit-testable without sockets.
-//! * [`proxy::RumTcpProxy`] — the sharded event-loop proxy: one accept
-//!   thread plus a handful of workers, each running a hand-rolled `poll(2)`
-//!   reactor (the `reactor` module, the only one allowed to touch FFI) over
-//!   the connections, engines and timers of its shards.  It serves 1,000
-//!   switches without a thread per connection.
+//! * [`proxy::RumTcpProxy`] — the sharded proxy: per-shard engines behind
+//!   their own locks, two sockets per switch slot (the switch's, and the
+//!   onward connection impersonating it to the controller).
 //!
 //! Controller side (the paper's update controller, completing the chain):
 //!
 //! * [`driver::TcpDriver`] — the one transport for any
-//!   `controller::Machine`: listener, slot table, a reader and a writer
-//!   thread per switch connection, a timer thread, and a handle to inspect,
-//!   wait on and shut down the running machine.
+//!   `controller::Machine`: one socket per slot, the machine lock, and a
+//!   handle to inspect, wait on and shut down the running machine.
 //! * [`controller::TcpUpdateController`] and
 //!   [`mux_controller::TcpMuxController`] — that driver typed for
 //!   `controller::SessionMachine` (one update session, optionally with
@@ -35,14 +32,26 @@
 //! * [`switch_host`] — the `ofswitch::Datapath` machine hosted behind a TCP
 //!   client, emulating buggy (early barrier reply) or faithful switches.
 //!   Every switch decision is the machine's; the host owns the wall clock,
-//!   the `poll(2)` loop, the deferred-reply queue, the [`Fabric`] cables and
-//!   re-dialing.  Pacing stays with the simulator driver: this loop sleeps
-//!   in whole milliseconds, so a 30–40 µs spacing would cost every probe
-//!   round trip ~0.5–1 ms.
+//!   the deferred-reply queue, the [`Fabric`] cables and re-dialing.
+//!   Pacing stays with the simulator driver: this loop sleeps in whole
+//!   milliseconds, so a 30–40 µs spacing would cost every probe round trip
+//!   ~0.5–1 ms.
 //!
-//! The controller-side driver's thread-per-connection plumbing (`Route`,
-//! `reader_loop`, `writer_loop`) lives in the private `conn` module; `timer`
-//! is the deadline queue behind the proxy's and the driver's timer threads.
+//! Under all three sits one connection layer, the private `conn` module:
+//! the slot table (which slot is attached, under which generation), the
+//! per-socket outbox (queued chunks, partial-write resume, queue-while-down),
+//! the frame reader (nonblocking read → codec → one batch per socket read)
+//! and — for the proxy and the driver — the accept-claim-attach-or-unclaim
+//! loop and the `poll(2)` workers (`reactor`, the only module allowed to
+//! touch FFI) that own every attached socket; 1,000 switches are served
+//! without a thread per connection on either side.  The proxy and the
+//! driver only say how an accepted socket becomes a slot's sockets and
+//! which lock decoded input goes to; the lock order is machine/shard →
+//! slot everywhere.  The switch host keeps a loop of its own because it
+//! sleeps until the *machine's* next deadline, which no worker does, but
+//! reads and writes through the same reader and outbox.  `timer` is the
+//! deadline queue behind the proxy's and the driver's timer threads: those
+//! stayed threads because `poll(2)` times out in whole milliseconds.
 //!
 //! Every acknowledgment technique the engine supports (barriers, static
 //! timeout, adaptive delay, sequential and general probing) is available

@@ -9,7 +9,7 @@
 //!   reusable [`PollFd`] slice and a millisecond timeout;
 //! * [`Waker`] — a self-pipe (a nonblocking `UnixStream` pair) whose read
 //!   end joins a poll set, so any thread can interrupt a sleeping event
-//!   loop with a 1-byte write.
+//!   loop with a 1-byte write (one per drain, however many wakes land).
 //!
 //! All unsafety in the crate is confined to the tiny `sys` module below:
 //! one struct layout and one foreign function, matching the kernel ABI
@@ -18,6 +18,7 @@
 use std::io::{Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The `poll(2)` FFI surface.  Kept to the absolute minimum: the `pollfd`
 /// struct layout and the syscall wrapper, both straight from POSIX.
@@ -134,6 +135,10 @@ pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> usize {
 pub(crate) struct Waker {
     read_end: UnixStream,
     write_end: UnixStream,
+    /// A wake-up is in the pipe that the owner has not drained yet, so
+    /// further wakes are already delivered and skip their write: a burst
+    /// of wakes costs one syscall, not one each.
+    pending: AtomicBool,
 }
 
 impl Waker {
@@ -144,6 +149,7 @@ impl Waker {
         Ok(Waker {
             read_end,
             write_end,
+            pending: AtomicBool::new(false),
         })
     }
 
@@ -156,7 +162,9 @@ impl Waker {
     /// shared reference; a `WouldBlock` (pipe already full) means the loop
     /// is guaranteed to wake anyway.
     pub(crate) fn wake(&self) {
-        let _ = (&self.write_end).write(&[1u8]);
+        if !self.pending.swap(true, Ordering::AcqRel) {
+            let _ = (&self.write_end).write(&[1u8]);
+        }
     }
 
     /// Consumes pending wake-ups so the next poll sleeps again.  Call after
@@ -164,10 +172,14 @@ impl Waker {
     pub(crate) fn drain(&self) {
         let mut buf = [0u8; 64];
         while let Ok(n) = (&self.read_end).read(&mut buf) {
-            if n == 0 {
-                break;
+            if n < buf.len() {
+                break; // a short read emptied the pipe
             }
         }
+        // Cleared only after the read: a wake that skipped its write while
+        // the flag was up is covered by the owner looking at its work after
+        // this returns; one that lands later writes a fresh byte.
+        self.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -209,6 +221,9 @@ mod tests {
         assert_eq!(poll_fds(&mut fds, 0), 1);
         waker.drain();
         assert_eq!(poll_fds(&mut fds, 0), 0);
+        // The drain re-armed it: the next wake writes again.
+        waker.wake();
+        assert_eq!(poll_fds(&mut fds, 0), 1);
     }
 
     #[test]

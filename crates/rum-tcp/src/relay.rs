@@ -26,18 +26,13 @@ pub enum Endpoint {
 pub struct RelayEffects {
     /// Messages to write, in order, each tagged with its destination.
     pub messages: Vec<(Endpoint, OfMessage)>,
-    /// Timers to schedule: feed [`EngineRelay::on_timer`] after each delay.
+    /// Timers to schedule: feed [`Input::TimerFired`] after each delay.
     pub timers: Vec<(Duration, TimerToken)>,
     /// Rules confirmed active in the data plane (observational).
     pub confirmed: Vec<(SwitchId, u64)>,
 }
 
 impl RelayEffects {
-    /// True when nothing needs doing.
-    pub fn is_empty(&self) -> bool {
-        self.messages.is_empty() && self.timers.is_empty() && self.confirmed.is_empty()
-    }
-
     /// Empties the effect lists, keeping their allocations for reuse.
     pub fn clear(&mut self) {
         self.messages.clear();
@@ -48,11 +43,10 @@ impl RelayEffects {
 
 /// Drives a [`RumEngine`] from wall-clock time and decoded socket messages.
 ///
-/// The `*_into` methods *append* into a caller-owned [`RelayEffects`], so a
+/// Both entry points *append* into a caller-owned [`RelayEffects`], so a
 /// driver can drain every message decoded from one socket read into a single
 /// effects batch (and a single write per destination socket) with no
-/// per-message allocation; the plain methods are conveniences that return a
-/// fresh batch.
+/// per-message allocation.
 pub struct EngineRelay {
     engine: RumEngine,
     epoch: Instant,
@@ -88,87 +82,23 @@ impl EngineRelay {
         self.epoch.elapsed()
     }
 
-    fn dispatch(&mut self, input: Input, out: &mut RelayEffects) {
+    /// Feeds one pre-routed [`Input`] to the engine, appending the effects
+    /// to `out`.  The sharded proxy routes inputs with a [`rum::ShardRouter`]
+    /// first and then drives whichever shard relay owns them through this
+    /// single entry point.
+    pub fn handle_into(&mut self, input: Input, out: &mut RelayEffects) {
         let now = self.now();
         self.scratch.clear();
         self.engine.handle_into(now, input, &mut self.scratch);
         translate_into(&mut self.scratch, out);
     }
 
-    /// Feeds one pre-routed [`Input`] to the engine, appending the effects
-    /// to `out`.  The sharded proxy routes inputs with a [`rum::ShardRouter`]
-    /// first and then drives whichever shard relay owns them through this
-    /// single entry point; the typed `on_*` methods below are equivalent
-    /// conveniences for drivers that construct inputs in place.
-    pub fn handle_into(&mut self, input: Input, out: &mut RelayEffects) {
-        self.dispatch(input, out);
-    }
-
-    /// Starts the engine (catch rules, initial timers).  Idempotent.
-    pub fn start(&mut self) -> RelayEffects {
-        let mut out = RelayEffects::default();
-        self.start_into(&mut out);
-        out
-    }
-
-    /// Starts the engine, appending the start-up effects to `out`.
+    /// Starts the engine (catch rules, initial timers), appending the
+    /// start-up effects to `out`.  Idempotent.
     pub fn start_into(&mut self, out: &mut RelayEffects) {
         let now = self.now();
         let mut effects = self.engine.start(now);
         translate_into(&mut effects, out);
-    }
-
-    /// The controller sent `message` on `switch`'s impersonated connection.
-    pub fn on_controller_message(&mut self, switch: SwitchId, message: OfMessage) -> RelayEffects {
-        let mut out = RelayEffects::default();
-        self.on_controller_message_into(switch, message, &mut out);
-        out
-    }
-
-    /// Appending form of [`EngineRelay::on_controller_message`].
-    pub fn on_controller_message_into(
-        &mut self,
-        switch: SwitchId,
-        message: OfMessage,
-        out: &mut RelayEffects,
-    ) {
-        self.dispatch(Input::FromController { switch, message }, out);
-    }
-
-    /// Switch `switch` sent `message` towards the controller.
-    pub fn on_switch_message(&mut self, switch: SwitchId, message: OfMessage) -> RelayEffects {
-        let mut out = RelayEffects::default();
-        self.on_switch_message_into(switch, message, &mut out);
-        out
-    }
-
-    /// Appending form of [`EngineRelay::on_switch_message`].
-    pub fn on_switch_message_into(
-        &mut self,
-        switch: SwitchId,
-        message: OfMessage,
-        out: &mut RelayEffects,
-    ) {
-        self.dispatch(Input::FromSwitch { switch, message }, out);
-    }
-
-    /// A timer scheduled from an earlier [`RelayEffects`] expired.
-    pub fn on_timer(&mut self, token: TimerToken) -> RelayEffects {
-        let mut out = RelayEffects::default();
-        self.on_timer_into(token, &mut out);
-        out
-    }
-
-    /// Appending form of [`EngineRelay::on_timer`].
-    pub fn on_timer_into(&mut self, token: TimerToken, out: &mut RelayEffects) {
-        self.dispatch(Input::TimerFired { token }, out);
-    }
-
-    /// Periodic liveness tick (optional; timers carry all hard deadlines).
-    pub fn on_tick(&mut self) -> RelayEffects {
-        let mut out = RelayEffects::default();
-        self.dispatch(Input::Tick, &mut out);
-        out
     }
 }
 
@@ -217,16 +147,35 @@ mod tests {
         }
     }
 
+    /// One input in, its effects out — the shape every test step takes.
+    fn feed(r: &mut EngineRelay, input: Input) -> RelayEffects {
+        let mut fx = RelayEffects::default();
+        r.handle_into(input, &mut fx);
+        fx
+    }
+
+    fn from_controller(message: OfMessage) -> Input {
+        let switch = SwitchId::new(0);
+        Input::FromController { switch, message }
+    }
+
+    fn from_switch(message: OfMessage) -> Input {
+        let switch = SwitchId::new(0);
+        Input::FromSwitch { switch, message }
+    }
+
     /// The full "delayed barrier acknowledgment" flow of the old bespoke TCP
     /// relay, now expressed purely through the shared engine — no sockets.
     #[test]
     fn delayed_barrier_flow_without_sockets() {
         let sw = SwitchId::new(0);
         let mut r = relay(300);
-        assert!(r.start().is_empty());
+        let mut fx = RelayEffects::default();
+        r.start_into(&mut fx);
+        assert_eq!(fx, RelayEffects::default());
 
         // Controller: flow-mod. Forwarded + proxy barrier appended.
-        let fx = r.on_controller_message(sw, flow_mod(5));
+        let fx = feed(&mut r, from_controller(flow_mod(5)));
         assert!(fx
             .messages
             .iter()
@@ -241,43 +190,53 @@ mod tests {
             .expect("proxy barrier");
 
         // Controller: its own barrier. Forwarded to the switch, reply held.
-        let fx = r.on_controller_message(sw, OfMessage::BarrierRequest { xid: 9 });
+        let fx = feed(
+            &mut r,
+            from_controller(OfMessage::BarrierRequest { xid: 9 }),
+        );
         assert_eq!(fx.messages.len(), 1);
         assert!(fx.confirmed.is_empty());
 
         // Switch answers both barriers immediately (the buggy behaviour);
         // the engine arms the hold-down timer instead of confirming.
-        let fx = r.on_switch_message(sw, OfMessage::BarrierReply { xid: proxy_barrier });
+        let fx = feed(
+            &mut r,
+            from_switch(OfMessage::BarrierReply { xid: proxy_barrier }),
+        );
         let (delay, token) = fx.timers[0];
         assert_eq!(delay, Duration::from_millis(300));
-        let fx = r.on_switch_message(sw, OfMessage::BarrierReply { xid: 9 });
-        assert!(fx.is_empty(), "controller barrier must still be held");
+        let fx = feed(&mut r, from_switch(OfMessage::BarrierReply { xid: 9 }));
+        assert_eq!(
+            fx,
+            RelayEffects::default(),
+            "controller barrier must still be held"
+        );
 
         // Timer expiry confirms the rule and releases the held barrier.
-        let fx = r.on_timer(token);
+        let fx = feed(&mut r, Input::TimerFired { token });
         assert_eq!(fx.confirmed, vec![(sw, 5)]);
         assert!(fx
             .messages
             .contains(&(Endpoint::Controller(sw), OfMessage::BarrierReply { xid: 9 })));
         assert_eq!(r.engine().stats(sw).barrier_replies_released, 1);
-        assert!(r.on_tick().is_empty());
+        assert_eq!(feed(&mut r, Input::Tick), RelayEffects::default());
     }
 
     #[test]
     fn non_barrier_traffic_passes_straight_through() {
         let sw = SwitchId::new(0);
         let mut r = relay(300);
-        r.start();
-        let fx = r.on_switch_message(
-            sw,
-            OfMessage::EchoReply {
+        r.start_into(&mut RelayEffects::default());
+        let fx = feed(
+            &mut r,
+            from_switch(OfMessage::EchoReply {
                 xid: 1,
                 data: vec![],
-            },
+            }),
         );
         assert_eq!(fx.messages.len(), 1);
         assert_eq!(fx.messages[0].0, Endpoint::Controller(sw));
-        let fx = r.on_controller_message(sw, OfMessage::Hello { xid: 2 });
+        let fx = feed(&mut r, from_controller(OfMessage::Hello { xid: 2 }));
         assert_eq!(
             fx.messages,
             vec![(Endpoint::Switch(sw), OfMessage::Hello { xid: 2 })]

@@ -10,7 +10,11 @@
 //!
 //! * the wall clock against a shared epoch, and the `poll(2)` loop that
 //!   wakes for socket bytes, a fabric packet or the machine's
-//!   `next_deadline`, so activations happen at model time, not read time;
+//!   `next_deadline`, so activations happen at model time, not read time.
+//!   Sleeping until a *machine deadline* is what the `conn` module's
+//!   workers do not do, so the host keeps a loop of its own — but it reads
+//!   through that module's `FrameReader` and writes through its `Outbox`,
+//!   on a nonblocking socket, like every other connection in the crate;
 //! * delivering a reply no earlier than its `at` (control-plane busy time,
 //!   faithful-barrier horizon) from a small deadline queue instead of
 //!   sleeping on the socket;
@@ -27,12 +31,12 @@
 //! `PacketIn` spacing would add ~0.5–1 ms to every probe round trip.  Only
 //! the `packet_out_time` CPU charge is applied, on arrival.
 
+use crate::conn::{FrameReader, Outbox};
 use crate::reactor::{poll_fds, PollFd, Waker};
 use ofswitch::{BehaviorAction, Datapath, FaultPlan, GroundTruth, SwitchModel};
 use openflow::messages::FlowMod;
 use openflow::{DatapathId, OfCodec, OfMessage, PacketHeader, PortNo};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -448,26 +452,28 @@ fn run(
 /// this connection — false distinguishes an accepted-then-dropped dial
 /// (peer had no free slot yet) from a served connection that later died.
 fn serve_conn(
-    mut stream: TcpStream,
+    stream: TcpStream,
     host: &mut Host,
     port: Option<&FabricPort>,
     counters: &SwitchCounters,
     stop: &AtomicBool,
 ) -> bool {
     let _ = stream.set_nodelay(true);
-    // Safety net only: the readiness gating below means reads should not
-    // block, but a spurious wakeup must never stall the machine's deadlines.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    // Nonblocking both ways: a peer that stops reading leaves residue in
+    // the outbox instead of parking this loop — and with it the machine's
+    // deadlines, the fabric inbox and `stop` — inside a write.
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let stream = Arc::new(stream);
+    let mut outbox = Outbox::new(Vec::new());
+    outbox.attach(Arc::clone(&stream));
     let mut codec = OfCodec::new();
-    let mut buf = [0u8; 4096];
-    let mut msgs: Vec<OfMessage> = Vec::new();
+    let mut reader = FrameReader::new();
     let mut pfds: Vec<PollFd> = Vec::with_capacity(2);
     let mut got_any = false;
 
-    'serve: loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
+    while !stop.load(Ordering::SeqCst) {
         // 1. Let the machine catch up (syncs, TCAM batches, barrier horizons).
         host.run(|dp, now, out| dp.advance(now, out));
 
@@ -476,28 +482,25 @@ fn serve_conn(
             host.run(|dp, now, out| dp.on_packet(now, header, in_port, 64, out));
         }
 
-        // 3. Ship every reply whose schedule time has come, as one write.
+        // 3. Ship every reply whose schedule time has come, as one chunk.
         host.flush_replies_due(host.now());
-        if !host.reply_buf.is_empty() {
-            let flushed = stream.write_all(&host.reply_buf).is_ok();
-            host.reply_buf.clear();
-            if !flushed {
-                break 'serve;
-            }
-        }
+        outbox.push(std::mem::take(&mut host.reply_buf));
+        let residue = outbox.flush();
         if host.disconnect {
-            // The restart fault: tear the control channel down.  The caller
-            // decides whether the switch comes back.
+            // The restart fault: tear the control channel down (what the
+            // kernel did not take just now dies with the reboot).  The
+            // caller decides whether the switch comes back.
             let _ = stream.shutdown(std::net::Shutdown::Both);
-            break 'serve;
+            break;
         }
 
-        // 4. Sleep until socket bytes arrive, a fabric packet wakes us, or
-        //    the next machine deadline passes — whichever comes first.
+        // 4. Sleep until socket bytes arrive (or outbox residue can move),
+        //    a fabric packet wakes us, or the next machine deadline passes
+        //    — whichever comes first.
         let timeout = host.poll_timeout();
         let timeout_ms = timeout.as_micros().div_ceil(1000) as i32;
         pfds.clear();
-        pfds.push(PollFd::new(stream.as_raw_fd(), true, false));
+        pfds.push(PollFd::new(stream.as_raw_fd(), true, residue));
         if let Some((_, waker)) = port {
             pfds.push(PollFd::new(waker.fd(), true, false));
         }
@@ -508,40 +511,28 @@ fn serve_conn(
             }
         }
         if !pfds[0].readable() {
-            // Deadline or fabric wake-up: the loop top drains the inbox
-            // and flushes due replies.
+            // Deadline, writability or fabric wake-up: the loop top drains
+            // the inbox and flushes due replies and residue.
             continue;
         }
-        let n = match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
+        let alive = reader.drain(&stream, &mut codec, |msgs| {
+            got_any = true;
+            for msg in msgs.drain(..) {
+                host.run(|dp, now, out| {
+                    if matches!(msg, OfMessage::PacketOut { .. }) {
+                        // Pacing's CPU charge, on arrival (see module docs).
+                        let cost = dp.behavior().model().packet_out_time;
+                        dp.behavior_mut().consume_cpu(now, cost);
+                    }
+                    dp.on_control(now, msg, out)
+                });
             }
-            Err(_) => break,
-        };
-        codec.feed(&buf[..n]);
-        msgs.clear();
-        let framing_ok = codec.drain_messages_into(&mut msgs).is_ok();
-        got_any |= !msgs.is_empty();
-        for msg in msgs.drain(..) {
-            host.run(|dp, now, out| {
-                if matches!(msg, OfMessage::PacketOut { .. }) {
-                    // Pacing's CPU charge, on arrival (see module docs).
-                    let cost = dp.behavior().model().packet_out_time;
-                    dp.behavior_mut().consume_cpu(now, cost);
-                }
-                dp.on_control(now, msg, out)
-            });
-        }
+        });
         let engine = host.datapath.behavior().counters();
         counters.flow_mods.store(engine.flow_mods, Ordering::SeqCst);
         counters.barriers.store(engine.barriers, Ordering::SeqCst);
         counters.errors.store(engine.errors, Ordering::SeqCst);
-        if !framing_ok {
+        if !alive {
             break;
         }
     }
@@ -553,6 +544,7 @@ mod tests {
     use super::*;
     use openflow::messages::PacketOut;
     use openflow::{Action, OfMatch};
+    use std::io::{Read, Write};
     use std::net::TcpListener;
 
     /// A buggy-model switch answers a barrier long before its emulated data
@@ -699,70 +691,41 @@ mod tests {
         let _ = b.join();
     }
 
-    /// Fabric hop delivery is wake-driven: the median latency of a packet
-    /// crossing a two-hop chain (inject at switch 0, forward through
-    /// switch 1, punt to the controller from switch 2) sits below the old
-    /// 2 ms-per-hop poll quantum.  Before the fabric waker, every hop
-    /// waited out a slice of the peer's fixed 2 ms read timeout, putting a
-    /// ~2 ms floor under the p50 of this chain.
-    #[test]
-    fn fabric_hops_are_event_driven_not_poll_quantised() {
+    /// Three fabric-linked hosts in a chain — switches 0 and 1 forward
+    /// everything out port 2, switch 2 punts to the controller — and the
+    /// peers' ends of their control channels, in switch order.
+    fn chain_of_three() -> (Vec<SocketSwitchHandle>, Vec<TcpStream>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let fabric = Fabric::new();
         fabric.link(0, 2, 1, 1);
         fabric.link(1, 2, 2, 1);
         let epoch = Instant::now();
-        let forward_out = |port| {
-            vec![
-                FlowMod::add(OfMatch::wildcard_all(), 1, vec![Action::output(port)]).with_cookie(1),
-            ]
-        };
-        let a = spawn_switch_with(
-            addr,
-            SwitchModel::faithful(),
-            SwitchHostOptions {
-                fabric: Some((fabric.clone(), 0)),
-                epoch: Some(epoch),
-                preinstall: forward_out(2),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let (mut peer_a, _) = listener.accept().unwrap();
-        let b = spawn_switch_with(
-            addr,
-            SwitchModel::faithful(),
-            SwitchHostOptions {
-                fabric: Some((fabric.clone(), 1)),
-                epoch: Some(epoch),
-                preinstall: forward_out(2),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let (_peer_b, _) = listener.accept().unwrap();
-        let c = spawn_switch_with(
-            addr,
-            SwitchModel::faithful(),
-            SwitchHostOptions {
-                fabric: Some((fabric.clone(), 2)),
-                epoch: Some(epoch),
-                preinstall: vec![FlowMod::add(
-                    OfMatch::wildcard_all(),
-                    1,
-                    vec![Action::to_controller()],
-                )
-                .with_cookie(2)],
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let (mut peer_c, _) = listener.accept().unwrap();
-        peer_c
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
+        let actions = [
+            Action::output(2),
+            Action::output(2),
+            Action::to_controller(),
+        ];
+        (actions.into_iter().enumerate())
+            .map(|(idx, action)| {
+                let options = SwitchHostOptions {
+                    fabric: Some((fabric.clone(), idx)),
+                    epoch: Some(epoch),
+                    preinstall: vec![FlowMod::add(OfMatch::wildcard_all(), 1, vec![action])],
+                    ..Default::default()
+                };
+                let host = spawn_switch_with(addr, SwitchModel::faithful(), options).unwrap();
+                let (peer, _) = listener.accept().unwrap();
+                peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                (host, peer)
+            })
+            .unzip()
+    }
 
+    /// Injects one packet at the head of the chain through `peer_a` and
+    /// reads `peer_c` until the tail's `PacketIn` shows up; `false` if the
+    /// tail's channel times out or closes first.
+    fn crosses_the_chain(xid: u32, peer_a: &mut TcpStream, peer_c: &mut TcpStream) -> bool {
         let header = PacketHeader::ipv4_udp(
             openflow::MacAddr::from_id(1),
             openflow::MacAddr::from_id(2),
@@ -771,31 +734,47 @@ mod tests {
             7,
             8,
         );
+        let po = OfMessage::PacketOut {
+            xid,
+            body: PacketOut::via_table(header.to_bytes()),
+        };
+        let mut wire = Vec::new();
+        po.encode_into(&mut wire).unwrap();
+        peer_a.write_all(&wire).unwrap();
         let mut codec = OfCodec::new();
         let mut buf = [0u8; 2048];
-        let mut samples: Vec<Duration> = Vec::new();
-        for round in 0..21 {
-            let po = OfMessage::PacketOut {
-                xid: round,
-                body: PacketOut::via_table(header.to_bytes()),
+        loop {
+            let n = match peer_c.read(&mut buf) {
+                Ok(0) | Err(_) => return false,
+                Ok(n) => n,
             };
-            let mut wire = Vec::new();
-            po.encode_into(&mut wire).unwrap();
-            let injected = Instant::now();
-            peer_a.write_all(&wire).unwrap();
-            'wait: loop {
-                let n = match peer_c.read(&mut buf) {
-                    Ok(0) | Err(_) => panic!("switch 2 went away mid-measurement"),
-                    Ok(n) => n,
-                };
-                codec.feed(&buf[..n]);
-                while let Ok(Some(msg)) = codec.next_message() {
-                    if matches!(msg, OfMessage::PacketIn { .. }) {
-                        samples.push(injected.elapsed());
-                        break 'wait;
-                    }
+            codec.feed(&buf[..n]);
+            while let Ok(Some(msg)) = codec.next_message() {
+                if matches!(msg, OfMessage::PacketIn { .. }) {
+                    return true;
                 }
             }
+        }
+    }
+
+    /// Fabric hop delivery is wake-driven: the median latency of a packet
+    /// crossing a two-hop chain (inject at switch 0, forward through
+    /// switch 1, punt to the controller from switch 2) sits below the old
+    /// 2 ms-per-hop poll quantum.  Before the fabric waker, every hop
+    /// waited out a slice of the peer's fixed 2 ms read timeout, putting a
+    /// ~2 ms floor under the p50 of this chain.
+    #[test]
+    fn fabric_hops_are_event_driven_not_poll_quantised() {
+        let (hosts, mut peers) = chain_of_three();
+        let mut peer_c = peers.pop().unwrap();
+        let mut samples: Vec<Duration> = Vec::new();
+        for round in 0..21 {
+            let injected = Instant::now();
+            assert!(
+                crosses_the_chain(round, &mut peers[0], &mut peer_c),
+                "switch 2 went away mid-measurement"
+            );
+            samples.push(injected.elapsed());
         }
         samples.sort_unstable();
         let p50 = samples[samples.len() / 2];
@@ -804,12 +783,56 @@ mod tests {
             "two fabric hops took {p50:?} at p50 — hop delivery is being poll-quantised"
         );
 
-        drop(peer_a);
-        drop(_peer_b);
-        drop(peer_c);
-        let _ = a.join();
-        let _ = b.join();
-        let _ = c.join();
+        drop((peers, peer_c));
+        for host in hosts {
+            let _ = host.join();
+        }
+    }
+
+    /// A peer that floods the control channel and never reads a reply must
+    /// cost the switch only that channel: replies pile up as outbox residue
+    /// while the host keeps forwarding fabric packets and still honours
+    /// `stop()`.  (Written blocking, the host parked in `write_all` once
+    /// the kernel buffers filled, for as long as the peer cared to stall.)
+    #[test]
+    fn peer_that_never_reads_cannot_park_the_host() {
+        let (mut hosts, mut peers) = chain_of_three();
+        let mut peer_c = peers.pop().unwrap();
+        let mut flooder = peers.pop().unwrap();
+        // Up to 48 MiB of echoes, several times what the four kernel
+        // buffers between the two ends hold; a host that stops reading
+        // shows up as a stalled write, which ends the flood early.
+        flooder
+            .set_write_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let mut echo = Vec::new();
+        OfMessage::EchoRequest {
+            xid: 1,
+            data: vec![0u8; 32 * 1024],
+        }
+        .encode_into(&mut echo)
+        .unwrap();
+        let _ = (0..1536).try_for_each(|_| flooder.write_all(&echo));
+
+        // The middle switch's data plane is unaffected, and it still stops
+        // on request with the flooder's socket wide open.
+        let forwards = crosses_the_chain(1, &mut peers[0], &mut peer_c);
+        let middle = hosts.remove(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            middle.stop();
+            let _ = tx.send(middle.join());
+        });
+        let stops = rx.recv_timeout(Duration::from_secs(2)).is_ok();
+        assert!(
+            forwards && stops,
+            "flooded by a peer that never reads: forwards = {forwards}, stop() + join() = {stops}"
+        );
+
+        drop((peers, peer_c, flooder));
+        for host in hosts {
+            let _ = host.join();
+        }
     }
 
     /// The restart fault closes the connection from the switch side and the

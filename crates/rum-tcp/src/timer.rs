@@ -4,6 +4,11 @@
 //! that asks for timers via "arm" effects; this queue turns those requests
 //! into callbacks on a dedicated thread.  Tokens are opaque `u64`s (the
 //! engines' raw timer tokens).
+//!
+//! Each user owns its queue and that thread, stopped by the same flag as
+//! its `conn` workers.  Timers did not move into the workers' poll loop
+//! with the sockets: `poll(2)` times out in whole milliseconds, and the
+//! hold-down and probe timers fired here sit on the acknowledgment path.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
