@@ -9,23 +9,38 @@
 //! * [`FrameReader`] — nonblocking read → `OfCodec` → one batch per socket
 //!   read, bounded per wakeup;
 //! * [`Conns`] + [`Transport`] — the accept-claim-attach-or-unclaim loop and
-//!   the `poll(2)` workers that own every attached socket.
+//!   the `ppoll(2)` workers that own every attached socket and every timer.
 //!
 //! The proxy (two sockets per slot, input routed to shard locks) and the
 //! controller driver (one socket per slot, input fed to the machine lock)
-//! are the two [`Transport`]s; the switch host runs its own deadline-driven
-//! loop but reads and writes through the same [`FrameReader`] and
-//! [`Outbox`].  The one lock order is machine/shard → slot table → slot.
+//! are the two [`Transport`]s; the switch host runs its own loop, sleeping
+//! towards the switch machine's deadlines, but reads and writes through the
+//! same [`FrameReader`] and [`Outbox`].  The one lock order is
+//! machine/shard → slot table → slot.
+//!
+//! Deadlines: each worker owns one queue of timer tokens, sleeps in `ppoll`
+//! no longer than until its head, and on every pass hands the due tokens to
+//! [`Transport::timer`] before it serves sockets — a fired timer's writes
+//! need no second thread and no wake-up.  Any thread may [`Conns::arm`]
+//! once it has dropped the machine/shard lock (the queue's lock is a leaf).
+//! An arm made while the worker is awake — by its own callbacks: effects of
+//! a batch it just read, a re-arm from `timer` — only files the entry,
+//! since the worker reads the head before it sleeps; an arm that finds it
+//! asleep past the new deadline (start-up effects, the accept thread, a
+//! handle's `drive`, a neighbour worker) writes its waker.  A due timer
+//! waits for at most the pass in progress: one read of ≤ [`READ_BUDGET`]
+//! bytes and one flush per socket of the poll set.
 
 use crate::reactor::{poll_fds, PollFd, Waker};
 use openflow::{OfCodec, OfMessage};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 use telemetry::Gauge;
 
 /// Which slots currently have a live connection.
@@ -237,7 +252,7 @@ impl FrameReader {
 }
 
 /// What a user of the connection layer supplies: how an accepted socket
-/// becomes a slot's sockets, and where decoded input goes.
+/// becomes a slot's sockets, and where decoded input and fired timers go.
 pub(crate) trait Transport: Send + Sync + 'static {
     /// The layer instance this transport sends through.
     fn conns(&self) -> &Conns;
@@ -250,6 +265,9 @@ pub(crate) trait Transport: Send + Sync + 'static {
     fn attached(&self, slot: usize, generation: u64);
     /// One socket read's worth of frames from `slot`'s socket `side`.
     fn received(&self, slot: usize, side: usize, msgs: &mut Vec<OfMessage>);
+    /// Every token [`Conns::arm`]ed with this worker that came due since
+    /// its last pass, in (deadline, arm) order.
+    fn timer(&self, tokens: &mut Vec<u64>);
 }
 
 /// One attached slot as its worker owns it: the sockets to poll and read.
@@ -259,10 +277,22 @@ struct Conn {
     sides: Vec<(Arc<TcpStream>, OfCodec)>,
 }
 
-/// A worker's cross-thread surface: its waker and adoption inbox.
+/// A worker's cross-thread surface: its waker, adoption inbox and timers.
 struct Worker {
     waker: Waker,
     inbox: Mutex<Vec<Conn>>,
+    timers: Mutex<Timers>,
+}
+
+/// One worker's pending timer tokens.
+struct Timers {
+    /// Tokens by (deadline, arm order).
+    pending: BTreeMap<(Instant, u64), u64>,
+    armed: u64,
+    /// While the worker sleeps in `ppoll`: when that sleep times out.  An
+    /// arm due before it must write the waker; any other arm is seen when
+    /// the worker next reads the head, which it does before every sleep.
+    asleep_until: Option<Instant>,
 }
 
 /// The listener, the slot table, every slot's outboxes and the worker
@@ -293,6 +323,11 @@ impl Conns {
                 Ok(Worker {
                     waker: Waker::new()?,
                     inbox: Mutex::new(Vec::new()),
+                    timers: Mutex::new(Timers {
+                        pending: BTreeMap::new(),
+                        armed: 0,
+                        asleep_until: None,
+                    }),
                 })
             })
             .collect::<std::io::Result<_>>()?;
@@ -319,14 +354,9 @@ impl Conns {
         threads.push(std::thread::spawn(move || accept_loop(&*owner)));
     }
 
-    /// The flag [`Conns::shutdown`] raises; the users' timer threads watch
-    /// it too.
-    pub(crate) fn stopping(&self) -> &AtomicBool {
-        &self.stop
-    }
-
     /// Stops and joins the accept thread and the workers.  Workers shut
-    /// their sockets down on exit, so attached peers see EOF promptly.
+    /// their sockets down on exit, so attached peers see EOF promptly;
+    /// timers still pending never fire.
     pub(crate) fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         for w in &self.workers {
@@ -371,6 +401,26 @@ impl Conns {
 
     fn worker_of(&self, slot: usize) -> &Worker {
         &self.workers[slot % self.workers.len()]
+    }
+
+    /// Files `token` with `slot`'s worker, to reach [`Transport::timer`]
+    /// no earlier than `delay` after `now`.  A delay that overflows the
+    /// clock means "never": nothing is filed.  Call it after dropping the
+    /// machine/shard lock.
+    pub(crate) fn arm(&self, slot: usize, now: Instant, delay: Duration, token: u64) {
+        let Some(deadline) = now.checked_add(delay) else {
+            return;
+        };
+        let worker = self.worker_of(slot);
+        let asleep_past_it = {
+            let timers = &mut *worker.timers.lock().unwrap();
+            timers.pending.insert((deadline, timers.armed), token);
+            timers.armed += 1;
+            timers.asleep_until.is_some_and(|until| deadline < until)
+        };
+        if asleep_past_it {
+            worker.waker.wake();
+        }
     }
 
     /// Wires a claimed slot's sockets in: outboxes go live and flush what
@@ -438,8 +488,9 @@ fn accept_loop<T: Transport>(owner: &T) {
 }
 
 /// One worker's event loop: poll its waker plus every socket of every slot
-/// it owns; drain readable sockets into the transport, flush writable
-/// outbox residue, detach dead slots.
+/// it owns, for no longer than until its next timer is due; hand due timers
+/// and then readable sockets to the transport, flush writable outbox
+/// residue, detach dead slots.
 fn worker_loop<T: Transport>(owner: &T, w: usize) {
     let conns = owner.conns();
     let me = &conns.workers[w];
@@ -449,6 +500,7 @@ fn worker_loop<T: Transport>(owner: &T, w: usize) {
     let mut fd_of: Vec<(usize, usize)> = Vec::new();
     let mut reader = FrameReader::new();
     let mut dead: Vec<usize> = Vec::new();
+    let mut due: Vec<u64> = Vec::new();
 
     while !conns.stop.load(Ordering::SeqCst) {
         live.append(&mut me.inbox.lock().unwrap());
@@ -467,11 +519,36 @@ fn worker_loop<T: Transport>(owner: &T, w: usize) {
             }
         }
 
-        // A finite timeout keeps the stop flag honoured even if a wake is
-        // lost; all real work arrives through readiness or the waker.
-        poll_fds(&mut fds, 500);
+        let timeout = {
+            let mut timers = me.timers.lock().unwrap();
+            let now = Instant::now();
+            // A finite sleep keeps the stop flag honoured even if a wake is
+            // lost; all real work arrives through readiness or the waker.
+            let cap = now + Duration::from_millis(500);
+            let head = timers.pending.first_key_value();
+            let until = head.map_or(cap, |(&(due, _), _)| due.min(cap));
+            timers.asleep_until = Some(until);
+            until.saturating_duration_since(now)
+        };
+        poll_fds(&mut fds, timeout);
         if fds[0].readable() {
             me.waker.drain();
+        }
+
+        {
+            let mut timers = me.timers.lock().unwrap();
+            timers.asleep_until = None;
+            let now = Instant::now();
+            while let Some(head) = timers.pending.first_entry() {
+                if head.key().0 > now {
+                    break;
+                }
+                due.push(head.remove());
+            }
+        }
+        if !due.is_empty() {
+            owner.timer(&mut due);
+            due.clear();
         }
 
         dead.clear();
@@ -525,7 +602,14 @@ impl Conns {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::time::{Duration, Instant};
+
+    fn wait(what: &str, cond: &dyn Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(3);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
 
     #[test]
     fn failed_attach_restores_the_slot_and_its_generation() {
@@ -589,6 +673,7 @@ mod tests {
             self.attached.lock().unwrap().push((slot, generation));
         }
         fn received(&self, _: usize, _: usize, _: &mut Vec<OfMessage>) {}
+        fn timer(&self, _: &mut Vec<u64>) {}
     }
 
     /// A failed attach must neither kill the accept thread nor leave the
@@ -603,13 +688,6 @@ mod tests {
             attached: Mutex::new(Vec::new()),
         });
         Conns::start(&owner);
-        let wait = |what: &str, cond: &dyn Fn() -> bool| {
-            let deadline = Instant::now() + Duration::from_secs(3);
-            while !cond() {
-                assert!(Instant::now() < deadline, "timed out waiting for {what}");
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        };
 
         let mut refused = TcpStream::connect(owner.conns.local_addr).unwrap();
         refused
@@ -619,8 +697,10 @@ mod tests {
             matches!(refused.read(&mut [0u8; 1]), Ok(0) | Err(_)),
             "the connection whose attach failed is dropped"
         );
-        wait("the unclaim", &|| owner.opens.load(Ordering::SeqCst) == 1);
-        assert_eq!(owner.conns.accepted(), 0);
+        // `open` has failed once its count is up; the unclaim follows it.
+        wait("the unclaim", &|| {
+            owner.opens.load(Ordering::SeqCst) == 1 && owner.conns.accepted() == 0
+        });
         assert_eq!(owner.conns.slot_state(0), (false, 0, false));
 
         let _second = TcpStream::connect(owner.conns.local_addr).unwrap();
@@ -630,5 +710,195 @@ mod tests {
         assert_eq!(*owner.attached.lock().unwrap(), vec![(0, 1)]);
         assert_eq!(owner.conns.slot_state(0), (true, 1, true));
         owner.conns.shutdown();
+    }
+
+    /// A transport that only keeps time: it records when each token fires
+    /// and, on its worker, arms the next token of a chain one `period`
+    /// later — from `received` (token 0) and from `timer` (token + 1).
+    struct Clock {
+        conns: Conns,
+        fired: Mutex<Vec<(u64, Instant)>>,
+        chain: u64,
+        period: Duration,
+        /// The worker's waker was pending right after one of its own arms.
+        woke_itself: AtomicBool,
+    }
+
+    impl Clock {
+        fn start(chain: u64, period: Duration) -> Arc<Clock> {
+            let addr = "127.0.0.1:0".parse().unwrap();
+            let clock = Arc::new(Clock {
+                conns: Conns::bind(addr, vec![vec![Outbox::new(Vec::new())]], 1).unwrap(),
+                fired: Mutex::new(Vec::new()),
+                chain,
+                period,
+                woke_itself: AtomicBool::new(false),
+            });
+            Conns::start(&clock);
+            clock
+        }
+
+        fn arm_on_worker(&self, token: u64) {
+            self.conns.arm(0, Instant::now(), self.period, token);
+            if self.conns.workers[0].waker.is_pending() {
+                self.woke_itself.store(true, Ordering::SeqCst);
+            }
+        }
+
+        fn wait_asleep(&self) {
+            let timers = &self.conns.workers[0].timers;
+            wait("the worker to sleep", &|| {
+                timers.lock().unwrap().asleep_until.is_some()
+            });
+        }
+
+        fn wait_fired(&self, n: usize) -> Vec<(u64, Instant)> {
+            wait("the timers", &|| self.fired.lock().unwrap().len() >= n);
+            self.fired.lock().unwrap().clone()
+        }
+
+        /// Intervals between consecutive firings of a chain.
+        fn gaps(&self) -> Vec<Duration> {
+            let fired = self.wait_fired(self.chain as usize);
+            assert!(fired.iter().map(|&(token, _)| token).eq(0..self.chain));
+            fired.windows(2).map(|w| w[1].1 - w[0].1).collect()
+        }
+    }
+
+    impl Transport for Clock {
+        fn conns(&self) -> &Conns {
+            &self.conns
+        }
+        fn open(&self, accepted: TcpStream) -> std::io::Result<Vec<TcpStream>> {
+            Ok(vec![accepted])
+        }
+        fn attached(&self, _: usize, _: u64) {}
+        fn received(&self, _: usize, _: usize, msgs: &mut Vec<OfMessage>) {
+            msgs.clear();
+            self.arm_on_worker(0);
+        }
+        fn timer(&self, tokens: &mut Vec<u64>) {
+            let now = Instant::now();
+            for token in tokens.drain(..) {
+                self.fired.lock().unwrap().push((token, now));
+                if token + 1 < self.chain {
+                    self.arm_on_worker(token + 1);
+                }
+            }
+        }
+    }
+
+    const MS: Duration = Duration::from_millis(1);
+
+    #[test]
+    fn timers_fire_in_deadline_then_arm_order_and_never_early() {
+        let clock = Clock::start(0, MS);
+        let now = Instant::now();
+        let armed = [(2, 30 * MS), (1, 10 * MS), (3, 20 * MS), (4, 20 * MS)];
+        for (token, delay) in armed {
+            clock.conns.arm(0, now, delay, token);
+        }
+        let fired = clock.wait_fired(4);
+        clock.conns.shutdown();
+        let order: Vec<u64> = fired.iter().map(|&(token, _)| token).collect();
+        assert_eq!(order, [1, 3, 4, 2]);
+        for (token, at) in fired {
+            let delay = armed.iter().find(|a| a.0 == token).unwrap().1;
+            assert!(at >= now + delay, "token {token} fired early");
+        }
+    }
+
+    /// The wake in `arm`: without it this timer fires when the 500 ms sleep
+    /// the worker is already in runs out.
+    #[test]
+    fn arm_from_a_foreign_thread_interrupts_the_capped_sleep() {
+        let clock = Clock::start(0, MS);
+        clock.wait_asleep();
+        let now = Instant::now();
+        clock.conns.arm(0, now, 20 * MS, 7);
+        let (_, at) = clock.wait_fired(1)[0];
+        clock.conns.shutdown();
+        let late = at.duration_since(now + 20 * MS);
+        assert!(late < 50 * MS, "fired {late:?} after its deadline");
+    }
+
+    /// Arms made by the worker's own callbacks — `received` starts the
+    /// chain, `timer` continues it — file the entry and nothing else: the
+    /// worker reads the queue head before it sleeps again.
+    #[test]
+    fn arm_from_the_workers_own_callbacks_writes_no_wake() {
+        let clock = Clock::start(4, 2 * MS);
+        let mut peer = TcpStream::connect(clock.conns.local_addr).unwrap();
+        let mut hello = Vec::new();
+        OfMessage::Hello { xid: 1 }.encode_into(&mut hello).unwrap();
+        peer.write_all(&hello).unwrap();
+        let gaps = clock.gaps();
+        clock.conns.shutdown();
+        assert!(!clock.woke_itself.load(Ordering::SeqCst));
+        // Unwoken, yet none of them waited out the 500 ms sleep cap.
+        assert!(gaps.iter().all(|&gap| gap < 250 * MS), "{gaps:?}");
+    }
+
+    #[test]
+    fn token_rearmed_from_timer_keeps_a_steady_period() {
+        let clock = Clock::start(20, 5 * MS);
+        clock.conns.arm(0, Instant::now(), clock.period, 0);
+        let mut gaps = clock.gaps();
+        clock.conns.shutdown();
+        gaps.sort_unstable();
+        assert!(gaps[0] >= clock.period, "early: {gaps:?}");
+        assert!(gaps[gaps.len() / 2] < 2 * clock.period, "slow: {gaps:?}");
+        // A re-arm the worker did not see before sleeping would wait out
+        // its 500 ms cap; a busy box delays one by far less.
+        assert!(gaps[gaps.len() - 1] < 250 * MS, "stalled: {gaps:?}");
+    }
+
+    /// A loop sleeping in whole milliseconds is at least 700 µs late for a
+    /// 300 µs timer; `ppoll` is late by timer slack and a context switch
+    /// (~100 µs here).
+    #[test]
+    fn sub_millisecond_timers_are_honoured() {
+        let clock = Clock::start(51, Duration::from_micros(300));
+        clock.conns.arm(0, Instant::now(), clock.period, 0);
+        let gaps = clock.gaps();
+        let mut late: Vec<_> = gaps
+            .iter()
+            .map(|gap| gap.saturating_sub(clock.period))
+            .collect();
+        clock.conns.shutdown();
+        late.sort_unstable();
+        assert!(
+            late[late.len() / 2] < MS - clock.period,
+            "lateness {late:?}"
+        );
+    }
+
+    /// `Duration::MAX` is how a technique says "never": the arm must
+    /// neither panic on the clock overflow nor fire.
+    #[test]
+    fn unreachable_deadline_is_never_filed() {
+        let clock = Clock::start(0, MS);
+        let now = Instant::now();
+        clock.conns.arm(0, now, Duration::MAX, 9);
+        clock.conns.arm(0, now, 2 * MS, 1);
+        let fired = clock.wait_fired(1);
+        assert_eq!(fired[0].0, 1);
+        let timers = clock.conns.workers[0].timers.lock().unwrap();
+        assert!(timers.pending.is_empty(), "nothing else is pending");
+        drop(timers);
+        clock.conns.shutdown();
+    }
+
+    #[test]
+    fn shutdown_with_pending_timers_is_prompt_and_final() {
+        let clock = Clock::start(0, MS);
+        let now = Instant::now();
+        for token in 0..10_000 {
+            clock.conns.arm(0, now, 200 * MS, token);
+        }
+        clock.conns.shutdown();
+        assert!(now.elapsed() < Duration::from_secs(1));
+        std::thread::sleep((now + 250 * MS).saturating_duration_since(Instant::now()));
+        assert!(clock.fired.lock().unwrap().is_empty());
     }
 }

@@ -5,27 +5,25 @@
 //! order and, once every expected connection is up, feeds
 //! [`MachineInput::Started`].  From then on it is a pure message pump: the
 //! connection layer's worker decodes OpenFlow frames into
-//! [`MachineInput::FromSwitch`], a timer thread replays
+//! [`MachineInput::FromSwitch`], replays the timers that came due as
 //! [`MachineInput::TimerFired`], and every effect is executed mechanically.
-//! One socket read is one lock acquisition; all its sends are coalesced into
-//! one chunk per connection, pushed to that connection's outbox under the
-//! lock and flushed after it; timers are armed after the lock is released.
-//! Every decision lives in the machine, which `controller::MachineNode`
-//! drives in the simulator.
+//! One socket read, or one pass's due timers, is one lock acquisition; all
+//! its sends are coalesced into one chunk per connection, pushed to that
+//! connection's outbox under the lock and flushed after it; timers are
+//! armed after the lock is released.  Every decision lives in the machine,
+//! which `controller::MachineNode` drives in the simulator.
 //!
-//! The sockets belong to the private `conn` module — the same accept loop,
-//! slot table, outboxes and `poll(2)` worker the proxy runs on, here with
-//! one socket per slot and one worker.  What this module owns is the
-//! machine lock, the effect execution above and the "last slot filled →
-//! `Started`" rule.
+//! The sockets and the deadlines belong to the private `conn` module — the
+//! same accept loop, slot table, outboxes and `ppoll(2)` worker the proxy
+//! runs on, here with one socket per slot and one worker.  What this module
+//! owns is the machine lock, the effect execution above and the "last slot
+//! filled → `Started`" rule.
 
 use crate::conn::{Conns, Outbox, Transport};
-use crate::timer::TimerQueue;
 use controller::{ConnId, Machine, MachineEffect, MachineInput};
 use openflow::OfMessage;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 struct State<M: Machine> {
@@ -44,7 +42,6 @@ struct Shared<M: Machine> {
     /// One socket per slot; sends to a detached slot queue in its outbox
     /// and flush on reattach.
     conns: Conns,
-    timers: TimerQueue,
     epoch: Instant,
 }
 
@@ -95,7 +92,7 @@ impl<M: Machine> Shared<M> {
         };
         let armed_at = Instant::now();
         for (delay, raw) in timers {
-            self.timers.arm(armed_at + delay, raw);
+            self.conns.arm(0, armed_at, delay, raw);
         }
         for slot in touched {
             self.conns.flush(slot);
@@ -104,10 +101,6 @@ impl<M: Machine> Shared<M> {
             self.done.notify_all();
         }
         result
-    }
-
-    fn feed(&self, input: MachineInput) {
-        self.drive(|machine, now, effects| machine.handle(now, input, effects));
     }
 }
 
@@ -134,7 +127,7 @@ where
             start
         };
         if start {
-            self.feed(MachineInput::Started);
+            self.drive(|machine, now, effects| machine.handle(now, MachineInput::Started, effects));
         }
     }
 
@@ -143,6 +136,14 @@ where
         self.drive(|machine, now, effects| {
             for message in msgs.drain(..) {
                 machine.handle(now, MachineInput::FromSwitch { conn, message }, effects);
+            }
+        })
+    }
+
+    fn timer(&self, tokens: &mut Vec<u64>) {
+        self.drive(|machine, now, effects| {
+            for raw in tokens.drain(..) {
+                machine.handle(now, MachineInput::TimerFired { raw }, effects);
             }
         })
     }
@@ -183,24 +184,13 @@ where
             done: Condvar::new(),
             // One worker: the single machine lock serialises input anyway.
             conns: Conns::bind(self.listen_addr, outboxes, 1)?,
-            timers: TimerQueue::new(),
             epoch: self.epoch,
         });
-
-        let timer_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                shared.timers.run(shared.conns.stopping(), |raw| {
-                    shared.feed(MachineInput::TimerFired { raw })
-                });
-            })
-        };
         Conns::start(&shared);
 
         Ok(TcpDriverHandle {
             local_addr: shared.conns.local_addr,
             shared,
-            timer_thread,
         })
     }
 }
@@ -210,7 +200,6 @@ pub struct TcpDriverHandle<M: Machine> {
     /// The address the controller actually listens on (useful with port 0).
     pub local_addr: SocketAddr,
     shared: Arc<Shared<M>>,
-    timer_thread: JoinHandle<()>,
 }
 
 impl<M: Machine> TcpDriverHandle<M> {
@@ -250,12 +239,10 @@ impl<M: Machine> TcpDriverHandle<M> {
         }
     }
 
-    /// Asks the accept, timer and worker loops to stop and waits for them;
-    /// the worker shuts every attached socket down on its way out.
+    /// Asks the accept and worker loops to stop and waits for them; the
+    /// worker shuts every attached socket down on its way out.
     pub fn shutdown(self) {
         self.shared.conns.shutdown();
-        self.shared.timers.wake();
-        let _ = self.timer_thread.join();
     }
 }
 
@@ -274,8 +261,11 @@ pub(crate) mod testing {
     pub(crate) fn acking_switch(addr: SocketAddr) -> JoinHandle<Vec<u64>> {
         std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).expect("connect to controller");
+            // Only a hung test waits this out (every user shuts its
+            // controller down, which is an EOF here), so it is long: a
+            // debug build takes ~3 s to stage the 60,000-mod blast below.
             stream
-                .set_read_timeout(Some(Duration::from_secs(3)))
+                .set_read_timeout(Some(Duration::from_secs(20)))
                 .unwrap();
             let mut codec = OfCodec::new();
             let mut buf = [0u8; 4096];

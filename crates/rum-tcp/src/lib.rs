@@ -33,25 +33,26 @@
 //!   client, emulating buggy (early barrier reply) or faithful switches.
 //!   Every switch decision is the machine's; the host owns the wall clock,
 //!   the deferred-reply queue, the [`Fabric`] cables and re-dialing.
-//!   Pacing stays with the simulator driver: this loop sleeps in whole
-//!   milliseconds, so a 30–40 µs spacing would cost every probe round trip
-//!   ~0.5–1 ms.
+//!   Pacing stays with the simulator driver: this loop rounds its sleeps
+//!   up to whole milliseconds, so a 30–40 µs spacing would cost every probe
+//!   round trip ~0.5–1 ms.
 //!
 //! Under all three sits one connection layer, the private `conn` module:
 //! the slot table (which slot is attached, under which generation), the
 //! per-socket outbox (queued chunks, partial-write resume, queue-while-down),
 //! the frame reader (nonblocking read → codec → one batch per socket read)
 //! and — for the proxy and the driver — the accept-claim-attach-or-unclaim
-//! loop and the `poll(2)` workers (`reactor`, the only module allowed to
-//! touch FFI) that own every attached socket; 1,000 switches are served
-//! without a thread per connection on either side.  The proxy and the
-//! driver only say how an accepted socket becomes a slot's sockets and
-//! which lock decoded input goes to; the lock order is machine/shard →
-//! slot everywhere.  The switch host keeps a loop of its own because it
-//! sleeps until the *machine's* next deadline, which no worker does, but
-//! reads and writes through the same reader and outbox.  `timer` is the
-//! deadline queue behind the proxy's and the driver's timer threads: those
-//! stayed threads because `poll(2)` times out in whole milliseconds.
+//! loop and the `ppoll(2)` workers (`reactor`, the only module allowed to
+//! touch FFI) that own every attached socket and every deadline: a timer
+//! the engine or the machine arms waits in the queue of the worker serving
+//! that slot and fires there, between two socket passes.  1,000 switches
+//! are served without a thread per connection, and their timers without a
+//! thread at all.  The proxy and the driver only say how an accepted socket
+//! becomes a slot's sockets and which lock decoded input and fired timers
+//! go to; the lock order is machine/shard → slot everywhere.  The switch
+//! host keeps a loop of its own because the deadline it sleeps towards is
+//! the switch machine's, but reads, writes and defers replies through the
+//! same reader, outbox and deadline queue.
 //!
 //! Every acknowledgment technique the engine supports (barriers, static
 //! timeout, adaptive delay, sequential and general probing) is available
@@ -72,7 +73,6 @@ pub mod proxy;
 pub(crate) mod reactor;
 pub mod relay;
 pub mod switch_host;
-mod timer;
 
 pub use controller::{TcpControllerHandle, TcpUpdateController};
 pub use driver::{TcpDriver, TcpDriverHandle};

@@ -4,25 +4,27 @@
 //! Wiring (mirroring the paper's proxy chain, scaled to 1,000 switches):
 //!
 //! ```text
-//!            ┌── worker 0: poll([waker, conns…]) ──▶ ShardRouter ─▶ shard k
-//! switches ──┤                                              │ (EngineRelay
-//!            └── worker W: poll([waker, conns…])            │  under its
-//!                    ▲                                      ▼  own mutex)
-//!                 wakers ◀── timer thread / other workers  outboxes
+//!            ┌── worker 0: ppoll([waker, conns…], next timer) ─▶ ShardRouter
+//! switches ──┤                                                     │
+//!            └── worker W: ppoll([waker, conns…], next timer)      ▼
+//!                    ▲                             shard k (EngineRelay under
+//!                 wakers ◀── other workers         its own mutex) ─▶ outboxes
 //! ```
 //!
-//! The private `conn` module owns every socket: the accept loop and slot
-//! table, the `poll(2)` workers (1,000 switches cost 2,000 registered fds,
-//! not 4,000 threads), the per-socket outboxes whose `POLLOUT`-gated residue
-//! keeps a stalled switch from head-of-line-blocking anyone else, and the
-//! per-wakeup read budget that keeps a chatty one from starving its
-//! worker's poll set.  This module is that layer's two-sockets-per-slot
-//! user.  It owns what is the proxy's alone: dialling the controller for
-//! each accepted switch, telling the engine about a reconnect, the engine
-//! split by [`SwitchId`] into shards (see [`rum::ShardedEngine`]), each
-//! behind its *own* mutex so input for different switches never contends on
-//! one lock, the encode-under-the-shard-lock step that keeps socket order
-//! equal to engine order, and the `proxy.*` counters.
+//! The private `conn` module owns every socket and every deadline: the
+//! accept loop and slot table, the `ppoll(2)` workers (1,000 switches cost
+//! 2,000 registered fds, not 4,000 threads) that also fire the engine
+//! timers of the switches they serve, as one more input batch, the
+//! per-socket outboxes whose `POLLOUT`-gated residue keeps a stalled switch
+//! from head-of-line-blocking anyone else, and the per-wakeup read budget
+//! that keeps a chatty one from starving its worker's poll set.  This
+//! module is that layer's two-sockets-per-slot user.  It owns what is the
+//! proxy's alone: dialling the controller for each accepted switch, telling
+//! the engine about a reconnect, the engine split by [`SwitchId`] into
+//! shards (see [`rum::ShardedEngine`]), each behind its *own* mutex so
+//! input for different switches never contends on one lock, the
+//! encode-under-the-shard-lock step that keeps socket order equal to engine
+//! order, and the `proxy.*` counters.
 //!
 //! Routing follows the [`rum::ShardRouter`]: controller traffic and timer
 //! fires go to the owning shard, a probe `PacketIn` to the shards owning the
@@ -32,12 +34,10 @@
 
 use crate::conn::{Conns, Outbox, Transport};
 use crate::relay::{Endpoint, EngineRelay, RelayEffects};
-use crate::timer::TimerQueue;
 use openflow::OfMessage;
 use rum::{Input, ProxyStats, RumBuilder, ShardRouter, SwitchId, TimerToken};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::{Counter, Registry};
 
@@ -140,7 +140,6 @@ struct Inner {
     n_switches: usize,
     conns: Conns,
     controller_addr: SocketAddr,
-    timers: TimerQueue,
     counters: ProxyCounters,
     /// Telemetry registry shared with the engine shards: `rum.sw*.*`
     /// (engine), `proxy.*` (transport) and `proxy.shard*.*` (per-shard)
@@ -168,11 +167,6 @@ impl Inner {
         if let Some(k) = run_shard {
             self.drain_into_shard(k, &mut run);
         }
-    }
-
-    /// Convenience for single pre-routed inputs (timers, reconnects).
-    fn dispatch(&self, input: Input) {
-        self.dispatch_batch(std::iter::once(input));
     }
 
     fn drain_into_shard(&self, k: usize, inputs: &mut Vec<Input>) {
@@ -235,7 +229,10 @@ impl Inner {
         if !timers.is_empty() {
             let now = Instant::now();
             for (delay, token) in timers {
-                self.timers.arm(now + delay, token.raw());
+                // The token's top 16 bits are the arming switch (see
+                // `ShardRouter::route`): its slot's worker fires it.
+                let slot = (token.raw() >> 48) as usize;
+                self.conns.arm(slot, now, delay, token.raw());
             }
         }
         touched.sort_unstable();
@@ -263,9 +260,9 @@ impl Transport for Inner {
             // reattaching.  Tell the engine so it re-installs its
             // catch/probe rules and re-issues every unconfirmed controller
             // modification on the fresh channel.
-            self.dispatch(Input::SwitchReconnected {
+            self.dispatch_batch(std::iter::once(Input::SwitchReconnected {
                 switch: SwitchId::new(slot),
-            });
+            }));
         }
     }
 
@@ -276,6 +273,13 @@ impl Transport for Inner {
             _ => Input::FromController { switch, message },
         }));
     }
+
+    fn timer(&self, tokens: &mut Vec<u64>) {
+        self.counters.timers_fired.add(tokens.len() as u64);
+        self.dispatch_batch(tokens.drain(..).map(|token| Input::TimerFired {
+            token: TimerToken::from_raw(token),
+        }));
+    }
 }
 
 /// A handle to a running proxy; dropping it does not stop the proxy, call
@@ -284,7 +288,6 @@ pub struct ProxyHandle {
     /// The address the proxy actually listens on (useful with port 0).
     pub local_addr: SocketAddr,
     inner: Arc<Inner>,
-    timer_thread: JoinHandle<()>,
 }
 
 impl ProxyHandle {
@@ -351,13 +354,11 @@ impl ProxyHandle {
         self.inner.registry.clone()
     }
 
-    /// Asks the accept, timer and worker loops to stop and waits for them.
+    /// Asks the accept and worker loops to stop and waits for them.
     /// Workers shut their connections down on exit, so attached peers see
     /// EOF promptly.
     pub fn shutdown(self) {
         self.inner.conns.shutdown();
-        self.inner.timers.wake();
-        let _ = self.timer_thread.join();
     }
 }
 
@@ -429,7 +430,6 @@ impl RumTcpProxy {
             n_switches,
             conns: Conns::bind(self.config.listen_addr, outboxes, n_workers)?,
             controller_addr: self.config.controller_addr,
-            timers: TimerQueue::new(),
             counters: ProxyCounters::new(&registry),
             registry,
         });
@@ -440,23 +440,11 @@ impl RumTcpProxy {
             inner.with_shard(k, |st| st.relay.start_into(&mut st.fx));
         }
 
-        let timer_thread = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || {
-                inner.timers.run(inner.conns.stopping(), |token| {
-                    inner.counters.timers_fired.inc();
-                    inner.dispatch(Input::TimerFired {
-                        token: TimerToken::from_raw(token),
-                    });
-                })
-            })
-        };
         Conns::start(&inner);
 
         Ok(ProxyHandle {
             local_addr: inner.conns.local_addr,
             inner,
-            timer_thread,
         })
     }
 }
@@ -482,6 +470,7 @@ mod tests {
     use rum::TechniqueConfig;
     use std::io::{Read, Write};
     use std::net::TcpListener;
+    use std::thread::JoinHandle;
 
     /// A minimal in-process "switch": connects to the proxy, answers every
     /// barrier request immediately (the buggy behaviour) and every echo.

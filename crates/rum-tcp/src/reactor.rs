@@ -1,55 +1,93 @@
-//! A minimal readiness reactor over `poll(2)` — the event-loop substrate of
-//! the sharded proxy and the fabric-wired switch hosts.
+//! A minimal readiness reactor over `ppoll(2)` — the event-loop substrate
+//! of the `conn` workers and the fabric-wired switch hosts.
 //!
 //! The standard library exposes blocking sockets only, and the workspace
 //! deliberately carries no external event-loop dependency, so this module
 //! hand-rolls the two primitives a readiness-driven design needs:
 //!
-//! * [`poll_fds`] — a safe wrapper over the `poll(2)` syscall, taking a
-//!   reusable [`PollFd`] slice and a millisecond timeout;
+//! * [`poll_fds`] — a safe wrapper over the `ppoll(2)` syscall, taking a
+//!   reusable [`PollFd`] slice and a [`Duration`] timeout.  The kernel
+//!   honours it to the nanosecond (plus timer slack), which is what lets a
+//!   `conn` worker sleep towards its own next deadline: a deadline is one
+//!   more readiness source of the loop, not a thread beside it;
 //! * [`Waker`] — a self-pipe (a nonblocking `UnixStream` pair) whose read
 //!   end joins a poll set, so any thread can interrupt a sleeping event
 //!   loop with a 1-byte write (one per drain, however many wakes land).
 //!
 //! All unsafety in the crate is confined to the tiny `sys` module below:
-//! one struct layout and one foreign function, matching the kernel ABI
-//! used by libc on every platform this workspace targets.
+//! one foreign function over two struct layouts, matching the ABI of libc
+//! on 64-bit Linux, the platform this workspace targets (its tests read
+//! `/proc`).
 
 use std::io::{Read, Write};
+use std::os::raw::c_short;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-/// The `poll(2)` FFI surface.  Kept to the absolute minimum: the `pollfd`
-/// struct layout and the syscall wrapper, both straight from POSIX.
+/// One entry of a poll set, laid out as the kernel's `struct pollfd`: a
+/// descriptor, the readiness to wait for, and (after [`poll_fds`] returns)
+/// the readiness observed.
+#[derive(Debug, Clone, Copy)]
+#[repr(C)]
+pub(crate) struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
+
+/// The `ppoll(2)` FFI surface.  Kept to the absolute minimum: the
+/// `timespec` struct layout and the syscall wrapper.
 #[allow(unsafe_code)]
 mod sys {
-    use std::os::raw::{c_int, c_short, c_ulong};
+    use super::PollFd;
+    use std::os::raw::{c_int, c_long, c_ulong, c_void};
+    use std::time::Duration;
 
+    /// `struct timespec` where `time_t` is `long` (64-bit Linux).
     #[repr(C)]
-    pub(super) struct PollFdRaw {
-        pub fd: c_int,
-        pub events: c_short,
-        pub revents: c_short,
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
     }
-
-    pub(super) const POLLIN: c_short = 0x001;
-    pub(super) const POLLOUT: c_short = 0x004;
-    pub(super) const POLLERR: c_short = 0x008;
-    pub(super) const POLLHUP: c_short = 0x010;
-    pub(super) const POLLNVAL: c_short = 0x020;
 
     extern "C" {
-        fn poll(fds: *mut PollFdRaw, nfds: c_ulong, timeout: c_int) -> c_int;
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
     }
 
-    /// Polls `fds` for up to `timeout_ms` (negative = forever).  Returns
-    /// the number of descriptors with events, 0 on timeout.
-    pub(super) fn poll_raw(fds: &mut [PollFdRaw], timeout_ms: c_int) -> std::io::Result<usize> {
+    /// Polls `fds` for up to `timeout`.  Returns the number of descriptors
+    /// with events, 0 on timeout.
+    pub(super) fn poll_raw(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<usize> {
+        let timeout = Timespec {
+            tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
+            tv_nsec: c_long::from(timeout.subsec_nanos()),
+        };
         // SAFETY: `fds` is a valid, exclusively-borrowed slice of
         // `#[repr(C)]` pollfd structs for the duration of the call, and the
-        // length is passed alongside; `poll` writes only `revents` fields.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
+        // length is passed alongside; `ppoll` writes only `revents` fields.
+        // `timeout` is a live `#[repr(C)]` timespec with `tv_nsec` below one
+        // second, which the call only reads; a null `sigmask` leaves the
+        // signal mask alone, making this `poll` with a finer timeout.
+        let rc = unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                &timeout,
+                std::ptr::null(),
+            )
+        };
         if rc < 0 {
             Err(std::io::Error::last_os_error())
         } else {
@@ -58,73 +96,48 @@ mod sys {
     }
 }
 
-/// One entry of a poll set: a descriptor, the readiness to wait for, and
-/// (after [`poll_fds`] returns) the readiness observed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PollFd {
-    fd: RawFd,
-    want_read: bool,
-    want_write: bool,
-    readable: bool,
-    writable: bool,
-    hangup: bool,
-}
-
 impl PollFd {
     /// An entry waiting for the given readiness on `fd`.
     pub(crate) fn new(fd: RawFd, want_read: bool, want_write: bool) -> Self {
+        let events = (if want_read { POLLIN } else { 0 }) | (if want_write { POLLOUT } else { 0 });
         PollFd {
             fd,
-            want_read,
-            want_write,
-            readable: false,
-            writable: false,
-            hangup: false,
+            events,
+            revents: 0,
         }
     }
 
     /// The descriptor became readable (or reached EOF — a read will tell).
     pub(crate) fn readable(&self) -> bool {
-        self.readable
+        self.revents & (POLLIN | POLLHUP | POLLERR) != 0
     }
 
     /// The descriptor became writable.
     pub(crate) fn writable(&self) -> bool {
-        self.writable
+        self.revents & (POLLOUT | POLLERR) != 0
     }
 
     /// The peer hung up or the descriptor is in an error state; the owner
     /// should read/write to collect the actual error and tear down.
     pub(crate) fn hangup(&self) -> bool {
-        self.hangup
+        self.revents & (POLLHUP | POLLERR | POLLNVAL) != 0
     }
 }
 
-/// Waits until at least one entry of `fds` is ready or `timeout_ms`
-/// elapses (negative = wait forever).  Readiness is reported through the
-/// entries' accessor methods; entries from a previous call are reset.
-/// `EINTR` is treated as a zero-ready timeout so callers simply loop.
-pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> usize {
-    let mut raw: Vec<sys::PollFdRaw> = fds
-        .iter()
-        .map(|p| sys::PollFdRaw {
-            fd: p.fd,
-            events: (if p.want_read { sys::POLLIN } else { 0 })
-                | (if p.want_write { sys::POLLOUT } else { 0 }),
-            revents: 0,
-        })
-        .collect();
-    let n = match sys::poll_raw(&mut raw, timeout_ms) {
+/// Waits until at least one entry of `fds` is ready or `timeout` elapses.
+/// Readiness is reported through the entries' accessor methods; entries
+/// from a previous call are reset.  `EINTR` is treated as a zero-ready
+/// timeout so callers simply loop.
+pub(crate) fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> usize {
+    match sys::poll_raw(fds, timeout) {
         Ok(n) => n,
-        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => 0,
-        Err(e) => panic!("poll(2) failed: {e}"),
-    };
-    for (p, r) in fds.iter_mut().zip(raw.iter()) {
-        p.readable = r.revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0;
-        p.writable = r.revents & (sys::POLLOUT | sys::POLLERR) != 0;
-        p.hangup = r.revents & (sys::POLLHUP | sys::POLLERR | sys::POLLNVAL) != 0;
+        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
+            // The kernel reset no `revents` on this path.
+            fds.iter_mut().for_each(|p| p.revents = 0);
+            0
+        }
+        Err(e) => panic!("ppoll(2) failed: {e}"),
     }
-    n
 }
 
 /// A self-pipe waker: the read end sits in a poll set; [`Waker::wake`]
@@ -184,10 +197,18 @@ impl Waker {
 }
 
 #[cfg(test)]
+impl Waker {
+    /// A wake-up is written and not yet drained.
+    pub(crate) fn is_pending(&self) -> bool {
+        self.pending.load(Ordering::Acquire)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     #[test]
     fn waker_interrupts_a_sleeping_poll() {
@@ -200,13 +221,13 @@ mod tests {
         let mut fds = [PollFd::new(waker.fd(), true, false)];
         let start = Instant::now();
         // Without the wake this would sleep the full 5 s.
-        let n = poll_fds(&mut fds, 5_000);
+        let n = poll_fds(&mut fds, Duration::from_secs(5));
         assert_eq!(n, 1);
         assert!(fds[0].readable());
         assert!(start.elapsed() < Duration::from_secs(2));
         waker.drain();
         // Drained: an immediate re-poll times out instead of spinning.
-        let n = poll_fds(&mut fds, 0);
+        let n = poll_fds(&mut fds, Duration::ZERO);
         assert_eq!(n, 0, "drained waker must not stay readable");
         t.join().unwrap();
     }
@@ -218,26 +239,26 @@ mod tests {
             waker.wake(); // must never block, even with no reader
         }
         let mut fds = [PollFd::new(waker.fd(), true, false)];
-        assert_eq!(poll_fds(&mut fds, 0), 1);
+        assert_eq!(poll_fds(&mut fds, Duration::ZERO), 1);
         waker.drain();
-        assert_eq!(poll_fds(&mut fds, 0), 0);
+        assert_eq!(poll_fds(&mut fds, Duration::ZERO), 0);
         // The drain re-armed it: the next wake writes again.
         waker.wake();
-        assert_eq!(poll_fds(&mut fds, 0), 1);
+        assert_eq!(poll_fds(&mut fds, Duration::ZERO), 1);
     }
 
     #[test]
     fn poll_reports_writability_and_timeout() {
         let (a, _b) = UnixStream::pair().unwrap();
         let mut fds = [PollFd::new(a.as_raw_fd(), true, true)];
-        let n = poll_fds(&mut fds, 100);
+        let n = poll_fds(&mut fds, Duration::from_millis(100));
         assert_eq!(n, 1);
         assert!(fds[0].writable(), "fresh socket must be writable");
         assert!(!fds[0].readable(), "nothing was sent");
 
         let mut fds = [PollFd::new(a.as_raw_fd(), true, false)];
         let start = Instant::now();
-        assert_eq!(poll_fds(&mut fds, 50), 0);
+        assert_eq!(poll_fds(&mut fds, Duration::from_millis(50)), 0);
         assert!(start.elapsed() >= Duration::from_millis(45));
     }
 }

@@ -8,13 +8,14 @@
 //! lives in the machine; this module only moves bytes.  What stays here is
 //! transport:
 //!
-//! * the wall clock against a shared epoch, and the `poll(2)` loop that
+//! * the wall clock against a shared epoch, and the `ppoll(2)` loop that
 //!   wakes for socket bytes, a fabric packet or the machine's
 //!   `next_deadline`, so activations happen at model time, not read time.
-//!   Sleeping until a *machine deadline* is what the `conn` module's
-//!   workers do not do, so the host keeps a loop of its own — but it reads
-//!   through that module's `FrameReader` and writes through its `Outbox`,
-//!   on a nonblocking socket, like every other connection in the crate;
+//!   The `conn` module's workers own the deadlines their transports arm;
+//!   this one is the *machine's*, asked for anew before every sleep, so the
+//!   host keeps a loop of its own — but it reads through that module's
+//!   `FrameReader` and writes through its `Outbox`, on a nonblocking
+//!   socket, like every other connection in the crate;
 //! * delivering a reply no earlier than its `at` (control-plane busy time,
 //!   faithful-barrier horizon) from a small deadline queue instead of
 //!   sleeping on the socket;
@@ -26,8 +27,8 @@
 //!   all over genuine sockets on the control side;
 //! * the socket's life: restart tear-down, reboot sleep, re-dialing.
 //!
-//! Pacing stays with the simulator: this loop sleeps in whole-millisecond
-//! `poll(2)` calls, so honouring the model's 30–40 µs `PacketOut` /
+//! Pacing stays with the simulator: this loop rounds every sleep up to a
+//! whole millisecond, so honouring the model's 30–40 µs `PacketOut` /
 //! `PacketIn` spacing would add ~0.5–1 ms to every probe round trip.  Only
 //! the `packet_out_time` CPU charge is applied, on arrival.
 
@@ -497,14 +498,13 @@ fn serve_conn(
         // 4. Sleep until socket bytes arrive (or outbox residue can move),
         //    a fabric packet wakes us, or the next machine deadline passes
         //    — whichever comes first.
-        let timeout = host.poll_timeout();
-        let timeout_ms = timeout.as_micros().div_ceil(1000) as i32;
+        let whole_ms = host.poll_timeout().as_micros().div_ceil(1000) as u64;
         pfds.clear();
         pfds.push(PollFd::new(stream.as_raw_fd(), true, residue));
         if let Some((_, waker)) = port {
             pfds.push(PollFd::new(waker.fd(), true, false));
         }
-        poll_fds(&mut pfds, timeout_ms);
+        poll_fds(&mut pfds, Duration::from_millis(whole_ms));
         if let (Some(pfd), Some((_, waker))) = (pfds.get(1), port) {
             if pfd.readable() {
                 waker.drain();

@@ -285,8 +285,10 @@ mod tests {
     use super::*;
     use crate::config::TechniqueConfig;
     use controller::scenarios::BulkUpdateScenario;
-    use controller::{AckMode, Controller};
+    use controller::{AckMode, Controller, UpdatePlan};
     use ofswitch::SwitchModel;
+    use openflow::messages::FlowMod;
+    use openflow::OfMatch;
     use simnet::OpenFlowSwitch;
     use simnet::Simulator;
     use std::time::Duration;
@@ -300,6 +302,18 @@ mod tests {
         model: SwitchModel,
         until: SimTime,
     ) -> (Simulator, NodeId, RumHandle) {
+        run_plan(technique, n_rules, window, model, until, |plan| plan)
+    }
+
+    /// [`run_bulk`] with the scenario's update plan passed through `edit`.
+    fn run_plan(
+        technique: TechniqueConfig,
+        n_rules: usize,
+        window: usize,
+        model: SwitchModel,
+        until: SimTime,
+        edit: impl FnOnce(UpdatePlan) -> UpdatePlan,
+    ) -> (Simulator, NodeId, RumHandle) {
         let mut sim = Simulator::new(11);
         let scenario = BulkUpdateScenario {
             n_rules,
@@ -310,7 +324,7 @@ mod tests {
         let net = scenario.build(&mut sim);
         let ctrl = Controller::new(
             "ctrl",
-            net.plan.clone(),
+            edit(net.plan.clone()),
             AckMode::RumAcks,
             window,
             SimTime::from_millis(10),
@@ -433,6 +447,35 @@ mod tests {
             .iter()
             .all(|(sw, _)| *sw == SwitchId::new(1)));
         assert_eq!(handle.confirmed_order().len(), 40);
+    }
+
+    /// `fallback_delay: Duration::MAX` says "never hand out a guessed ack":
+    /// a rule general probing cannot probe (it forwards nowhere) must then
+    /// stay unconfirmed, not be confirmed by a timer whose deadline wrapped
+    /// around the clock into the past.
+    #[test]
+    fn unreachable_fallback_delay_never_confirms_an_unprobeable_rule() {
+        let (sim, ctrl_id, handle) = run_plan(
+            TechniqueConfig::GeneralProbing {
+                probe_interval: Duration::from_millis(10),
+                max_outstanding: 30,
+                fallback_delay: Duration::MAX,
+            },
+            1,
+            1,
+            SwitchModel::hp5406zl(),
+            SimTime::from_secs(20),
+            |_| {
+                let mut plan = UpdatePlan::new();
+                let drop = FlowMod::add(OfMatch::wildcard_all(), 500, Vec::new());
+                plan.add(1_000, 0, drop).unwrap();
+                plan
+            },
+        );
+        let ctrl = sim.node_ref::<Controller>(ctrl_id).unwrap();
+        assert_eq!(ctrl.confirmed_count(), 0, "a guessed ack was handed out");
+        assert!(handle.confirmed_order().is_empty());
+        assert_eq!(handle.stats(SwitchId::new(1)).unconfirmed, 1);
     }
 
     #[test]

@@ -110,16 +110,19 @@ impl From<std::time::Duration> for SimTime {
     }
 }
 
+/// Saturating: a delay that overflows the clock (`Duration::MAX` converts
+/// to [`SimTime::MAX`]) lands on the end of time — "never" — instead of
+/// wrapping into the past.
 impl Add for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimTime {
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -196,6 +199,17 @@ mod tests {
         c += b;
         c -= SimTime::from_millis(2);
         assert_eq!(c, SimTime::from_millis(12));
+    }
+
+    #[test]
+    fn adding_past_the_end_of_time_saturates() {
+        let never = SimTime::from(std::time::Duration::MAX);
+        assert_eq!(never, SimTime::MAX);
+        assert_eq!(SimTime::from_secs(3) + never, SimTime::MAX);
+        assert_eq!(SimTime::MAX + SimTime::from_nanos(1), SimTime::MAX);
+        let mut t = SimTime::from_secs(3);
+        t += never;
+        assert_eq!(t, SimTime::MAX);
     }
 
     #[test]
