@@ -1,9 +1,9 @@
-//! Runs the end-to-end experiment for every acknowledgment technique across
-//! several seeds, the two gated install workloads (indexed vs. linear-scan
-//! bulk install, and the telemetry-instrumented install for the metric-cost
-//! row), the technique × fault scenario matrix and the multi-tenant session
-//! soak on both drivers, and the fleet-scale layer, and writes
-//! machine-readable aggregates to `BENCH_results.json` (see
+//! Runs the end-to-end experiment once for every acknowledgment technique
+//! (virtual time: one run is the result), the two gated install workloads
+//! (indexed vs. linear-scan bulk install, and the telemetry-instrumented
+//! install for the metric-cost row), the technique × fault scenario matrix
+//! and the multi-tenant session soak on both drivers, and the fleet-scale
+//! layer, and writes machine-readable aggregates to `BENCH_results.json` (see
 //! `rum_bench::report::results_json` for the shape), so the reliability
 //! verdicts are tracked across PRs instead of only being pretty-printed.
 //! Wall-clock throughput of the proxy chain is the repository benchmark's
@@ -27,7 +27,7 @@
 
 use ofswitch::SwitchModel;
 use rum_bench::experiments::{run_end_to_end, EndToEndTechnique};
-use rum_bench::report::{write_results, ExperimentRecord, MatrixRecord, ThroughputRecord};
+use rum_bench::report::{end_to_end_summary, results_json, MatrixRecord, ThroughputRecord};
 use rum_bench::scale::{run_simnet_scale_cell, run_tcp_scale_cell, run_tcp_scale_soak};
 use rum_bench::scenario_matrix::{render_grid, run_simnet_matrix, run_tcp_matrix};
 use rum_bench::session_soak::{early_reply_fault, run_simnet_soak, run_tcp_soak, SoakConfig};
@@ -35,8 +35,6 @@ use rum_bench::throughput;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-const SEEDS: [u64; 5] = [11, 22, 33, 44, 55];
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
@@ -118,24 +116,10 @@ fn main() {
     let soak_sessions: usize = args.get(5).and_then(|s| s.parse().ok()).unwrap_or(200);
     let scale_switches: usize = args.get(6).and_then(|s| s.parse().ok()).unwrap_or(1_000);
 
-    let mut records = Vec::new();
+    let mut end_to_end = Vec::new();
     for technique in EndToEndTechnique::all() {
-        let mut times = Vec::new();
-        let mut confirms = u64::MAX;
-        for seed in SEEDS {
-            let r = run_end_to_end(technique, n_flows, 250, seed);
-            times.push(r.controller_completion_ms.unwrap_or(f64::NAN));
-            // Worst case across seeds, so a partially-completed run is not
-            // masked by the others.
-            confirms = confirms.min(r.confirmed_mods as u64);
-        }
-        let name = format!("end_to_end/{}", technique.label());
-        let record = ExperimentRecord::from_runs(&name, &times, confirms);
-        println!(
-            "{name:<40} median {:>10.1} ms  p95 {:>8.1} ms  confirms {confirms}",
-            record.median_completion_ms, record.p95_completion_ms
-        );
-        records.push(record);
+        end_to_end.push(run_end_to_end(technique, n_flows));
+        println!("{}", end_to_end_summary(end_to_end.last().unwrap()));
     }
 
     let throughput = throughput_records(install_n);
@@ -229,10 +213,11 @@ fn main() {
         }
     }
 
-    write_results(&path, &records, &throughput, &matrix, &soak).expect("write BENCH_results.json");
+    let json = results_json(&end_to_end, &throughput, &matrix, &soak);
+    std::fs::write(&path, json).expect("write BENCH_results.json");
     println!(
-        "\nwrote {} latency + {} throughput + {} matrix + {} soak records to {}",
-        records.len(),
+        "\nwrote {} end-to-end + {} throughput + {} matrix + {} soak records to {}",
+        end_to_end.len(),
         throughput.len(),
         matrix.len(),
         soak.len(),

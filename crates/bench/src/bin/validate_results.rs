@@ -1,5 +1,5 @@
 //! Validates a `BENCH_results.json` document against the one shape
-//! `bench_results` writes — schema 9, described at
+//! `bench_results` writes — schema 10, described at
 //! `rum_bench::report::results_json` — so CI catches a broken harness before
 //! a stale or malformed results file lands.  Any other schema number is
 //! rejected.
@@ -9,6 +9,11 @@
 //! `BENCH_results.json`, no speedup floor, 35 ns per operation, ≥ 1 soak
 //! session, no switch-count floor).
 //!
+//! * **End-to-end results.**  The paper's claim: the barrier baseline drops
+//!   packets during the consistent update, and sequential probing, general
+//!   probing and the 300 ms timeout drop none — all four rows must be there.
+//!   Every row confirms the same, non-zero number of modifications (the
+//!   whole plan), so no technique's row comes from a stalled run.
 //! * **Throughput.**  Every `flow_mod_install/indexed_*` row carries a
 //!   `speedup` over the linear-scan baseline, at least `min_speedup` when
 //!   given.  Every `telemetry_overhead/*` row carries a finite
@@ -42,7 +47,17 @@ use std::process::ExitCode;
 use telemetry::json::{self, Value as Json};
 
 /// The one schema `bench_results` writes and this validator accepts.
-const SCHEMA: i64 = 9;
+const SCHEMA: i64 = 10;
+
+/// The `results` rows the paper's claim rests on, and whether each drops
+/// packets: trusting barriers breaks flows; waiting for a probe, or long
+/// enough, does not.
+const CLAIM: [(&str, bool); 4] = [
+    ("end_to_end/barriers (baseline)", true),
+    ("end_to_end/sequential", false),
+    ("end_to_end/general", false),
+    ("end_to_end/timeout 300ms", false),
+];
 
 const DRIVERS: [&str; 2] = ["simnet", "tcp"];
 
@@ -334,6 +349,41 @@ fn validate_soak(root: &Obj, min_sessions: u64, min_switches: u64) -> Result<usi
     Ok(rows)
 }
 
+/// The `results` section: one end-to-end run per technique.
+fn validate_end_to_end(root: &Obj) -> Result<usize, String> {
+    let mut confirms = None;
+    let mut seen = Vec::new();
+    let rows = each_row(root, "results", |row| {
+        let name = string(row, "experiment")?;
+        num(row, "completion_ms")?;
+        num(row, "max_broken_ms")?;
+        num(row, "mean_update_ms")?;
+        let drops = count(row, "drops")?;
+        let confirmed = count(row, "confirms")?;
+        let first = *confirms.get_or_insert(confirmed);
+        if confirmed == 0 || confirmed != first {
+            return Err(format!(
+                "{name} confirms {confirmed} (first row: {first}): every technique \
+                 must confirm the whole plan"
+            ));
+        }
+        if let Some(&(_, lossy)) = CLAIM.iter().find(|(claimed, _)| *claimed == name) {
+            if lossy != (drops > 0) {
+                let claim = if lossy { "some" } else { "none" };
+                return Err(format!(
+                    "{name} dropped {drops} packets, the claim: {claim}"
+                ));
+            }
+        }
+        seen.push(name);
+        Ok(())
+    })?;
+    match CLAIM.iter().find(|(name, _)| !seen.contains(name)) {
+        Some((missing, _)) => Err(format!("no results row \"{missing}\"")),
+        None => Ok(rows),
+    }
+}
+
 fn validate_throughput(
     root: &Obj,
     min_speedup: f64,
@@ -404,18 +454,11 @@ fn validate(
         Json::Int(SCHEMA) => {}
         other => return Err(format!("schema must be {SCHEMA}, got {other:?}")),
     }
-    let latency_rows = each_row(root, "results", |row| {
-        string(row, "experiment")?;
-        num(row, "median_completion_ms")?;
-        num(row, "p95_completion_ms")?;
-        num(row, "confirms")?;
-        num(row, "runs")?;
-        Ok(())
-    })?;
+    let end_to_end_rows = validate_end_to_end(root)?;
     let throughput_rows = validate_throughput(root, min_speedup, max_overhead_ns)?;
     let matrix_rows = validate_matrix(root, min_matrix_switches)?;
     let soak_rows = validate_soak(root, min_soak_sessions, min_matrix_switches)?;
-    Ok((latency_rows, throughput_rows, matrix_rows, soak_rows))
+    Ok((end_to_end_rows, throughput_rows, matrix_rows, soak_rows))
 }
 
 /// Validates the file named by `args`; returns the summary to print.
@@ -431,7 +474,7 @@ fn run(args: &[String]) -> Result<String, String> {
 
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
-    let (latency, throughput, matrix, soak) = validate(
+    let (end_to_end, throughput, matrix, soak) = validate(
         &doc,
         min_speedup,
         max_overhead_ns,
@@ -440,7 +483,7 @@ fn run(args: &[String]) -> Result<String, String> {
     )
     .map_err(|e| format!("{path} failed validation: {e}"))?;
     Ok(format!(
-        "{path} OK ({latency} latency rows, {throughput} throughput rows, \
+        "{path} OK ({end_to_end} end-to-end rows, {throughput} throughput rows, \
          {matrix} scenario-matrix rows, {soak} session-soak rows)"
     ))
 }
@@ -460,10 +503,11 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    //! Every test edits one well-formed schema-9 document.  Test names that
-    //! carry a schema number name the schema that introduced the gate; they
-    //! are unchanged because the repository's test floor tracks tests by
-    //! name.
+    //! Every test edits one well-formed schema-10 document.  Test names that
+    //! carry a schema number name the schema that introduced the gate, or —
+    //! `only_schema_9_is_accepted`, `well_formed_schema_9_document_is_accepted`
+    //! — the one accepted when they were written; they are unchanged because
+    //! the repository's test floor tracks tests by name.
 
     use super::*;
 
@@ -471,9 +515,12 @@ mod tests {
     /// so a test can address a row by any text unique to its line.  The
     /// `silent_drop` row is a stalled cell: missed acks, null completion.
     const GOOD: &str = r#"{
-      "schema": 9,
+      "schema": 10,
       "results": [
-        {"experiment": "end_to_end/general", "median_completion_ms": 1.0, "p95_completion_ms": 2.0, "confirms": 3, "runs": 4}
+        {"experiment": "end_to_end/barriers (baseline)", "completion_ms": 166.9, "confirms": 80, "drops": 2343, "max_broken_ms": 288.0, "mean_update_ms": 330.5},
+        {"experiment": "end_to_end/timeout 300ms", "completion_ms": 766.9, "confirms": 80, "drops": 0, "max_broken_ms": 4.0, "mean_update_ms": 470.2},
+        {"experiment": "end_to_end/sequential", "completion_ms": 401.4, "confirms": 80, "drops": 0, "max_broken_ms": 4.0, "mean_update_ms": 333.1},
+        {"experiment": "end_to_end/general", "completion_ms": 404.4, "confirms": 80, "drops": 0, "max_broken_ms": 4.0, "mean_update_ms": 333.9}
       ],
       "throughput": [
         {"experiment": "telemetry_overhead/indexed_10", "ops": 10, "median_elapsed_ms": 1.02, "ops_per_sec": 9800.0, "runs": 9, "overhead_ns_per_op": 11.0},
@@ -498,6 +545,8 @@ mod tests {
     }"#;
 
     // Text unique to one fixture row each.
+    const BARRIERS_ROW: &str = "barriers (baseline)";
+    const GENERAL_ROW: &str = "end_to_end/general";
     const BARRIER_ROW: &str = "early_reply/barrier-only";
     const NA_ROW: &str = "early_reply_reordering/rum-sequential";
     const RESTART_TCP: &str = "tcp/restart/";
@@ -568,19 +617,48 @@ mod tests {
 
     #[test]
     fn well_formed_schema_9_document_is_accepted() {
-        assert_eq!(check(GOOD), Ok((1, 2, 9, 3)));
+        assert_eq!(check(GOOD), Ok((4, 2, 9, 3)));
         // With every floor the committed file is held to.
-        assert_eq!(gate(GOOD, 10.0, 35.0, 200, 1000), Ok((1, 2, 9, 3)));
+        assert_eq!(gate(GOOD, 10.0, 35.0, 200, 1000), Ok((4, 2, 9, 3)));
     }
 
     #[test]
     fn only_schema_9_is_accepted() {
-        for other in ["8", "10", "\"9\""] {
-            let text = GOOD.replace("\"schema\": 9", &format!("\"schema\": {other}"));
-            assert_rejected(check(&text), &["schema must be 9"]);
+        for other in ["9", "11", "\"10\""] {
+            let text = GOOD.replace("\"schema\": 10", &format!("\"schema\": {other}"));
+            assert_rejected(check(&text), &["schema must be 10"]);
         }
-        let unversioned = GOOD.replace("\"schema\": 9,", "");
+        let unversioned = GOOD.replace("\"schema\": 10,", "");
         assert_rejected(check(&unversioned), &["missing key \"schema\""]);
+    }
+
+    #[test]
+    fn barrier_baseline_that_drops_nothing_is_rejected() {
+        let lossless = set(GOOD, BARRIERS_ROW, &[("drops", "2343", "0")]);
+        assert_rejected(check(&lossless), &["results[0]", "dropped 0 packets"]);
+    }
+
+    #[test]
+    fn probing_or_timeout_rows_that_drop_packets_are_rejected() {
+        for row in ["timeout 300ms", "end_to_end/sequential", GENERAL_ROW] {
+            let lossy = set(GOOD, row, &[("drops", "0", "7")]);
+            assert_rejected(check(&lossy), &[row, "dropped 7 packets"]);
+        }
+    }
+
+    #[test]
+    fn results_rows_must_agree_on_a_nonzero_confirm_count() {
+        let stalled = set(GOOD, GENERAL_ROW, &[("confirms", "80", "79")]);
+        assert_rejected(check(&stalled), &["results[3]", "confirms 79"]);
+        let nothing = GOOD.replace("\"confirms\": 80", "\"confirms\": 0");
+        assert_rejected(check(&nothing), &["results[0]", "confirms 0"]);
+    }
+
+    #[test]
+    fn results_rows_the_claim_rests_on_must_be_present() {
+        for row in [BARRIERS_ROW, "end_to_end/sequential"] {
+            assert_rejected(check(&without(GOOD, row)), &["no results row", row]);
+        }
     }
 
     #[test]

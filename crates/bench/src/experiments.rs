@@ -5,7 +5,7 @@ use controller::{AckMode, Controller};
 use ofswitch::SwitchModel;
 use openflow::messages::{FlowMod, PacketOut};
 use openflow::{Action, DatapathId, OfMatch, OfMessage};
-use rum::{deploy, RumBuilder, RumHandle, TechniqueConfig};
+use rum::{deploy, RumBuilder, TechniqueConfig};
 use simnet::OpenFlowSwitch;
 use simnet::{Context, EventPayload, FlowId, Node, NodeId, SimTime, Simulator};
 use std::any::Any;
@@ -13,6 +13,18 @@ use std::net::Ipv4Addr;
 
 /// When the controller starts pushing the update in end-to-end experiments.
 pub const UPDATE_START: SimTime = SimTime::from_millis(500);
+
+/// Per-flow packet rate of the end-to-end experiments: the paper's.
+pub const PACKETS_PER_SEC: u64 = 250;
+
+/// Nothing in these experiments draws from the simulator's RNG, so every run
+/// seeds it with this one value.
+const SEED: u64 = 0;
+
+/// How far every bulk-update run is simulated: §5.1's horizon, the longest
+/// any of them had.  Simulating past an update's completion changes nothing
+/// the runners read.
+const BULK_HORIZON: SimTime = SimTime::from_secs(180);
 
 /// The acknowledgment strategies compared in the end-to-end experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,24 +56,27 @@ impl EndToEndTechnique {
         }
     }
 
-    /// The RUM technique configuration, if RUM is involved at all.
-    pub fn rum_technique(&self) -> Option<TechniqueConfig> {
-        match self {
-            EndToEndTechnique::NoWait => None,
-            EndToEndTechnique::Barriers => Some(TechniqueConfig::BarrierBaseline),
-            EndToEndTechnique::Timeout(d) => {
-                Some(TechniqueConfig::StaticTimeout { delay: (*d).into() })
-            }
-            EndToEndTechnique::Adaptive(rate) => Some(TechniqueConfig::AdaptiveDelay {
+    /// The controller's acknowledgment mode and, unless it waits for
+    /// nothing, RUM running the technique in front of the experiment's three
+    /// switches.
+    fn control(&self) -> (AckMode, Option<RumBuilder>) {
+        let technique = match self {
+            EndToEndTechnique::NoWait => return (AckMode::NoWait, None),
+            EndToEndTechnique::Barriers => TechniqueConfig::BarrierBaseline,
+            EndToEndTechnique::Timeout(d) => TechniqueConfig::StaticTimeout { delay: (*d).into() },
+            EndToEndTechnique::Adaptive(rate) => TechniqueConfig::AdaptiveDelay {
                 assumed_rate: *rate,
                 assumed_sync_lag: SwitchModel::hp5406zl().worst_case_dataplane_lag(),
-            }),
-            EndToEndTechnique::Sequential => Some(TechniqueConfig::default_sequential()),
-            EndToEndTechnique::General => Some(TechniqueConfig::default_general()),
-        }
+            },
+            EndToEndTechnique::Sequential => TechniqueConfig::default_sequential(),
+            EndToEndTechnique::General => TechniqueConfig::default_general(),
+        };
+        let rum = RumBuilder::new(3).technique(technique);
+        (AckMode::RumAcks, Some(rum))
     }
 
-    /// The full set of techniques plotted across Figures 6 and 7.
+    /// The full set of techniques plotted across Figures 6 (the first four)
+    /// and 7 (the last three); Figure 8 plots all but no-wait.
     pub fn all() -> Vec<EndToEndTechnique> {
         vec![
             EndToEndTechnique::Barriers,
@@ -99,8 +114,6 @@ pub struct EndToEndResult {
     pub flows: Vec<FlowRow>,
     /// Total packets dropped anywhere in the network.
     pub total_drops: usize,
-    /// Total packets delivered.
-    pub total_delivered: usize,
     /// Number of flows whose path actually changed.
     pub migrated_flows: usize,
     /// Modifications the controller's session confirmed.
@@ -132,8 +145,9 @@ impl EndToEndResult {
     }
 }
 
-/// Wires a controller + (optionally) RUM into an already-built scenario.
-/// Returns the controller node and the RUM deployment handle (if any).
+/// Wires a controller + (optionally) RUM into an already-built scenario and
+/// returns the controller node.  Without RUM the controller talks straight
+/// to the switches.
 fn wire_control_plane(
     sim: &mut Simulator,
     plan: controller::UpdatePlan,
@@ -142,67 +156,40 @@ fn wire_control_plane(
     rum: Option<RumBuilder>,
     ack_mode: AckMode,
     window: usize,
-) -> (NodeId, Option<RumHandle>) {
-    let ctrl = Controller::new("ctrl", plan, ack_mode, window, UPDATE_START);
-    let ctrl_id = sim.add_node(ctrl);
-    match rum {
-        None => {
-            // Direct connections: controller talks straight to the switches.
-            let connections: Vec<NodeId> = plan_targets.iter().map(|&t| switches[t]).collect();
-            sim.node_mut::<Controller>(ctrl_id)
-                .unwrap()
-                .set_connections(connections);
-            for &sw in switches {
-                sim.node_mut::<OpenFlowSwitch>(sw)
-                    .unwrap()
-                    .connect_controller(ctrl_id);
-            }
-            (ctrl_id, None)
-        }
-        Some(builder) => {
-            let (proxies, handle) = deploy(sim, builder, ctrl_id, switches);
-            let connections: Vec<NodeId> = plan_targets.iter().map(|&t| proxies[t]).collect();
-            sim.node_mut::<Controller>(ctrl_id)
-                .unwrap()
-                .set_connections(connections);
-            for (idx, &sw) in switches.iter().enumerate() {
-                sim.node_mut::<OpenFlowSwitch>(sw)
-                    .unwrap()
-                    .connect_controller(proxies[idx]);
-            }
-            (ctrl_id, Some(handle))
-        }
+) -> NodeId {
+    let controller = Controller::new("ctrl", plan, ack_mode, window, UPDATE_START);
+    let ctrl = sim.add_node(controller);
+    let proxies = rum.map(|builder| deploy(sim, builder, ctrl, switches).0);
+    let peers = proxies.as_deref().unwrap_or(switches);
+    let connections = plan_targets.iter().map(|&t| peers[t]).collect();
+    sim.node_mut::<Controller>(ctrl)
+        .unwrap()
+        .set_connections(connections);
+    for (i, &sw) in switches.iter().enumerate() {
+        let upstream = proxies.as_ref().map_or(ctrl, |p| p[i]);
+        sim.node_mut::<OpenFlowSwitch>(sw)
+            .unwrap()
+            .connect_controller(upstream);
     }
+    ctrl
 }
 
 /// Runs the triangle path-migration experiment (Figures 1b, 6 and 7).
-pub fn run_end_to_end(
-    technique: EndToEndTechnique,
-    n_flows: u32,
-    packets_per_sec: u64,
-    seed: u64,
-) -> EndToEndResult {
-    let mut sim = Simulator::new(seed);
+pub fn run_end_to_end(technique: EndToEndTechnique, n_flows: u32) -> EndToEndResult {
+    let mut sim = Simulator::new(SEED);
     let traffic_stop = SimTime::from_secs(6);
     let scenario = TriangleScenario {
         n_flows,
-        packets_per_sec,
+        packets_per_sec: PACKETS_PER_SEC,
         traffic_stop,
         ..Default::default()
     };
     let net = scenario.build(&mut sim);
-    let switches = [net.s1, net.s2, net.s3];
-    let ack_mode = match technique {
-        EndToEndTechnique::NoWait => AckMode::NoWait,
-        _ => AckMode::RumAcks,
-    };
-    let rum = technique
-        .rum_technique()
-        .map(|t| RumBuilder::new(switches.len()).technique(t));
-    let (ctrl_id, _layer) = wire_control_plane(
+    let (ack_mode, rum) = technique.control();
+    let ctrl_id = wire_control_plane(
         &mut sim,
         net.plan.clone(),
-        &switches,
+        &[net.s1, net.s2, net.s3],
         &[0, 1, 2],
         rum,
         ack_mode,
@@ -245,7 +232,6 @@ pub fn run_end_to_end(
         technique: technique.label(),
         flows,
         total_drops: sim.trace().dropped_packets(None),
-        total_delivered: sim.trace().delivered_packets(None),
         migrated_flows: migrated,
         confirmed_mods,
         controller_completion_ms,
@@ -263,42 +249,61 @@ pub struct ActivationSample {
     pub delay_ms: f64,
 }
 
+/// Stands up the single-switch bulk-update chain (Section 5.2) — `n_rules`
+/// installs at the device under test, no traffic — behind a controller in
+/// `ack_mode` and, when given, RUM; runs it to [`BULK_HORIZON`] and returns
+/// the simulator and the controller's node.
+fn run_bulk(
+    model: SwitchModel,
+    rum: Option<RumBuilder>,
+    ack_mode: AckMode,
+    window: usize,
+    n_rules: usize,
+) -> (Simulator, NodeId) {
+    let mut sim = Simulator::new(SEED);
+    let scenario = BulkUpdateScenario {
+        n_rules,
+        packets_per_sec: 0,
+        model,
+        ..Default::default()
+    };
+    let net = scenario.build(&mut sim);
+    let ctrl = wire_control_plane(
+        &mut sim,
+        net.plan.clone(),
+        &[net.sw_a, net.sw_b, net.sw_c],
+        &[1],
+        rum,
+        ack_mode,
+        window,
+    );
+    sim.run_until(BULK_HORIZON);
+    (sim, ctrl)
+}
+
+/// How long after [`UPDATE_START`] a [`run_bulk`] update completed; panics
+/// if it did not.
+fn bulk_completion(sim: &Simulator, ctrl: NodeId, n_rules: usize) -> SimTime {
+    let ctrl = sim.node_ref::<Controller>(ctrl).unwrap();
+    let completed = ctrl.completed_at().unwrap_or_else(|| {
+        panic!(
+            "update did not finish: {}/{}",
+            ctrl.confirmed_count(),
+            n_rules
+        )
+    });
+    completed - UPDATE_START
+}
+
 /// Runs the single-switch bulk-update experiment and returns the per-rule
 /// delay between data-plane and control-plane activation (Figure 8).
 pub fn run_activation_delay(
     technique: EndToEndTechnique,
     n_rules: usize,
     window: usize,
-    packets_per_sec: u64,
-    seed: u64,
 ) -> Vec<ActivationSample> {
-    let mut sim = Simulator::new(seed);
-    let scenario = BulkUpdateScenario {
-        n_rules,
-        packets_per_sec,
-        traffic_stop: SimTime::from_secs(8),
-        ..Default::default()
-    };
-    let net = scenario.build(&mut sim);
-    let switches = [net.sw_a, net.sw_b, net.sw_c];
-    let ack_mode = match technique {
-        EndToEndTechnique::NoWait => AckMode::NoWait,
-        _ => AckMode::RumAcks,
-    };
-    let rum = technique
-        .rum_technique()
-        .map(|t| RumBuilder::new(switches.len()).technique(t));
-    let (_ctrl_id, _layer) = wire_control_plane(
-        &mut sim,
-        net.plan.clone(),
-        &switches,
-        &[1],
-        rum,
-        ack_mode,
-        window,
-    );
-    sim.run_until(SimTime::from_secs(30));
-
+    let (ack_mode, rum) = technique.control();
+    let (sim, _) = run_bulk(SwitchModel::hp5406zl(), rum, ack_mode, window, n_rules);
     let first_cookie = BulkUpdateScenario::rule_cookie(0);
     let last_cookie = BulkUpdateScenario::rule_cookie(n_rules);
     sim.trace()
@@ -333,72 +338,22 @@ impl UpdateRateResult {
     }
 }
 
-fn bulk_completion_rate(
-    technique: Option<TechniqueConfig>,
-    n_rules: usize,
-    window: usize,
-    seed: u64,
-) -> f64 {
-    let mut sim = Simulator::new(seed);
-    let scenario = BulkUpdateScenario {
-        n_rules,
-        packets_per_sec: 0,
-        model: SwitchModel::hp5406zl(),
-        ..Default::default()
-    };
-    let net = scenario.build(&mut sim);
-    let switches = [net.sw_a, net.sw_b, net.sw_c];
-    let rum = technique.map(|t| RumBuilder::new(switches.len()).technique(t));
-    let (ctrl_id, _layer) = wire_control_plane(
-        &mut sim,
-        net.plan.clone(),
-        &switches,
-        &[1],
-        rum,
-        AckMode::RumAcks,
-        window,
-    );
-    // Generously sized horizon: 4000 rules at ~50 rules/s worst case.
-    sim.run_until(SimTime::from_secs(120));
-    let ctrl = sim.node_ref::<Controller>(ctrl_id).unwrap();
-    let completed = ctrl.completed_at().unwrap_or_else(|| {
-        panic!(
-            "update did not finish: {}/{}",
-            ctrl.confirmed_count(),
-            n_rules
-        )
-    });
-    let duration = completed - UPDATE_START;
-    n_rules as f64 / duration.as_secs_f64()
-}
-
 /// Runs one cell of Table 1: sequential probing with a probe-rule update
 /// every `probe_every` real modifications and at most `window` unconfirmed
 /// modifications, normalised to the barrier baseline at the same window.
-pub fn run_update_rate(
-    probe_every: usize,
-    window: usize,
-    n_rules: usize,
-    seed: u64,
-) -> UpdateRateResult {
-    let probing_rate = bulk_completion_rate(
-        Some(TechniqueConfig::SequentialProbing {
+pub fn run_update_rate(probe_every: usize, window: usize, n_rules: usize) -> UpdateRateResult {
+    let rate = |technique| {
+        let rum = RumBuilder::new(3).technique(technique);
+        let model = SwitchModel::hp5406zl();
+        let (sim, ctrl) = run_bulk(model, Some(rum), AckMode::RumAcks, window, n_rules);
+        n_rules as f64 / bulk_completion(&sim, ctrl, n_rules).as_secs_f64()
+    };
+    UpdateRateResult {
+        probing_rate: rate(TechniqueConfig::SequentialProbing {
             batch_size: probe_every,
             probe_interval: std::time::Duration::from_millis(10),
         }),
-        n_rules,
-        window,
-        seed,
-    );
-    let baseline_rate = bulk_completion_rate(
-        Some(TechniqueConfig::BarrierBaseline),
-        n_rules,
-        window,
-        seed + 1,
-    );
-    UpdateRateResult {
-        probing_rate,
-        baseline_rate,
+        baseline_rate: rate(TechniqueConfig::BarrierBaseline),
     }
 }
 
@@ -426,67 +381,33 @@ pub fn run_barrier_layer(
     barrier_every: usize,
     reordering_switch: bool,
     n_rules: usize,
-    seed: u64,
 ) -> BarrierLayerResult {
-    let run = |use_barriers: bool, seed: u64| -> f64 {
-        let mut sim = Simulator::new(seed);
-        let model = if reordering_switch {
-            SwitchModel::reordering()
-        } else {
-            SwitchModel::hp5406zl()
-        };
-        let scenario = BulkUpdateScenario {
-            n_rules,
-            packets_per_sec: 0,
-            model,
-            ..Default::default()
-        };
-        let net = scenario.build(&mut sim);
-        let switches = [net.sw_a, net.sw_b, net.sw_c];
-        let technique = if reordering_switch {
-            TechniqueConfig::default_general()
-        } else {
-            TechniqueConfig::default_sequential()
-        };
-        let (ack_mode, window, buffering, fine_acks) = if use_barriers {
-            (
-                AckMode::Barriers {
-                    batch: barrier_every,
-                },
-                n_rules.max(1),
-                reordering_switch,
-                false,
-            )
-        } else {
-            (AckMode::RumAcks, n_rules.max(1), false, true)
-        };
-        let builder = RumBuilder::new(switches.len())
-            .technique(technique)
+    let (model, technique) = if reordering_switch {
+        (
+            SwitchModel::reordering(),
+            TechniqueConfig::default_general(),
+        )
+    } else {
+        (
+            SwitchModel::hp5406zl(),
+            TechniqueConfig::default_sequential(),
+        )
+    };
+    let run = |ack_mode, buffering, fine_acks| {
+        let rum = RumBuilder::new(3)
+            .technique(technique.clone())
             .buffer_across_barriers(buffering)
             .fine_grained_acks(fine_acks);
-        let (ctrl_id, _layer) = wire_control_plane(
-            &mut sim,
-            net.plan.clone(),
-            &switches,
-            &[1],
-            Some(builder),
-            ack_mode,
-            window,
-        );
-        sim.run_until(SimTime::from_secs(180));
-        let ctrl = sim.node_ref::<Controller>(ctrl_id).unwrap();
-        let completed = ctrl.completed_at().unwrap_or_else(|| {
-            panic!(
-                "barrier-layer update did not finish: {}/{}",
-                ctrl.confirmed_count(),
-                n_rules
-            )
-        });
-        (completed - UPDATE_START).as_millis_f64()
+        let window = n_rules.max(1);
+        let (sim, ctrl) = run_bulk(model.clone(), Some(rum), ack_mode, window, n_rules);
+        bulk_completion(&sim, ctrl, n_rules).as_millis_f64()
+    };
+    let barriers = AckMode::Barriers {
+        batch: barrier_every,
     };
     BarrierLayerResult {
-        with_barrier_layer_ms: run(true, seed),
-        probing_only_ms: run(false, seed + 17),
+        with_barrier_layer_ms: run(barriers, reordering_switch, false),
+        probing_only_ms: run(AckMode::RumAcks, false, true),
     }
 }
 
@@ -525,19 +446,10 @@ impl BlastController {
             received: Vec::new(),
         }
     }
-    fn barrier_reply_times(&self) -> Vec<SimTime> {
-        self.received
-            .iter()
-            .filter(|(_, m)| matches!(m, OfMessage::BarrierReply { .. }))
-            .map(|(t, _)| *t)
-            .collect()
-    }
-    fn packet_in_times(&self) -> Vec<SimTime> {
-        self.received
-            .iter()
-            .filter(|(_, m)| matches!(m, OfMessage::PacketIn { .. }))
-            .map(|(t, _)| *t)
-            .collect()
+    /// When each received message that `kind` accepts arrived.
+    fn times(&self, kind: fn(&OfMessage) -> bool) -> Vec<SimTime> {
+        let received = self.received.iter().filter(|(_, m)| kind(m));
+        received.map(|(t, _)| *t).collect()
     }
 }
 
@@ -564,16 +476,11 @@ impl Node for BlastController {
 }
 
 fn rate_from_times(times: &[SimTime]) -> f64 {
-    if times.len() < 2 {
-        return 0.0;
-    }
-    let first = times.iter().min().unwrap();
-    let last = times.iter().max().unwrap();
-    let span = (*last - *first).as_secs_f64();
-    if span <= 0.0 {
-        0.0
-    } else {
-        (times.len() - 1) as f64 / span
+    match (times.iter().min(), times.iter().max()) {
+        (Some(&first), Some(&last)) if last > first => {
+            (times.len() - 1) as f64 / (last - first).as_secs_f64()
+        }
+        _ => 0.0,
     }
 }
 
@@ -595,8 +502,8 @@ fn flow_mod_msg(i: u32, out_port: u16) -> OfMessage {
 /// Measures how long a switch takes to process `n_mods` flow modifications
 /// (control plane), optionally interleaved with other messages, using a
 /// trailing barrier per modification to timestamp completion.
-fn measure_mod_rate(n_mods: u32, extra: impl Fn(u32) -> Vec<OfMessage>, seed: u64) -> f64 {
-    let mut sim = Simulator::new(seed);
+fn measure_mod_rate(n_mods: u32, extra: impl Fn(u32) -> Vec<OfMessage>) -> f64 {
+    let mut sim = Simulator::new(SEED);
     let sw_id = NodeId(1);
     let mut script: Vec<(SimTime, NodeId, OfMessage)> = Vec::new();
     for i in 0..n_mods {
@@ -616,15 +523,14 @@ fn measure_mod_rate(n_mods: u32, extra: impl Fn(u32) -> Vec<OfMessage>, seed: u6
     sim.add_node(sw);
     sim.run_until(SimTime::from_secs(60));
     let ctrl = sim.node_ref::<BlastController>(ctrl_id).unwrap();
-    let replies = ctrl.barrier_reply_times();
-    rate_from_times(&replies)
+    rate_from_times(&ctrl.times(|m| matches!(m, OfMessage::BarrierReply { .. })))
 }
 
 /// Runs the §5.2 microbenchmarks on the HP-like switch model.
-pub fn run_pktio_rates(seed: u64) -> PktIoResult {
+pub fn run_pktio_rates() -> PktIoResult {
     // --- PacketOut rate: blast PacketOuts, count arrivals at the host. ---
     let packet_out_per_sec = {
-        let mut sim = Simulator::new(seed);
+        let mut sim = Simulator::new(SEED);
         let mut host = simnet::traffic::Host::new("sink");
         let header = simnet::traffic::flow_header(
             1,
@@ -669,7 +575,7 @@ pub fn run_pktio_rates(seed: u64) -> PktIoResult {
 
     // --- PacketIn rate: a send-to-controller rule + offered load. ---
     let packet_in_per_sec = {
-        let mut sim = Simulator::new(seed + 1);
+        let mut sim = Simulator::new(SEED);
         let mut host = simnet::traffic::Host::new("src");
         let header = simnet::traffic::flow_header(
             2,
@@ -699,11 +605,11 @@ pub fn run_pktio_rates(seed: u64) -> PktIoResult {
             .add_link(host_id, 1, sw_id, 1, SimTime::from_micros(50));
         sim.run_until(SimTime::from_secs(3));
         let ctrl = sim.node_ref::<BlastController>(ctrl_id).unwrap();
-        rate_from_times(&ctrl.packet_in_times())
+        rate_from_times(&ctrl.times(|m| matches!(m, OfMessage::PacketIn { .. })))
     };
 
     // --- Modification-rate interaction experiments. ---
-    let mod_rate_alone = measure_mod_rate(300, |_| Vec::new(), seed + 2);
+    let mod_rate_alone = measure_mod_rate(300, |_| Vec::new());
     let header = simnet::traffic::flow_header(
         3,
         openflow::MacAddr::from_id(9),
@@ -711,30 +617,22 @@ pub fn run_pktio_rates(seed: u64) -> PktIoResult {
     );
     // One PacketOut per five modifications would be 0.2; the paper uses up to
     // a 5:1 PacketOut-to-modification ratio, i.e. five PacketOuts per mod.
-    let mod_rate_with_packet_outs = measure_mod_rate(
-        300,
-        |i| {
-            (0..5)
-                .map(|k| OfMessage::PacketOut {
-                    xid: 2_000_000 + i * 5 + k,
-                    body: PacketOut::single_port(2, header.to_bytes()),
-                })
-                .collect()
-        },
-        seed + 3,
-    ) / mod_rate_alone;
+    let mod_rate_with_packet_outs = measure_mod_rate(300, |i| {
+        (0..5)
+            .map(|k| OfMessage::PacketOut {
+                xid: 2_000_000 + i * 5 + k,
+                body: PacketOut::single_port(2, header.to_bytes()),
+            })
+            .collect()
+    }) / mod_rate_alone;
     // PacketIns are generated by the switch, not sent by the controller; the
     // interaction is exercised by echo requests of similar control-plane cost.
-    let mod_rate_with_packet_ins = measure_mod_rate(
-        300,
-        |i| {
-            vec![OfMessage::EchoRequest {
-                xid: 3_000_000 + i,
-                data: vec![0; 8],
-            }]
-        },
-        seed + 4,
-    ) / mod_rate_alone;
+    let mod_rate_with_packet_ins = measure_mod_rate(300, |i| {
+        vec![OfMessage::EchoRequest {
+            xid: 3_000_000 + i,
+            data: vec![0; 8],
+        }]
+    }) / mod_rate_alone;
 
     PktIoResult {
         packet_out_per_sec,
@@ -752,12 +650,12 @@ mod tests {
     #[test]
     fn barriers_baseline_breaks_flows_probing_does_not() {
         // Scaled-down Figure 1b: 30 flows instead of 300.
-        let broken = run_end_to_end(EndToEndTechnique::Barriers, 30, 250, 1);
+        let broken = run_end_to_end(EndToEndTechnique::Barriers, 30);
         assert_eq!(broken.flows.len(), 30);
         assert!(broken.total_drops > 0, "the baseline must drop packets");
         assert!(broken.max_broken_ms() > 50.0);
 
-        let fixed = run_end_to_end(EndToEndTechnique::General, 30, 250, 1);
+        let fixed = run_end_to_end(EndToEndTechnique::General, 30);
         assert_eq!(
             fixed.total_drops, 0,
             "general probing must not drop packets"
@@ -772,14 +670,9 @@ mod tests {
 
     #[test]
     fn timeout_is_safe_but_slower_than_no_wait() {
-        let timeout = run_end_to_end(
-            EndToEndTechnique::Timeout(SimTime::from_millis(300)),
-            20,
-            250,
-            2,
-        );
+        let timeout = run_end_to_end(EndToEndTechnique::Timeout(SimTime::from_millis(300)), 20);
         assert_eq!(timeout.total_drops, 0);
-        let nowait = run_end_to_end(EndToEndTechnique::NoWait, 20, 250, 2);
+        let nowait = run_end_to_end(EndToEndTechnique::NoWait, 20);
         assert!(
             timeout.mean_update_ms > nowait.mean_update_ms,
             "timeout ({}) must be slower than the no-wait lower bound ({})",
@@ -790,7 +683,7 @@ mod tests {
 
     #[test]
     fn activation_delays_match_figure8_shape() {
-        let barriers = run_activation_delay(EndToEndTechnique::Barriers, 30, 30, 0, 3);
+        let barriers = run_activation_delay(EndToEndTechnique::Barriers, 30, 30);
         assert_eq!(barriers.len(), 30);
         let negative = barriers.iter().filter(|s| s.delay_ms < 0.0).count();
         assert!(
@@ -798,15 +691,15 @@ mod tests {
             "baseline should be mostly premature, got {negative}"
         );
 
-        let general = run_activation_delay(EndToEndTechnique::General, 30, 30, 0, 3);
+        let general = run_activation_delay(EndToEndTechnique::General, 30, 30);
         assert_eq!(general.len(), 30);
         assert!(general.iter().all(|s| s.delay_ms >= 0.0));
     }
 
     #[test]
     fn update_rate_grows_with_batch_size() {
-        let small_batch = run_update_rate(1, 20, 120, 4);
-        let large_batch = run_update_rate(10, 20, 120, 4);
+        let small_batch = run_update_rate(1, 20, 120);
+        let large_batch = run_update_rate(10, 20, 120);
         assert!(small_batch.normalized() > 0.2);
         assert!(large_batch.normalized() <= 1.05);
         assert!(
@@ -819,7 +712,7 @@ mod tests {
 
     #[test]
     fn pktio_rates_are_near_model_limits() {
-        let r = run_pktio_rates(5);
+        let r = run_pktio_rates();
         assert!(
             (r.packet_out_per_sec - 7006.0).abs() < 500.0,
             "{}",

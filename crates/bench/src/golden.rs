@@ -1,10 +1,13 @@
-//! Golden pin of the simulator-driver gate output.
+//! Golden pins of the simulator-driver gate output and of the paper
+//! figures.
 //!
 //! The simnet rows are virtual time and a pure function of the seed, so a
 //! refactor of the harness underneath them must not move a single digit.
-//! The expected text was captured at the commit before the three gate
-//! modules moved onto `fleet`; the test only calls public entry points, so
-//! it runs unchanged on either side of that change.
+//! The gate text was captured at the commit before the three gate modules
+//! moved onto `fleet`; the test only calls public entry points, so it runs
+//! unchanged on either side of that change.  The figure text was captured
+//! from the seven per-figure binaries `figures` replaced, run at the same
+//! scale one after another.
 
 use crate::scale::run_simnet_scale_cell_with;
 use crate::scenario_matrix::{run_simnet_matrix, MatrixCell};
@@ -27,16 +30,18 @@ fn cell_line(c: &MatrixCell) -> String {
     )
 }
 
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn fnv64(orders: &[Vec<u64>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (sw, order) in orders.iter().enumerate() {
-        for word in std::iter::once(sw as u64).chain(order.iter().copied()) {
-            for byte in word.to_le_bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
+    fnv1a(orders.iter().enumerate().flat_map(|(sw, order)| {
+        std::iter::once(sw as u64)
+            .chain(order.iter().copied())
+            .flat_map(u64::to_le_bytes)
+    }))
 }
 
 const MATRIX_6_42: &str = "\
@@ -117,4 +122,38 @@ fn simnet_gate_output_is_pinned() {
     let fault = early_reply_fault(&SwitchModel::hp5406zl(), cfg.seed);
     let record = run_simnet_soak(&cfg, &fault, &Arc::new(Registry::new())).record;
     assert_eq!(format!("{record:?}"), SOAK_24);
+}
+
+/// Headline lines of `figures all 10`: every figure's summary rows.
+const FIGURES_ALL_10: &[&str] = &[
+    "barriers (baseline)    flows=10   migrated=10   drops=415    mean_update=   192.2 ms  max_broken=  188.1 ms  completion=42.9 ms",
+    "general                flows=10   migrated=10   drops=0      mean_update=   195.8 ms  max_broken=    4.0 ms  completion=203.3 ms",
+    "sequential             flows=10   migrated=10   drops=0      mean_update=   195.8 ms  max_broken=    4.0 ms  completion=201.4 ms",
+    "timeout 300ms          flows=10   migrated=10   drops=0      mean_update=   326.2 ms  max_broken=    4.0 ms  completion=642.9 ms",
+    "adaptive 200           flows=10   migrated=10   drops=0      mean_update=   321.4 ms  max_broken=    4.0 ms  completion=635.6 ms",
+    "adaptive 250           flows=10   migrated=10   drops=0      mean_update=   314.2 ms  max_broken=    4.0 ms  completion=624.6 ms",
+    "no wait                flows=10   migrated=10   drops=470    mean_update=   192.2 ms  max_broken=  192.1 ms  completion=0.0 ms",
+    "barriers (baseline)    samples=10   negative(incorrect)=10   p10=  -181.0 ms  median=  -164.7 ms  p90=  -152.5 ms",
+    "general                samples=10   negative(incorrect)=0    p10=     0.7 ms  median=     0.8 ms  p90=     0.9 ms",
+    "after 1   update(s)       22%       22%       22%    ",
+    "reordering switch            barrier every  1 mods: with barrier layer    2190.7 ms, probing only     390.7 ms, overhead x5.61",
+    "PacketOut rate:                7006 messages/s   (paper: 7006/s)",
+    "PacketIn rate:                 5531 messages/s   (paper: 5531/s)",
+];
+
+#[test]
+fn figure_output_is_pinned() {
+    let mut out = Vec::new();
+    for draw in crate::figures::select("all") {
+        draw(Some(10), &mut out).unwrap();
+    }
+    let text = String::from_utf8(out).unwrap();
+    for line in FIGURES_ALL_10 {
+        assert!(text.lines().any(|l| l == *line), "missing: {line}");
+    }
+    // All 8,668 bytes: the per-flow and per-rule CSVs and the CDFs too.
+    assert_eq!(
+        (text.len(), fnv1a(text.bytes())),
+        (8668, 0x6436_97d0_3045_a0b0)
+    );
 }

@@ -3,18 +3,18 @@
 //! plus the correctness gates recorded in `BENCH_results.json`.
 //!
 //! Each experiment in the paper maps to one runner function here and one
-//! binary under `src/bin/`; their product is virtual-time output, which the
-//! binaries print.
+//! name of the `figures` binary, which prints its virtual-time output as
+//! [`figures`] renders it (`figures all [n]` prints the seven in turn).
 //!
-//! | Paper artefact | Runner | Binary |
+//! | Paper artefact | Runner | `figures` |
 //! |---|---|---|
-//! | Figure 1b (broken time CDF)        | [`experiments::run_end_to_end`]        | `fig1_broken_time` |
-//! | Figure 6 (control-plane techniques)| [`experiments::run_end_to_end`]        | `fig6_controlplane` |
-//! | Figure 7 (probing techniques)      | [`experiments::run_end_to_end`]        | `fig7_probing` |
-//! | Figure 8 (activation delay)        | [`experiments::run_activation_delay`]  | `fig8_activation_delay` |
-//! | Table 1 (usable update rate)       | [`experiments::run_update_rate`]       | `table1_update_rate` |
-//! | §5.1 barrier-layer overhead        | [`experiments::run_barrier_layer`]     | `barrier_layer_overhead` |
-//! | §5.2 PacketIn/PacketOut rates      | [`experiments::run_pktio_rates`]       | `pktio_rates` |
+//! | Figure 1b (broken time CDF)        | [`experiments::run_end_to_end`]        | `fig1` |
+//! | Figure 6 (control-plane techniques)| [`experiments::run_end_to_end`]        | `fig6` |
+//! | Figure 7 (probing techniques)      | [`experiments::run_end_to_end`]        | `fig7` |
+//! | Figure 8 (activation delay)        | [`experiments::run_activation_delay`]  | `fig8` |
+//! | Table 1 (usable update rate)       | [`experiments::run_update_rate`]       | `table1` |
+//! | §5.1 barrier-layer overhead        | [`experiments::run_barrier_layer`]     | `barrier` |
+//! | §5.2 PacketIn/PacketOut rates      | [`experiments::run_pktio_rates`]       | `pktio` |
 //!
 //! The gates — run by `bench_results`, checked by `validate_results` — are
 //! one experiment shape (controller, RUM proxy layer, misbehaving switches,
@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod figures;
 mod fleet;
 pub mod observer;
 pub mod report;
@@ -48,7 +49,7 @@ pub mod throughput;
 pub use experiments::{
     ActivationSample, EndToEndResult, EndToEndTechnique, PktIoResult, UpdateRateResult,
 };
-pub use report::{ExperimentRecord, SessionSoakRecord, ThroughputRecord};
+pub use report::{SessionSoakRecord, ThroughputRecord};
 pub use scenario_matrix::{MatrixCell, MatrixTechnique};
 pub use session_soak::{SoakConfig, SoakOutcome};
 

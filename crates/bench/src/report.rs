@@ -64,36 +64,6 @@ pub fn activation_csv(label: &str, samples: &[ActivationSample]) -> String {
     out
 }
 
-/// One experiment's aggregate result, as persisted to `BENCH_results.json`
-/// so the performance trajectory can be tracked across PRs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentRecord {
-    /// Experiment name (e.g. `end_to_end/sequential`).
-    pub experiment: String,
-    /// Median update completion time across runs, in milliseconds.
-    pub median_completion_ms: f64,
-    /// 95th-percentile completion time across runs, in milliseconds.
-    pub p95_completion_ms: f64,
-    /// Modifications confirmed per run (the plan size when complete).
-    pub confirms: u64,
-    /// Number of runs aggregated.
-    pub runs: usize,
-}
-
-impl ExperimentRecord {
-    /// Aggregates per-run completion times (ms) into a record.
-    pub fn from_runs(experiment: impl Into<String>, times_ms: &[f64], confirms: u64) -> Self {
-        let finite: Vec<f64> = times_ms.iter().copied().filter(|t| t.is_finite()).collect();
-        ExperimentRecord {
-            experiment: experiment.into(),
-            median_completion_ms: percentile(&finite, 0.5).unwrap_or(f64::NAN),
-            p95_completion_ms: percentile(&finite, 0.95).unwrap_or(f64::NAN),
-            confirms,
-            runs: times_ms.len(),
-        }
-    }
-}
-
 /// One throughput experiment's aggregate result, persisted alongside the
 /// latency records in `BENCH_results.json`.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,15 +239,18 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// Renders the records as the `BENCH_results.json` document, schema 9
-/// (handwritten JSON — the build environment has no serde):
+/// Renders the records as the `BENCH_results.json` document, schema 10
+/// (handwritten JSON — the build environment has no serde).  A `results`
+/// row is one end-to-end run: how long the technique took and whether the
+/// update broke any flow, the paper's claim (`completion_ms` is null for an
+/// update that never completed):
 ///
 /// ```json
 /// {
-///   "schema": 9,
+///   "schema": 10,
 ///   "results": [
-///     {"experiment": "...", "median_completion_ms": f, "p95_completion_ms": f,
-///      "confirms": n, "runs": n}
+///     {"experiment": "end_to_end/<technique>", "completion_ms": f|null,
+///      "confirms": n, "drops": n, "max_broken_ms": f, "mean_update_ms": f}
 ///   ],
 ///   "throughput": [
 ///     {"experiment": "...", "ops": n, "median_elapsed_ms": f,
@@ -308,22 +281,23 @@ fn json_num(v: f64) -> String {
 /// }
 /// ```
 pub fn results_json(
-    records: &[ExperimentRecord],
+    end_to_end: &[EndToEndResult],
     throughput: &[ThroughputRecord],
     matrix: &[MatrixRecord],
     soak: &[SessionSoakRecord],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": 9,\n  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
+    let mut out = String::from("{\n  \"schema\": 10,\n  \"results\": [\n");
+    for (i, r) in end_to_end.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"experiment\": \"{}\", \"median_completion_ms\": {}, \
-             \"p95_completion_ms\": {}, \"confirms\": {}, \"runs\": {}}}{}\n",
-            json_escape(&r.experiment),
-            json_num(r.median_completion_ms),
-            json_num(r.p95_completion_ms),
-            r.confirms,
-            r.runs,
-            if i + 1 < records.len() { "," } else { "" }
+            "    {{\"experiment\": \"end_to_end/{}\", \"completion_ms\": {}, \
+             \"confirms\": {}, \"drops\": {}, \"max_broken_ms\": {}, \"mean_update_ms\": {}}}{}\n",
+            json_escape(&r.technique),
+            json_num(r.controller_completion_ms.unwrap_or(f64::NAN)),
+            r.confirmed_mods,
+            r.total_drops,
+            json_num(r.max_broken_ms()),
+            json_num(r.mean_update_ms),
+            if i + 1 < end_to_end.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n  \"throughput\": [\n");
@@ -412,18 +386,6 @@ pub fn results_json(
     out
 }
 
-/// Writes the records to `path` (conventionally `BENCH_results.json` in the
-/// repository root).
-pub fn write_results(
-    path: &std::path::Path,
-    records: &[ExperimentRecord],
-    throughput: &[ThroughputRecord],
-    matrix: &[MatrixRecord],
-    soak: &[SessionSoakRecord],
-) -> std::io::Result<()> {
-    std::fs::write(path, results_json(records, throughput, matrix, soak))
-}
-
 /// Percentile (0.0..=1.0) of a list of samples; returns `None` when empty.
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     if values.is_empty() {
@@ -475,7 +437,6 @@ mod tests {
                 },
             ],
             total_drops: 42,
-            total_delivered: 1000,
             migrated_flows: 2,
             confirmed_mods: 4,
             controller_completion_ms: Some(400.0),
@@ -539,10 +500,11 @@ mod tests {
 
     #[test]
     fn results_json_is_well_formed() {
-        let records = vec![
-            ExperimentRecord::from_runs("end_to_end/barriers \"x\"", &[3.0, 1.0, 2.0], 80),
-            ExperimentRecord::from_runs("empty", &[], 0),
-        ];
+        let mut quoted = sample_result();
+        quoted.technique = "barriers \"x\"".into();
+        let mut stalled = sample_result();
+        stalled.controller_completion_ms = None;
+        let end_to_end = vec![quoted, stalled];
         let throughput = vec![
             ThroughputRecord::from_runs("flow_mod_install/indexed_1k", 1000, &[2.0, 4.0, 3.0])
                 .with_baseline(1000.0),
@@ -639,17 +601,24 @@ mod tests {
                 wall_ms: 4000.0,
             },
         ];
-        let json = results_json(&records, &throughput, &matrix, &soak);
-        assert!(json.contains("\"schema\": 9"));
+        let json = results_json(&end_to_end, &throughput, &matrix, &soak);
+        assert!(json.contains("\"schema\": 10"));
         assert!(
             json.contains("\"switches\": 1000"),
             "rows carry the fleet size"
         );
-        assert!(json.contains("\"median_completion_ms\": 2.000"));
-        assert!(json.contains("\\\"x\\\""), "quotes must be escaped");
-        assert!(json.contains("\"median_completion_ms\": null"));
-        assert!(json.contains("\"confirms\": 80"));
-        assert!(json.contains("\"runs\": 3"));
+        // A results row carries the paper's claim beside the completion time;
+        // a run that never completed serialises its completion as null.
+        let results: Vec<&str> = json.lines().filter(|l| l.contains("end_to_end/")).collect();
+        assert!(
+            results[0].contains("end_to_end/barriers \\\"x\\\""),
+            "quotes must be escaped"
+        );
+        assert!(results[0].contains(
+            "\"completion_ms\": 400.000, \"confirms\": 4, \"drops\": 42, \
+             \"max_broken_ms\": 285.000, \"mean_update_ms\": 160.000}"
+        ));
+        assert!(results[1].contains("\"completion_ms\": null"));
         // 1000 ops over a 3 ms median = ~333,333 ops/sec, 333x the baseline.
         assert!(json.contains("\"ops\": 1000"));
         assert!(json.contains("\"median_elapsed_ms\": 3.000"));

@@ -1,7 +1,7 @@
-//! The workloads of `crates/bench`'s two wall-clock gates, shared by the
-//! Criterion benches and the `bench_results` binary: bulk flow-mod install
-//! into the indexed and the linear-scan flow table, and the same indexed
-//! install with the telemetry hot-path operations active.  Each workload
+//! The workloads of `crates/bench`'s two wall-clock gates, run by the
+//! `bench_results` binary: bulk flow-mod install into the indexed and the
+//! linear-scan flow table, and the same indexed install with the telemetry
+//! hot-path operations active.  Each workload
 //! returns the elapsed wall time for a known number of operations so callers
 //! derive ops/sec however they aggregate.
 

@@ -219,7 +219,6 @@ mod tests {
             .messages
             .contains(&(Endpoint::Controller(sw), OfMessage::BarrierReply { xid: 9 })));
         assert_eq!(r.engine().stats(sw).barrier_replies_released, 1);
-        assert_eq!(feed(&mut r, Input::Tick), RelayEffects::default());
     }
 
     #[test]

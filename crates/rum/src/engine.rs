@@ -2,9 +2,10 @@
 //!
 //! [`RumEngine`] is a pure state machine.  It performs no I/O, owns no
 //! sockets, simulator handles or clocks; a *driver* feeds it typed [`Input`]s
-//! (decoded OpenFlow messages from either side, timer expiries, clock ticks)
-//! together with the current time, and executes the typed [`Effect`]s it
-//! returns (messages to send, timers to arm, confirmations to observe).
+//! (decoded OpenFlow messages from either side, timer expiries, switch
+//! reconnects) together with the current time, and executes the typed
+//! [`Effect`]s it returns (messages to send, timers to arm, confirmations
+//! to observe).
 //!
 //! Two drivers ship with the workspace and run the **same** engine:
 //!
@@ -132,10 +133,6 @@ pub enum Input {
         /// The switch that reattached.
         switch: SwitchId,
     },
-    /// The clock advanced with nothing else to report.  Drivers without
-    /// fine-grained timer callbacks may tick periodically; the engine uses
-    /// ticks to re-examine deferred work (e.g. barrier releases).
-    Tick,
 }
 
 /// Everything the engine can ask a driver to do.
@@ -591,14 +588,6 @@ impl RumEngine {
             }
             Input::SwitchReconnected { switch } => {
                 self.on_switch_reconnected(switch, now, effects);
-            }
-            Input::Tick => {
-                // Nothing is time-deferred outside timers today; re-examine
-                // barrier releases so drivers may tick instead of tracking
-                // fine-grained timers for liveness.
-                for i in 0..self.switches.len() {
-                    self.try_release_barriers(self.switches[i].id, now, effects);
-                }
             }
         }
     }
@@ -1829,7 +1818,6 @@ mod tests {
         let mut e = engine(TechniqueConfig::BarrierBaseline);
         e.start(Duration::ZERO);
         assert!(e.start(Duration::from_millis(1)).is_empty());
-        assert!(e.handle(Duration::from_millis(2), Input::Tick).is_empty());
         assert_eq!(e.technique_name(SwitchId::new(0)), "barriers");
         assert_eq!(e.n_switches(), 1);
         assert_eq!(format!("{}", SwitchId::new(3)), "sw3");

@@ -44,10 +44,10 @@ use telemetry::Registry;
 pub enum Routing {
     /// Deliver to exactly this shard (the owner of the affected switch).
     Shard(usize),
-    /// Concerns more than one shard: ticks, which go to all of them, and
-    /// probe PacketIns, which [`ShardRouter::deliver`] narrows to the
-    /// shards upstream of the sender.  Delivering to every shard, in shard
-    /// order, is always correct — the others find nothing to do.
+    /// Concerns more than one shard: a probe PacketIn, which
+    /// [`ShardRouter::deliver`] narrows to the shards upstream of the
+    /// sender.  Delivering to every shard, in shard order, is always
+    /// correct — the others find nothing to do.
     Broadcast,
 }
 
@@ -107,8 +107,7 @@ impl ShardRouter {
 
     /// Classifies one input.  Everything affecting a single switch goes to
     /// its owner; probe PacketIns (which confirm rules of other switches)
-    /// and ticks concern several shards — [`ShardRouter::deliver`] knows
-    /// which.
+    /// concern several shards — [`ShardRouter::deliver`] knows which.
     pub fn route(&self, input: &Input) -> Routing {
         match input {
             Input::FromController { switch, .. } | Input::SwitchReconnected { switch } => {
@@ -126,18 +125,15 @@ impl ShardRouter {
             Input::TimerFired { token } => {
                 Routing::Shard(((token.raw() >> 48) as usize) % self.n_shards)
             }
-            Input::Tick => Routing::Broadcast,
         }
     }
 
     /// Hands `input` to `to_shard` once per shard it concerns, in ascending
-    /// shard order: the owner for everything affecting a single switch,
-    /// every shard for a tick, and for a probe PacketIn from switch N the
-    /// owners of the switches whose probes N can catch plus N's own (see the
-    /// module docs).
+    /// shard order: the owner for everything affecting a single switch, and
+    /// for a probe PacketIn from switch N the owners of the switches whose
+    /// probes N can catch plus N's own (see the module docs).
     pub fn deliver(&self, input: Input, mut to_shard: impl FnMut(usize, Input)) {
         let few;
-        let all: Vec<usize>;
         let shards: &[usize] = match (self.route(&input), &input) {
             (Routing::Shard(k), _) => {
                 few = [k, k];
@@ -160,10 +156,7 @@ impl ShardRouter {
                     _ => &few,
                 }
             }
-            (Routing::Broadcast, _) => {
-                all = (0..self.n_shards).collect();
-                &all
-            }
+            (Routing::Broadcast, _) => unreachable!("only probe PacketIns are broadcast"),
         };
         let (&last, rest) = shards.split_last().expect("an owner shard at least");
         for &k in rest {
@@ -555,7 +548,6 @@ mod tests {
             }),
             Routing::Shard(1)
         );
-        assert_eq!(router.route(&Input::Tick), Routing::Broadcast);
         // Timer armed by switch 6's technique: token top bits carry the
         // index.
         assert_eq!(
@@ -651,7 +643,6 @@ mod tests {
         assert_eq!(shards_for(probe_from(0, 1)), vec![0, 1]);
         // An unnamed port: both neighbours of 7 (6 and 8) and 7 itself.
         assert_eq!(shards_for(probe_from(7, 9)), vec![1, 2, 3]);
-        assert_eq!(shards_for(Input::Tick), vec![0, 1, 2, 3, 4]);
         assert_eq!(
             shards_for(Input::FromController {
                 switch: SwitchId::new(8),
