@@ -296,7 +296,10 @@ struct Timers {
 }
 
 /// The listener, the slot table, every slot's outboxes and the worker
-/// threads serving them.  Slot `i` belongs to worker `i % workers`.
+/// threads serving them.  Slot `i` of `N` belongs to worker
+/// `i * workers / N`: contiguous runs of slots, the rule
+/// `rum::ShardRouter::shard_of` applies to shards, so when the worker count
+/// divides the shard count each worker serves whole shards.
 pub(crate) struct Conns {
     listener: TcpListener,
     pub(crate) local_addr: SocketAddr,
@@ -395,12 +398,13 @@ impl Conns {
             residue |= outbox.flush();
         }
         if residue {
-            self.worker_of(slot).waker.wake();
+            self.workers[self.worker_of(slot)].waker.wake();
         }
     }
 
-    fn worker_of(&self, slot: usize) -> &Worker {
-        &self.workers[slot % self.workers.len()]
+    /// The worker serving `slot` (see [`Conns`]).
+    fn worker_of(&self, slot: usize) -> usize {
+        slot * self.workers.len() / self.slots.len()
     }
 
     /// Files `token` with `slot`'s worker, to reach [`Transport::timer`]
@@ -411,7 +415,7 @@ impl Conns {
         let Some(deadline) = now.checked_add(delay) else {
             return;
         };
-        let worker = self.worker_of(slot);
+        let worker = &self.workers[self.worker_of(slot)];
         let asleep_past_it = {
             let timers = &mut *worker.timers.lock().unwrap();
             timers.pending.insert((deadline, timers.armed), token);
@@ -437,7 +441,7 @@ impl Conns {
             outbox.attach(Arc::clone(stream));
         }
         self.flush(slot);
-        let worker = self.worker_of(slot);
+        let worker = &self.workers[self.worker_of(slot)];
         worker.inbox.lock().unwrap().push(Conn {
             slot,
             generation,
@@ -649,6 +653,42 @@ mod tests {
         assert_eq!(slots.accepted, 2, "a refused connection is not counted");
         assert!(slots.detach(0, 1));
         assert_eq!(slots.claim(), Some((0, 2)));
+    }
+
+    /// Workers own contiguous runs of slots, as shards do: whenever the
+    /// worker count divides the shard count, a worker serves whole shards.
+    /// On an 8-ring with 8 shards and 2 workers, a probe sent by switch `i`
+    /// comes back through switch `i + 1`, and only the returns of switches
+    /// 3 and 7 are read by the worker that does not serve their sender.
+    #[test]
+    fn workers_serve_whole_shards() {
+        let addr = "127.0.0.1:0".parse().unwrap();
+        let bind = |n: usize, workers| {
+            let slots = (0..n).map(|_| vec![Outbox::new(Vec::new())]).collect();
+            Conns::bind(addr, slots, workers).unwrap()
+        };
+        for n in [8, 12, 64, 1000] {
+            let config = rum::RumBuilder::new(n).build_config();
+            for shards in 1..=8 {
+                let router = rum::ShardRouter::new(&config, shards);
+                for workers in (1..=shards).filter(|w| shards % w == 0) {
+                    let conns = bind(n, workers);
+                    for slot in 0..n {
+                        let shard = router.shard_of(rum::SwitchId::new(slot));
+                        assert_eq!(
+                            conns.worker_of(slot),
+                            shard / (shards / workers),
+                            "{n} slots, {shards} shards, {workers} workers: slot {slot}"
+                        );
+                    }
+                }
+            }
+        }
+        let conns = bind(8, 2);
+        let crossing: Vec<usize> = (0..8)
+            .filter(|&sender| conns.worker_of(sender) != conns.worker_of((sender + 1) % 8))
+            .collect();
+        assert_eq!(crossing, [3, 7]);
     }
 
     /// A transport whose `open` fails the first time it is asked, the way

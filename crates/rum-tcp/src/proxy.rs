@@ -30,7 +30,10 @@
 //! fires go to the owning shard, a probe `PacketIn` to the shards owning the
 //! switches upstream of its sender (and the sender's own), so per-switch
 //! confirmation order is byte-identical to the single-engine proxy for the
-//! same scenario.
+//! same scenario.  Shards own contiguous runs of slots and so do workers, so
+//! with a worker count that divides the shard count a worker serves whole
+//! shards and a probe's sender and catch switch share a worker except at a
+//! run boundary.
 
 use crate::conn::{Conns, Outbox, Transport};
 use crate::relay::{Endpoint, EngineRelay, RelayEffects};
@@ -229,10 +232,9 @@ impl Inner {
         if !timers.is_empty() {
             let now = Instant::now();
             for (delay, token) in timers {
-                // The token's top 16 bits are the arming switch (see
-                // `ShardRouter::route`): its slot's worker fires it.
-                let slot = (token.raw() >> 48) as usize;
-                self.conns.arm(slot, now, delay, token.raw());
+                // The arming switch's slot's worker fires it.
+                self.conns
+                    .arm(token.switch().index(), now, delay, token.raw());
             }
         }
         touched.sort_unstable();
@@ -412,7 +414,8 @@ impl RumTcpProxy {
         // each counted on its own gauge and on the owning shard's.
         let outboxes = (0..n_switches)
             .map(|i| {
-                let shard = registry.gauge(&format!("proxy.shard{}.outbox_depth", i % n_shards));
+                let k = router.shard_of(SwitchId::new(i));
+                let shard = registry.gauge(&format!("proxy.shard{k}.outbox_depth"));
                 ["switch", "controller"]
                     .map(|side| registry.gauge(&format!("proxy.sw{i}.{side}_outbox_depth")))
                     .map(|own| Outbox::new(vec![own, shard.clone()]))
@@ -683,7 +686,7 @@ mod tests {
         }
         let totals = handle.total_stats();
         assert_eq!(totals.controller_flow_mods, 3);
-        // Both shards drained inputs (slots 0,2 → shard 0; slot 1 → shard 1).
+        // Both shards drained inputs (slots 0,1 → shard 0; slot 2 → shard 1).
         let snapshot = handle.metrics().snapshot();
         for k in 0..2 {
             let name = format!("proxy.shard{k}.drains");

@@ -5,17 +5,19 @@
 //!
 //! ```
 //! use rum::{RumBuilder, TechniqueConfig};
-//! use std::time::Duration;
 //!
 //! let engine = RumBuilder::new(3)
 //!     .technique(TechniqueConfig::default_sequential())
-//!     .reliable_barriers(true)
 //!     .fine_grained_acks(true)
-//!     .control_latency(Duration::from_micros(100))
 //!     .probe_links(&[(0, 1), (1, 2)])
 //!     .build_config();
 //! assert_eq!(engine.n_switches(), 3);
 //! ```
+//!
+//! Barriers are always reliable: a controller's `BarrierReply` is held until
+//! every modification before it is confirmed.  The configuration is the
+//! whole deployment's: which shard of a [`crate::ShardedEngine`] owns a
+//! switch is decided by [`crate::ShardRouter::shard_of`] alone.
 
 use crate::coloring::assign_probe_colors;
 use crate::engine::{RumEngine, SwitchId};
@@ -310,17 +312,10 @@ pub struct RumConfig {
     /// Send fine-grained per-rule acknowledgments (reserved error code) to
     /// the controller, for RUM-aware controllers.
     pub fine_grained_acks: bool,
-    /// Provide reliable barriers: hold `BarrierReply` until every earlier
-    /// modification is confirmed.
-    pub reliable_barriers: bool,
     /// Buffer controller commands that follow an unconfirmed barrier and
     /// release them only after the barrier is acknowledged (needed for
     /// switches that reorder across barriers).
     pub buffer_across_barriers: bool,
-    /// One-way latency RUM adds on each hop of the control channel (used by
-    /// drivers that model latency, e.g. the simulator; ignored by real
-    /// sockets).
-    pub control_latency: Duration,
     /// Record every confirmation (switch, cookie) in order, for post-run
     /// inspection.  Disable in long-running deployments to keep memory flat.
     pub record_confirmations: bool,
@@ -333,32 +328,12 @@ pub struct RumConfig {
     /// either way; pass a shared registry to expose a deployment through
     /// `telemetry::serve` alongside other components.
     pub metrics: Option<std::sync::Arc<telemetry::Registry>>,
-    /// Which shard of a sharded deployment this engine instance is.  A
-    /// standalone (unsharded) engine is shard 0 of 1; the engine only acts
-    /// for switches it owns (see [`RumConfig::owns`]), so a
-    /// [`crate::ShardedEngine`] can run one engine per shard without any
-    /// cross-shard locking.
-    pub shard_index: usize,
-    /// Total number of shards in the deployment (1 = unsharded).
-    pub shard_count: usize,
 }
 
 impl RumConfig {
     /// Number of monitored switches.
     pub fn n_switches(&self) -> usize {
         self.port_maps.len()
-    }
-
-    /// True when this engine instance owns `switch`: switches are striped
-    /// across shards by index (`index % shard_count == shard_index`), so
-    /// consecutive switch ids land on different shards.
-    pub fn owns(&self, switch: SwitchId) -> bool {
-        self.owns_index(switch.index())
-    }
-
-    /// [`RumConfig::owns`] by raw switch index.
-    pub fn owns_index(&self, index: usize) -> bool {
-        self.shard_count <= 1 || index % self.shard_count == self.shard_index
     }
 
     /// Starts a fluent builder for `n_switches` monitored switches.
@@ -369,11 +344,10 @@ impl RumConfig {
 
 /// Fluent construction of a RUM deployment configuration (and engine).
 ///
-/// Defaults match the paper's deployment: fine-grained acks on, reliable
-/// barriers on, no cross-barrier buffering, 100 µs control-channel latency,
-/// one unique probe-catch value per switch, and empty port maps (the
-/// simulator driver derives them from its topology; other deployments set
-/// them explicitly via [`RumBuilder::port_map`]).
+/// Defaults match the paper's deployment: fine-grained acks on, no
+/// cross-barrier buffering, one unique probe-catch value per switch, and
+/// empty port maps (the simulator driver derives them from its topology;
+/// other deployments set them explicitly via [`RumBuilder::port_map`]).
 #[derive(Debug, Clone)]
 pub struct RumBuilder {
     config: RumConfig,
@@ -410,23 +384,20 @@ impl RumBuilder {
             config: RumConfig {
                 technique: TechniqueConfig::BarrierBaseline,
                 fine_grained_acks: true,
-                reliable_barriers: true,
                 buffer_across_barriers: false,
-                control_latency: Duration::from_micros(100),
                 record_confirmations: true,
                 port_maps: vec![SwitchPortMap::default(); n_switches],
                 probe_plan,
                 metrics: None,
-                shard_index: 0,
-                shard_count: 1,
             },
         }
     }
 
     /// Splits the deployment into `n` shards for [`RumBuilder::build_sharded`]
     /// (default 1: the classic single-engine path, kept as the conformance
-    /// oracle).  [`RumBuilder::build`] ignores this and always produces the
-    /// unsharded engine.
+    /// oracle), each owning a contiguous run of switch indices (see
+    /// [`crate::ShardRouter::shard_of`]).  [`RumBuilder::build`] ignores
+    /// this and always produces the unsharded engine.
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "a deployment needs at least one shard");
         self.shards = n;
@@ -450,21 +421,9 @@ impl RumBuilder {
         self
     }
 
-    /// Whether to hold barrier replies until covered rules are confirmed.
-    pub fn reliable_barriers(mut self, on: bool) -> Self {
-        self.config.reliable_barriers = on;
-        self
-    }
-
     /// Whether to buffer commands that follow an unconfirmed barrier.
     pub fn buffer_across_barriers(mut self, on: bool) -> Self {
         self.config.buffer_across_barriers = on;
-        self
-    }
-
-    /// One-way control-channel latency for latency-modelling drivers.
-    pub fn control_latency(mut self, latency: Duration) -> Self {
-        self.config.control_latency = latency;
         self
     }
 
@@ -669,13 +628,10 @@ mod tests {
             .technique(TechniqueConfig::default_sequential())
             .buffer_across_barriers(true)
             .fine_grained_acks(false)
-            .control_latency(Duration::from_micros(250))
             .build_config();
         assert_eq!(cfg.n_switches(), 3);
         assert!(!cfg.fine_grained_acks);
-        assert!(cfg.reliable_barriers);
         assert!(cfg.buffer_across_barriers);
-        assert_eq!(cfg.control_latency, Duration::from_micros(250));
         assert_eq!(cfg.technique.label(), "sequential");
         assert_eq!(RumConfig::builder(2).build_config().n_switches(), 2);
     }

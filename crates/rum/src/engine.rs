@@ -39,6 +39,7 @@ use openflow::messages::{FlowMod, PacketIn};
 use openflow::{OfMessage, PacketHeader, Xid};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{AtomicHistogram, Counter, Gauge, Registry};
@@ -85,10 +86,31 @@ impl fmt::Display for SwitchId {
 /// An opaque handle to a timer the engine asked its driver to arm.
 ///
 /// Drivers must hand the token back unmodified in [`Input::TimerFired`].
+/// The top bits name the switch whose technique armed it
+/// ([`TimerToken::switch`]), the rest are the technique's own token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerToken(u64);
 
 impl TimerToken {
+    /// Where the arming switch's index starts.
+    const SWITCH_SHIFT: u32 = 48;
+
+    /// The technique token `token` (below bit 48), armed for `switch`.
+    pub(crate) const fn for_switch(switch: SwitchId, token: u64) -> Self {
+        TimerToken(((switch.index() as u64) << Self::SWITCH_SHIFT) | token)
+    }
+
+    /// The switch whose technique armed this timer: its owner shard fires
+    /// it, and a socket driver files it with that switch's worker.
+    pub const fn switch(self) -> SwitchId {
+        SwitchId::new((self.0 >> Self::SWITCH_SHIFT) as usize)
+    }
+
+    /// The technique's own token, as it asked for it.
+    const fn technique_token(self) -> u64 {
+        self.0 & ((1 << Self::SWITCH_SHIFT) - 1)
+    }
+
     /// The raw value, for drivers that need to serialise tokens (e.g. into a
     /// simulator timer slot).
     pub const fn raw(self) -> u64 {
@@ -391,10 +413,11 @@ impl SwitchState {
 ///
 /// Construct one through [`crate::RumBuilder`].
 pub struct RumEngine {
-    config: RumConfig,
-    /// State of the switches this instance owns, in index order: all of them
-    /// for a standalone engine, every `shard_count`-th for a shard (see
-    /// [`RumEngine::slot`]).
+    config: Arc<RumConfig>,
+    /// The switch indices this instance owns and acts for: all of them for
+    /// a standalone engine, its shard's run for a shard.
+    owned: Range<usize>,
+    /// State of the owned switches, in index order.
     switches: Vec<SwitchState>,
     /// Which techniques a returning probe is offered to.
     sources: Arc<ProbeSources>,
@@ -424,18 +447,24 @@ impl RumEngine {
     /// deployments must set them via [`crate::RumBuilder::port_map`]).
     pub fn new(config: RumConfig) -> Self {
         let sources = Arc::new(ProbeSources::new(&config.port_maps));
-        RumEngine::with_sources(config, sources)
+        let owned = 0..config.n_switches();
+        RumEngine::with_sources(Arc::new(config), sources, owned)
     }
 
-    /// [`RumEngine::new`] with the probe sources of `config.port_maps`
-    /// already derived — the shards of one deployment share them.
-    pub(crate) fn with_sources(config: RumConfig, sources: Arc<ProbeSources>) -> Self {
+    /// An engine acting for the switches in `owned` only, with the probe
+    /// sources of `config.port_maps` already derived — the shards of one
+    /// deployment share both.
+    pub(crate) fn with_sources(
+        config: Arc<RumConfig>,
+        sources: Arc<ProbeSources>,
+        owned: Range<usize>,
+    ) -> Self {
         let registry = config
             .metrics
             .clone()
             .unwrap_or_else(|| Arc::new(Registry::new()));
-        let switches = (0..config.n_switches())
-            .filter(|&i| config.owns_index(i))
+        let switches = owned
+            .clone()
             .map(|i| {
                 let switch = SwitchId::new(i);
                 SwitchState::new(
@@ -447,6 +476,7 @@ impl RumEngine {
             .collect();
         RumEngine {
             config,
+            owned,
             switches,
             sources,
             registry,
@@ -466,23 +496,15 @@ impl RumEngine {
         self.config.n_switches()
     }
 
-    /// All switch ids of the deployment, in order.
-    pub fn switch_ids(&self) -> impl Iterator<Item = SwitchId> {
-        (0..self.config.n_switches()).map(SwitchId::new)
-    }
-
-    /// True when `switch` belongs to the deployment and to this instance —
-    /// the switches it holds state and acts for.
+    /// True when `switch` is one this instance holds state and acts for.
     fn acts_for(&self, switch: SwitchId) -> bool {
-        switch.index() < self.config.n_switches() && self.config.owns(switch)
+        self.owned.contains(&switch.index())
     }
 
-    /// Where an owned switch's state sits in `switches`: ownership is
-    /// striped by `index % shard_count`, so the owned indices are
-    /// `shard_count` apart.
+    /// Where an owned switch's state sits in `switches`.
     fn slot(&self, switch: SwitchId) -> usize {
         debug_assert!(self.acts_for(switch), "{switch} belongs to another shard");
-        switch.index() / self.config.shard_count.max(1)
+        switch.index() - self.owned.start
     }
 
     /// Statistics for one monitored switch this instance owns, derived from
@@ -508,11 +530,6 @@ impl RumEngine {
     /// a running deployment.
     pub fn metrics(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// The technique name running for `switch` (one this instance owns).
-    pub fn technique_name(&self, switch: SwitchId) -> &'static str {
-        self.switches[self.slot(switch)].technique.name()
     }
 
     /// Every confirmation the engine has emitted, in order.  Empty when
@@ -589,20 +606,6 @@ impl RumEngine {
             Input::SwitchReconnected { switch } => {
                 self.on_switch_reconnected(switch, now, effects);
             }
-        }
-    }
-
-    /// Feeds a batch of inputs sharing one timestamp, appending all effects
-    /// to `effects` in input order — the multi-input drain used after one
-    /// socket read decodes several messages.
-    pub fn drain_into(
-        &mut self,
-        now: Duration,
-        inputs: impl IntoIterator<Item = Input>,
-        effects: &mut Vec<Effect>,
-    ) {
-        for input in inputs {
-            self.handle_into(now, input, effects);
         }
     }
 
@@ -712,30 +715,23 @@ impl RumEngine {
                 self.tech_out = out;
             }
             OfMessage::BarrierRequest { xid } => {
-                self.switches[i].metrics.controller_barriers.inc();
-                if self.config.reliable_barriers {
-                    let state = &mut self.switches[i];
-                    let created_seq = state.next_event_seq;
-                    state.next_event_seq += 1;
-                    state.pending_barriers.push_back(PendingBarrier {
-                        xid,
-                        remaining: state.unconfirmed.len(),
-                        created_seq,
-                        switch_replied: false,
-                    });
-                    // Still forward the barrier so the switch's own ordering
-                    // machinery (such as it is) stays engaged.
-                    effects.push(Effect::ToSwitch {
-                        switch,
-                        message: OfMessage::BarrierRequest { xid },
-                    });
-                    self.try_release_barriers(switch, now, effects);
-                } else {
-                    effects.push(Effect::ToSwitch {
-                        switch,
-                        message: OfMessage::BarrierRequest { xid },
-                    });
-                }
+                let state = &mut self.switches[i];
+                state.metrics.controller_barriers.inc();
+                let created_seq = state.next_event_seq;
+                state.next_event_seq += 1;
+                state.pending_barriers.push_back(PendingBarrier {
+                    xid,
+                    remaining: state.unconfirmed.len(),
+                    created_seq,
+                    switch_replied: false,
+                });
+                // Still forward the barrier so the switch's own ordering
+                // machinery (such as it is) stays engaged.
+                effects.push(Effect::ToSwitch {
+                    switch,
+                    message: OfMessage::BarrierRequest { xid },
+                });
+                self.try_release_barriers(switch, now, effects);
             }
             other => {
                 effects.push(Effect::ToSwitch {
@@ -780,7 +776,7 @@ impl RumEngine {
                         .on_switch_barrier_reply(xid, now, &mut out);
                     self.apply_outputs(switch, &mut out, now, effects);
                     self.tech_out = out;
-                } else if self.config.reliable_barriers {
+                } else {
                     if let Some(b) = self.switches[i]
                         .pending_barriers
                         .iter_mut()
@@ -789,11 +785,6 @@ impl RumEngine {
                         b.switch_replied = true;
                     }
                     self.try_release_barriers(switch, now, effects);
-                } else {
-                    effects.push(Effect::ToController {
-                        via: switch,
-                        message: OfMessage::BarrierReply { xid },
-                    });
                 }
             }
             OfMessage::Error { xid, .. } => {
@@ -865,7 +856,7 @@ impl RumEngine {
         // ones this instance runs.
         let sources = Arc::clone(&self.sources);
         for &sender in sources.candidates(catch, body.in_port) {
-            if !self.config.owns(sender) {
+            if !self.acts_for(sender) {
                 continue;
             }
             let i = self.slot(sender);
@@ -882,11 +873,8 @@ impl RumEngine {
     // Timers
     // ------------------------------------------------------------------
 
-    /// The token encodes which switch's technique armed the timer.
     fn on_timer(&mut self, token: TimerToken, now: Duration, effects: &mut Vec<Effect>) {
-        let raw = token.raw();
-        let switch = SwitchId::new((raw >> 48) as usize);
-        let tech_token = raw & 0x0000_FFFF_FFFF_FFFF;
+        let switch = token.switch();
         if !self.acts_for(switch) {
             return;
         }
@@ -894,7 +882,7 @@ impl RumEngine {
         let mut out = std::mem::take(&mut self.tech_out);
         self.switches[i]
             .technique
-            .on_timer(tech_token, now, &mut out);
+            .on_timer(token.technique_token(), now, &mut out);
         self.apply_outputs(switch, &mut out, now, effects);
         self.tech_out = out;
     }
@@ -998,10 +986,9 @@ impl RumEngine {
                     });
                 }
                 TechniqueOutput::SetTimer { delay, token } => {
-                    let encoded = ((switch.index() as u64) << 48) | token;
                     effects.push(Effect::ArmTimer {
                         delay,
-                        token: TimerToken::from_raw(encoded),
+                        token: TimerToken::for_switch(switch, token),
                     });
                 }
             }
@@ -1818,7 +1805,7 @@ mod tests {
         let mut e = engine(TechniqueConfig::BarrierBaseline);
         e.start(Duration::ZERO);
         assert!(e.start(Duration::from_millis(1)).is_empty());
-        assert_eq!(e.technique_name(SwitchId::new(0)), "barriers");
+        assert_eq!(e.config().technique.label(), "barriers");
         assert_eq!(e.n_switches(), 1);
         assert_eq!(format!("{}", SwitchId::new(3)), "sw3");
     }

@@ -21,13 +21,15 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// One-way latency RUM adds on each hop of the simulated control channel.
+const CONTROL_LATENCY: SimTime = SimTime::from_micros(100);
+
 /// The shared state of one simulated RUM deployment: the engine plus the
 /// routing the driver needs to execute effects.
 struct SimRum {
     engine: ShardedEngine,
     controller: NodeId,
     switch_nodes: Vec<NodeId>,
-    control_latency: SimTime,
 }
 
 impl SimRum {
@@ -41,14 +43,10 @@ impl SimRum {
         for effect in effects {
             match effect {
                 Effect::ToController { message, .. } => {
-                    ctx.send_control(self.controller, message, self.control_latency);
+                    ctx.send_control(self.controller, message, CONTROL_LATENCY);
                 }
                 Effect::ToSwitch { switch, message } | Effect::InjectVia { switch, message } => {
-                    ctx.send_control(
-                        self.switch_nodes[switch.index()],
-                        message,
-                        self.control_latency,
-                    );
+                    ctx.send_control(self.switch_nodes[switch.index()], message, CONTROL_LATENCY);
                 }
                 Effect::ArmTimer { delay, token } => {
                     ctx.set_timer(delay.into(), token.raw());
@@ -74,11 +72,6 @@ impl RumHandle {
         self.shared.borrow().engine.stats(switch)
     }
 
-    /// The technique name running for `switch`.
-    pub fn technique_name(&self, switch: SwitchId) -> &'static str {
-        self.shared.borrow().engine.technique_name(switch)
-    }
-
     /// Number of monitored switches.
     pub fn n_switches(&self) -> usize {
         self.shared.borrow().engine.n_switches()
@@ -93,11 +86,6 @@ impl RumHandle {
     /// cross-shard conformance invariant.
     pub fn confirmed_order_for(&self, switch: SwitchId) -> Vec<u64> {
         self.shared.borrow().engine.confirmed_order_for(switch)
-    }
-
-    /// Number of engine shards driving this deployment.
-    pub fn n_shards(&self) -> usize {
-        self.shared.borrow().engine.n_shards()
     }
 
     /// Total statistics summed over all monitored switches.  Derived from
@@ -255,12 +243,10 @@ pub fn deploy(
         switches.len(),
         "the builder must be sized for exactly the monitored switches"
     );
-    let control_latency: SimTime = config.control_latency.into();
     let shared = Rc::new(RefCell::new(SimRum {
         engine: ShardedEngine::new(config, shards),
         controller,
         switch_nodes: switches.to_vec(),
-        control_latency,
     }));
     let handle = RumHandle {
         shared: Rc::clone(&shared),

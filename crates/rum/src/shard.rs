@@ -5,10 +5,13 @@
 //!
 //! # Shard → switch mapping
 //!
-//! Switches are striped: shard `k` of `n` owns every switch whose index
-//! satisfies `index % n == k`.  Each shard engine knows the whole
-//! deployment's configuration but holds state — technique, metrics,
-//! barriers — only for the switches it owns (see [`RumConfig::owns`]); every
+//! Shard `k` of `n` owns a contiguous run of switch indices:
+//! [`ShardRouter::shard_of`] maps index `i` of `N` switches to `i * n / N`,
+//! so runs differ in length by at most one.  Every fleet numbers its
+//! switches along its topology (rings, chains), so a run is a stretch of
+//! neighbours and a probe's catch switch almost always shares its sender's
+//! shard.  Each shard engine shares the whole deployment's configuration
+//! but holds state — technique, metrics, barriers — only for its run; every
 //! input affecting a switch is routed to its owner shard, so all state
 //! transitions of one switch serialize through one engine in arrival order —
 //! exactly as in the unsharded engine.
@@ -35,6 +38,7 @@
 use crate::config::{ProbeFieldPlan, ProbeSources, RumConfig};
 use crate::engine::{ConfirmRecord, Effect, Input, ProxyStats, RumEngine, SwitchId};
 use openflow::OfMessage;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::Registry;
@@ -57,6 +61,7 @@ pub enum Routing {
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
     n_shards: usize,
+    n_switches: usize,
     probe_plan: ProbeFieldPlan,
     sources: Arc<ProbeSources>,
     /// Per switch N: the shards a probe PacketIn from N goes to when the
@@ -74,25 +79,26 @@ impl ShardRouter {
 
     fn with_sources(config: &RumConfig, n_shards: usize, sources: Arc<ProbeSources>) -> Self {
         assert!(n_shards >= 1, "a deployment needs at least one shard");
-        let probe_shards = (0..config.n_switches())
+        let mut router = ShardRouter {
+            n_shards,
+            n_switches: config.n_switches(),
+            probe_plan: config.probe_plan.clone(),
+            sources,
+            probe_shards: Vec::new(),
+        };
+        router.probe_shards = (0..router.n_switches)
             .map(|catch| {
-                let mut shards: Vec<usize> = sources
-                    .upstream(SwitchId::new(catch))
-                    .iter()
-                    .map(|sender| sender.index() % n_shards)
-                    .chain([catch % n_shards])
+                let catch = SwitchId::new(catch);
+                let mut shards: Vec<usize> = (router.sources.upstream(catch).iter())
+                    .chain([&catch])
+                    .map(|&switch| router.shard_of(switch))
                     .collect();
                 shards.sort_unstable();
                 shards.dedup();
                 shards
             })
             .collect();
-        ShardRouter {
-            n_shards,
-            probe_plan: config.probe_plan.clone(),
-            sources,
-            probe_shards,
-        }
+        router
     }
 
     /// Number of shards routed over.
@@ -100,9 +106,21 @@ impl ShardRouter {
         self.n_shards
     }
 
-    /// The shard owning `switch`.
+    /// The shard owning `switch`: index `i` of `N` switches belongs to shard
+    /// `i * n_shards / N`, so each shard owns a contiguous run of indices and
+    /// runs differ in length by at most one.  This is the deployment's one
+    /// switch → shard rule.  An index past the fleet goes to the last shard,
+    /// which acts for none of it.
     pub fn shard_of(&self, switch: SwitchId) -> usize {
-        switch.index() % self.n_shards
+        (switch.index() * self.n_shards / self.n_switches.max(1)).min(self.n_shards - 1)
+    }
+
+    /// The indices of the switches shard `k` owns — the inverse of
+    /// [`ShardRouter::shard_of`]: `i` is in it exactly when
+    /// `i * n_shards >= k * N`, and not in the next one.
+    pub(crate) fn owned_by(&self, k: usize) -> Range<usize> {
+        let first = |k: usize| (k * self.n_switches).div_ceil(self.n_shards);
+        first(k)..first(k + 1)
     }
 
     /// Classifies one input.  Everything affecting a single switch goes to
@@ -120,11 +138,7 @@ impl ShardRouter {
                     Routing::Shard(self.shard_of(*switch))
                 }
             }
-            // Timer tokens encode the arming switch in the top 16 bits
-            // (see `RumEngine`'s token encoding).
-            Input::TimerFired { token } => {
-                Routing::Shard(((token.raw() >> 48) as usize) % self.n_shards)
-            }
+            Input::TimerFired { token } => Routing::Shard(self.shard_of(token.switch())),
         }
     }
 
@@ -208,12 +222,14 @@ impl ShardedEngine {
         }
         let sources = Arc::new(ProbeSources::new(&config.port_maps));
         let router = ShardRouter::with_sources(&config, n_shards, Arc::clone(&sources));
+        let config = Arc::new(config);
         let shards = (0..n_shards)
             .map(|k| {
-                let mut shard_config = config.clone();
-                shard_config.shard_index = k;
-                shard_config.shard_count = n_shards;
-                RumEngine::with_sources(shard_config, Arc::clone(&sources))
+                RumEngine::with_sources(
+                    Arc::clone(&config),
+                    Arc::clone(&sources),
+                    router.owned_by(k),
+                )
             })
             .collect();
         ShardedEngine { shards, router }
@@ -229,27 +245,7 @@ impl ShardedEngine {
         self.shards[0].n_switches()
     }
 
-    /// All switch ids, in order.
-    pub fn switch_ids(&self) -> impl Iterator<Item = SwitchId> {
-        (0..self.n_switches()).map(SwitchId::new)
-    }
-
-    /// The input router (shard → switch mapping).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// The shard index owning `switch`.
-    pub fn owner_of(&self, switch: SwitchId) -> usize {
-        self.router.shard_of(switch)
-    }
-
-    /// Read access to one shard's engine.
-    pub fn shard(&self, index: usize) -> &RumEngine {
-        &self.shards[index]
-    }
-
-    /// The deployment configuration (shard 0's copy).
+    /// The deployment configuration, shared by every shard.
     pub fn config(&self) -> &RumConfig {
         self.shards[0].config()
     }
@@ -259,21 +255,16 @@ impl ShardedEngine {
         self.shards[0].metrics()
     }
 
-    /// The technique name running for `switch`.
-    pub fn technique_name(&self, switch: SwitchId) -> &'static str {
-        self.shards[self.owner_of(switch)].technique_name(switch)
-    }
-
     /// Statistics for one monitored switch, read from its owner shard.
     pub fn stats(&self, switch: SwitchId) -> ProxyStats {
-        self.shards[self.owner_of(switch)].stats(switch)
+        self.shards[self.router.shard_of(switch)].stats(switch)
     }
 
     /// Total statistics summed over all monitored switches.
     pub fn total_stats(&self) -> ProxyStats {
         let mut total = ProxyStats::default();
-        for switch in self.switch_ids() {
-            total += self.stats(switch);
+        for shard in &self.shards {
+            total += shard.total_stats();
         }
         total
     }
@@ -354,7 +345,7 @@ impl ShardedEngine {
     /// The confirmation cookie sequence of one switch — the invariant that
     /// must be byte-identical between sharded and unsharded runs.
     pub fn confirmed_order_for(&self, switch: SwitchId) -> Vec<u64> {
-        self.shards[self.owner_of(switch)]
+        self.shards[self.router.shard_of(switch)]
             .confirmations()
             .iter()
             .filter(|r| r.switch == switch)
@@ -432,7 +423,7 @@ mod tests {
         assert_eq!(single.confirmed_order(), sharded.confirmed_order());
     }
 
-    /// Striped ownership: each switch's inputs act only on its owner shard,
+    /// Range ownership: each switch's inputs act only on its owner shard,
     /// and per-switch confirm order matches the unsharded oracle.
     #[test]
     fn sharded_confirms_match_oracle_per_switch() {
@@ -526,7 +517,7 @@ mod tests {
 
     /// The router sends per-switch inputs to the owner, broadcasts probe
     /// PacketIns, and decodes timer tokens back to the arming switch's
-    /// shard.
+    /// shard.  Seven switches on three shards: 0–2, 3–4 and 5–6.
     #[test]
     fn router_routes_by_ownership() {
         let config = RumBuilder::new(7)
@@ -548,13 +539,12 @@ mod tests {
             }),
             Routing::Shard(1)
         );
-        // Timer armed by switch 6's technique: token top bits carry the
-        // index.
+        // Timer armed by switch 6's technique.
         assert_eq!(
             router.route(&Input::TimerFired {
-                token: TimerToken::from_raw((6u64 << 48) | 7),
+                token: TimerToken::for_switch(SwitchId::new(6), 7),
             }),
-            Routing::Shard(0)
+            Routing::Shard(2)
         );
         // A probe-marked PacketIn broadcasts; ordinary PacketIns go to the
         // arrival switch's owner.
@@ -582,20 +572,17 @@ mod tests {
         let user = openflow::PacketHeader { nw_tos: 0, ..probe };
         assert_eq!(
             router.route(&Input::FromSwitch {
-                switch: SwitchId::new(1),
+                switch: SwitchId::new(3),
                 message: packet_in(user.to_bytes()),
             }),
             Routing::Shard(1)
         );
     }
-    /// `deliver` narrows what `route` calls a broadcast: a probe PacketIn
-    /// reaches the owner of the switch behind its arrival port and the
-    /// sender's own — or, arriving on a port the map does not name, the
-    /// owners of everything upstream — and nobody else.
-    #[test]
-    fn deliver_sends_probe_returns_upstream_only() {
+
+    /// A general-probing deployment on an `n`-switch ring whose port 1 leads
+    /// to the previous switch and port 2 to the next.
+    fn ring(n: usize) -> RumConfig {
         use crate::config::SwitchPortMap;
-        let n = 12;
         let maps = (0..n)
             .map(|i| {
                 let mut map = SwitchPortMap::default();
@@ -604,45 +591,63 @@ mod tests {
                 map
             })
             .collect();
-        let config = RumBuilder::new(n)
+        RumBuilder::new(n)
             .technique(TechniqueConfig::default_general())
             .port_maps(maps)
-            .build_config();
-        let router = ShardRouter::new(&config, 5);
-        let shards_for = |input: Input| {
-            let mut shards = Vec::new();
-            router.deliver(input.clone(), |k, delivered| {
-                assert_eq!(delivered, input);
-                shards.push(k);
-            });
-            shards
+            .build_config()
+    }
+
+    /// A probe punted by `catch`'s catch rule after arriving on `in_port`.
+    fn probe_return(config: &RumConfig, catch: usize, in_port: u16) -> Input {
+        let header = openflow::PacketHeader {
+            nw_tos: config.probe_plan.catch_tos(SwitchId::new(catch)),
+            ..Default::default()
         };
-        let probe_from = |switch: usize, in_port: u16| {
-            let header = openflow::PacketHeader {
-                nw_tos: config.probe_plan.catch_tos(SwitchId::new(switch)),
-                ..Default::default()
-            };
-            let data = header.to_bytes();
-            Input::FromSwitch {
-                switch: SwitchId::new(switch),
-                message: OfMessage::PacketIn {
-                    xid: 0,
-                    body: openflow::messages::PacketIn {
-                        buffer_id: 0,
-                        total_len: data.len() as u16,
-                        in_port,
-                        reason: openflow::constants::packet_in_reason::ACTION,
-                        data,
-                    },
+        let data = header.to_bytes();
+        Input::FromSwitch {
+            switch: SwitchId::new(catch),
+            message: OfMessage::PacketIn {
+                xid: 0,
+                body: openflow::messages::PacketIn {
+                    buffer_id: 0,
+                    total_len: data.len() as u16,
+                    in_port,
+                    reason: openflow::constants::packet_in_reason::ACTION,
+                    data,
                 },
-            }
-        };
-        // Port 1 of switch 7 leads to switch 6: shards 6 % 5 and 7 % 5.
-        assert_eq!(shards_for(probe_from(7, 1)), vec![1, 2]);
+            },
+        }
+    }
+
+    /// The shards `router` delivers `input` to, in delivery order.
+    fn shards_for(router: &ShardRouter, input: Input) -> Vec<usize> {
+        let mut shards = Vec::new();
+        router.deliver(input.clone(), |k, delivered| {
+            assert_eq!(delivered, input);
+            shards.push(k);
+        });
+        shards
+    }
+
+    /// `deliver` narrows what `route` calls a broadcast: a probe PacketIn
+    /// reaches the owner of the switch behind its arrival port and the
+    /// sender's own — or, arriving on a port the map does not name, the
+    /// owners of everything upstream — and nobody else.
+    #[test]
+    fn deliver_sends_probe_returns_upstream_only() {
+        let config = ring(12);
+        let router = ShardRouter::new(&config, 5);
+        let shards_for = |input| shards_for(&router, input);
+        let probe_from = |catch, in_port| probe_return(&config, catch, in_port);
+        // Twelve switches on five shards: 0–2, 3–4, 5–7, 8–9, 10–11.  Port 1
+        // of switch 7 leads to switch 6, on 7's own shard: one delivery.
+        assert_eq!(shards_for(probe_from(7, 1)), vec![2]);
+        // Port 1 of switch 8 leads to switch 7, across a shard boundary.
+        assert_eq!(shards_for(probe_from(8, 1)), vec![2, 3]);
         // Port 1 of switch 0 leads to switch 11: ascending shard order.
-        assert_eq!(shards_for(probe_from(0, 1)), vec![0, 1]);
+        assert_eq!(shards_for(probe_from(0, 1)), vec![0, 4]);
         // An unnamed port: both neighbours of 7 (6 and 8) and 7 itself.
-        assert_eq!(shards_for(probe_from(7, 9)), vec![1, 2, 3]);
+        assert_eq!(shards_for(probe_from(7, 9)), vec![2, 3]);
         assert_eq!(
             shards_for(Input::FromController {
                 switch: SwitchId::new(8),
@@ -650,5 +655,50 @@ mod tests {
             }),
             vec![3]
         );
+    }
+
+    /// `shard_of` cuts every fleet into contiguous runs balanced to ±1,
+    /// each engine acts for exactly its run, and on a 1,000-switch ring the
+    /// only probe returns that reach two shards are the eight that cross a
+    /// run boundary.
+    #[test]
+    fn ownership_is_contiguous_and_balanced() {
+        for n in [1, 3, 4, 8, 64, 1000] {
+            let build = || RumBuilder::new(n).technique(TechniqueConfig::default_general());
+            let config = build().build_config();
+            for n_shards in 1..=8 {
+                let router = ShardRouter::new(&config, n_shards);
+                let owner: Vec<usize> = (0..n).map(|i| router.shard_of(SwitchId::new(i))).collect();
+                assert!(owner.windows(2).all(|w| w[0] <= w[1]), "{n}/{n_shards}");
+                let mut sizes = vec![0usize; n_shards];
+                for &k in &owner {
+                    sizes[k] += 1;
+                }
+                let spread = sizes.iter().max().unwrap() - sizes.iter().min().unwrap();
+                assert!(spread <= 1, "{n}/{n_shards}: {sizes:?}");
+                // An engine installs the catch rule of every switch it acts
+                // for, and of no other.
+                let mut sharded = build().shards(n_shards).build_sharded();
+                for (k, engine) in sharded.shards.iter_mut().enumerate() {
+                    let mut acted: Vec<usize> = (engine.start(Duration::ZERO).iter())
+                        .filter_map(|effect| match effect {
+                            Effect::ToSwitch { switch, .. } => Some(switch.index()),
+                            _ => None,
+                        })
+                        .collect();
+                    acted.dedup();
+                    let owned: Vec<usize> = (0..n).filter(|&i| owner[i] == k).collect();
+                    assert_eq!(acted, owned, "{n}/{n_shards}: shard {k}");
+                }
+            }
+        }
+        let config = ring(1000);
+        let router = ShardRouter::new(&config, 8);
+        // Each switch's probe comes back through its successor, arriving
+        // on the successor's port 1.
+        let crossing = (0..1000)
+            .filter(|&catch| shards_for(&router, probe_return(&config, catch, 1)).len() > 1)
+            .count();
+        assert_eq!(crossing, 8);
     }
 }
