@@ -219,15 +219,11 @@ pub struct SessionSoakRecord {
     pub wall_ms: f64,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// `s` as a JSON string literal, quotes included.
+fn json_str(s: &str) -> String {
+    let mut out = String::new();
+    telemetry::json::write_string(&mut out, s);
+    out
 }
 
 fn json_num(v: f64) -> String {
@@ -289,9 +285,9 @@ pub fn results_json(
     let mut out = String::from("{\n  \"schema\": 10,\n  \"results\": [\n");
     for (i, r) in end_to_end.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"experiment\": \"end_to_end/{}\", \"completion_ms\": {}, \
+            "    {{\"experiment\": {}, \"completion_ms\": {}, \
              \"confirms\": {}, \"drops\": {}, \"max_broken_ms\": {}, \"mean_update_ms\": {}}}{}\n",
-            json_escape(&r.technique),
+            json_str(&format!("end_to_end/{}", r.technique)),
             json_num(r.controller_completion_ms.unwrap_or(f64::NAN)),
             r.confirmed_mods,
             r.total_drops,
@@ -303,9 +299,9 @@ pub fn results_json(
     out.push_str("  ],\n  \"throughput\": [\n");
     for (i, r) in throughput.iter().enumerate() {
         let mut row = format!(
-            "    {{\"experiment\": \"{}\", \"ops\": {}, \"median_elapsed_ms\": {}, \
+            "    {{\"experiment\": {}, \"ops\": {}, \"median_elapsed_ms\": {}, \
              \"ops_per_sec\": {}, \"runs\": {}",
-            json_escape(&r.experiment),
+            json_str(&r.experiment),
             r.ops,
             json_num(r.median_elapsed_ms),
             json_num(r.ops_per_sec),
@@ -334,7 +330,17 @@ pub fn results_json(
             None => "null".into(),
         };
         let mut row = format!(
-            "    {{\"experiment\": \"scenario_matrix/{d}/{f}/{t}\", \"driver\": \"{d}\",              \"fault\": \"{f}\", \"technique\": \"{t}\", \"switches\": {},              \"planned\": {},              \"confirmed\": {}, \"false_acks\": {}, \"missed_acks\": {},              \"false_ack_rate\": {}, \"missed_ack_rate\": {}, \"completion_ms\": {},              \"applicable\": {}",
+            "    {{\"experiment\": {}, \"driver\": {}, \"fault\": {}, \"technique\": {}, \
+             \"switches\": {}, \"planned\": {}, \"confirmed\": {}, \"false_acks\": {}, \
+             \"missed_acks\": {}, \"false_ack_rate\": {}, \"missed_ack_rate\": {}, \
+             \"completion_ms\": {}, \"applicable\": {}",
+            json_str(&format!(
+                "scenario_matrix/{}/{}/{}",
+                r.driver, r.fault, r.technique
+            )),
+            json_str(&r.driver),
+            json_str(&r.fault),
+            json_str(&r.technique),
             r.switches,
             r.planned,
             r.confirmed,
@@ -344,13 +350,11 @@ pub fn results_json(
             json_num(r.missed_ack_rate),
             completion,
             r.applicable,
-            d = json_escape(&r.driver),
-            f = json_escape(&r.fault),
-            t = json_escape(&r.technique),
         );
         if let Some(v) = &r.resync {
             row.push_str(&format!(
-                ",              \"resync_converged\": {}, \"resync_rounds\": {},              \"resync_final_diff\": {}, \"resync_delta_mods\": {},              \"resync_table_matches\": {}",
+                ", \"resync_converged\": {}, \"resync_rounds\": {}, \"resync_final_diff\": {}, \
+                 \"resync_delta_mods\": {}, \"resync_table_matches\": {}",
                 v.converged, v.rounds, v.final_diff, v.delta_mods, v.table_matches,
             ));
         }
@@ -363,7 +367,14 @@ pub fn results_json(
     out.push_str("  ],\n  \"session_soak\": [\n");
     for (i, r) in soak.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"experiment\": \"session_soak/{d}/{f}\", \"driver\": \"{d}\",              \"fault\": \"{f}\", \"switches\": {}, \"sessions\": {}, \"completed\": {},              \"aborted\": {}, \"planned_mods\": {}, \"confirmed_mods\": {},              \"false_acks\": {}, \"missed_acks\": {}, \"stray_acks\": {},              \"p50_confirm_ms\": {}, \"p99_confirm_ms\": {},              \"p999_confirm_ms\": {}, \"wall_ms\": {}}}{}\n",
+            "    {{\"experiment\": {}, \"driver\": {}, \"fault\": {}, \"switches\": {}, \
+             \"sessions\": {}, \"completed\": {}, \"aborted\": {}, \"planned_mods\": {}, \
+             \"confirmed_mods\": {}, \"false_acks\": {}, \"missed_acks\": {}, \
+             \"stray_acks\": {}, \"p50_confirm_ms\": {}, \"p99_confirm_ms\": {}, \
+             \"p999_confirm_ms\": {}, \"wall_ms\": {}}}{}\n",
+            json_str(&format!("session_soak/{}/{}", r.driver, r.fault)),
+            json_str(&r.driver),
+            json_str(&r.fault),
             r.switches,
             r.sessions,
             r.completed,
@@ -378,8 +389,6 @@ pub fn results_json(
             json_num(r.p999_confirm_ms),
             json_num(r.wall_ms),
             if i + 1 < soak.len() { "," } else { "" },
-            d = json_escape(&r.driver),
-            f = json_escape(&r.fault),
         ));
     }
     out.push_str("  ]\n}\n");
@@ -661,6 +670,13 @@ mod tests {
         assert!(json.contains("\"stray_acks\": 0"));
         // One trailing comma-less record per section.
         assert_eq!(json.matches("},\n").count(), 6);
+        // Every line is one record: no run of spaces after its indentation.
+        for line in json.lines() {
+            assert!(
+                !line.trim_start().contains("  "),
+                "stray spaces in {line:?}"
+            );
+        }
     }
 
     #[test]

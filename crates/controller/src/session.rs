@@ -594,20 +594,6 @@ impl UpdateSession {
         }
     }
 
-    /// Feeds a batch of inputs sharing one timestamp, appending all effects
-    /// to `effects` in input order — the multi-input drain used after one
-    /// socket read decodes several messages.
-    pub fn drain_into(
-        &mut self,
-        now: Duration,
-        inputs: impl IntoIterator<Item = SessionInput>,
-        effects: &mut Vec<SessionEffect>,
-    ) {
-        for input in inputs {
-            self.handle_into(now, input, effects);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Dispatch
     // ------------------------------------------------------------------

@@ -321,12 +321,13 @@ impl ProxyHandle {
         self.inner.shards.len()
     }
 
-    /// Aggregated engine statistics across every switch, each read from
-    /// its owner shard.
+    /// Aggregated engine statistics across every switch: each shard's
+    /// totals, one lock per shard.
     pub fn total_stats(&self) -> ProxyStats {
         let mut total = ProxyStats::default();
-        for i in 0..self.inner.n_switches {
-            total += self.stats(SwitchId::new(i));
+        for shard in &self.inner.shards {
+            let shard = shard.lock().expect("a worker panicked holding a shard");
+            total += shard.relay.engine().total_stats();
         }
         total
     }

@@ -34,7 +34,7 @@ use crate::general::GeneralProbing;
 use crate::probe::catch_rule;
 use crate::sequential::SequentialProbing;
 use crate::technique::{AckTechnique, TechniqueOutput};
-use crate::technique::{AdaptiveDelay, BarrierBaseline, StaticTimeout};
+use crate::technique::{AdaptiveDelay, StaticTimeout};
 use openflow::messages::{FlowMod, PacketIn};
 use openflow::{OfMessage, PacketHeader, Xid};
 use std::collections::{HashMap, VecDeque};
@@ -1079,7 +1079,8 @@ fn is_liveness_msg(msg: &OfMessage) -> bool {
 fn build_technique(config: &RumConfig, switch: SwitchId) -> Box<dyn AckTechnique> {
     let xid_base = PROXY_XID_BASE + (switch.index() as u32 + 1) * 0x0001_0000;
     match &config.technique {
-        TechniqueConfig::BarrierBaseline => Box::new(BarrierBaseline::new(xid_base)),
+        // The baseline is the proxy barrier with a zero hold-down (§3.1).
+        TechniqueConfig::BarrierBaseline => Box::new(StaticTimeout::new(Duration::ZERO, xid_base)),
         TechniqueConfig::StaticTimeout { delay } => Box::new(StaticTimeout::new(*delay, xid_base)),
         TechniqueConfig::AdaptiveDelay {
             assumed_rate,
@@ -1089,7 +1090,6 @@ fn build_technique(config: &RumConfig, switch: SwitchId) -> Box<dyn AckTechnique
             batch_size,
             probe_interval,
         } => Box::new(SequentialProbing::new(
-            switch,
             *batch_size,
             *probe_interval,
             config.probe_plan.clone(),
@@ -1735,22 +1735,8 @@ mod tests {
     /// a probe punted by switch 1 can only have come through switch 0.
     #[test]
     fn probe_return_is_offered_only_upstream_of_the_catching_switch() {
-        use crate::config::SwitchPortMap;
-        let n = 100;
-        let maps = (0..n)
-            .map(|i| {
-                let prev = SwitchId::new((i + n - 1) % n);
-                let mut map = SwitchPortMap::default();
-                map.port_to_switch.insert(1, prev);
-                map.port_to_switch.insert(2, SwitchId::new((i + 1) % n));
-                map.inject_via = Some((prev, 2));
-                map
-            })
-            .collect();
-        let mut e = RumBuilder::new(n)
-            .technique(TechniqueConfig::default_general())
-            .port_maps(maps)
-            .build();
+        use crate::shard::tests::{punted, ring};
+        let mut e = RumEngine::new(ring(100, TechniqueConfig::default_general()));
         e.start(Duration::ZERO);
         let mut probes = [0, 30].map(|switch| {
             e.handle(
@@ -1772,22 +1758,7 @@ mod tests {
         });
         assert_eq!(probes[0], probes[1], "both expect the very same probe");
         let data = std::mem::take(&mut probes[0]);
-        let effects = e.handle(
-            Duration::from_millis(1),
-            Input::FromSwitch {
-                switch: SwitchId::new(1),
-                message: OfMessage::PacketIn {
-                    xid: 0,
-                    body: PacketIn {
-                        buffer_id: u32::MAX,
-                        total_len: data.len() as u16,
-                        in_port: 1,
-                        reason: openflow::constants::packet_in_reason::ACTION,
-                        data,
-                    },
-                },
-            },
-        );
+        let effects = e.handle(Duration::from_millis(1), punted(1, 1, data));
         let confirmed: Vec<SwitchId> = effects
             .iter()
             .filter_map(|eff| match eff {
@@ -1798,6 +1769,151 @@ mod tests {
         assert_eq!(confirmed, vec![SwitchId::new(0)]);
         assert_eq!(e.stats(SwitchId::new(1)).probes_consumed, 1);
         assert_eq!(e.stats(SwitchId::new(30)).unconfirmed, 1);
+    }
+
+    /// One fixed script per technique on a 3-switch ring, pinned by the
+    /// FNV-64 of every effect's `Debug` text: confirms, xids, probes and the
+    /// point at which each timer is armed must not move.  The script (an
+    /// ADD, a drop-rule ADD and a DELETE_STRICT on switch 0 plus one
+    /// controller barrier; a reply to every barrier; the first injected
+    /// probe punted back; every timer due within a second fired in deadline
+    /// order; one reconnect) reuses no cookie.
+    #[test]
+    fn effect_stream_is_pinned() {
+        use crate::shard::tests::{punted, ring};
+        use std::collections::BTreeMap;
+
+        /// An engine, every effect it emitted, and its armed timers by
+        /// (deadline, position in the log).
+        struct Run {
+            engine: RumEngine,
+            log: Vec<Effect>,
+            timers: BTreeMap<(Duration, usize), TimerToken>,
+        }
+        impl Run {
+            fn record(&mut self, now: Duration, effects: Vec<Effect>) {
+                for effect in effects {
+                    if let Effect::ArmTimer { delay, token } = effect {
+                        self.timers.insert((now + delay, self.log.len()), token);
+                    }
+                    self.log.push(effect);
+                }
+            }
+
+            fn feed(&mut self, now: Duration, input: Input) {
+                let effects = self.engine.handle(now, input);
+                self.record(now, effects);
+            }
+        }
+
+        let sw = SwitchId::new(0);
+        let m = |i| OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, i), Ipv4Addr::new(10, 1, 0, i));
+        let script = [
+            OfMessage::FlowMod {
+                xid: 1,
+                body: FlowMod::add(m(1), 100, vec![Action::output(2)]),
+            },
+            OfMessage::FlowMod {
+                xid: 2,
+                body: FlowMod::add(m(2), 100, vec![]),
+            },
+            OfMessage::FlowMod {
+                xid: 3,
+                body: FlowMod::delete_strict(m(1), 100),
+            },
+            OfMessage::BarrierRequest { xid: 4 },
+        ];
+        for (technique, expected) in [
+            (TechniqueConfig::BarrierBaseline, 0xb8aa_830f_1614_4fe4),
+            (
+                TechniqueConfig::StaticTimeout {
+                    delay: Duration::from_millis(50),
+                },
+                0xe405_4afc_52c2_1526,
+            ),
+            (
+                TechniqueConfig::AdaptiveDelay {
+                    assumed_rate: 100.0,
+                    assumed_sync_lag: Duration::from_millis(20),
+                },
+                0xc72b_07c0_6359_bbfd,
+            ),
+            (TechniqueConfig::default_sequential(), 0x0f58_a1cc_4623_4bf7),
+            (TechniqueConfig::default_general(), 0x5d46_d28a_9f8f_f9b1),
+        ] {
+            let label = technique.label();
+            let mut run = Run {
+                engine: RumEngine::new(ring(3, technique)),
+                log: Vec::new(),
+                timers: BTreeMap::new(),
+            };
+            let effects = run.engine.start(Duration::ZERO);
+            run.record(Duration::ZERO, effects);
+            for (t, message) in (1..).zip(script.clone()) {
+                run.feed(
+                    Duration::from_millis(t),
+                    Input::FromController {
+                        switch: sw,
+                        message,
+                    },
+                );
+            }
+            let barriers: Vec<(SwitchId, Xid)> = (run.log.iter())
+                .filter_map(|effect| match effect {
+                    Effect::ToSwitch {
+                        switch,
+                        message: OfMessage::BarrierRequest { xid },
+                    } => Some((*switch, *xid)),
+                    _ => None,
+                })
+                .collect();
+            for (switch, xid) in barriers {
+                run.feed(
+                    Duration::from_millis(5),
+                    Input::FromSwitch {
+                        switch,
+                        message: OfMessage::BarrierReply { xid },
+                    },
+                );
+            }
+            // Switch 0's rule forwards to switch 1, which punts the probe
+            // after it arrives on its port 1.
+            let probe = run.log.iter().find_map(|effect| match effect {
+                Effect::InjectVia {
+                    message: OfMessage::PacketOut { body, .. },
+                    ..
+                } => Some(body.data.clone()),
+                _ => None,
+            });
+            if let Some(data) = probe {
+                run.feed(Duration::from_millis(6), punted(1, 1, data));
+            }
+            while let Some(entry) = run.timers.first_entry() {
+                let (at, _) = *entry.key();
+                if at > Duration::from_secs(1) {
+                    break;
+                }
+                let token = entry.remove();
+                run.feed(at, Input::TimerFired { token });
+            }
+            run.feed(
+                Duration::from_secs(2),
+                Input::SwitchReconnected { switch: sw },
+            );
+
+            let log = run.log;
+            let hash = log.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, effect| {
+                format!("{effect:?}\n").bytes().fold(h, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+            });
+            assert_eq!(
+                hash,
+                expected,
+                "{label}: {} effects hash to {hash:#018x}",
+                log.len()
+            );
+        }
     }
 
     #[test]

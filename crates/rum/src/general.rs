@@ -13,14 +13,12 @@
 use crate::config::{ProbeFieldPlan, SwitchPortMap};
 use crate::engine::SwitchId;
 use crate::probe::{GeneralProbe, KnownRule, KnownRules, ProbeSynthesisError};
-use crate::technique::{AckTechnique, TechniqueOutput};
+use crate::technique::{AckTechnique, ProbeTick, TechniqueOutput, TOKEN_TICK};
 use openflow::messages::{FlowMod, PacketOut};
 use openflow::{Action, OfMessage, PacketHeader, Xid};
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Timer token for the periodic probing tick.
-const TOKEN_TICK: u64 = 1;
 /// Timer tokens >= this value are fallback confirmations (token - base = cookie).
 const TOKEN_FALLBACK_BASE: u64 = 1 << 32;
 
@@ -30,14 +28,12 @@ struct PendingRule {
     cookie: u64,
     probe: GeneralProbe,
     probe_id: u16,
-    sent_probes: u64,
 }
 
 /// The general-probing acknowledgment technique for one monitored switch.
 #[derive(Debug)]
 pub struct GeneralProbing {
-    switch_index: SwitchId,
-    probe_interval: Duration,
+    tick: ProbeTick,
     max_outstanding: usize,
     fallback_delay: Duration,
     plan: ProbeFieldPlan,
@@ -47,7 +43,7 @@ pub struct GeneralProbing {
     known_rules: KnownRules,
     /// Pending probe-confirmable rules, oldest first.
     pending: Vec<PendingRule>,
-    /// Pending fallback confirmations: cookie -> armed.
+    /// Pending fallback confirmations: cookie -> why no probe exists.
     fallback_pending: HashMap<u64, ProbeSynthesisError>,
     /// First probe id of this instance's id range (ids are partitioned per
     /// monitored switch so probes can never be attributed to the wrong
@@ -55,15 +51,6 @@ pub struct GeneralProbing {
     probe_id_base: u16,
     next_probe_id: u16,
     next_xid: Xid,
-    unconfirmed: usize,
-    ticking: bool,
-
-    /// Statistics: probes injected.
-    pub probes_injected: u64,
-    /// Statistics: probes received.
-    pub probes_received: u64,
-    /// Statistics: rules confirmed through the fallback path.
-    pub fallback_confirmations: u64,
 }
 
 impl GeneralProbing {
@@ -81,8 +68,7 @@ impl GeneralProbing {
         // Each monitored switch gets its own 4096-wide band of probe ids.
         let probe_id_base = 1 + (switch_index.index() as u16 % 15) * 4096;
         GeneralProbing {
-            switch_index,
-            probe_interval,
+            tick: ProbeTick::new(probe_interval),
             max_outstanding,
             fallback_delay,
             plan,
@@ -93,22 +79,7 @@ impl GeneralProbing {
             probe_id_base,
             next_probe_id: probe_id_base,
             next_xid: xid_base,
-            unconfirmed: 0,
-            ticking: false,
-            probes_injected: 0,
-            probes_received: 0,
-            fallback_confirmations: 0,
         }
-    }
-
-    /// The monitored switch.
-    pub fn switch_index(&self) -> SwitchId {
-        self.switch_index
-    }
-
-    /// Number of rules currently confirmed only by the fallback timer.
-    pub fn fallback_pending(&self) -> usize {
-        self.fallback_pending.len()
     }
 
     /// Seeds RUM's model of the switch table with rules known to be installed
@@ -143,16 +114,6 @@ impl GeneralProbing {
         id
     }
 
-    fn ensure_ticking(&mut self, out: &mut Vec<TechniqueOutput>) {
-        if !self.ticking {
-            self.ticking = true;
-            out.push(TechniqueOutput::SetTimer {
-                delay: self.probe_interval,
-                token: TOKEN_TICK,
-            });
-        }
-    }
-
     fn arm_fallback(
         &mut self,
         cookie: u64,
@@ -170,12 +131,9 @@ impl GeneralProbing {
         let Some((via_switch, via_port)) = self.ports.inject_via else {
             return;
         };
-        let pending = &mut self.pending[idx];
-        pending.sent_probes += 1;
-        self.probes_injected += 1;
         let po = PacketOut::inject(
             vec![Action::output(via_port)],
-            pending.probe.packet.to_bytes(),
+            self.pending[idx].probe.packet.to_bytes(),
         );
         let xid = self.fresh_xid();
         out.push(TechniqueOutput::InjectVia {
@@ -186,12 +144,8 @@ impl GeneralProbing {
 }
 
 impl AckTechnique for GeneralProbing {
-    fn name(&self) -> &'static str {
-        "general"
-    }
-
     fn start(&mut self, _now: Duration, out: &mut Vec<TechniqueOutput>) {
-        self.ensure_ticking(out);
+        self.tick.ensure(out);
     }
 
     fn on_flow_mod(
@@ -201,8 +155,7 @@ impl AckTechnique for GeneralProbing {
         _now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
-        self.unconfirmed += 1;
-        self.ensure_ticking(out);
+        self.tick.ensure(out);
 
         // Deletions cannot be confirmed by a positive probe; fall back.
         if fm.command.is_delete() {
@@ -236,7 +189,6 @@ impl AckTechnique for GeneralProbing {
                     cookie,
                     probe,
                     probe_id,
-                    sent_probes: 0,
                 });
                 // Probe immediately rather than waiting for the next tick: the
                 // paper's general probing is limited by probe round-trips, not
@@ -273,9 +225,7 @@ impl AckTechnique for GeneralProbing {
         let Some(idx) = position else {
             return;
         };
-        self.probes_received += 1;
         let pending = self.pending.remove(idx);
-        self.unconfirmed = self.unconfirmed.saturating_sub(1);
         out.push(TechniqueOutput::Confirm(pending.cookie));
     }
 
@@ -283,8 +233,6 @@ impl AckTechnique for GeneralProbing {
         if token >= TOKEN_FALLBACK_BASE {
             let cookie = token - TOKEN_FALLBACK_BASE;
             if self.fallback_pending.remove(&cookie).is_some() {
-                self.fallback_confirmations += 1;
-                self.unconfirmed = self.unconfirmed.saturating_sub(1);
                 out.push(TechniqueOutput::Confirm(cookie));
             }
             return;
@@ -297,18 +245,8 @@ impl AckTechnique for GeneralProbing {
         for idx in 0..n {
             self.inject_probe_for(idx, out);
         }
-        if self.unconfirmed > 0 {
-            out.push(TechniqueOutput::SetTimer {
-                delay: self.probe_interval,
-                token: TOKEN_TICK,
-            });
-        } else {
-            self.ticking = false;
-        }
-    }
-
-    fn unconfirmed(&self) -> usize {
-        self.unconfirmed
+        let busy = !self.pending.is_empty() || !self.fallback_pending.is_empty();
+        self.tick.fired(busy, out);
     }
 }
 
@@ -363,6 +301,24 @@ mod tests {
             .collect()
     }
 
+    /// The cookies whose fallback timer `out` arms.
+    fn fallbacks(out: &[TechniqueOutput]) -> Vec<u64> {
+        out.iter()
+            .filter_map(|o| match o {
+                TechniqueOutput::SetTimer { token, .. } if *token >= TOKEN_FALLBACK_BASE => {
+                    Some(token - TOKEN_FALLBACK_BASE)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn injections(out: &[TechniqueOutput]) -> usize {
+        out.iter()
+            .filter(|o| matches!(o, TechniqueOutput::InjectVia { .. }))
+            .count()
+    }
+
     #[test]
     fn forwarding_rule_gets_probed_and_confirmed() {
         let mut t = new_technique();
@@ -384,14 +340,16 @@ mod tests {
             probe_header.nw_tos & 0xfc,
             plan().catch_tos(SwitchId::new(2)) & 0xfc
         );
-        assert_eq!(t.unconfirmed(), 1);
+        assert!(confirms(&out).is_empty());
 
         // The probe comes back (as rewritten by the rule — here unchanged).
         let mut out = Vec::new();
         t.on_probe_packet(&probe_header, Duration::from_millis(2), &mut out);
         assert_eq!(confirms(&out), vec![42]);
-        assert_eq!(t.unconfirmed(), 0);
-        assert_eq!(t.probes_received, 1);
+        // A duplicate of the probe confirms nothing more.
+        let mut out = Vec::new();
+        t.on_probe_packet(&probe_header, Duration::from_millis(3), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -407,7 +365,10 @@ mod tests {
         let mut out = Vec::new();
         t.on_probe_packet(&foreign, Duration::ZERO, &mut out);
         assert!(out.is_empty());
-        assert_eq!(t.unconfirmed(), 1);
+        // The rule is still pending: the next tick re-probes it.
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(10), &mut out);
+        assert_eq!(injections(&out), 1);
     }
 
     #[test]
@@ -420,7 +381,7 @@ mod tests {
         );
         let mut out = Vec::new();
         t.on_flow_mod(7, &drop_rule, Duration::ZERO, &mut out);
-        assert_eq!(t.fallback_pending(), 1);
+        assert_eq!(fallbacks(&out), vec![7]);
         let token = out
             .iter()
             .find_map(|o| match o {
@@ -434,8 +395,10 @@ mod tests {
         let mut out = Vec::new();
         t.on_timer(token, Duration::from_millis(300), &mut out);
         assert_eq!(confirms(&out), vec![7]);
-        assert_eq!(t.fallback_confirmations, 1);
-        assert_eq!(t.unconfirmed(), 0);
+        // Nothing is pending any more: the tick lapses.
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(310), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -446,14 +409,38 @@ mod tests {
         let del = FlowMod::delete_strict(forwarding_mod(1).match_, 100);
         let mut out = Vec::new();
         t.on_flow_mod(2, &del, Duration::ZERO, &mut out);
-        assert_eq!(t.fallback_pending(), 1);
+        assert_eq!(fallbacks(&out), vec![2]);
         // The deleted rule is gone from the model, so re-adding it later
         // synthesises a probe without tripping the "identical fallback" check.
         let mut out = Vec::new();
         t.on_flow_mod(3, &forwarding_mod(1), Duration::ZERO, &mut out);
-        assert!(out
-            .iter()
-            .any(|o| matches!(o, TechniqueOutput::InjectVia { .. })));
+        assert_eq!(injections(&out), 1);
+    }
+
+    /// Two unprobeable DELETEs under one cookie arm two fallback timers;
+    /// once both have fired nothing is pending, so the next tick lets the
+    /// cadence lapse instead of re-arming it forever.
+    #[test]
+    fn duplicate_cookie_fallbacks_let_the_tick_lapse() {
+        let mut t = new_technique();
+        let del = FlowMod::delete_strict(forwarding_mod(1).match_, 100);
+        let mut out = Vec::new();
+        t.on_flow_mod(5, &del, Duration::ZERO, &mut out);
+        t.on_flow_mod(5, &del, Duration::ZERO, &mut out);
+        for _ in 0..2 {
+            t.on_timer(
+                TOKEN_FALLBACK_BASE + 5,
+                Duration::from_millis(300),
+                &mut out,
+            );
+        }
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(310), &mut out);
+        assert!(
+            !out.iter()
+                .any(|o| matches!(o, TechniqueOutput::SetTimer { .. })),
+            "an idle technique must stop ticking"
+        );
     }
 
     #[test]
@@ -472,15 +459,13 @@ mod tests {
         for i in 0..5u8 {
             t.on_flow_mod(u64::from(i), &forwarding_mod(i), Duration::ZERO, &mut out);
         }
-        let injected_before = t.probes_injected;
         let mut out = Vec::new();
         t.on_timer(TOKEN_TICK, Duration::from_millis(10), &mut out);
-        let injections = out
-            .iter()
-            .filter(|o| matches!(o, TechniqueOutput::InjectVia { .. }))
-            .count();
-        assert_eq!(injections, 2, "re-probing is capped at max_outstanding");
-        assert_eq!(t.probes_injected, injected_before + 2);
+        assert_eq!(
+            injections(&out),
+            2,
+            "re-probing is capped at max_outstanding"
+        );
     }
 
     #[test]
@@ -494,7 +479,8 @@ mod tests {
         );
         let mut out = Vec::new();
         t.on_flow_mod(9, &fm, Duration::ZERO, &mut out);
-        assert_eq!(t.fallback_pending(), 1);
+        assert_eq!(fallbacks(&out), vec![9]);
+        assert_eq!(injections(&out), 0);
     }
 
     #[test]
@@ -508,9 +494,10 @@ mod tests {
         let mut out = Vec::new();
         t.on_flow_mod(4, &forwarding_mod(4), Duration::ZERO, &mut out);
         assert_eq!(
-            t.fallback_pending(),
-            1,
+            fallbacks(&out),
+            vec![4],
             "indistinguishable rules cannot be probed"
         );
+        assert_eq!(injections(&out), 0);
     }
 }

@@ -28,7 +28,7 @@
 //!
 //! | Technique | Module | Paper section |
 //! |---|---|---|
-//! | Barriers (baseline)        | [`technique::BarrierBaseline`]   | §3.1 |
+//! | Barriers (baseline)        | [`technique::StaticTimeout`], zero hold-down | §3.1 |
 //! | Static timeout             | [`technique::StaticTimeout`]     | §3.1 |
 //! | Adaptive delay             | [`technique::AdaptiveDelay`]     | §3.1 |
 //! | Sequential probing         | [`sequential::SequentialProbing`]| §3.2.1 |

@@ -21,14 +21,11 @@
 use crate::config::{ProbeFieldPlan, SwitchPortMap};
 use crate::engine::SwitchId;
 use crate::probe::{sequential_probe_packet, sequential_probe_rule};
-use crate::technique::{AckTechnique, TechniqueOutput};
+use crate::technique::{AckTechnique, ProbeTick, TechniqueOutput, TOKEN_TICK};
 use openflow::messages::{FlowMod, PacketOut};
 use openflow::{Action, OfMessage, PacketHeader, PortNo, Xid};
 use std::collections::VecDeque;
 use std::time::Duration;
-
-/// Timer token used for the periodic probing tick.
-const TOKEN_TICK: u64 = 1;
 
 /// Largest VLAN id usable as a probe version before wrapping.
 const MAX_VERSION: u16 = 4094;
@@ -43,12 +40,10 @@ struct Batch {
 /// The sequential-probing acknowledgment technique for one monitored switch.
 #[derive(Debug)]
 pub struct SequentialProbing {
-    /// The monitored switch within the RUM deployment.
-    switch_index: SwitchId,
     /// Real modifications per probe-rule version bump.
     batch_size: usize,
-    /// Interval between probe injections while confirmations are pending.
-    probe_interval: Duration,
+    /// The probe tick, injecting while confirmations are pending.
+    tick: ProbeTick,
     /// Probe field plan (pre-probe marker + per-switch catch values).
     plan: ProbeFieldPlan,
     /// Topology knowledge for this switch.
@@ -65,14 +60,6 @@ pub struct SequentialProbing {
     current_version: u16,
     probe_rule_installed: bool,
     next_xid: Xid,
-    unconfirmed: usize,
-    ticking: bool,
-    /// Statistics: probe rules installed / modified.
-    pub probe_rule_updates: u64,
-    /// Statistics: probe packets injected.
-    pub probes_injected: u64,
-    /// Statistics: probe packets received back.
-    pub probes_received: u64,
 }
 
 impl SequentialProbing {
@@ -82,7 +69,6 @@ impl SequentialProbing {
     /// switch `catch_switch`, which must hold a probe-catch rule (RUM installs
     /// those at start-up on every switch).
     pub fn new(
-        switch_index: SwitchId,
         batch_size: usize,
         probe_interval: Duration,
         plan: ProbeFieldPlan,
@@ -97,9 +83,8 @@ impl SequentialProbing {
             .min()
             .expect("sequential probing needs at least one monitored neighbour");
         SequentialProbing {
-            switch_index,
             batch_size,
-            probe_interval,
+            tick: ProbeTick::new(probe_interval),
             plan,
             ports,
             catch_port,
@@ -109,11 +94,6 @@ impl SequentialProbing {
             current_version: 0,
             probe_rule_installed: false,
             next_xid: xid_base,
-            unconfirmed: 0,
-            ticking: false,
-            probe_rule_updates: 0,
-            probes_injected: 0,
-            probes_received: 0,
         }
     }
 
@@ -149,7 +129,6 @@ impl SequentialProbing {
         );
         fm.cookie = u64::from(xid);
         self.probe_rule_installed = true;
-        self.probe_rule_updates += 1;
         out.push(TechniqueOutput::ToSwitch(OfMessage::FlowMod {
             xid,
             body: fm,
@@ -163,34 +142,19 @@ impl SequentialProbing {
         let packet = sequential_probe_packet(self.plan.preprobe_tos);
         let po = PacketOut::inject(vec![Action::output(via_port)], packet.to_bytes());
         let xid = self.fresh_xid();
-        self.probes_injected += 1;
         out.push(TechniqueOutput::InjectVia {
             switch: via_switch,
             msg: OfMessage::PacketOut { xid, body: po },
         });
     }
-
-    fn ensure_ticking(&mut self, out: &mut Vec<TechniqueOutput>) {
-        if !self.ticking {
-            self.ticking = true;
-            out.push(TechniqueOutput::SetTimer {
-                delay: self.probe_interval,
-                token: TOKEN_TICK,
-            });
-        }
-    }
 }
 
 impl AckTechnique for SequentialProbing {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
     fn start(&mut self, _now: Duration, out: &mut Vec<TechniqueOutput>) {
         // The probe-catch rules on every switch are installed by the RUM
         // layer itself (they are shared across techniques); nothing to do
         // here until the first modification arrives.
-        self.ensure_ticking(out);
+        self.tick.ensure(out);
     }
 
     fn on_flow_mod(
@@ -201,11 +165,10 @@ impl AckTechnique for SequentialProbing {
         out: &mut Vec<TechniqueOutput>,
     ) {
         self.unversioned.push(cookie);
-        self.unconfirmed += 1;
         if self.unversioned.len() >= self.batch_size {
             self.bump_version(out);
         }
-        self.ensure_ticking(out);
+        self.tick.ensure(out);
     }
 
     fn on_probe_packet(
@@ -223,7 +186,6 @@ impl AckTechnique for SequentialProbing {
         if !self.outstanding.iter().any(|b| b.version == version) {
             return;
         }
-        self.probes_received += 1;
         // The probe rule with `version` is active, therefore every batch up
         // to and including that version is active as well (the switch does
         // not reorder).
@@ -231,10 +193,7 @@ impl AckTechnique for SequentialProbing {
             let done = front.version;
             if version_is_at_least(version, done) {
                 let batch = self.outstanding.pop_front().expect("front exists");
-                for c in batch.cookies {
-                    self.unconfirmed = self.unconfirmed.saturating_sub(1);
-                    out.push(TechniqueOutput::Confirm(c));
-                }
+                out.extend(batch.cookies.into_iter().map(TechniqueOutput::Confirm));
                 if done == version {
                     break;
                 }
@@ -262,7 +221,7 @@ impl AckTechnique for SequentialProbing {
         if !self.unversioned.is_empty() {
             self.bump_version(out);
         }
-        self.ensure_ticking(out);
+        self.tick.ensure(out);
     }
 
     fn on_timer(&mut self, token: u64, _now: Duration, out: &mut Vec<TechniqueOutput>) {
@@ -278,18 +237,8 @@ impl AckTechnique for SequentialProbing {
             self.inject_probe(out);
         }
         // Keep ticking while there is anything to confirm.
-        if self.unconfirmed > 0 {
-            out.push(TechniqueOutput::SetTimer {
-                delay: self.probe_interval,
-                token: TOKEN_TICK,
-            });
-        } else {
-            self.ticking = false;
-        }
-    }
-
-    fn unconfirmed(&self) -> usize {
-        self.unconfirmed
+        let busy = !self.unversioned.is_empty() || !self.outstanding.is_empty();
+        self.tick.fired(busy, out);
     }
 }
 
@@ -300,25 +249,6 @@ fn version_is_at_least(observed: u16, candidate: u16) -> bool {
     } else {
         // Wrapped: e.g. observed = 3, candidate = 4090.
         candidate - observed > MAX_VERSION / 2
-    }
-}
-
-/// The monitored switch this technique was built for (used by the engine for
-/// bookkeeping and by tests).
-impl SequentialProbing {
-    /// The monitored switch.
-    pub fn switch_index(&self) -> SwitchId {
-        self.switch_index
-    }
-
-    /// The current probe-rule version.
-    pub fn current_version(&self) -> u16 {
-        self.current_version
-    }
-
-    /// Number of batches awaiting a probe.
-    pub fn outstanding_batches(&self) -> usize {
-        self.outstanding.len()
     }
 }
 
@@ -352,7 +282,6 @@ mod tests {
 
     fn new_technique(batch: usize) -> SequentialProbing {
         SequentialProbing::new(
-            SwitchId::new(1),
             batch,
             Duration::from_millis(10),
             plan(),
@@ -366,6 +295,22 @@ mod tests {
         h.nw_tos = plan().catch_tos(SwitchId::new(2));
         h.dl_vlan = version;
         h
+    }
+
+    fn confirms(out: &[TechniqueOutput]) -> Vec<u64> {
+        out.iter()
+            .filter_map(|o| match o {
+                TechniqueOutput::Confirm(c) => Some(*c),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// How many probe-rule versions `out` installs.
+    fn bumps(out: &[TechniqueOutput]) -> usize {
+        out.iter()
+            .filter(|o| matches!(o, TechniqueOutput::ToSwitch(OfMessage::FlowMod { .. })))
+            .count()
     }
 
     #[test]
@@ -384,14 +329,11 @@ mod tests {
         }
         let mut out = Vec::new();
         t.on_flow_mod(2, &fm(2), Duration::ZERO, &mut out);
-        let bumps: Vec<_> = out
-            .iter()
-            .filter(|o| matches!(o, TechniqueOutput::ToSwitch(OfMessage::FlowMod { .. })))
-            .collect();
-        assert_eq!(bumps.len(), 1, "batch of 3 triggers one probe-rule update");
-        assert_eq!(t.current_version(), 1);
-        assert_eq!(t.outstanding_batches(), 1);
-        assert_eq!(t.unconfirmed(), 3);
+        assert_eq!(bumps(&out), 1, "batch of 3 triggers one probe-rule update");
+        // Version 1 covers the whole batch.
+        let mut out = Vec::new();
+        t.on_probe_packet(&probe_header(1), Duration::from_millis(5), &mut out);
+        assert_eq!(confirms(&out), vec![0, 1, 2]);
     }
 
     #[test]
@@ -400,20 +342,15 @@ mod tests {
         let mut out = Vec::new();
         t.on_flow_mod(10, &fm(1), Duration::ZERO, &mut out);
         t.on_flow_mod(11, &fm(2), Duration::ZERO, &mut out);
-        assert_eq!(t.current_version(), 1);
+        assert_eq!(bumps(&out), 1);
 
         let mut out = Vec::new();
         t.on_probe_packet(&probe_header(1), Duration::from_millis(5), &mut out);
-        let confirmed: Vec<u64> = out
-            .iter()
-            .filter_map(|o| match o {
-                TechniqueOutput::Confirm(c) => Some(*c),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(confirmed, vec![10, 11]);
-        assert_eq!(t.unconfirmed(), 0);
-        assert_eq!(t.probes_received, 1);
+        assert_eq!(confirms(&out), vec![10, 11]);
+        // A second copy of the probe confirms nothing more.
+        let mut out = Vec::new();
+        t.on_probe_packet(&probe_header(1), Duration::from_millis(6), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -423,20 +360,16 @@ mod tests {
         t.on_flow_mod(1, &fm(1), Duration::ZERO, &mut out);
         t.on_flow_mod(2, &fm(2), Duration::ZERO, &mut out);
         t.on_flow_mod(3, &fm(3), Duration::ZERO, &mut out);
-        assert_eq!(t.outstanding_batches(), 3);
+        assert_eq!(bumps(&out), 3);
 
         // Only the probe for version 3 comes back (earlier probes lost).
         let mut out = Vec::new();
         t.on_probe_packet(&probe_header(3), Duration::from_millis(5), &mut out);
-        let confirmed: Vec<u64> = out
-            .iter()
-            .filter_map(|o| match o {
-                TechniqueOutput::Confirm(c) => Some(*c),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(confirmed, vec![1, 2, 3]);
-        assert_eq!(t.outstanding_batches(), 0);
+        assert_eq!(confirms(&out), vec![1, 2, 3]);
+        // No batch is left: the probes for versions 1 and 2 prove nothing.
+        let mut out = Vec::new();
+        t.on_probe_packet(&probe_header(1), Duration::from_millis(6), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -454,7 +387,9 @@ mod tests {
         let mut out = Vec::new();
         t.on_probe_packet(&probe_header(99), Duration::ZERO, &mut out);
         assert!(out.is_empty());
-        assert_eq!(t.unconfirmed(), 1);
+        // The batch is still waiting for its own probe.
+        t.on_probe_packet(&probe_header(1), Duration::ZERO, &mut out);
+        assert_eq!(confirms(&out), vec![1]);
     }
 
     #[test]
@@ -464,22 +399,31 @@ mod tests {
         t.start(Duration::ZERO, &mut out);
         let mut out = Vec::new();
         t.on_flow_mod(5, &fm(5), Duration::ZERO, &mut out);
-        assert_eq!(t.current_version(), 0, "partial batch not yet versioned");
+        assert_eq!(bumps(&out), 0, "partial batch not yet versioned");
 
         let mut out = Vec::new();
         t.on_timer(TOKEN_TICK, Duration::from_millis(10), &mut out);
-        assert_eq!(t.current_version(), 1, "tick flushes the partial batch");
-        assert!(
-            out.iter()
-                .any(|o| matches!(o, TechniqueOutput::InjectVia { switch, .. } if *switch == SwitchId::new(0))),
-            "a probe is injected via the configured neighbour"
+        assert_eq!(bumps(&out), 1, "tick flushes the partial batch");
+        let injected: Vec<SwitchId> = out
+            .iter()
+            .filter_map(|o| match o {
+                TechniqueOutput::InjectVia { switch, .. } => Some(*switch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            injected,
+            vec![SwitchId::new(0)],
+            "one probe is injected via the configured neighbour"
         );
         assert!(
             out.iter()
                 .any(|o| matches!(o, TechniqueOutput::SetTimer { .. })),
             "ticking continues while work is pending"
         );
-        assert_eq!(t.probes_injected, 1);
+        let mut out = Vec::new();
+        t.on_probe_packet(&probe_header(1), Duration::from_millis(11), &mut out);
+        assert_eq!(confirms(&out), vec![5]);
     }
 
     #[test]

@@ -370,7 +370,7 @@ impl std::fmt::Debug for ShardedEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{RumBuilder, TechniqueConfig};
     use crate::engine::TimerToken;
@@ -581,18 +581,23 @@ mod tests {
 
     /// A general-probing deployment on an `n`-switch ring whose port 1 leads
     /// to the previous switch and port 2 to the next.
-    fn ring(n: usize) -> RumConfig {
+    /// An `n`-switch ring running `technique`: port 1 leads to the
+    /// predecessor, port 2 to the successor, and probes for a switch are
+    /// injected through its predecessor.
+    pub(crate) fn ring(n: usize, technique: TechniqueConfig) -> RumConfig {
         use crate::config::SwitchPortMap;
         let maps = (0..n)
             .map(|i| {
+                let prev = SwitchId::new((i + n - 1) % n);
                 let mut map = SwitchPortMap::default();
-                map.port_to_switch.insert(1, SwitchId::new((i + n - 1) % n));
+                map.port_to_switch.insert(1, prev);
                 map.port_to_switch.insert(2, SwitchId::new((i + 1) % n));
+                map.inject_via = Some((prev, 2));
                 map
             })
             .collect();
         RumBuilder::new(n)
-            .technique(TechniqueConfig::default_general())
+            .technique(technique)
             .port_maps(maps)
             .build_config()
     }
@@ -603,7 +608,12 @@ mod tests {
             nw_tos: config.probe_plan.catch_tos(SwitchId::new(catch)),
             ..Default::default()
         };
-        let data = header.to_bytes();
+        punted(catch, in_port, header.to_bytes())
+    }
+
+    /// The packet `data` punted by `catch`'s catch rule after arriving on
+    /// `in_port`.
+    pub(crate) fn punted(catch: usize, in_port: u16, data: Vec<u8>) -> Input {
         Input::FromSwitch {
             switch: SwitchId::new(catch),
             message: OfMessage::PacketIn {
@@ -635,7 +645,7 @@ mod tests {
     /// owners of everything upstream — and nobody else.
     #[test]
     fn deliver_sends_probe_returns_upstream_only() {
-        let config = ring(12);
+        let config = ring(12, TechniqueConfig::default_general());
         let router = ShardRouter::new(&config, 5);
         let shards_for = |input| shards_for(&router, input);
         let probe_from = |catch, in_port| probe_return(&config, catch, in_port);
@@ -692,7 +702,7 @@ mod tests {
                 }
             }
         }
-        let config = ring(1000);
+        let config = ring(1000, TechniqueConfig::default_general());
         let router = ShardRouter::new(&config, 8);
         // Each switch's probe comes back through its successor, arriving
         // on the successor's port 1.

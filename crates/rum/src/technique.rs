@@ -5,7 +5,12 @@
 //! the RUM proxy observes (flow modifications from the controller, barrier
 //! replies from the switch, probe packets coming back, timers it armed) and
 //! emits [`TechniqueOutput`]s: most importantly `Confirm(cookie)`, the claim
-//! that the rule with that cookie is now active in the data plane.
+//! that the rule with that cookie is now active in the data plane.  The
+//! engine reads nothing else from a technique.
+//!
+//! The barrier baseline and "delaying barrier acknowledgments" are one proxy
+//! barrier, [`StaticTimeout`]: the baseline is its zero hold-down.  The two
+//! probing techniques share one periodic probe tick.
 
 use crate::engine::SwitchId;
 use openflow::messages::FlowMod;
@@ -41,9 +46,6 @@ pub enum TechniqueOutput {
 
 /// A data-plane acknowledgment technique for one monitored switch.
 pub trait AckTechnique: Send {
-    /// Short name used in reports ("barriers", "timeout", ...).
-    fn name(&self) -> &'static str;
-
     /// Called once when the proxy starts; setup rules (probe-catch, probe
     /// rules) are emitted here.
     fn start(&mut self, _now: Duration, _out: &mut Vec<TechniqueOutput>) {}
@@ -87,95 +89,62 @@ pub trait AckTechnique: Send {
     /// rule).  Techniques whose pending state survives a restart (pure
     /// timers) keep the default no-op.
     fn on_switch_reconnected(&mut self, _now: Duration, _out: &mut Vec<TechniqueOutput>) {}
-
-    /// Number of modifications seen but not yet confirmed.
-    fn unconfirmed(&self) -> usize;
 }
 
-/// §3.1 "Using OpenFlow barrier commands" — the unreliable baseline.
-///
-/// After every controller flow-mod, the proxy sends its own `BarrierRequest`;
-/// the switch's reply is taken at face value as proof that the rule is in the
-/// data plane.  On a buggy switch this confirms rules hundreds of
-/// milliseconds too early — this technique exists to reproduce the problem,
-/// not to solve it.
+/// Timer token of the probing techniques' periodic tick.
+pub(crate) const TOKEN_TICK: u64 = 1;
+
+/// The periodic tick of a probing technique: armed when work arrives, then
+/// re-armed from each firing for as long as the technique is busy.
 #[derive(Debug)]
-pub struct BarrierBaseline {
-    next_xid: Xid,
-    covers: HashMap<Xid, Vec<u64>>,
-    unconfirmed: usize,
+pub(crate) struct ProbeTick {
+    interval: Duration,
+    armed: bool,
 }
 
-impl BarrierBaseline {
-    /// Creates the baseline technique; `xid_base` namespaces the xids of the
-    /// barriers it injects.
-    pub fn new(xid_base: Xid) -> Self {
-        BarrierBaseline {
-            next_xid: xid_base,
-            covers: HashMap::new(),
-            unconfirmed: 0,
+impl ProbeTick {
+    pub(crate) fn new(interval: Duration) -> Self {
+        ProbeTick {
+            interval,
+            armed: false,
         }
     }
 
-    fn fresh_xid(&mut self) -> Xid {
-        let x = self.next_xid;
-        self.next_xid = self.next_xid.wrapping_add(1);
-        x
-    }
-}
-
-impl AckTechnique for BarrierBaseline {
-    fn name(&self) -> &'static str {
-        "barriers"
-    }
-
-    fn on_flow_mod(
-        &mut self,
-        cookie: u64,
-        _fm: &FlowMod,
-        _now: Duration,
-        out: &mut Vec<TechniqueOutput>,
-    ) {
-        let xid = self.fresh_xid();
-        self.covers.insert(xid, vec![cookie]);
-        self.unconfirmed += 1;
-        out.push(TechniqueOutput::ToSwitch(OfMessage::BarrierRequest { xid }));
-    }
-
-    fn on_switch_barrier_reply(
-        &mut self,
-        xid: Xid,
-        _now: Duration,
-        out: &mut Vec<TechniqueOutput>,
-    ) {
-        if let Some(cookies) = self.covers.remove(&xid) {
-            for c in cookies {
-                self.unconfirmed = self.unconfirmed.saturating_sub(1);
-                out.push(TechniqueOutput::Confirm(c));
-            }
+    /// Arms the tick unless it is already running.
+    pub(crate) fn ensure(&mut self, out: &mut Vec<TechniqueOutput>) {
+        if !self.armed {
+            self.armed = true;
+            self.push(out);
         }
     }
 
-    fn on_switch_reconnected(&mut self, _now: Duration, out: &mut Vec<TechniqueOutput>) {
-        // In-flight barriers died with the old channel; fold every pending
-        // cover into one fresh barrier behind the re-issued modifications.
-        if self.covers.is_empty() {
-            return;
+    /// The tick fired: re-arms it while `busy`, otherwise lets it lapse
+    /// until [`ProbeTick::ensure`] is called again.
+    pub(crate) fn fired(&mut self, busy: bool, out: &mut Vec<TechniqueOutput>) {
+        if busy {
+            self.push(out);
+        } else {
+            self.armed = false;
         }
-        let mut cookies: Vec<u64> = self.covers.drain().flat_map(|(_, v)| v).collect();
-        cookies.sort_unstable();
-        let xid = self.fresh_xid();
-        self.covers.insert(xid, cookies);
-        out.push(TechniqueOutput::ToSwitch(OfMessage::BarrierRequest { xid }));
     }
 
-    fn unconfirmed(&self) -> usize {
-        self.unconfirmed
+    fn push(&self, out: &mut Vec<TechniqueOutput>) {
+        out.push(TechniqueOutput::SetTimer {
+            delay: self.interval,
+            token: TOKEN_TICK,
+        });
     }
 }
 
-/// §3.1 "Delaying barrier acknowledgments" — wait a fixed, pre-measured bound
-/// after the barrier reply before confirming.
+/// §3.1's proxy barrier: after every controller flow-mod the proxy sends its
+/// own `BarrierRequest` and confirms the modification a fixed hold-down
+/// after the switch's reply.
+///
+/// A zero hold-down is "using OpenFlow barrier commands", the unreliable
+/// baseline: the reply is taken at face value and confirms at once, no timer
+/// armed.  On a buggy switch that confirms rules hundreds of milliseconds
+/// too early — the baseline exists to reproduce the problem.  A non-zero
+/// hold-down is "delaying barrier acknowledgments" by a pre-measured bound.
 #[derive(Debug)]
 pub struct StaticTimeout {
     delay: Duration,
@@ -183,11 +152,11 @@ pub struct StaticTimeout {
     next_token: u64,
     barrier_covers: HashMap<Xid, Vec<u64>>,
     timer_covers: HashMap<u64, Vec<u64>>,
-    unconfirmed: usize,
 }
 
 impl StaticTimeout {
-    /// Creates the technique with the given post-barrier delay.
+    /// Creates the technique with the given post-barrier delay; `xid_base`
+    /// namespaces the xids of the barriers it injects.
     pub fn new(delay: Duration, xid_base: Xid) -> Self {
         StaticTimeout {
             delay,
@@ -195,16 +164,19 @@ impl StaticTimeout {
             next_token: 0,
             barrier_covers: HashMap::new(),
             timer_covers: HashMap::new(),
-            unconfirmed: 0,
         }
+    }
+
+    /// Sends a fresh proxy barrier covering `cookies`.
+    fn barrier(&mut self, cookies: Vec<u64>, out: &mut Vec<TechniqueOutput>) {
+        let xid = self.next_xid;
+        self.next_xid = self.next_xid.wrapping_add(1);
+        self.barrier_covers.insert(xid, cookies);
+        out.push(TechniqueOutput::ToSwitch(OfMessage::BarrierRequest { xid }));
     }
 }
 
 impl AckTechnique for StaticTimeout {
-    fn name(&self) -> &'static str {
-        "timeout"
-    }
-
     fn on_flow_mod(
         &mut self,
         cookie: u64,
@@ -212,11 +184,7 @@ impl AckTechnique for StaticTimeout {
         _now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
-        let xid = self.next_xid;
-        self.next_xid = self.next_xid.wrapping_add(1);
-        self.barrier_covers.insert(xid, vec![cookie]);
-        self.unconfirmed += 1;
-        out.push(TechniqueOutput::ToSwitch(OfMessage::BarrierRequest { xid }));
+        self.barrier(vec![cookie], out);
     }
 
     fn on_switch_barrier_reply(
@@ -225,43 +193,39 @@ impl AckTechnique for StaticTimeout {
         _now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
-        if let Some(cookies) = self.barrier_covers.remove(&xid) {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.timer_covers.insert(token, cookies);
-            out.push(TechniqueOutput::SetTimer {
-                delay: self.delay,
-                token,
-            });
+        let Some(cookies) = self.barrier_covers.remove(&xid) else {
+            return;
+        };
+        if self.delay.is_zero() {
+            out.extend(cookies.into_iter().map(TechniqueOutput::Confirm));
+            return;
         }
+        let token = self.next_token;
+        self.next_token += 1;
+        self.timer_covers.insert(token, cookies);
+        out.push(TechniqueOutput::SetTimer {
+            delay: self.delay,
+            token,
+        });
     }
 
     fn on_timer(&mut self, token: u64, _now: Duration, out: &mut Vec<TechniqueOutput>) {
         if let Some(cookies) = self.timer_covers.remove(&token) {
-            for c in cookies {
-                self.unconfirmed = self.unconfirmed.saturating_sub(1);
-                out.push(TechniqueOutput::Confirm(c));
-            }
+            out.extend(cookies.into_iter().map(TechniqueOutput::Confirm));
         }
     }
 
     fn on_switch_reconnected(&mut self, _now: Duration, out: &mut Vec<TechniqueOutput>) {
         // Covers whose barrier reply never came died with the old channel;
-        // re-barrier them behind the re-issued modifications (covers whose
-        // hold-down timer is already running confirm on their own).
+        // fold them into one fresh barrier behind the re-issued
+        // modifications (covers whose hold-down timer is already running
+        // confirm on their own).
         if self.barrier_covers.is_empty() {
             return;
         }
         let mut cookies: Vec<u64> = self.barrier_covers.drain().flat_map(|(_, v)| v).collect();
         cookies.sort_unstable();
-        let xid = self.next_xid;
-        self.next_xid = self.next_xid.wrapping_add(1);
-        self.barrier_covers.insert(xid, cookies);
-        out.push(TechniqueOutput::ToSwitch(OfMessage::BarrierRequest { xid }));
-    }
-
-    fn unconfirmed(&self) -> usize {
-        self.unconfirmed
+        self.barrier(cookies, out);
     }
 }
 
@@ -277,7 +241,6 @@ pub struct AdaptiveDelay {
     virtual_done: Duration,
     next_token: u64,
     timer_covers: HashMap<u64, u64>,
-    unconfirmed: usize,
 }
 
 impl AdaptiveDelay {
@@ -292,21 +255,11 @@ impl AdaptiveDelay {
             virtual_done: Duration::ZERO,
             next_token: 0,
             timer_covers: HashMap::new(),
-            unconfirmed: 0,
         }
-    }
-
-    /// The per-modification processing time the model assumes.
-    pub fn assumed_per_mod(&self) -> Duration {
-        self.assumed_per_mod
     }
 }
 
 impl AckTechnique for AdaptiveDelay {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
     fn on_flow_mod(
         &mut self,
         cookie: u64,
@@ -322,7 +275,6 @@ impl AckTechnique for AdaptiveDelay {
         let token = self.next_token;
         self.next_token += 1;
         self.timer_covers.insert(token, cookie);
-        self.unconfirmed += 1;
         out.push(TechniqueOutput::SetTimer {
             delay: confirm_at.saturating_sub(now),
             token,
@@ -331,13 +283,8 @@ impl AckTechnique for AdaptiveDelay {
 
     fn on_timer(&mut self, token: u64, _now: Duration, out: &mut Vec<TechniqueOutput>) {
         if let Some(cookie) = self.timer_covers.remove(&token) {
-            self.unconfirmed = self.unconfirmed.saturating_sub(1);
             out.push(TechniqueOutput::Confirm(cookie));
         }
-    }
-
-    fn unconfirmed(&self) -> usize {
-        self.unconfirmed
     }
 }
 
@@ -373,26 +320,47 @@ mod tests {
             .collect()
     }
 
+    /// The baseline is the proxy barrier with a zero hold-down: the reply
+    /// confirms at once and no timer is ever armed.
     #[test]
     fn baseline_confirms_on_barrier_reply() {
-        let mut t = BarrierBaseline::new(0x9000_0000);
+        let mut t = StaticTimeout::new(Duration::ZERO, 0x9000_0000);
         let mut out = Vec::new();
         t.on_flow_mod(42, &fm(1), Duration::ZERO, &mut out);
         let xids = barrier_xids(&out);
-        assert_eq!(xids.len(), 1);
-        assert_eq!(t.unconfirmed(), 1);
+        assert_eq!(xids, vec![0x9000_0000]);
         assert!(confirms(&out).is_empty());
 
         let mut out = Vec::new();
         t.on_switch_barrier_reply(xids[0], Duration::from_millis(1), &mut out);
-        assert_eq!(confirms(&out), vec![42]);
-        assert_eq!(t.unconfirmed(), 0);
+        assert_eq!(out, vec![TechniqueOutput::Confirm(42)]);
 
         // A reply to an unknown barrier does nothing.
         let mut out = Vec::new();
         t.on_switch_barrier_reply(12345, Duration::from_millis(2), &mut out);
         assert!(out.is_empty());
-        assert_eq!(t.name(), "barriers");
+
+        // A reconnect folds every unanswered cover into one fresh barrier,
+        // whose reply confirms them all in cookie order.
+        let mut out = Vec::new();
+        for cookie in [9, 7, 8] {
+            t.on_flow_mod(cookie, &fm(2), Duration::from_millis(3), &mut out);
+        }
+        let mut out = Vec::new();
+        t.on_switch_reconnected(Duration::from_millis(4), &mut out);
+        let xids = barrier_xids(&out);
+        assert_eq!(xids, vec![0x9000_0004]);
+        assert_eq!(out.len(), 1);
+        let mut out = Vec::new();
+        t.on_switch_barrier_reply(xids[0], Duration::from_millis(5), &mut out);
+        assert_eq!(confirms(&out), vec![7, 8, 9]);
+        assert!(!out
+            .iter()
+            .any(|o| matches!(o, TechniqueOutput::SetTimer { .. })));
+        // Nothing is left to fold.
+        let mut out = Vec::new();
+        t.on_switch_reconnected(Duration::from_millis(6), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -418,15 +386,16 @@ mod tests {
         let mut out = Vec::new();
         t.on_timer(token, Duration::from_millis(310), &mut out);
         assert_eq!(confirms(&out), vec![7]);
-        assert_eq!(t.unconfirmed(), 0);
-        assert_eq!(t.name(), "timeout");
+        // The timer confirms once.
+        let mut out = Vec::new();
+        t.on_timer(token, Duration::from_millis(320), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn adaptive_accumulates_virtual_time() {
         // 200 mods/s assumed -> 5 ms per mod; lag 100 ms.
         let mut t = AdaptiveDelay::new(200.0, Duration::from_millis(100));
-        assert_eq!(t.assumed_per_mod(), Duration::from_millis(5));
         let mut delays = Vec::new();
         for i in 0..3u64 {
             let mut out = Vec::new();
@@ -445,13 +414,13 @@ mod tests {
         assert_eq!(delays[0], Duration::from_millis(105));
         assert_eq!(delays[1], Duration::from_millis(110));
         assert_eq!(delays[2], Duration::from_millis(115));
-        assert_eq!(t.unconfirmed(), 3);
 
         let mut out = Vec::new();
         t.on_timer(0, Duration::from_millis(105), &mut out);
         assert_eq!(confirms(&out), vec![0]);
-        assert_eq!(t.unconfirmed(), 2);
-        assert_eq!(t.name(), "adaptive");
+        let mut out = Vec::new();
+        t.on_timer(0, Duration::from_millis(110), &mut out);
+        assert!(out.is_empty(), "each estimate confirms once");
     }
 
     #[test]
