@@ -50,7 +50,7 @@ early_reply rum-barriers sw=3 6/0/6 Some(25.269993) None\n\
 early_reply rum-timeout sw=3 0/0/6 Some(387.769993) None\n\
 early_reply rum-adaptive sw=3 0/0/6 Some(314.3) None\n\
 early_reply rum-sequential sw=3 0/0/6 Some(280.7) None\n\
-early_reply rum-general sw=3 0/0/6 Some(280.85) None\n\
+early_reply rum-general sw=3 0/0/6 Some(281.22) None\n\
 silent_drop barrier-only sw=3 6/0/6 Some(25.069993) None\n\
 silent_drop rum-barriers sw=3 6/0/6 Some(25.269993) None\n\
 silent_drop rum-timeout sw=3 6/0/6 Some(387.769993) None\n\
@@ -68,7 +68,7 @@ ack_lossdup rum-barriers sw=3 5/1/5 None None\n\
 ack_lossdup rum-timeout sw=3 0/1/5 None None\n\
 ack_lossdup rum-adaptive sw=3 0/0/6 Some(314.3) None\n\
 ack_lossdup rum-sequential sw=3 0/0/6 Some(280.7) None\n\
-ack_lossdup rum-general sw=3 0/0/6 Some(280.85) None\n\
+ack_lossdup rum-general sw=3 0/0/6 Some(281.22) None\n\
 restart barrier-only sw=3 2/4/2 None None\n\
 restart rum-barriers sw=3 6/0/6 Some(609.689996) None\n\
 restart rum-timeout sw=3 2/0/6 Some(972.189996) None\n\
@@ -86,16 +86,16 @@ early_reply_reordering rum-barriers sw=3 6/0/6 Some(25.269993) None\n\
 early_reply_reordering rum-timeout sw=3 0/0/6 Some(387.769993) None\n\
 early_reply_reordering rum-adaptive sw=3 0/0/6 Some(314.3) None\n\
 early_reply_reordering rum-sequential sw=3 0/0/0 None None\n\
-early_reply_reordering rum-general sw=3 0/0/6 Some(280.85) None";
+early_reply_reordering rum-general sw=3 0/0/6 Some(281.22) None";
 
 const SCALE_64_2_42: &str = "\
-shards=8 early_reply rum-general sw=64 0/0/128 Some(281.1808) None orders=4392bee36e3467f5\n\
-shards=1 early_reply rum-general sw=64 0/0/128 Some(281.1808) None orders=4392bee36e3467f5";
+shards=8 early_reply rum-general sw=64 0/0/128 Some(281.7) None orders=4392bee36e3467f5\n\
+shards=1 early_reply rum-general sw=64 0/0/128 Some(281.7) None orders=4392bee36e3467f5";
 
 const SOAK_24: &str = "SessionSoakRecord { driver: \"simnet\", fault: \"early_reply\", \
     switches: 3, sessions: 24, completed: 24, aborted: 0, planned_mods: 72, confirmed_mods: 72, \
-    false_acks: 0, missed_acks: 0, stray_acks: 0, p50_confirm_ms: 200.0, p99_confirm_ms: 281.36, \
-    p999_confirm_ms: 281.39, wall_ms: 681.3900000000001 }";
+    false_acks: 0, missed_acks: 0, stray_acks: 0, p50_confirm_ms: 200.0, p99_confirm_ms: 281.72999999999996, \
+    p999_confirm_ms: 281.76, wall_ms: 681.76 }";
 
 #[test]
 fn simnet_gate_output_is_pinned() {
@@ -127,14 +127,14 @@ fn simnet_gate_output_is_pinned() {
 /// Headline lines of `figures all 10`: every figure's summary rows.
 const FIGURES_ALL_10: &[&str] = &[
     "barriers (baseline)    flows=10   migrated=10   drops=415    mean_update=   192.2 ms  max_broken=  188.1 ms  completion=42.9 ms",
-    "general                flows=10   migrated=10   drops=0      mean_update=   195.8 ms  max_broken=    4.0 ms  completion=203.3 ms",
+    "general                flows=10   migrated=10   drops=0      mean_update=   195.8 ms  max_broken=    4.0 ms  completion=203.8 ms",
     "sequential             flows=10   migrated=10   drops=0      mean_update=   195.8 ms  max_broken=    4.0 ms  completion=201.4 ms",
     "timeout 300ms          flows=10   migrated=10   drops=0      mean_update=   326.2 ms  max_broken=    4.0 ms  completion=642.9 ms",
     "adaptive 200           flows=10   migrated=10   drops=0      mean_update=   321.4 ms  max_broken=    4.0 ms  completion=635.6 ms",
     "adaptive 250           flows=10   migrated=10   drops=0      mean_update=   314.2 ms  max_broken=    4.0 ms  completion=624.6 ms",
     "no wait                flows=10   migrated=10   drops=470    mean_update=   192.2 ms  max_broken=  192.1 ms  completion=0.0 ms",
     "barriers (baseline)    samples=10   negative(incorrect)=10   p10=  -181.0 ms  median=  -164.7 ms  p90=  -152.5 ms",
-    "general                samples=10   negative(incorrect)=0    p10=     0.7 ms  median=     0.8 ms  p90=     0.9 ms",
+    "general                samples=10   negative(incorrect)=0    p10=     1.1 ms  median=     1.2 ms  p90=     1.3 ms",
     "after 1   update(s)       22%       22%       22%    ",
     "reordering switch            barrier every  1 mods: with barrier layer    2190.7 ms, probing only     390.7 ms, overhead x5.61",
     "PacketOut rate:                7006 messages/s   (paper: 7006/s)",
@@ -154,6 +154,6 @@ fn figure_output_is_pinned() {
     // All 8,668 bytes: the per-flow and per-rule CSVs and the CDFs too.
     assert_eq!(
         (text.len(), fnv1a(text.bytes())),
-        (8668, 0x6436_97d0_3045_a0b0)
+        (8668, 0x4c66_e9e4_01b6_cc7d)
     );
 }

@@ -268,6 +268,26 @@ mod tests {
         );
     }
 
+    /// General probing's probe budget on the 64-switch early-reply ring
+    /// (128 rules, seed 42, 8 shards): probes go out on evidence, not on
+    /// every tick.  The evidence-driven schedule injects 1,984 probes here;
+    /// the ceiling is that plus 25 %.  Re-injecting every pending probe on
+    /// every tick, the schedule before it, injected 3,712.
+    #[test]
+    fn simnet_scale_cell_keeps_its_probe_budget() {
+        let registry = Registry::new();
+        let out = run_simnet_scale_cell_with(64, 2, 42, SCALE_SHARDS, &registry);
+        assert_eq!(out.cell.confirmed, 128, "{:?}", out.cell);
+        let probes: u64 = registry
+            .snapshot()
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("rum.") && name.ends_with(".probes_injected"))
+            .map(|(_, n)| n)
+            .sum();
+        assert!(probes <= 2_480, "{probes} probes injected");
+    }
+
     /// The same reduced-scale fleet over real sockets: 8 fabric-ringed
     /// early-reply hosts, the sharded event-loop proxy, still zero false
     /// and zero missed acks.

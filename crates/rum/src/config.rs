@@ -73,10 +73,14 @@ pub enum TechniqueConfig {
     },
     /// Per-rule probe packets; works even on reordering switches.
     GeneralProbing {
-        /// How often outstanding rules are (re-)probed.
+        /// How often the tick re-probes: the oldest pending rule (the
+        /// canary) and every pending rule older than the switch's predicted
+        /// lag (the shortest arrival → confirm time seen, `fallback_delay`
+        /// before the first).  A confirming return re-probes the rest.
         probe_interval: Duration,
-        /// At most this many oldest unconfirmed rules are probed per round
-        /// (the paper probes "up to 30 oldest flow modifications at once").
+        /// At most this many oldest unconfirmed rules are probed per round —
+        /// a tick, or the re-probe a confirming return starts (the paper
+        /// probes "up to 30 oldest flow modifications at once").
         max_outstanding: usize,
         /// Confirmation delay used when no distinguishing probe exists.
         fallback_delay: Duration,

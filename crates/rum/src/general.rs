@@ -9,6 +9,24 @@
 //! higher-priority entries, rules whose pre-install fallback behaves
 //! identically) are confirmed by a control-plane fallback timeout, exactly as
 //! the paper prescribes.
+//!
+//! A probe can only come back once its rule is live, so probes are spent on
+//! evidence rather than on a fixed cadence:
+//!
+//! * a rule is probed once on arrival;
+//! * each tick probes the oldest pending rule (the *canary*) plus every
+//!   pending rule whose age has reached the switch's predicted lag — the
+//!   shortest arrival → confirm time observed so far, `fallback_delay`
+//!   before the first confirmation;
+//! * a confirming return starts a *round*: every pending rule (within
+//!   `max_outstanding`) not injected since the confirming probe was sent is
+//!   re-probed once.  Rules carry the number of the round that last probed
+//!   them, so the returns of a round start no further round over it.
+//!
+//! On an order-preserving switch a dead canary means nothing newer is live
+//! either; on a reordering or partly dropping switch every rule is still
+//! probed on each tick once older than the lag bound, so liveness is bounded
+//! by `fallback_delay`.  Only a returned probe confirms.
 
 use crate::config::{ProbeFieldPlan, SwitchPortMap};
 use crate::engine::SwitchId;
@@ -28,6 +46,10 @@ struct PendingRule {
     cookie: u64,
     probe: GeneralProbe,
     probe_id: u16,
+    /// When the controller's modification arrived.
+    arrived: Duration,
+    /// The round that last injected this rule's probe (0: never injected).
+    round: u64,
 }
 
 /// The general-probing acknowledgment technique for one monitored switch.
@@ -43,6 +65,11 @@ pub struct GeneralProbing {
     known_rules: KnownRules,
     /// Pending probe-confirmable rules, oldest first.
     pending: Vec<PendingRule>,
+    /// Number of the latest injection round (arrival, tick or return).
+    round: u64,
+    /// Predicted control → data plane lag: the shortest arrival → confirm
+    /// time observed, never above `fallback_delay`.
+    lag: Duration,
     /// Pending fallback confirmations: cookie -> why no probe exists.
     fallback_pending: HashMap<u64, ProbeSynthesisError>,
     /// First probe id of this instance's id range (ids are partitioned per
@@ -75,6 +102,8 @@ impl GeneralProbing {
             ports,
             known_rules: KnownRules::new(),
             pending: Vec::new(),
+            round: 0,
+            lag: fallback_delay,
             fallback_pending: HashMap::new(),
             probe_id_base,
             next_probe_id: probe_id_base,
@@ -127,10 +156,17 @@ impl GeneralProbing {
         });
     }
 
-    fn inject_probe_for(&mut self, idx: usize, out: &mut Vec<TechniqueOutput>) {
+    /// Opens a new injection round and returns its number.
+    fn next_round(&mut self) -> u64 {
+        self.round += 1;
+        self.round
+    }
+
+    fn inject_probe_for(&mut self, idx: usize, round: u64, out: &mut Vec<TechniqueOutput>) {
         let Some((via_switch, via_port)) = self.ports.inject_via else {
             return;
         };
+        self.pending[idx].round = round;
         let po = PacketOut::inject(
             vec![Action::output(via_port)],
             self.pending[idx].probe.packet.to_bytes(),
@@ -152,7 +188,7 @@ impl AckTechnique for GeneralProbing {
         &mut self,
         cookie: u64,
         fm: &FlowMod,
-        _now: Duration,
+        now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
         self.tick.ensure(out);
@@ -189,13 +225,16 @@ impl AckTechnique for GeneralProbing {
                     cookie,
                     probe,
                     probe_id,
+                    arrived: now,
+                    round: 0,
                 });
                 // Probe immediately rather than waiting for the next tick: the
                 // paper's general probing is limited by probe round-trips, not
                 // by extra rule installations.
                 let idx = self.pending.len() - 1;
                 if idx < self.max_outstanding {
-                    self.inject_probe_for(idx, out);
+                    let round = self.next_round();
+                    self.inject_probe_for(idx, round, out);
                 }
             }
             Err(reason) => self.arm_fallback(cookie, reason, out),
@@ -205,7 +244,7 @@ impl AckTechnique for GeneralProbing {
     fn on_probe_packet(
         &mut self,
         header: &PacketHeader,
-        _now: Duration,
+        now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
         // Attribute the probe to a pending rule by probe id (or full header
@@ -225,11 +264,21 @@ impl AckTechnique for GeneralProbing {
         let Some(idx) = position else {
             return;
         };
-        let pending = self.pending.remove(idx);
-        out.push(TechniqueOutput::Confirm(pending.cookie));
+        let confirmed = self.pending.remove(idx);
+        out.push(TechniqueOutput::Confirm(confirmed.cookie));
+        self.lag = self.lag.min(now.saturating_sub(confirmed.arrived));
+        // The rule went live: re-probe, once, every rule whose last probe
+        // predates the confirming one.
+        let round = self.next_round();
+        let n = self.pending.len().min(self.max_outstanding);
+        for idx in 0..n {
+            if self.pending[idx].round < confirmed.round {
+                self.inject_probe_for(idx, round, out);
+            }
+        }
     }
 
-    fn on_timer(&mut self, token: u64, _now: Duration, out: &mut Vec<TechniqueOutput>) {
+    fn on_timer(&mut self, token: u64, now: Duration, out: &mut Vec<TechniqueOutput>) {
         if token >= TOKEN_FALLBACK_BASE {
             let cookie = token - TOKEN_FALLBACK_BASE;
             if self.fallback_pending.remove(&cookie).is_some() {
@@ -240,10 +289,14 @@ impl AckTechnique for GeneralProbing {
         if token != TOKEN_TICK {
             return;
         }
-        // Re-probe the oldest outstanding rules, up to the configured cap.
+        // Re-probe the canary and every rule older than the predicted lag,
+        // up to the configured cap.
+        let round = self.next_round();
         let n = self.pending.len().min(self.max_outstanding);
         for idx in 0..n {
-            self.inject_probe_for(idx, out);
+            if idx == 0 || now.saturating_sub(self.pending[idx].arrived) >= self.lag {
+                self.inject_probe_for(idx, round, out);
+            }
         }
         let busy = !self.pending.is_empty() || !self.fallback_pending.is_empty();
         self.tick.fired(busy, out);
@@ -443,6 +496,9 @@ mod tests {
         );
     }
 
+    /// Before any confirmation a tick probes only the oldest rule (and, when
+    /// rules have aged past `fallback_delay`, those), capped at
+    /// `max_outstanding`.
     #[test]
     fn tick_reprobes_oldest_rules_up_to_cap() {
         let mut t = GeneralProbing::new(
@@ -459,12 +515,155 @@ mod tests {
         for i in 0..5u8 {
             t.on_flow_mod(u64::from(i), &forwarding_mod(i), Duration::ZERO, &mut out);
         }
+        assert_eq!(injections(&out), 2, "arrivals past the cap wait");
         let mut out = Vec::new();
         t.on_timer(TOKEN_TICK, Duration::from_millis(10), &mut out);
+        assert_eq!(injections(&out), 1, "a young round probes the canary");
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(300), &mut out);
         assert_eq!(
             injections(&out),
             2,
             "re-probing is capped at max_outstanding"
+        );
+    }
+
+    /// The headers of the probes `out` injects, as the catch switch punts
+    /// them back (the test rules rewrite nothing).
+    fn probes(out: &[TechniqueOutput]) -> Vec<PacketHeader> {
+        out.iter()
+            .filter_map(|o| match o {
+                TechniqueOutput::InjectVia {
+                    msg: OfMessage::PacketOut { body, .. },
+                    ..
+                } => Some(PacketHeader::from_bytes(&body.data).unwrap()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The test rule (`forwarding_mod(i)`) a probe header was made for.
+    fn rule_of(h: &PacketHeader) -> u8 {
+        h.nw_src.octets()[3]
+    }
+
+    /// Forwarding rules `rules` arrive at `at`; returns their arrival probes.
+    fn arrive(
+        t: &mut GeneralProbing,
+        rules: std::ops::Range<u8>,
+        at: Duration,
+    ) -> Vec<PacketHeader> {
+        let mut out = Vec::new();
+        for i in rules {
+            t.on_flow_mod(u64::from(i), &forwarding_mod(i), at, &mut out);
+        }
+        probes(&out)
+    }
+
+    #[test]
+    fn young_ticks_probe_one_canary_until_fallback_delay() {
+        let mut t = new_technique();
+        assert_eq!(arrive(&mut t, 0..20, Duration::ZERO).len(), 20);
+        for ms in (10..300).step_by(10) {
+            let mut out = Vec::new();
+            t.on_timer(TOKEN_TICK, Duration::from_millis(ms), &mut out);
+            let sent = probes(&out);
+            assert_eq!(sent.len(), 1, "tick at {ms} ms");
+            assert_eq!(rule_of(&sent[0]), 0, "the canary is the oldest rule");
+        }
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(300), &mut out);
+        assert_eq!(injections(&out), 20, "every rule aged past fallback_delay");
+    }
+
+    #[test]
+    fn confirming_return_reprobes_each_stale_rule_once() {
+        let mut t = new_technique();
+        arrive(&mut t, 0..5, Duration::ZERO);
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(10), &mut out);
+        let canary = probes(&out);
+        assert_eq!(canary.len(), 1);
+
+        // The canary's return re-probes the four rules not probed since.
+        let mut out = Vec::new();
+        t.on_probe_packet(&canary[0], Duration::from_millis(12), &mut out);
+        assert_eq!(confirms(&out), vec![0]);
+        let round = probes(&out);
+        assert_eq!(
+            round.iter().map(rule_of).collect::<Vec<_>>(),
+            vec![1, 2, 3, 4]
+        );
+
+        // The returns of that round start no further round.
+        for (k, h) in round.iter().enumerate() {
+            let mut out = Vec::new();
+            t.on_probe_packet(h, Duration::from_millis(14), &mut out);
+            assert_eq!(confirms(&out), vec![k as u64 + 1]);
+            assert_eq!(injections(&out), 0);
+        }
+    }
+
+    #[test]
+    fn tick_after_confirmation_probes_rules_older_than_observed_lag() {
+        let mut t = new_technique();
+        let first = arrive(&mut t, 0..1, Duration::ZERO);
+        let mut out = Vec::new();
+        t.on_probe_packet(&first[0], Duration::from_millis(50), &mut out);
+        assert_eq!(confirms(&out), vec![0]);
+
+        // Observed lag: 50 ms.  Rules 1–4 arrive at 100 ms, rule 5 at 140 ms.
+        arrive(&mut t, 1..5, Duration::from_millis(100));
+        arrive(&mut t, 5..6, Duration::from_millis(140));
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(160), &mut out);
+        assert_eq!(
+            probes(&out).iter().map(rule_of).collect::<Vec<_>>(),
+            vec![1, 2, 3, 4]
+        );
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(190), &mut out);
+        assert_eq!(injections(&out), 5);
+    }
+
+    /// A silently dropped rule is the canary for good; every rule behind it
+    /// is still confirmed once older than the lag bound (`fallback_delay`
+    /// before any confirmation), plus one tick and the probe round trip.
+    #[test]
+    fn dropped_canary_does_not_block_the_rules_behind_it() {
+        let mut t = new_technique();
+        let live_at = Duration::from_millis(100);
+        let rtt = Duration::from_millis(1);
+        // A switch that never installs rule 0 and installs the rest at 100 ms.
+        let returns = |sent: Vec<PacketHeader>, at: Duration| -> Vec<(Duration, PacketHeader)> {
+            sent.into_iter()
+                .filter(|h| rule_of(h) != 0 && at >= live_at)
+                .map(|h| (at + rtt, h))
+                .collect()
+        };
+        let mut in_flight = returns(arrive(&mut t, 0..4, Duration::ZERO), Duration::ZERO);
+        let mut confirmed = Vec::new();
+        for ms in (10..=400).step_by(10) {
+            let now = Duration::from_millis(ms);
+            let mut out = Vec::new();
+            t.on_timer(TOKEN_TICK, now, &mut out);
+            in_flight.extend(returns(probes(&out), now));
+            while let Some((at, h)) = in_flight.pop() {
+                let mut out = Vec::new();
+                t.on_probe_packet(&h, at, &mut out);
+                confirmed.extend(confirms(&out).into_iter().map(|c| (c, at)));
+                in_flight.extend(returns(probes(&out), at));
+            }
+        }
+        confirmed.sort();
+        assert_eq!(
+            confirmed.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        let bound = Duration::from_millis(300) + Duration::from_millis(10) + rtt;
+        assert!(
+            confirmed.iter().all(|(_, at)| *at <= bound),
+            "{confirmed:?}"
         );
     }
 
