@@ -17,7 +17,7 @@ use controller::Machine;
 use ofswitch::{FaultPlan, FlowEntry, GroundTruth, SwitchModel};
 use openflow::messages::FlowMod;
 use openflow::{DatapathId, OfMatch, PortNo};
-use rum::{RumBuilder, RumHandle, SwitchId, SwitchPortMap, TechniqueConfig};
+use rum::{ProxyStats, RumBuilder, RumHandle, SwitchId, SwitchPortMap, TechniqueConfig};
 use rum_tcp::{
     spawn_switch_with, wait_for, Fabric, ProxyConfig, ProxyHandle, RumTcpProxy, SocketSwitchHandle,
     SwitchHostOptions, SwitchReport, TcpDriver, TcpDriverHandle,
@@ -165,16 +165,9 @@ pub(crate) struct ReadBack {
     /// Per slot, the cookies the engine confirmed, in its order (empty
     /// without a proxy).
     pub(crate) confirmed_orders: Vec<Vec<u64>>,
-    /// The engine's `rum.*` counters at the end of the run (empty without a
-    /// proxy).
-    pub(crate) engine_counters: BTreeMap<String, u64>,
-}
-
-/// The `rum.*` counters of an engine's registry.
-fn engine_counters(registry: &telemetry::Registry) -> BTreeMap<String, u64> {
-    let mut counters = registry.snapshot().counters;
-    counters.retain(|name, _| name.starts_with("rum."));
-    counters
+    /// The simulator engine's statistics summed over its switches (`None`
+    /// without a proxy and over TCP).
+    pub(crate) engine_stats: Option<ProxyStats>,
 }
 
 /// A fleet standing in the simulator around the caller's controller node.
@@ -270,9 +263,7 @@ impl<C: Node + 'static> SimFleet<C> {
                     (0..rum.n_switches()).map(|i| rum.confirmed_order_for(SwitchId::new(i)))
                 })
                 .collect(),
-            engine_counters: (self.rum.iter())
-                .flat_map(|rum| engine_counters(&rum.metrics()))
-                .collect(),
+            engine_stats: self.rum.as_ref().map(RumHandle::total_stats),
         }
     }
 }
@@ -349,15 +340,12 @@ impl<M: Machine> TcpFleet<M> {
         let confirmed_orders = (self.proxy.iter())
             .flat_map(|p| (0..p.n_switches()).map(|i| p.confirmed_order_for(SwitchId::new(i))))
             .collect();
-        let engine_counters = (self.proxy.iter())
-            .flat_map(|p| engine_counters(&p.metrics()))
-            .collect();
         let mut reports = self.shut_down();
         ReadBack {
             dut_entries: std::mem::take(&mut reports[0].control_entries),
             truths: reports.into_iter().map(|r| r.truth).collect(),
             confirmed_orders,
-            engine_counters,
+            engine_stats: None,
         }
     }
 

@@ -30,7 +30,7 @@ use controller::UpdatePlan;
 use ofswitch::SwitchModel;
 use openflow::messages::FlowMod;
 use openflow::{Action, OfMatch};
-use rum::SwitchPortMap;
+use rum::{ProxyStats, SwitchPortMap};
 use simnet::SimTime;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -95,6 +95,9 @@ pub struct ScaleCellOutcome {
     /// `per_switch_orders[i]` = the cookies switch `i` confirmed, in the
     /// order the engine confirmed them.
     pub per_switch_orders: Vec<Vec<u64>>,
+    /// The simulator engine's statistics summed over the fleet (`None` over
+    /// TCP).
+    pub engine_stats: Option<ProxyStats>,
 }
 
 /// Runs the fleet-scale cell on the simulator driver with the default
@@ -185,6 +188,7 @@ fn scale_cell(
     ScaleCellOutcome {
         cell,
         per_switch_orders: read_back.confirmed_orders,
+        engine_stats: read_back.engine_stats,
     }
 }
 
@@ -278,13 +282,7 @@ mod tests {
         let registry = Registry::new();
         let out = run_simnet_scale_cell_with(64, 2, 42, SCALE_SHARDS, &registry);
         assert_eq!(out.cell.confirmed, 128, "{:?}", out.cell);
-        let probes: u64 = registry
-            .snapshot()
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("rum.") && name.ends_with(".probes_injected"))
-            .map(|(_, n)| n)
-            .sum();
+        let probes = out.engine_stats.expect("a simulator engine").probes_injected;
         assert!(probes <= 2_480, "{probes} probes injected");
     }
 

@@ -513,10 +513,6 @@ pub(crate) fn run_cell(
         }
     };
 
-    // The engine's own counters (`rum.sw{i}.*`) join the verdicts.
-    for (name, n) in &read_back.engine_counters {
-        registry.counter(name).add(*n);
-    }
     let namespace = match topology {
         Topology::Chain => format!("matrix.{}", driver.label()),
         Topology::Ring(n) => format!("scale.{}.{n}", driver.label()),

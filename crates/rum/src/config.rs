@@ -76,7 +76,9 @@ pub enum TechniqueConfig {
         /// How often the tick re-probes: the oldest pending rule (the
         /// canary) and every pending rule older than the switch's predicted
         /// lag (the shortest arrival → confirm time seen, `fallback_delay`
-        /// before the first).  A confirming return re-probes the rest.
+        /// before the first).  A confirming return re-probes, once, every
+        /// pending rule whose last probe predates the confirmed rule's last
+        /// injection.
         probe_interval: Duration,
         /// At most this many oldest unconfirmed rules are probed per round —
         /// a tick, or the re-probe a confirming return starts (the paper

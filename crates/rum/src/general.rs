@@ -19,9 +19,12 @@
 //!   shortest arrival → confirm time observed so far, `fallback_delay`
 //!   before the first confirmation;
 //! * a confirming return starts a *round*: every pending rule (within
-//!   `max_outstanding`) not injected since the confirming probe was sent is
-//!   re-probed once.  Rules carry the number of the round that last probed
-//!   them, so the returns of a round start no further round over it.
+//!   `max_outstanding`) whose last probe predates the confirmed rule's last
+//!   injection is re-probed once.  Rules carry the number of the round that
+//!   last probed them, so the returns of a round start no further round
+//!   over it.  (When a returning probe is older than its rule's latest
+//!   injection, the rules probed in between are re-probed too: extra
+//!   probes, never an ack.)
 //!
 //! On an order-preserving switch a dead canary means nothing newer is live
 //! either; on a reordering or partly dropping switch every rule is still
@@ -268,7 +271,7 @@ impl AckTechnique for GeneralProbing {
         out.push(TechniqueOutput::Confirm(confirmed.cookie));
         self.lag = self.lag.min(now.saturating_sub(confirmed.arrived));
         // The rule went live: re-probe, once, every rule whose last probe
-        // predates the confirming one.
+        // predates the confirmed rule's last injection.
         let round = self.next_round();
         let n = self.pending.len().min(self.max_outstanding);
         for idx in 0..n {
