@@ -168,6 +168,8 @@ pub(crate) struct ReadBack {
     /// The simulator engine's statistics summed over its switches (`None`
     /// without a proxy and over TCP).
     pub(crate) engine_stats: Option<ProxyStats>,
+    /// Events the simulator processed (`None` over TCP).
+    pub(crate) events_processed: Option<u64>,
 }
 
 /// A fleet standing in the simulator around the caller's controller node.
@@ -264,6 +266,7 @@ impl<C: Node + 'static> SimFleet<C> {
                 })
                 .collect(),
             engine_stats: self.rum.as_ref().map(RumHandle::total_stats),
+            events_processed: Some(self.sim.events_processed()),
         }
     }
 }
@@ -346,6 +349,7 @@ impl<M: Machine> TcpFleet<M> {
             truths: reports.into_iter().map(|r| r.truth).collect(),
             confirmed_orders,
             engine_stats: None,
+            events_processed: None,
         }
     }
 

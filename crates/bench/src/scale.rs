@@ -98,6 +98,8 @@ pub struct ScaleCellOutcome {
     /// The simulator engine's statistics summed over the fleet (`None` over
     /// TCP).
     pub engine_stats: Option<ProxyStats>,
+    /// Events the simulator processed (`None` over TCP).
+    pub events_processed: Option<u64>,
 }
 
 /// Runs the fleet-scale cell on the simulator driver with the default
@@ -189,6 +191,7 @@ fn scale_cell(
         cell,
         per_switch_orders: read_back.confirmed_orders,
         engine_stats: read_back.engine_stats,
+        events_processed: read_back.events_processed,
     }
 }
 
@@ -282,8 +285,21 @@ mod tests {
         let registry = Registry::new();
         let out = run_simnet_scale_cell_with(64, 2, 42, SCALE_SHARDS, &registry);
         assert_eq!(out.cell.confirmed, 128, "{:?}", out.cell);
-        let probes = out.engine_stats.expect("a simulator engine").probes_injected;
+        let probes = out
+            .engine_stats
+            .expect("a simulator engine")
+            .probes_injected;
         assert!(probes <= 2_480, "{probes} probes injected");
+    }
+
+    /// The 64-switch, 2-rule cell processes exactly 8,705 simulator events
+    /// (the count a binary-heap queue gives): how the event queue stores and
+    /// orders events must not add or drop a single one.
+    #[test]
+    fn simnet_scale_cell_processes_a_pinned_event_count() {
+        let registry = Registry::new();
+        let out = run_simnet_scale_cell_with(64, 2, 42, SCALE_SHARDS, &registry);
+        assert_eq!(out.events_processed, Some(8_705), "{:?}", out.cell);
     }
 
     /// The same reduced-scale fleet over real sockets: 8 fabric-ringed
@@ -300,6 +316,7 @@ mod tests {
         assert_eq!(cell.false_acks, 0, "{cell:?}");
         assert_eq!(cell.missed_acks, 0, "{cell:?}");
         assert!(cell.completion_ms.is_some(), "{cell:?}");
+        assert_eq!(out.events_processed, None);
     }
 
     /// The fleet-scale soak at reduced scale: tenants spread across an

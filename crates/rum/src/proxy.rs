@@ -19,6 +19,7 @@ use crate::shard::ShardedEngine;
 use simnet::{Context, EventPayload, Node, NodeId, SimTime, Topology};
 use std::any::Any;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// One-way latency RUM adds on each hop of the simulated control channel.
@@ -30,16 +31,21 @@ struct SimRum {
     engine: ShardedEngine,
     controller: NodeId,
     switch_nodes: Vec<NodeId>,
+    /// The effects buffer every input is handled into, empty between inputs.
+    effects: Vec<Effect>,
 }
 
 impl SimRum {
     /// Feeds one input and executes the effects through `ctx`.
     fn drive(&mut self, input: Input, ctx: &mut Context<'_>) {
-        let effects = self.engine.handle(ctx.now().into(), input);
-        self.execute(effects, ctx);
+        let mut effects = std::mem::take(&mut self.effects);
+        self.engine
+            .handle_into(ctx.now().into(), input, &mut effects);
+        self.execute(effects.drain(..), ctx);
+        self.effects = effects;
     }
 
-    fn execute(&mut self, effects: Vec<Effect>, ctx: &mut Context<'_>) {
+    fn execute(&self, effects: impl IntoIterator<Item = Effect>, ctx: &mut Context<'_>) {
         for effect in effects {
             match effect {
                 Effect::ToController { message, .. } => {
@@ -199,13 +205,15 @@ impl Node for RumProxy {
 /// local port leads to which other monitored switch, and through which
 /// neighbour probes can be injected.
 pub fn derive_port_maps(topology: &Topology, switches: &[NodeId]) -> Vec<SwitchPortMap> {
-    let index_of = |node: NodeId| switches.iter().position(|&s| s == node).map(SwitchId::new);
+    let switch_of: HashMap<NodeId, SwitchId> = (switches.iter().enumerate())
+        .map(|(i, &node)| (node, SwitchId::new(i)))
+        .collect();
     switches
         .iter()
         .map(|&sw| {
             let mut map = SwitchPortMap::default();
             for (port, peer) in topology.neighbors(sw) {
-                if let Some(peer_idx) = index_of(peer) {
+                if let Some(&peer_idx) = switch_of.get(&peer) {
                     map.port_to_switch.insert(port, peer_idx);
                     if map.inject_via.is_none() {
                         // The port on the neighbour that points back at us.
@@ -247,6 +255,7 @@ pub fn deploy(
         engine: ShardedEngine::new(config, shards),
         controller,
         switch_nodes: switches.to_vec(),
+        effects: Vec::new(),
     }));
     let handle = RumHandle {
         shared: Rc::clone(&shared),

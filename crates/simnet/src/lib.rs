@@ -11,18 +11,23 @@
 //! are active.
 //!
 //! Everything is single-threaded and seeded, so every experiment is exactly
-//! reproducible; event ties are broken by insertion order.
+//! reproducible.  The ordering contract: events are delivered by delivery
+//! time first, then in the order they were scheduled.  Each pending payload
+//! is stored once in a slab, and the queue orders slab slots with one FIFO
+//! per distinct delivery time (see [`event::EventQueue`]).
 //!
 //! Module map:
 //! * [`time`] — nanosecond-resolution simulation clock.
-//! * [`event`] — the event queue.
+//! * [`event`] — the event queue: time-then-scheduling order over a payload
+//!   slab.
 //! * [`node`] — the [`node::Node`] trait implemented by hosts, switches, the
 //!   RUM proxy and controllers.
 //! * [`ofnode`] — the simulated OpenFlow switch: a thin driver of the
 //!   deployment-agnostic `ofswitch::Behavior` engine.
 //! * [`engine`] — the simulator main loop and the [`engine::Context`] handed
 //!   to nodes.
-//! * [`topology`] — data-plane links between (node, port) pairs.
+//! * [`topology`] — data-plane links between (node, port) pairs, looked up
+//!   through each node's sorted port list.
 //! * [`packet`] — the simulated packet (header + bookkeeping metadata).
 //! * [`traffic`] — per-flow constant-rate traffic generators (hosts).
 //! * [`measure`] — trace events and the analyses that turn them into the

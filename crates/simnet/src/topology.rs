@@ -36,10 +36,14 @@ pub struct Link {
 ///
 /// The topology is immutable while the simulation runs; nodes query it via
 /// the [`crate::Context`] to learn where a packet sent out of a port ends up.
+/// Each node's wired ports are kept sorted next to their links, indexed by
+/// node id (ids are dense, as [`crate::Simulator::add_node`] hands them
+/// out), so a lookup touches only that node's few ports.
 #[derive(Debug, Default)]
 pub struct Topology {
     links: Vec<Link>,
-    by_endpoint: HashMap<Endpoint, usize>,
+    /// `ports[n]` = node `n`'s `(port, index into links)`, sorted by port.
+    ports: Vec<Vec<(PortNo, usize)>>,
 }
 
 impl Topology {
@@ -59,64 +63,70 @@ impl Topology {
         port_b: PortNo,
         latency: SimTime,
     ) {
-        let ea = Endpoint::new(a, port_a);
-        let eb = Endpoint::new(b, port_b);
-        assert!(
-            !self.by_endpoint.contains_key(&ea),
-            "endpoint {a}:{port_a} already wired"
-        );
-        assert!(
-            !self.by_endpoint.contains_key(&eb),
-            "endpoint {b}:{port_b} already wired"
-        );
         let idx = self.links.len();
+        self.wire(a, port_a, idx);
+        self.wire(b, port_b, idx);
         self.links.push(Link {
-            a: ea,
-            b: eb,
+            a: Endpoint::new(a, port_a),
+            b: Endpoint::new(b, port_b),
             latency,
         });
-        self.by_endpoint.insert(ea, idx);
-        self.by_endpoint.insert(eb, idx);
+    }
+
+    fn wire(&mut self, node: NodeId, port: PortNo, link: usize) {
+        if self.ports.len() <= node.index() {
+            self.ports.resize_with(node.index() + 1, Vec::new);
+        }
+        let ports = &mut self.ports[node.index()];
+        match ports.binary_search_by_key(&port, |&(p, _)| p) {
+            Ok(_) => panic!("endpoint {node}:{port} already wired"),
+            Err(at) => ports.insert(at, (port, link)),
+        }
+    }
+
+    /// `node`'s sorted `(port, link index)` list; empty for an unwired node.
+    fn wired(&self, node: NodeId) -> &[(PortNo, usize)] {
+        self.ports.get(node.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// The far end of `link` seen from `(node, port)`.
+    fn far_end(&self, node: NodeId, port: PortNo, link: usize) -> (Endpoint, SimTime) {
+        let link = &self.links[link];
+        let peer = if link.a == Endpoint::new(node, port) {
+            link.b
+        } else {
+            link.a
+        };
+        (peer, link.latency)
     }
 
     /// Where does traffic leaving `node` through `port` arrive?
     /// Returns the peer endpoint and the link latency.
     pub fn peer_of(&self, node: NodeId, port: PortNo) -> Option<(Endpoint, SimTime)> {
-        let ep = Endpoint::new(node, port);
-        let link = &self.links[*self.by_endpoint.get(&ep)?];
-        let peer = if link.a == ep { link.b } else { link.a };
-        Some((peer, link.latency))
+        let ports = self.wired(node);
+        let at = ports.binary_search_by_key(&port, |&(p, _)| p).ok()?;
+        Some(self.far_end(node, port, ports[at].1))
     }
 
     /// All wired ports of a node, sorted.
     pub fn ports_of(&self, node: NodeId) -> Vec<PortNo> {
-        let mut ports: Vec<PortNo> = self
-            .by_endpoint
-            .keys()
-            .filter(|e| e.node == node)
-            .map(|e| e.port)
-            .collect();
-        ports.sort_unstable();
-        ports
+        self.wired(node).iter().map(|&(port, _)| port).collect()
     }
 
-    /// All neighbours of a node with the local port leading to each.
+    /// All neighbours of a node with the local port leading to each, sorted
+    /// by port.
     pub fn neighbors(&self, node: NodeId) -> Vec<(PortNo, NodeId)> {
-        let mut out: Vec<(PortNo, NodeId)> = self
-            .ports_of(node)
-            .into_iter()
-            .filter_map(|p| self.peer_of(node, p).map(|(peer, _)| (p, peer.node)))
-            .collect();
-        out.sort_unstable();
-        out
+        (self.wired(node).iter())
+            .map(|&(port, link)| (port, self.far_end(node, port, link).0.node))
+            .collect()
     }
 
-    /// The local port on `from` that leads directly to `to`, if any.
+    /// The local port on `from` that leads directly to `to`, if any (the
+    /// lowest such port).
     pub fn port_towards(&self, from: NodeId, to: NodeId) -> Option<PortNo> {
-        self.neighbors(from)
-            .into_iter()
-            .find(|(_, n)| *n == to)
-            .map(|(p, _)| p)
+        (self.wired(from).iter())
+            .find(|&&(port, link)| self.far_end(from, port, link).0.node == to)
+            .map(|&(port, _)| port)
     }
 
     /// Number of links.
@@ -169,6 +179,60 @@ mod tests {
         let mut t = Topology::new();
         t.add_link(NodeId(0), 1, NodeId(1), 1, SimTime::ZERO);
         t.add_link(NodeId(0), 1, NodeId(2), 1, SimTime::ZERO);
+    }
+
+    /// A 40-node ring with a chord per node, wired in a shuffled order and
+    /// with shuffled port numbers: every node's ports come back sorted, and
+    /// every lookup agrees with the links as wired.
+    #[test]
+    fn ports_are_sorted_whatever_the_wiring_order() {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        let mut rng = SmallRng::seed_from_u64(7);
+        let n = 40;
+        let mut port_pool: Vec<Vec<PortNo>> = (0..n)
+            .map(|_| {
+                let mut ports: Vec<PortNo> = (1..=8).collect();
+                ports.shuffle(&mut rng);
+                ports
+            })
+            .collect();
+        let mut pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n), (i, (i + 7) % n)])
+            .collect();
+        pairs.shuffle(&mut rng);
+        let mut t = Topology::new();
+        let mut wired = Vec::new();
+        for (a, b) in pairs {
+            let pa = port_pool[a].pop().unwrap();
+            let pb = port_pool[b].pop().unwrap();
+            t.add_link(NodeId(a), pa, NodeId(b), pb, SimTime::from_micros(a as u64));
+            wired.push((a, pa, b, pb));
+        }
+        for i in 0..n {
+            let ports = t.ports_of(NodeId(i));
+            assert_eq!(ports.len(), 4, "node {i}");
+            assert!(ports.windows(2).all(|w| w[0] < w[1]), "node {i}: {ports:?}");
+            let neighbors = t.neighbors(NodeId(i));
+            assert_eq!(neighbors.iter().map(|&(p, _)| p).collect::<Vec<_>>(), ports);
+        }
+        for (a, pa, b, pb) in wired {
+            let lat = SimTime::from_micros(a as u64);
+            assert_eq!(
+                t.peer_of(NodeId(a), pa),
+                Some((Endpoint::new(NodeId(b), pb), lat))
+            );
+            assert_eq!(
+                t.peer_of(NodeId(b), pb),
+                Some((Endpoint::new(NodeId(a), pa), lat))
+            );
+            assert_eq!(t.port_towards(NodeId(a), NodeId(b)), Some(pa));
+            assert_eq!(t.port_towards(NodeId(b), NodeId(a)), Some(pb));
+        }
+        assert!(t.ports_of(NodeId(n)).is_empty());
+        assert!(t.peer_of(NodeId(n), 1).is_none());
     }
 
     #[test]
