@@ -1112,7 +1112,7 @@ fn build_technique(config: &RumConfig, switch: SwitchId) -> Box<dyn AckTechnique
             );
             // Every experiment pre-installs a low-priority drop-all rule;
             // seed the table model so probe synthesis sees it.
-            t.seed_known_rule(openflow::OfMatch::wildcard_all(), 0, vec![]);
+            t.seed_rule(&FlowMod::add(openflow::OfMatch::wildcard_all(), 0, vec![]));
             Box::new(t)
         }
     }

@@ -4,11 +4,12 @@
 //! that matches exactly that rule, injecting it through a neighbour, and
 //! waiting for the next-hop switch's probe-catch rule to punt it back to RUM.
 //! Because each rule is confirmed on its own, this works even on switches
-//! that reorder modifications across barriers.  Rules for which no
-//! distinguishing probe exists (drop rules, rules fully covered by
-//! higher-priority entries, rules whose pre-install fallback behaves
-//! identically) are confirmed by a control-plane fallback timeout, exactly as
-//! the paper prescribes.
+//! that reorder modifications across barriers.  A probe is chosen on RUM's
+//! model of the switch, an [`ofswitch::FlowTable`] fed every mod: the table
+//! must handle it differently before and after the mod.  Rules for which no
+//! such probe exists (drop rules, rules fully covered by higher-priority
+//! entries, rules the table handles alike before and after) are confirmed
+//! by a control-plane fallback timeout, exactly as the paper prescribes.
 //!
 //! A probe can only come back once its rule is live, so probes are spent on
 //! evidence rather than on a fixed cadence:
@@ -33,8 +34,11 @@
 
 use crate::config::{ProbeFieldPlan, SwitchPortMap};
 use crate::engine::SwitchId;
-use crate::probe::{GeneralProbe, KnownRule, KnownRules, ProbeSynthesisError};
+use crate::probe::{
+    first_physical_output, synthesize_general_probe, GeneralProbe, ProbeSynthesisError,
+};
 use crate::technique::{AckTechnique, ProbeTick, TechniqueOutput, TOKEN_TICK};
+use ofswitch::FlowTable;
 use openflow::messages::{FlowMod, PacketOut};
 use openflow::{Action, OfMessage, PacketHeader, Xid};
 use std::collections::HashMap;
@@ -64,8 +68,12 @@ pub struct GeneralProbing {
     plan: ProbeFieldPlan,
     ports: SwitchPortMap,
 
-    /// RUM's model of the switch's flow table (controller rules + RUM rules).
-    known_rules: KnownRules,
+    /// RUM's model of the switch's flow table: the seeded drop-all rule plus
+    /// every controller mod on its way to the switch, applied with the
+    /// switch's own table semantics.  Nothing expires here: RUM learns of a
+    /// rule before the switch installs it, and idle timers depend on
+    /// traffic.
+    table: FlowTable,
     /// Pending probe-confirmable rules, oldest first.
     pending: Vec<PendingRule>,
     /// Number of the latest injection round (arrival, tick or return).
@@ -103,7 +111,7 @@ impl GeneralProbing {
             fallback_delay,
             plan,
             ports,
-            known_rules: KnownRules::new(),
+            table: FlowTable::new(0),
             pending: Vec::new(),
             round: 0,
             lag: fallback_delay,
@@ -114,20 +122,11 @@ impl GeneralProbing {
         }
     }
 
-    /// Seeds RUM's model of the switch table with rules known to be installed
-    /// before the update starts (e.g. the pre-installed drop-all rule and
-    /// RUM's own catch rules).
-    pub fn seed_known_rule(
-        &mut self,
-        match_: openflow::OfMatch,
-        priority: u16,
-        actions: Vec<Action>,
-    ) {
-        self.known_rules.push(KnownRule {
-            match_,
-            priority,
-            actions,
-        });
+    /// Seeds RUM's model of the switch table with a rule known to be
+    /// installed before the update starts (e.g. the pre-installed drop-all
+    /// rule).
+    pub fn seed_rule(&mut self, fm: &FlowMod) {
+        let _ = self.table.apply(fm, Duration::ZERO);
     }
 
     fn fresh_xid(&mut self) -> Xid {
@@ -198,30 +197,28 @@ impl AckTechnique for GeneralProbing {
 
         // Deletions cannot be confirmed by a positive probe; fall back.
         if fm.command.is_delete() {
-            self.known_rules.apply(fm);
+            let _ = self.table.apply(fm, now);
             self.arm_fallback(cookie, ProbeSynthesisError::NoForwardingOutput, out);
             return;
         }
 
         let probe_id = self.fresh_probe_id();
-        let rule = KnownRule {
-            match_: fm.match_,
-            priority: fm.priority,
-            actions: fm.actions.clone(),
-        };
         // Determine which neighbour will catch the probe: the switch behind
-        // the rule's output port.
-        let catch_switch =
-            crate::probe::first_physical_output(&fm.actions).and_then(|p| self.ports.next_hop(p));
+        // the rule's output port.  The mod enters the table model either way.
+        let catch_switch = first_physical_output(&fm.actions).and_then(|p| self.ports.next_hop(p));
         let result = match catch_switch {
-            Some(next) => {
-                self.known_rules
-                    .synthesize_probe(&rule, self.plan.catch_tos(next), probe_id)
+            Some(next) => synthesize_general_probe(
+                &mut self.table,
+                fm,
+                self.plan.catch_tos(next),
+                probe_id,
+                now,
+            ),
+            None => {
+                let _ = self.table.apply(fm, now);
+                Err(ProbeSynthesisError::NoForwardingOutput)
             }
-            None => Err(ProbeSynthesisError::NoForwardingOutput),
         };
-        // The rule is now part of RUM's table model either way.
-        self.known_rules.apply(fm);
         match result {
             Ok(probe) => {
                 self.pending.push(PendingRule {
@@ -336,7 +333,7 @@ mod tests {
             0xB000_0000,
         );
         // Mirror the pre-installed drop-all rule.
-        t.seed_known_rule(OfMatch::wildcard_all(), 0, vec![]);
+        t.seed_rule(&FlowMod::add(OfMatch::wildcard_all(), 0, vec![]));
         t
     }
 
@@ -513,7 +510,7 @@ mod tests {
             ports(),
             0xB000_0000,
         );
-        t.seed_known_rule(OfMatch::wildcard_all(), 0, vec![]);
+        t.seed_rule(&FlowMod::add(OfMatch::wildcard_all(), 0, vec![]));
         let mut out = Vec::new();
         for i in 0..5u8 {
             t.on_flow_mod(u64::from(i), &forwarding_mod(i), Duration::ZERO, &mut out);
@@ -688,11 +685,11 @@ mod tests {
     #[test]
     fn identical_lower_priority_rule_forces_fallback() {
         let mut t = new_technique();
-        t.seed_known_rule(
+        t.seed_rule(&FlowMod::add(
             OfMatch::wildcard_all().with_nw_dst_prefix(Ipv4Addr::new(10, 1, 0, 0), 16),
             50,
             vec![Action::output(2)],
-        );
+        ));
         let mut out = Vec::new();
         t.on_flow_mod(4, &forwarding_mod(4), Duration::ZERO, &mut out);
         assert_eq!(
@@ -701,5 +698,68 @@ mod tests {
             "indistinguishable rules cannot be probed"
         );
         assert_eq!(injections(&out), 0);
+    }
+
+    /// `10.1.0.0/16 -> [output port]` at `priority`: the lower rule the
+    /// table-semantics tests stand the probed pair under.
+    fn prefix_mod(priority: u16, port: u16) -> FlowMod {
+        FlowMod::add(
+            OfMatch::wildcard_all().with_nw_dst_prefix(Ipv4Addr::new(10, 1, 0, 0), 16),
+            priority,
+            vec![Action::output(port)],
+        )
+    }
+
+    /// A loose DELETE filtered by `out_port = 3` leaves L (output 2) in
+    /// place, as on the switch, so a later R that forwards like L cannot
+    /// be told apart from it and waits for the fallback timer.
+    #[test]
+    fn out_port_filtered_delete_keeps_the_lower_rule() {
+        let mut t = new_technique();
+        let mut out = Vec::new();
+        t.on_flow_mod(1, &prefix_mod(50, 2), Duration::ZERO, &mut out);
+        let mut del = FlowMod::delete(prefix_mod(50, 2).match_);
+        del.out_port = 3;
+        t.on_flow_mod(2, &del, Duration::ZERO, &mut out);
+        let mut out = Vec::new();
+        t.on_flow_mod(3, &forwarding_mod(4), Duration::ZERO, &mut out);
+        assert_eq!(fallbacks(&out), vec![3]);
+        assert_eq!(injections(&out), 0);
+    }
+
+    /// At equal priority the earlier of two overlapping rules handles the
+    /// packet, so R's probe would leave through the older rule's port 3.
+    #[test]
+    fn older_equal_priority_overlap_keeps_the_candidate() {
+        let mut t = new_technique();
+        let mut out = Vec::new();
+        t.on_flow_mod(1, &prefix_mod(100, 3), Duration::ZERO, &mut out);
+        let mut out = Vec::new();
+        t.on_flow_mod(2, &forwarding_mod(4), Duration::ZERO, &mut out);
+        assert_eq!(fallbacks(&out), vec![2]);
+        assert_eq!(injections(&out), 0);
+    }
+
+    /// A MODIFY_STRICT of L from port 3 to port 2 is proved against the
+    /// version it replaces, not against M below, which already outputs to 2.
+    #[test]
+    fn modify_strict_is_probed_against_the_version_it_replaces() {
+        let mut t = new_technique();
+        let mut out = Vec::new();
+        t.on_flow_mod(1, &prefix_mod(10, 2), Duration::ZERO, &mut out);
+        let l = forwarding_mod(4);
+        let mut old = l.clone();
+        old.actions = vec![Action::output(3)];
+        t.on_flow_mod(2, &old, Duration::ZERO, &mut out);
+        let mut out = Vec::new();
+        let modify = FlowMod::modify_strict(l.match_, l.priority, l.actions);
+        t.on_flow_mod(3, &modify, Duration::ZERO, &mut out);
+        assert!(fallbacks(&out).is_empty());
+        let sent = probes(&out);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(rule_of(&sent[0]), 4);
+        let mut out = Vec::new();
+        t.on_probe_packet(&sent[0], Duration::from_millis(2), &mut out);
+        assert_eq!(confirms(&out), vec![3]);
     }
 }

@@ -3,12 +3,15 @@
 //!
 //! Run with `cargo run --release --example probing_demo`.
 
+use rum_repro::ofswitch::FlowTable;
+use rum_repro::openflow::messages::FlowMod;
 use rum_repro::prelude::*;
 use rum_repro::rum::config::ProbeFieldPlan;
 use rum_repro::rum::probe::{
-    catch_rule, sequential_probe_packet, sequential_probe_rule, synthesize_general_probe, KnownRule,
+    catch_rule, sequential_probe_packet, sequential_probe_rule, synthesize_general_probe,
 };
 use std::net::Ipv4Addr;
+use std::time::Duration;
 
 fn main() {
     println!("== RUM probing machinery walk-through ==\n");
@@ -51,27 +54,28 @@ fn main() {
     );
 
     // 3. General probing: synthesise a probe for a concrete rule while other
-    //    rules overlap with it.
-    let probed = KnownRule {
-        match_: OfMatch::wildcard_all().with_nw_dst_prefix(Ipv4Addr::new(10, 1, 0, 0), 16),
-        priority: 100,
-        actions: vec![Action::output(2)],
-    };
-    let table = vec![
-        KnownRule {
-            match_: OfMatch::wildcard_all(),
-            priority: 0,
-            actions: vec![],
-        },
-        KnownRule {
-            // A higher-priority rule that would hijack the obvious probe.
-            match_: OfMatch::wildcard_all().with_nw_src_prefix(Ipv4Addr::new(198, 51, 100, 1), 32),
-            priority: 200,
-            actions: vec![Action::output(9)],
-        },
-        probed.clone(),
-    ];
-    match synthesize_general_probe(&probed, &table, triangle.catch_tos(SwitchId::new(2)), 4242) {
+    //    rules overlap with it.  RUM's model of the switch is the switch's own
+    //    flow table; synthesis looks each candidate up before and after the
+    //    mod and applies the mod to the model.
+    let mut table = FlowTable::new(0);
+    for fm in [
+        FlowMod::add(OfMatch::wildcard_all(), 0, vec![]),
+        // A higher-priority rule that would hijack the obvious probe.
+        FlowMod::add(
+            OfMatch::wildcard_all().with_nw_src_prefix(Ipv4Addr::new(198, 51, 100, 1), 32),
+            200,
+            vec![Action::output(9)],
+        ),
+    ] {
+        table.apply(&fm, Duration::ZERO).unwrap();
+    }
+    let probed = FlowMod::add(
+        OfMatch::wildcard_all().with_nw_dst_prefix(Ipv4Addr::new(10, 1, 0, 0), 16),
+        100,
+        vec![Action::output(2)],
+    );
+    let catch_tos = triangle.catch_tos(SwitchId::new(2));
+    match synthesize_general_probe(&mut table, &probed, catch_tos, 4242, Duration::ZERO) {
         Ok(probe) => println!(
             "general probe for '10.1/16 -> port 2': src {}, dst {}, ToS 0x{:02x}, tp_src {} (probe id), leaves via port {}",
             probe.packet.nw_src,
@@ -85,17 +89,12 @@ fn main() {
 
     // 4. And a rule that cannot be probed (a drop rule): RUM falls back to a
     //    control-plane timeout, as the paper prescribes.
-    let drop_rule = KnownRule {
-        match_: OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 1, 0, 1)),
-        priority: 300,
-        actions: vec![],
-    };
-    match synthesize_general_probe(
-        &drop_rule,
-        &table,
-        triangle.catch_tos(SwitchId::new(2)),
-        4243,
-    ) {
+    let drop_rule = FlowMod::add(
+        OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 1, 0, 1)),
+        300,
+        vec![],
+    );
+    match synthesize_general_probe(&mut table, &drop_rule, catch_tos, 4243, Duration::ZERO) {
         Ok(_) => println!("unexpectedly probed a drop rule"),
         Err(e) => println!("drop rule falls back to the control-plane technique: {e}"),
     }

@@ -248,103 +248,131 @@ fn action_application_is_deterministic() {
     }
 }
 
+/// True when `entry`, an oracle lookup, handles `packet` exactly as
+/// `actions` do: same header out, same output ports.
+fn handled_like(
+    entry: Option<&ofswitch::FlowEntry>,
+    actions: &[Action],
+    packet: &PacketHeader,
+) -> bool {
+    entry.is_some_and(|e| {
+        Action::apply_list(&e.actions, packet) == Action::apply_list(actions, packet)
+    })
+}
+
+/// Applies `fm` to the oracle and asserts that `probe` is a witness for it
+/// there: handled otherwise before the mod, as the mod does after it, and
+/// caught downstream with the header the mod's actions produce.
+fn apply_and_check_witness(
+    oracle: &mut ofswitch::LinearFlowTable,
+    fm: &FlowMod,
+    probe: Option<&rum::probe::GeneralProbe>,
+    now: std::time::Duration,
+    context: &str,
+) {
+    let before =
+        probe.map(|p| handled_like(oracle.peek_lookup(&p.packet, 0), &fm.actions, &p.packet));
+    let _ = oracle.apply(fm, now);
+    let Some(probe) = probe else {
+        return;
+    };
+    assert!(
+        fm.match_.matches(&probe.packet, 0),
+        "{context}: probe misses the rule"
+    );
+    assert_eq!(
+        before,
+        Some(false),
+        "{context}: handled alike before the mod"
+    );
+    assert!(
+        handled_like(
+            oracle.peek_lookup(&probe.packet, 0),
+            &fm.actions,
+            &probe.packet
+        ),
+        "{context}: not handled as the mod does after it"
+    );
+    assert_eq!(
+        probe.expected_at_catch,
+        Action::apply_list(&fm.actions, &probe.packet).0,
+        "{context}"
+    );
+}
+
 /// A property over the RUM probe synthesiser: whenever a probe is produced,
-/// it matches the probed rule and no higher-priority known rule.
+/// it matches the probed rule and no higher-priority rule, and it is a
+/// witness for the rule on the reference table.
 #[test]
 fn synthesized_probe_hits_exactly_the_probed_rule() {
     let mut rng = rng_for(8);
+    let now = std::time::Duration::ZERO;
+    let mut probes = 0;
     for case in 0..64 {
         let src = arb_ipv4(&mut rng);
         let dst = arb_ipv4(&mut rng);
-        let probed = rum::probe::KnownRule {
-            match_: OfMatch::ipv4_pair(src, dst),
-            priority: 100,
-            actions: vec![Action::output(2)],
-        };
-        let mut table: Vec<rum::probe::KnownRule> = vec![
-            rum::probe::KnownRule {
-                match_: OfMatch::wildcard_all(),
-                priority: 0,
-                actions: vec![],
-            },
-            probed.clone(),
-        ];
+        let probed = FlowMod::add(OfMatch::ipv4_pair(src, dst), 100, vec![Action::output(2)]);
+        let mut model = ofswitch::FlowTable::new(0);
+        let mut oracle = ofswitch::LinearFlowTable::new(0);
+        let mut table = vec![FlowMod::add(OfMatch::wildcard_all(), 0, vec![])];
         for _ in 0..rng.gen_index(10) {
-            table.push(rum::probe::KnownRule {
-                match_: OfMatch::ipv4_pair(arb_ipv4(&mut rng), arb_ipv4(&mut rng)),
-                priority: 1 + rng.gen_range_u64(199) as u16,
-                actions: vec![Action::output(3)],
-            });
+            table.push(FlowMod::add(
+                OfMatch::ipv4_pair(arb_ipv4(&mut rng), arb_ipv4(&mut rng)),
+                1 + rng.gen_range_u64(199) as u16,
+                vec![Action::output(3)],
+            ));
         }
-        if let Ok(probe) = rum::probe::synthesize_general_probe(&probed, &table, 0xf8, 77) {
-            assert!(
-                probed.match_.matches(&probe.packet, 0),
-                "case {case}: probe must hit the probed rule"
-            );
+        for fm in &table {
+            model.apply(fm, now).unwrap();
+            oracle.apply(fm, now).unwrap();
+        }
+        let probe = rum::probe::synthesize_general_probe(&mut model, &probed, 0xf8, 77, now).ok();
+        if let Some(probe) = &probe {
             for k in &table {
-                if k.priority > probed.priority {
-                    assert!(
-                        !k.match_.matches(&probe.packet, 0),
-                        "case {case}: probe hijacked by a higher-priority rule"
-                    );
-                }
+                assert!(
+                    k.priority <= probed.priority || !k.match_.matches(&probe.packet, 0),
+                    "case {case}: probe hijacked by a higher-priority rule"
+                );
             }
         }
+        probes += usize::from(probe.is_some());
+        apply_and_check_witness(
+            &mut oracle,
+            &probed,
+            probe.as_ref(),
+            now,
+            &format!("case {case}"),
+        );
+        assert!(
+            model.entries().eq(oracle.entries()),
+            "case {case}: models diverged"
+        );
     }
+    assert!(probes > 32, "a thin run: {probes} probes");
 }
 
-/// The slice-based update of RUM's table model that `KnownRules::apply`
-/// replaced, kept here as the reference for how the model evolves.
-fn apply_to_slice_model(table: &mut Vec<rum::probe::KnownRule>, fm: &FlowMod) {
-    let strict = matches!(
-        fm.command,
-        FlowModCommand::ModifyStrict | FlowModCommand::DeleteStrict
-    );
-    let selected = |k: &rum::probe::KnownRule| {
-        if strict {
-            k.match_ == fm.match_ && k.priority == fm.priority
-        } else {
-            fm.match_.covers(&k.match_)
-        }
-    };
-    let learnt = rum::probe::KnownRule {
-        match_: fm.match_,
-        priority: fm.priority,
-        actions: fm.actions.clone(),
-    };
-    match fm.command {
-        FlowModCommand::Add => table.push(learnt),
-        FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
-            let mut any = false;
-            for k in table.iter_mut().filter(|k| selected(k)) {
-                k.actions = fm.actions.clone();
-                any = true;
-            }
-            if !any {
-                table.push(learnt);
-            }
-        }
-        FlowModCommand::Delete | FlowModCommand::DeleteStrict => table.retain(|k| !selected(k)),
-    }
-}
-
-/// The indexed table model answers probe synthesis exactly like the
-/// slice-based oracle — same probe or same refusal — while adds, strict and
-/// loose modifies and deletes churn a table of overlapping rules: shared
-/// priorities, re-added entries, higher-priority hijackers of the canonical
-/// probe, prefixes over the exact pairs, and the VLAN-priority-without-id
-/// shape the index cannot hash.
+/// RUM's table model is the switch's own table: while adds, strict and
+/// loose modifies and deletes (some filtered by `out_port`) churn a table
+/// of overlapping rules — shared priorities, re-added entries,
+/// higher-priority hijackers of the canonical probe, prefixes over the
+/// exact pairs, and the VLAN-priority-without-id shape the index cannot
+/// hash — synthesis applies every mod exactly once, so the model's entries
+/// equal the linear reference table's, and every probe it accepts is a
+/// witness on that reference.
 #[test]
-fn indexed_table_model_synthesises_like_the_slice_oracle() {
-    let arb_match = |rng: &mut SmallRng| {
-        let a = rng.gen_index(4) as u8 + 1;
-        let b = rng.gen_index(4) as u8 + 1;
-        match rng.gen_index(8) {
+fn table_model_tracks_the_oracle_and_accepts_only_witnesses() {
+    // Rules above priority 100 are exact pairs or hijackers of the canonical
+    // probe only, so a broad rule at the top does not hold every candidate
+    // for the rest of the run.
+    let arb_match = |rng: &mut SmallRng, priority: u16| {
+        let a = rng.gen_index(8) as u8 + 1;
+        let b = rng.gen_index(8) as u8 + 1;
+        match rng.gen_index(if priority > 100 { 4 } else { 8 }) {
             0..=2 => OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, a), Ipv4Addr::new(10, 1, 0, b)),
             3 => OfMatch::wildcard_all()
-                .with_nw_dst_prefix(Ipv4Addr::new(10, 1, 0, b), [16, 24, 32][rng.gen_index(3)]),
-            4 => OfMatch::wildcard_all()
                 .with_nw_src_prefix(rum::probe::PROBE_SRC_IP, [24, 32][rng.gen_index(2)]),
+            4 => OfMatch::wildcard_all()
+                .with_nw_dst_prefix(Ipv4Addr::new(10, 1, 0, b), [16, 24, 32][rng.gen_index(3)]),
             5 => OfMatch::wildcard_all().with_tp_dst(40_001 + rng.gen_index(2) as u16),
             6 => {
                 let mut m = OfMatch::wildcard_all();
@@ -363,11 +391,11 @@ fn indexed_table_model_synthesises_like_the_slice_oracle() {
     };
     for seed in 0..6 {
         let mut rng = rng_for(100 + seed);
-        let mut oracle: Vec<rum::probe::KnownRule> = Vec::new();
-        let mut indexed = rum::probe::KnownRules::new();
+        let mut model = ofswitch::FlowTable::new(0);
+        let mut oracle = ofswitch::LinearFlowTable::new(0);
         let mut probes = 0;
-        for step in 0..500 {
-            let fm = FlowMod {
+        for step in 0..1_000 {
+            let mut fm = FlowMod {
                 command: match rng.gen_index(10) {
                     0..=5 => FlowModCommand::Add,
                     6 => FlowModCommand::Modify,
@@ -378,36 +406,41 @@ fn indexed_table_model_synthesises_like_the_slice_oracle() {
                     _ if rng.gen_bool(0.7) => FlowModCommand::Add,
                     _ => FlowModCommand::Delete,
                 },
-                ..FlowMod::add(
-                    arb_match(&mut rng),
-                    [0u16, 50, 100, 100, 200, 65_535][rng.gen_index(6)],
-                    arb_actions(&mut rng),
-                )
+                ..{
+                    let priority = [0u16, 50, 100, 100, 200, 65_535][rng.gen_index(6)];
+                    FlowMod::add(
+                        arb_match(&mut rng, priority),
+                        priority,
+                        arb_actions(&mut rng),
+                    )
+                }
             };
-            // Probe before the table learns of the rule and after, as the
-            // technique does for fresh rules and for re-sent ones.
-            let rule = rum::probe::KnownRule {
-                match_: fm.match_,
-                priority: fm.priority,
-                actions: fm.actions.clone(),
-            };
-            for phase in ["before", "after"] {
-                let expected = rum::probe::synthesize_general_probe(&rule, &oracle, 0xf8, 77);
-                assert_eq!(
-                    indexed.synthesize_probe(&rule, 0xf8, 77),
-                    expected,
-                    "seed {seed}, step {step}, {phase} {fm:?}"
-                );
-                probes += usize::from(expected.is_ok());
-                if phase == "before" {
-                    apply_to_slice_model(&mut oracle, &fm);
-                    indexed.apply(&fm);
-                    assert!(
-                        indexed.iter().eq(oracle.iter()),
-                        "seed {seed}, step {step}: models diverged on {fm:?}"
-                    );
+            // Strict mods mostly target an entry the table holds: modifies
+            // are then proved against the version they replace, and deletes
+            // keep high-priority pairs from holding every candidate.
+            let strict = matches!(
+                fm.command,
+                FlowModCommand::ModifyStrict | FlowModCommand::DeleteStrict
+            );
+            if strict && !oracle.is_empty() && rng.gen_bool(0.8) {
+                let held = oracle.entries().nth(rng.gen_index(oracle.len())).unwrap();
+                (fm.match_, fm.priority) = (held.match_, held.priority);
+            }
+            if fm.command.is_delete() {
+                fm.actions.clear();
+                if rng.gen_bool(0.5) {
+                    fm.out_port = [2, 3][rng.gen_index(2)];
                 }
             }
+            let now = std::time::Duration::from_millis(step);
+            let probe = rum::probe::synthesize_general_probe(&mut model, &fm, 0xf8, 77, now).ok();
+            probes += usize::from(probe.is_some());
+            let context = format!("seed {seed}, step {step}, {fm:?}");
+            apply_and_check_witness(&mut oracle, &fm, probe.as_ref(), now, &context);
+            assert!(
+                model.entries().eq(oracle.entries()),
+                "{context}: models diverged"
+            );
         }
         assert!(probes > 50 && oracle.len() > 20, "seed {seed}: a thin run");
     }
