@@ -277,9 +277,10 @@ mod tests {
 
     /// General probing's probe budget on the 64-switch early-reply ring
     /// (128 rules, seed 42, 8 shards): probes go out on evidence, not on
-    /// every tick.  The evidence-driven schedule injects 1,984 probes here;
-    /// the ceiling is that plus 25 %.  Re-injecting every pending probe on
-    /// every tick, the schedule before it, injected 3,712.
+    /// every tick.  The evidence-driven schedule injects 1,920 probes here;
+    /// the ceiling is that plus 25 %.  Probing every rule on arrival and
+    /// re-probing rules newer than a returning probe injected 1,984;
+    /// re-injecting every pending probe on every tick injected 3,712.
     #[test]
     fn simnet_scale_cell_keeps_its_probe_budget() {
         let registry = Registry::new();
@@ -289,17 +290,17 @@ mod tests {
             .engine_stats
             .expect("a simulator engine")
             .probes_injected;
-        assert!(probes <= 2_480, "{probes} probes injected");
+        assert!(probes <= 2_400, "{probes} probes injected");
     }
 
-    /// The 64-switch, 2-rule cell processes exactly 8,705 simulator events
+    /// The 64-switch, 2-rule cell processes exactly 8,513 simulator events
     /// (the count a binary-heap queue gives): how the event queue stores and
     /// orders events must not add or drop a single one.
     #[test]
     fn simnet_scale_cell_processes_a_pinned_event_count() {
         let registry = Registry::new();
         let out = run_simnet_scale_cell_with(64, 2, 42, SCALE_SHARDS, &registry);
-        assert_eq!(out.events_processed, Some(8_705), "{:?}", out.cell);
+        assert_eq!(out.events_processed, Some(8_513), "{:?}", out.cell);
     }
 
     /// The same reduced-scale fleet over real sockets: 8 fabric-ringed

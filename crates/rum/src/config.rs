@@ -71,14 +71,16 @@ pub enum TechniqueConfig {
         /// How often probes are injected while confirmations are outstanding.
         probe_interval: Duration,
     },
-    /// Per-rule probe packets; works even on reordering switches.
+    /// Per-rule probe packets; works even on reordering switches.  A rule
+    /// arriving on an idle switch is probed at once; one arriving behind a
+    /// pending rule waits for a tick or a return round.
     GeneralProbing {
         /// How often the tick re-probes: the oldest pending rule (the
         /// canary) and every pending rule older than the switch's predicted
         /// lag (the shortest arrival → confirm time seen, `fallback_delay`
         /// before the first).  A confirming return re-probes, once, every
-        /// pending rule whose last probe predates the confirmed rule's last
-        /// injection.
+        /// pending rule that arrived before the confirmed rule's last
+        /// injection and was not probed since.
         probe_interval: Duration,
         /// At most this many oldest unconfirmed rules are probed per round —
         /// a tick, or the re-probe a confirming return starts (the paper

@@ -14,16 +14,22 @@
 //! A probe can only come back once its rule is live, so probes are spent on
 //! evidence rather than on a fixed cadence:
 //!
-//! * a rule is probed once on arrival;
-//! * each tick probes the oldest pending rule (the *canary*) plus every
+//! * a rule arriving on an idle switch (nothing pending) is the *canary*
+//!   and is probed at once.  A rule arriving behind a pending rule waits:
+//!   its probe needs one PacketOut and one link, while the rule still has
+//!   to cross the control channel, install and sync;
+//! * each tick probes the oldest pending rule (the canary) plus every
 //!   pending rule whose age has reached the switch's predicted lag — the
 //!   shortest arrival → confirm time observed so far, `fallback_delay`
 //!   before the first confirmation;
 //! * a confirming return starts a *round*: every pending rule (within
-//!   `max_outstanding`) whose last probe predates the confirmed rule's last
-//!   injection is re-probed once.  Rules carry the number of the round that
-//!   last probed them, so the returns of a round start no further round
-//!   over it.  (When a returning probe is older than its rule's latest
+//!   `max_outstanding`) that arrived before the confirmed rule's last
+//!   injection and was not probed since is re-probed once.  Rules carry the
+//!   number of the round that last probed them (until then, of the last
+//!   round opened before they arrived), so the returns of a round start no
+//!   further round over it, and a rule newer than the returning probe,
+//!   which the batch that probe proved live cannot hold, waits for the
+//!   next tick.  (When a returning probe is older than its rule's latest
 //!   injection, the rules probed in between are re-probed too: extra
 //!   probes, never an ack.)
 //!
@@ -55,7 +61,9 @@ struct PendingRule {
     probe_id: u16,
     /// When the controller's modification arrived.
     arrived: Duration,
-    /// The round that last injected this rule's probe (0: never injected).
+    /// The round that last injected this rule's probe or, before the first
+    /// injection, the latest round opened before the rule arrived: a probe
+    /// injected in that round left before the rule existed.
     round: u64,
 }
 
@@ -221,20 +229,20 @@ impl AckTechnique for GeneralProbing {
         };
         match result {
             Ok(probe) => {
+                let idle = self.pending.is_empty();
                 self.pending.push(PendingRule {
                     cookie,
                     probe,
                     probe_id,
                     arrived: now,
-                    round: 0,
+                    round: self.round,
                 });
-                // Probe immediately rather than waiting for the next tick: the
-                // paper's general probing is limited by probe round-trips, not
-                // by extra rule installations.
-                let idx = self.pending.len() - 1;
-                if idx < self.max_outstanding {
+                // On an idle switch the rule is the canary and is probed at
+                // once; behind a pending rule its probe would outrun it, so
+                // it waits for a tick or a return round.
+                if idle {
                     let round = self.next_round();
-                    self.inject_probe_for(idx, round, out);
+                    self.inject_probe_for(0, round, out);
                 }
             }
             Err(reason) => self.arm_fallback(cookie, reason, out),
@@ -267,8 +275,10 @@ impl AckTechnique for GeneralProbing {
         let confirmed = self.pending.remove(idx);
         out.push(TechniqueOutput::Confirm(confirmed.cookie));
         self.lag = self.lag.min(now.saturating_sub(confirmed.arrived));
-        // The rule went live: re-probe, once, every rule whose last probe
-        // predates the confirmed rule's last injection.
+        // The rule went live: re-probe, once, every rule that arrived before
+        // the confirmed rule's last injection and was not probed since.  A
+        // rule that arrived later cannot be in the batch that probe proved
+        // live.
         let round = self.next_round();
         let n = self.pending.len().min(self.max_outstanding);
         for idx in 0..n {
@@ -457,16 +467,20 @@ mod tests {
     #[test]
     fn deletion_falls_back_and_updates_table_model() {
         let mut t = new_technique();
+        let first = arrive(&mut t, 1..2, Duration::ZERO);
         let mut out = Vec::new();
-        t.on_flow_mod(1, &forwarding_mod(1), Duration::ZERO, &mut out);
+        t.on_probe_packet(&first[0], Duration::from_millis(2), &mut out);
+        assert_eq!(confirms(&out), vec![1]);
         let del = FlowMod::delete_strict(forwarding_mod(1).match_, 100);
         let mut out = Vec::new();
-        t.on_flow_mod(2, &del, Duration::ZERO, &mut out);
+        t.on_flow_mod(2, &del, Duration::from_millis(3), &mut out);
         assert_eq!(fallbacks(&out), vec![2]);
         // The deleted rule is gone from the model, so re-adding it later
-        // synthesises a probe without tripping the "identical fallback" check.
+        // synthesises a probe without tripping the "identical fallback" check
+        // (the switch is idle again, so that probe goes out at once).
         let mut out = Vec::new();
-        t.on_flow_mod(3, &forwarding_mod(1), Duration::ZERO, &mut out);
+        t.on_flow_mod(3, &forwarding_mod(1), Duration::from_millis(4), &mut out);
+        assert!(fallbacks(&out).is_empty());
         assert_eq!(injections(&out), 1);
     }
 
@@ -515,7 +529,7 @@ mod tests {
         for i in 0..5u8 {
             t.on_flow_mod(u64::from(i), &forwarding_mod(i), Duration::ZERO, &mut out);
         }
-        assert_eq!(injections(&out), 2, "arrivals past the cap wait");
+        assert_eq!(injections(&out), 1, "arrivals behind the canary wait");
         let mut out = Vec::new();
         t.on_timer(TOKEN_TICK, Duration::from_millis(10), &mut out);
         assert_eq!(injections(&out), 1, "a young round probes the canary");
@@ -563,7 +577,9 @@ mod tests {
     #[test]
     fn young_ticks_probe_one_canary_until_fallback_delay() {
         let mut t = new_technique();
-        assert_eq!(arrive(&mut t, 0..20, Duration::ZERO).len(), 20);
+        let arrival = arrive(&mut t, 0..20, Duration::ZERO);
+        assert_eq!(arrival.len(), 1, "only the canary is probed on arrival");
+        assert_eq!(rule_of(&arrival[0]), 0);
         for ms in (10..300).step_by(10) {
             let mut out = Vec::new();
             t.on_timer(TOKEN_TICK, Duration::from_millis(ms), &mut out);
@@ -624,6 +640,184 @@ mod tests {
         let mut out = Vec::new();
         t.on_timer(TOKEN_TICK, Duration::from_millis(190), &mut out);
         assert_eq!(injections(&out), 5);
+    }
+
+    #[test]
+    fn idle_switch_probes_its_first_rule_at_once() {
+        let mut t = new_technique();
+        let sent = arrive(&mut t, 0..1, Duration::ZERO);
+        assert_eq!(sent.iter().map(rule_of).collect::<Vec<_>>(), vec![0]);
+        let mut out = Vec::new();
+        t.on_probe_packet(&sent[0], Duration::from_millis(2), &mut out);
+        assert_eq!(confirms(&out), vec![0]);
+        // Idle again: the next rule is the new canary.
+        let sent = arrive(&mut t, 1..2, Duration::from_millis(5));
+        assert_eq!(sent.iter().map(rule_of).collect::<Vec<_>>(), vec![1]);
+    }
+
+    #[test]
+    fn rules_behind_a_pending_canary_wait_for_its_return_round() {
+        let mut t = new_technique();
+        assert_eq!(arrive(&mut t, 0..1, Duration::ZERO).len(), 1);
+        assert!(arrive(&mut t, 1..5, Duration::from_millis(1)).is_empty());
+        let mut canary = Vec::new();
+        for ms in [10, 20] {
+            let mut out = Vec::new();
+            t.on_timer(TOKEN_TICK, Duration::from_millis(ms), &mut out);
+            canary = probes(&out);
+            assert_eq!(canary.iter().map(rule_of).collect::<Vec<_>>(), vec![0]);
+        }
+        let mut out = Vec::new();
+        t.on_probe_packet(&canary[0], Duration::from_millis(22), &mut out);
+        assert_eq!(confirms(&out), vec![0]);
+        assert_eq!(
+            probes(&out).iter().map(rule_of).collect::<Vec<_>>(),
+            vec![1, 2, 3, 4]
+        );
+    }
+
+    #[test]
+    fn return_round_skips_rules_newer_than_its_probe() {
+        let mut t = new_technique();
+        arrive(&mut t, 0..2, Duration::from_millis(5));
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(10), &mut out);
+        let canary = probes(&out);
+        assert_eq!(canary.iter().map(rule_of).collect::<Vec<_>>(), vec![0]);
+        // Rules 2 and 3 arrive after the canary's probe left.
+        assert!(arrive(&mut t, 2..4, Duration::from_millis(10)).is_empty());
+        let mut out = Vec::new();
+        t.on_probe_packet(&canary[0], Duration::from_millis(11), &mut out);
+        assert_eq!(confirms(&out), vec![0]);
+        assert_eq!(
+            probes(&out).iter().map(rule_of).collect::<Vec<_>>(),
+            vec![1],
+            "the batch the canary proved live holds only rule 1"
+        );
+        // Observed lag 6 ms: the next tick probes the new canary and both
+        // rules the round skipped.
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(20), &mut out);
+        assert_eq!(
+            probes(&out).iter().map(rule_of).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+    }
+
+    /// The switch and the timer wheel around one technique: rules install
+    /// in any order and some never, probes return after a random delay.
+    struct Harness {
+        /// Per rule: arrival, install time (`None`: dropped), first probe.
+        rules: Vec<(Duration, Option<Duration>, Option<Duration>)>,
+        tick_at: Option<Duration>,
+        in_flight: Vec<(Duration, PacketHeader)>,
+        rng: u64,
+    }
+
+    impl Harness {
+        fn draw(&mut self, n: u64) -> u64 {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            self.rng % n
+        }
+
+        /// Arms the tick and sends the probes of outputs issued at `now`; a
+        /// probe returns only if its rule is installed when it is sent.
+        fn apply(&mut self, out: Vec<TechniqueOutput>, now: Duration) {
+            for o in &out {
+                if let TechniqueOutput::SetTimer { delay, token } = o {
+                    if *token == TOKEN_TICK {
+                        self.tick_at = Some(now + *delay);
+                    }
+                }
+            }
+            for h in probes(&out) {
+                let back = now + Duration::from_micros(500 + self.draw(3_000));
+                let rule = &mut self.rules[usize::from(rule_of(&h))];
+                rule.2.get_or_insert(now);
+                if rule.1.is_some_and(|live| live <= now) {
+                    self.in_flight.push((back, h));
+                }
+            }
+        }
+
+        /// Feeds the technique its next input due by `now` — the earliest
+        /// return, or the tick when that is due first; false when none is.
+        fn step(&mut self, t: &mut GeneralProbing, now: Duration) -> bool {
+            let ret = (0..self.in_flight.len())
+                .filter(|&k| self.in_flight[k].0 <= now)
+                .min_by_key(|&k| self.in_flight[k].0);
+            let tick = self.tick_at.filter(|at| *at <= now);
+            let mut out = Vec::new();
+            let at = match (ret, tick) {
+                (Some(k), tick) if tick.is_none_or(|at| self.in_flight[k].0 < at) => {
+                    let (at, h) = self.in_flight.swap_remove(k);
+                    t.on_probe_packet(&h, at, &mut out);
+                    at
+                }
+                (_, Some(at)) => {
+                    self.tick_at = None;
+                    t.on_timer(TOKEN_TICK, at, &mut out);
+                    at
+                }
+                _ => return false,
+            };
+            self.apply(out, at);
+            true
+        }
+    }
+
+    /// Random interleavings of arrivals, ticks and returns against a switch
+    /// that reorders and drops rules: with at most `max_outstanding` rules
+    /// pending, every pending rule is probed within `fallback_delay +
+    /// probe_interval` of its arrival.
+    #[test]
+    fn every_pending_rule_is_probed_within_the_lag_bound() {
+        const INTERVAL: Duration = Duration::from_millis(10);
+        const FALLBACK: Duration = Duration::from_millis(300);
+        const CAP: usize = 8;
+        for seed in 1..=40u64 {
+            let mut w = Harness {
+                rules: Vec::new(),
+                tick_at: None,
+                in_flight: Vec::new(),
+                rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            };
+            let mut t = GeneralProbing::new(
+                SwitchId::new(1),
+                INTERVAL,
+                CAP,
+                FALLBACK,
+                plan(),
+                ports(),
+                0xB000_0000,
+            );
+            t.seed_rule(&FlowMod::add(OfMatch::wildcard_all(), 0, vec![]));
+            let mut now = Duration::ZERO;
+            for _ in 0..600 {
+                now += Duration::from_micros(w.draw(4_000));
+                while w.step(&mut t, now) {}
+                if t.pending.len() < CAP && w.rules.len() < 250 && w.draw(3) == 0 {
+                    let i = w.rules.len() as u8;
+                    let live = (w.draw(16) != 0).then(|| now + Duration::from_millis(w.draw(200)));
+                    w.rules.push((now, live, None));
+                    let mut out = Vec::new();
+                    t.on_flow_mod(u64::from(i), &forwarding_mod(i), now, &mut out);
+                    w.apply(out, now);
+                }
+                for p in &t.pending {
+                    let (arrived, _, first) = w.rules[p.cookie as usize];
+                    let deadline = arrived + FALLBACK + INTERVAL;
+                    assert!(
+                        first.is_some_and(|f| f <= deadline) || now <= deadline,
+                        "seed {seed}: rule {} arrived at {arrived:?}, unprobed at {now:?}",
+                        p.cookie
+                    );
+                }
+            }
+            assert!(w.rules.len() > 20, "seed {seed}: {} rules", w.rules.len());
+        }
     }
 
     /// A silently dropped rule is the canary for good; every rule behind it
@@ -747,6 +941,13 @@ mod tests {
         let mut t = new_technique();
         let mut out = Vec::new();
         t.on_flow_mod(1, &prefix_mod(10, 2), Duration::ZERO, &mut out);
+        // Confirm M so the switch is idle and the MODIFY_STRICT's probe goes
+        // out at once.
+        let m = probes(&out);
+        let mut out = Vec::new();
+        t.on_probe_packet(&m[0], Duration::from_millis(1), &mut out);
+        assert_eq!(confirms(&out), vec![1]);
+        let mut out = Vec::new();
         let l = forwarding_mod(4);
         let mut old = l.clone();
         old.actions = vec![Action::output(3)];

@@ -32,7 +32,7 @@
 //! | Static timeout             | [`technique::StaticTimeout`]     | §3.1 |
 //! | Adaptive delay             | [`technique::AdaptiveDelay`]     | §3.1 |
 //! | Sequential probing         | [`sequential::SequentialProbing`]| §3.2.1 |
-//! | General probing            | [`general::GeneralProbing`], probes on evidence (canary tick, round per return) | §3.2.2 |
+//! | General probing            | [`general::GeneralProbing`], probes on evidence (canary on an idle switch or tick, round per return) | §3.2.2 |
 //!
 //! plus the reliable-barrier layer of Section 2 (inside the engine),
 //! probe-packet synthesis with overlap analysis ([`probe`]), and the
