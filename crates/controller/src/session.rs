@@ -279,23 +279,6 @@ impl FailurePolicy {
             max_retries,
         }
     }
-
-    /// Retry `max_retries` times after a fixed `timeout` each — the
-    /// pre-backoff behaviour, kept for schedules that must stay constant.
-    pub const fn retry_fixed(timeout: Duration, max_retries: u32) -> Self {
-        FailurePolicy {
-            backoff: Some(BackoffPolicy::fixed(timeout)),
-            max_retries,
-        }
-    }
-
-    /// Retry on an explicit [`BackoffPolicy`].
-    pub const fn retry_backoff(backoff: BackoffPolicy, max_retries: u32) -> Self {
-        FailurePolicy {
-            backoff: Some(backoff),
-            max_retries,
-        }
-    }
 }
 
 impl Default for FailurePolicy {

@@ -13,11 +13,12 @@
 //! [`TupleSpace`] is only the index.  It stores caller-chosen rule ids
 //! (installation sequence numbers), bucketed by priority, and answers "which
 //! ids *may* match this packet" — a superset the caller verifies with
-//! [`OfMatch::matches`] and then ranks however its semantics demand (the
-//! switch's flow table wants the earliest-installed match of the highest
-//! priority, RUM's table model the latest).  To stay small the maps key on a
-//! 64-bit fingerprint of the projected fields rather than on the fields
-//! themselves; verification is what makes a fingerprint collision harmless.
+//! [`OfMatch::matches`] and then ranks.  Its one user, the switch's flow
+//! table `ofswitch::FlowTable` (also RUM's model of a switch), wants the
+//! earliest-installed match of the highest priority.  To stay small the
+//! maps key on a 64-bit fingerprint of the projected fields rather than on
+//! the fields themselves; verification is what makes a fingerprint
+//! collision harmless.
 //!
 //! One kind of rule is not a masked comparison: with `DL_VLAN` wildcarded
 //! and `DL_VLAN_PCP` constrained, whether the priority bits matter depends

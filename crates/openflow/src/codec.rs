@@ -9,10 +9,6 @@
 use crate::error::{DecodeError, EncodeError};
 use crate::messages::{OfHeader, OfMessage, OFP_HEADER_LEN};
 
-/// Maximum message size the codec will accept before declaring the stream
-/// corrupt.  OpenFlow lengths are 16-bit so this is the protocol limit.
-pub const MAX_MESSAGE_LEN: usize = u16::MAX as usize;
-
 /// Consumed bytes accumulate at the front of the scratch buffer until this
 /// many are pending, then one `memmove` reclaims the space.  Keeping the
 /// threshold above the typical read size means steady-state decoding does no
@@ -147,26 +143,6 @@ impl OfCodec {
     }
 }
 
-/// Splits a contiguous byte slice containing whole messages into frames
-/// without copying the payloads. Convenience for tests and trace analysis.
-pub fn split_frames(mut data: &[u8]) -> Result<Vec<&[u8]>, DecodeError> {
-    let mut frames = Vec::new();
-    while !data.is_empty() {
-        let header = OfHeader::peek(data)?;
-        let len = header.length as usize;
-        if len < OFP_HEADER_LEN || len > data.len() {
-            return Err(DecodeError::BadLength {
-                what: "ofp_header.length",
-                len,
-            });
-        }
-        let (frame, rest) = data.split_at(len);
-        frames.push(frame);
-        data = rest;
-    }
-    Ok(frames)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,24 +241,6 @@ mod tests {
         assert_eq!(codec.buffered(), 3);
         codec.reset();
         assert_eq!(codec.buffered(), 0);
-    }
-
-    #[test]
-    fn split_frames_works() {
-        let msgs = sample_messages();
-        let codec = OfCodec::new();
-        let bytes = codec.encode_batch(&msgs).unwrap();
-        let frames = split_frames(&bytes).unwrap();
-        assert_eq!(frames.len(), msgs.len());
-        for (frame, msg) in frames.iter().zip(&msgs) {
-            assert_eq!(&OfMessage::decode(frame).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn split_frames_rejects_truncation() {
-        let bytes = OfMessage::Hello { xid: 1 }.encode_to_vec().unwrap();
-        assert!(split_frames(&bytes[..5]).is_err());
     }
 
     #[test]

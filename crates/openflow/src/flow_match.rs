@@ -154,20 +154,6 @@ impl OfMatch {
         self
     }
 
-    /// Builder-style: match on the transport source port.
-    pub fn with_tp_src(mut self, port: u16) -> Self {
-        self.wildcards = self.wildcards.with(Wildcards::TP_SRC, false);
-        self.tp_src = port;
-        self
-    }
-
-    /// Builder-style: match on the Ethernet destination address.
-    pub fn with_dl_dst(mut self, mac: MacAddr) -> Self {
-        self.wildcards = self.wildcards.with(Wildcards::DL_DST, false);
-        self.dl_dst = mac;
-        self
-    }
-
     /// Builder-style: match on an IPv4 source prefix of `prefix_len` bits.
     pub fn with_nw_src_prefix(mut self, addr: Ipv4Addr, prefix_len: u32) -> Self {
         self.wildcards = self

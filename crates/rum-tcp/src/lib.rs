@@ -59,7 +59,7 @@
 //! over TCP by construction — select one with
 //! [`rum::RumBuilder::technique`].  The probing techniques additionally need
 //! port maps describing the physical testbed (see
-//! [`rum::RumBuilder::port_map`]).  The crate is self-contained and
+//! [`rum::RumBuilder::port_maps`]).  The crate is self-contained and
 //! synchronous: std networking only.
 
 #![deny(unsafe_code)]

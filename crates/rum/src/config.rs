@@ -1,17 +1,16 @@
 //! Configuration of the RUM layer, and the [`RumBuilder`] fluent API that
 //! produces it.
 //!
-//! Deployments construct an engine like this:
+//! Deployments configure one like this:
 //!
 //! ```
 //! use rum::{RumBuilder, TechniqueConfig};
 //!
-//! let engine = RumBuilder::new(3)
-//!     .technique(TechniqueConfig::default_sequential())
+//! let config = RumBuilder::new(3)
+//!     .technique(TechniqueConfig::default_general())
 //!     .fine_grained_acks(true)
-//!     .probe_links(&[(0, 1), (1, 2)])
 //!     .build_config();
-//! assert_eq!(engine.n_switches(), 3);
+//! assert_eq!(config.n_switches(), 3);
 //! ```
 //!
 //! Barriers are always reliable: a controller's `BarrierReply` is held until
@@ -23,6 +22,7 @@ use crate::coloring::assign_probe_colors;
 use crate::engine::{RumEngine, SwitchId};
 use openflow::PortNo;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The reserved "pre-probe" DSCP value carried by freshly injected sequential
@@ -37,8 +37,7 @@ pub const CATCH_TOS_BASE: u8 = 0xF8;
 /// The largest fleet that can hold a globally unique catch codepoint per
 /// switch (`CATCH_TOS_BASE / 4` usable DSCP values).  Beyond this the
 /// deployment must share codepoints via vertex colouring over the monitored
-/// topology (paper §3.2.2) — [`RumBuilder`] derives that colouring from the
-/// port maps automatically when no explicit plan is given.
+/// topology (paper §3.2.2), derived from the port maps.
 pub const MAX_UNIQUE_CATCH_SWITCHES: usize = (CATCH_TOS_BASE / 4) as usize;
 
 /// Priority of the probe-catch rule RUM installs on every switch.
@@ -158,150 +157,155 @@ impl SwitchPortMap {
     }
 }
 
-/// The plan for which header field carries probe identifiers and which values
-/// are reserved for RUM (paper §3.2.2 "Reducing the number of switch-specific
-/// values").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProbeFieldPlan {
-    /// The ToS byte of freshly injected (pre-probe) packets.
-    pub preprobe_tos: u8,
-    /// Per-switch probe-catch ToS byte (index = switch index).
-    catch_tos: Vec<u8>,
-    /// The DSCP codepoints (`tos >> 2`) in `catch_tos`, one bit each: every
-    /// forwarded PacketIn is tested against it, whatever the fleet size.
+/// Where probes go in one deployment (paper §3.2): per monitored switch, the
+/// ToS value its catch rule matches, the neighbour behind each of its ports,
+/// the neighbour its probes are injected through, and the switches whose
+/// probes its catch rule punts.
+///
+/// A probe for a rule on switch *S* leaves *S* through one of its ports and
+/// is punted by the catch rule of the switch *N* behind that port, so a
+/// probe-marked PacketIn from *N* concerns only the switches with a port
+/// leading to *N* — and, when *N*'s own port map says which switch sits
+/// behind the port the packet arrived on, only that one
+/// ([`ProbeTopology::candidates`]).  Offering the probe to anyone else is
+/// not merely wasted work: catch codepoints and probe-id bands are shared
+/// across a large fleet, so a distant switch with an identical pending rule
+/// would take the probe as proof of its own rule.
+///
+/// Built once by [`RumBuilder`] from the port maps and shared by `Arc` by the
+/// shard router, every engine shard and the probing techniques.
+#[derive(Debug)]
+pub(crate) struct ProbeTopology {
+    switches: Vec<ProbeSwitch>,
+    /// The DSCP codepoints (`tos >> 2`) of the catch values, one bit each:
+    /// every forwarded PacketIn is tested against it, whatever the fleet
+    /// size.
     catch_dscps: u64,
 }
 
-impl ProbeFieldPlan {
-    /// Assigns catch values using vertex colouring over the monitored-switch
-    /// adjacency so that adjacent switches always differ, then maps colours to
-    /// DSCP codepoints.
-    pub fn from_links(links: &[(usize, usize)], n_switches: usize) -> Self {
-        let colors = assign_probe_colors(links, n_switches);
-        let catch_tos: Vec<u8> = colors
-            .iter()
-            .map(|&c| {
-                let v = CATCH_TOS_BASE as i32 - 4 * c as i32;
-                assert!(v > 0, "ran out of DSCP codepoints for probe colours");
-                v as u8
+/// One switch's entry in the [`ProbeTopology`].
+#[derive(Debug)]
+struct ProbeSwitch {
+    catch_tos: u8,
+    /// Its port map as a list sorted by port.
+    ports: Vec<(PortNo, SwitchId)>,
+    inject_via: Option<(SwitchId, PortNo)>,
+    /// The switches with a port leading to this one, ascending.
+    upstream: Vec<SwitchId>,
+}
+
+impl ProbeTopology {
+    /// The topology of the switches `port_maps` describes (index = switch
+    /// index).
+    ///
+    /// Catch values (paper §3.2.2, "Reducing the number of switch-specific
+    /// values"): fleets up to [`MAX_UNIQUE_CATCH_SWITCHES`] get one unique
+    /// codepoint per switch, the colouring of the complete graph.  Larger
+    /// fleets colour the adjacency the port maps describe — both directions
+    /// of every port and the inject-via neighbour, as a sorted link list —
+    /// so adjacent switches always differ, which is the only property
+    /// probing soundness needs, and equal maps give equal values on every
+    /// driver and run.
+    pub(crate) fn new(port_maps: &[SwitchPortMap]) -> Self {
+        let n = port_maps.len();
+        let mut switches: Vec<ProbeSwitch> = (port_maps.iter())
+            .map(|map| {
+                let mut ports: Vec<_> = map.port_to_switch.iter().map(|(&p, &s)| (p, s)).collect();
+                ports.sort_unstable();
+                ProbeSwitch {
+                    catch_tos: 0,
+                    ports,
+                    inject_via: map.inject_via,
+                    upstream: Vec::new(),
+                }
             })
             .collect();
-        let catch_dscps = catch_tos.iter().fold(0, |set, &c| set | 1u64 << (c >> 2));
-        ProbeFieldPlan {
-            preprobe_tos: PREPROBE_TOS,
-            catch_tos,
+        let mut links: Vec<(usize, usize)> = Vec::new();
+        for sender in 0..n {
+            let id = SwitchId::new(sender);
+            for k in 0..switches[sender].ports.len() {
+                let catch = switches[sender].ports[k].1;
+                links.push((sender, catch.index()));
+                // Senders arrive in ascending order, so each list stays
+                // sorted and a repeat is always the last element.
+                if let Some(to) = switches.get_mut(catch.index()) {
+                    if to.upstream.last() != Some(&id) {
+                        to.upstream.push(id);
+                    }
+                }
+            }
+            if let Some((neighbour, _)) = switches[sender].inject_via {
+                links.push((sender, neighbour.index()));
+            }
+        }
+        let colours = if n <= MAX_UNIQUE_CATCH_SWITCHES {
+            (0..n).collect()
+        } else {
+            links.sort_unstable();
+            links.dedup();
+            assign_probe_colors(&links, n)
+        };
+        let mut catch_dscps = 0u64;
+        for (switch, colour) in switches.iter_mut().zip(colours) {
+            let tos = (CATCH_TOS_BASE as usize)
+                .checked_sub(4 * colour)
+                .filter(|&tos| tos > 0)
+                .expect("ran out of DSCP codepoints for probe colours");
+            switch.catch_tos = tos as u8;
+            catch_dscps |= 1 << (tos >> 2);
+        }
+        ProbeTopology {
+            switches,
             catch_dscps,
         }
     }
 
-    /// Assigns a globally unique value per switch (no colouring), as the
-    /// simple variant of the paper does.
-    pub fn unique_per_switch(n_switches: usize) -> Self {
-        Self::from_links(
-            &(0..n_switches)
-                .flat_map(|a| (a + 1..n_switches).map(move |b| (a, b)))
-                .collect::<Vec<_>>(),
-            n_switches,
-        )
+    /// Number of monitored switches.
+    pub(crate) fn n_switches(&self) -> usize {
+        self.switches.len()
     }
 
-    /// The catch value of `switch`.
-    pub fn catch_tos(&self, switch: SwitchId) -> u8 {
-        self.catch_tos[switch.index()]
+    /// The ToS value `switch`'s catch rule matches.
+    pub(crate) fn catch_tos(&self, switch: SwitchId) -> u8 {
+        self.switches[switch.index()].catch_tos
     }
 
-    /// Every switch's catch value (index = switch index).
-    pub fn catch_values(&self) -> &[u8] {
-        &self.catch_tos
+    /// True if the Ethernet frame `data` carries a value reserved by RUM
+    /// (the pre-probe value or any catch value), i.e. is a probe, not user
+    /// traffic — decided from the ToS byte alone, without parsing the frame.
+    pub(crate) fn marks(&self, data: &[u8]) -> bool {
+        let tos = openflow::PacketHeader::peek_nw_tos(data);
+        tos & 0xfc == PREPROBE_TOS & 0xfc || self.catch_dscps >> (tos >> 2) & 1 != 0
     }
 
-    /// True if `tos` is one of the values reserved by RUM (pre-probe or any
-    /// catch value), i.e. a packet carrying it is a probe, not user traffic.
-    pub fn is_probe_tos(&self, tos: u8) -> bool {
-        tos & 0xfc == self.preprobe_tos & 0xfc || self.catch_dscps >> (tos >> 2) & 1 != 0
+    /// `switch`'s port map as `(port, neighbour)` pairs sorted by port.
+    pub(crate) fn ports(&self, switch: SwitchId) -> &[(PortNo, SwitchId)] {
+        &self.switches[switch.index()].ports
     }
 
-    /// True if the Ethernet frame `data` carries a reserved ToS value —
-    /// decided from that one byte, without parsing the frame.
-    pub fn marks(&self, data: &[u8]) -> bool {
-        self.is_probe_tos(openflow::PacketHeader::peek_nw_tos(data))
-    }
-
-    /// The switch whose catch value is `tos`, if any.
-    pub fn switch_for_catch_tos(&self, tos: u8) -> Option<SwitchId> {
-        self.catch_tos
-            .iter()
-            .position(|&c| c & 0xfc == tos & 0xfc)
-            .map(SwitchId::new)
-    }
-}
-
-/// Where a returning probe can have come from: the reverse of the port maps.
-///
-/// A probe for a rule on switch *S* leaves *S* through one of its ports and
-/// is punted by the catch rule of the switch *N* behind that port.  So a
-/// probe-marked PacketIn from *N* concerns only the techniques of switches
-/// with a port leading to *N* — and, when *N*'s own port map says which
-/// switch sits behind the port the packet arrived on, only that one.
-/// Offering the probe to anyone else is not merely wasted work: catch
-/// codepoints and probe-id bands are shared across a large fleet, so a
-/// distant switch with an identical pending rule would take the probe as
-/// proof of its own rule.
-#[derive(Debug, Clone)]
-pub(crate) struct ProbeSources {
-    /// Per catch switch: the switches with a port leading to it, ascending.
-    upstream: Vec<Vec<SwitchId>>,
-    /// Per catch switch: its own port map, as a sorted list.
-    behind_port: Vec<Vec<(PortNo, SwitchId)>>,
-}
-
-impl ProbeSources {
-    pub(crate) fn new(port_maps: &[SwitchPortMap]) -> Self {
-        let mut upstream = vec![Vec::new(); port_maps.len()];
-        for (sender, map) in port_maps.iter().enumerate() {
-            let sender = SwitchId::new(sender);
-            for catch in map.port_to_switch.values() {
-                // Senders arrive in ascending order, so each list stays
-                // sorted and a repeat is always the last element.
-                if let Some(list) = upstream.get_mut(catch.index()) {
-                    if list.last() != Some(&sender) {
-                        list.push(sender);
-                    }
-                }
-            }
-        }
-        let behind_port = port_maps
-            .iter()
-            .map(|map| {
-                let mut ports: Vec<_> = map.port_to_switch.iter().map(|(&p, &s)| (p, s)).collect();
-                ports.sort_unstable();
-                ports
-            })
-            .collect();
-        ProbeSources {
-            upstream,
-            behind_port,
-        }
-    }
-
-    /// The switches with a port leading to `catch`, ascending.
-    pub(crate) fn upstream(&self, catch: SwitchId) -> &[SwitchId] {
-        self.upstream.get(catch.index()).map_or(&[], Vec::as_slice)
-    }
-
-    /// The switch `catch`'s port map places behind its port `in_port`.
-    pub(crate) fn behind(&self, catch: SwitchId, in_port: PortNo) -> Option<SwitchId> {
-        let ports = self.behind_port.get(catch.index())?;
-        let at = ports.binary_search_by_key(&in_port, |&(p, _)| p).ok()?;
+    /// The monitored switch behind `switch`'s `port`, if any.
+    pub(crate) fn next_hop(&self, switch: SwitchId, port: PortNo) -> Option<SwitchId> {
+        let ports = &self.switches.get(switch.index())?.ports;
+        let at = ports.binary_search_by_key(&port, |&(p, _)| p).ok()?;
         Some(ports[at].1)
     }
 
-    /// The techniques a probe punted by `catch`, having arrived there on
-    /// `in_port`, is offered to: [`ProbeSources::upstream`], narrowed to the
-    /// sender when the port identifies it.
+    /// The neighbour `switch`'s probes are injected through, and the port
+    /// on it that leads to `switch`.
+    pub(crate) fn inject_via(&self, switch: SwitchId) -> Option<(SwitchId, PortNo)> {
+        self.switches[switch.index()].inject_via
+    }
+
+    /// The switches whose probes a PacketIn punted by `catch`, having
+    /// arrived there on `in_port`, can vouch for, ascending: every switch
+    /// with a port leading to `catch`, narrowed to the one behind `in_port`
+    /// when `catch`'s port map names one.
     pub(crate) fn candidates(&self, catch: SwitchId, in_port: PortNo) -> &[SwitchId] {
-        let upstream = self.upstream(catch);
-        match self.behind(catch, in_port) {
+        let Some(entry) = self.switches.get(catch.index()) else {
+            return &[];
+        };
+        let upstream = entry.upstream.as_slice();
+        match self.next_hop(catch, in_port) {
             None => upstream,
             Some(sender) => match upstream.binary_search(&sender) {
                 Ok(at) => &upstream[at..=at],
@@ -327,21 +331,20 @@ pub struct RumConfig {
     /// Record every confirmation (switch, cookie) in order, for post-run
     /// inspection.  Disable in long-running deployments to keep memory flat.
     pub record_confirmations: bool,
-    /// Per-switch topology knowledge (index = switch index).
-    pub port_maps: Vec<SwitchPortMap>,
-    /// Header-field plan for probing.
-    pub probe_plan: ProbeFieldPlan,
+    /// Where probes go: catch values, port maps and probe sources of every
+    /// monitored switch.
+    pub(crate) topology: Arc<ProbeTopology>,
     /// The telemetry registry engine statistics are published into.  `None`
     /// gives the engine a private registry — the stats surface is identical
     /// either way; pass a shared registry to expose a deployment through
     /// `telemetry::serve` alongside other components.
-    pub metrics: Option<std::sync::Arc<telemetry::Registry>>,
+    pub metrics: Option<Arc<telemetry::Registry>>,
 }
 
 impl RumConfig {
     /// Number of monitored switches.
     pub fn n_switches(&self) -> usize {
-        self.port_maps.len()
+        self.topology.n_switches()
     }
 
     /// Starts a fluent builder for `n_switches` monitored switches.
@@ -353,51 +356,33 @@ impl RumConfig {
 /// Fluent construction of a RUM deployment configuration (and engine).
 ///
 /// Defaults match the paper's deployment: fine-grained acks on, no
-/// cross-barrier buffering, one unique probe-catch value per switch, and
-/// empty port maps (the simulator driver derives them from its topology;
-/// other deployments set them explicitly via [`RumBuilder::port_map`]).
+/// cross-barrier buffering, and empty port maps (the simulator driver
+/// derives them from its topology; other deployments set them explicitly via
+/// [`RumBuilder::port_maps`]).  The probe topology (catch values, port maps
+/// and probe sources in one structure) is built from the port maps when the
+/// deployment is built.
 #[derive(Debug, Clone)]
 pub struct RumBuilder {
-    config: RumConfig,
+    technique: TechniqueConfig,
+    fine_grained_acks: bool,
+    buffer_across_barriers: bool,
+    record_confirmations: bool,
+    metrics: Option<Arc<telemetry::Registry>>,
+    port_maps: Vec<SwitchPortMap>,
     shards: usize,
-    /// True while the probe plan is still the placeholder of a fleet too
-    /// large for unique codepoints: the real plan is coloured from the
-    /// port-map adjacency when the deployment is built.
-    derive_probe_plan: bool,
 }
 
 impl RumBuilder {
     /// A builder for a deployment monitoring `n_switches` switches.
-    ///
-    /// Fleets up to [`MAX_UNIQUE_CATCH_SWITCHES`] default to one globally
-    /// unique probe-catch codepoint per switch.  Larger fleets cannot — the
-    /// DSCP space has 62 usable values — so their default plan is derived at
-    /// build time by colouring the adjacency the port maps describe
-    /// (adjacent switches always end up with distinct values, which is the
-    /// only property probing soundness needs).  An explicit
-    /// [`RumBuilder::probe_plan`] / [`RumBuilder::probe_links`] call always
-    /// wins over both defaults.
     pub fn new(n_switches: usize) -> Self {
-        let derive_probe_plan = n_switches > MAX_UNIQUE_CATCH_SWITCHES;
-        let probe_plan = if derive_probe_plan {
-            // Placeholder (every switch the same colour) — replaced by the
-            // topology-derived colouring in `finalise`.
-            ProbeFieldPlan::from_links(&[], n_switches)
-        } else {
-            ProbeFieldPlan::unique_per_switch(n_switches)
-        };
         RumBuilder {
+            technique: TechniqueConfig::BarrierBaseline,
+            fine_grained_acks: true,
+            buffer_across_barriers: false,
+            record_confirmations: true,
+            metrics: None,
+            port_maps: vec![SwitchPortMap::default(); n_switches],
             shards: 1,
-            derive_probe_plan,
-            config: RumConfig {
-                technique: TechniqueConfig::BarrierBaseline,
-                fine_grained_acks: true,
-                buffer_across_barriers: false,
-                record_confirmations: true,
-                port_maps: vec![SwitchPortMap::default(); n_switches],
-                probe_plan,
-                metrics: None,
-            },
         }
     }
 
@@ -419,19 +404,19 @@ impl RumBuilder {
 
     /// Selects the acknowledgment technique (default: barrier baseline).
     pub fn technique(mut self, technique: TechniqueConfig) -> Self {
-        self.config.technique = technique;
+        self.technique = technique;
         self
     }
 
     /// Whether to send fine-grained per-rule acknowledgments.
     pub fn fine_grained_acks(mut self, on: bool) -> Self {
-        self.config.fine_grained_acks = on;
+        self.fine_grained_acks = on;
         self
     }
 
     /// Whether to buffer commands that follow an unconfirmed barrier.
     pub fn buffer_across_barriers(mut self, on: bool) -> Self {
-        self.config.buffer_across_barriers = on;
+        self.buffer_across_barriers = on;
         self
     }
 
@@ -446,38 +431,32 @@ impl RumBuilder {
     /// cross-driver and technique tests read `confirmed_order` and
     /// `confirmed_order_for` from engines built with the default builder.
     pub fn record_confirmations(mut self, on: bool) -> Self {
-        self.config.record_confirmations = on;
+        self.record_confirmations = on;
         self
     }
 
-    /// Sets the topology knowledge for one switch.
-    pub fn port_map(mut self, switch: SwitchId, map: SwitchPortMap) -> Self {
-        self.config.port_maps[switch.index()] = map;
-        self
-    }
-
-    /// Replaces all port maps at once (must match the switch count).
+    /// Sets every switch's topology knowledge (must match the switch count).
     pub fn port_maps(mut self, maps: Vec<SwitchPortMap>) -> Self {
         assert_eq!(
             maps.len(),
-            self.config.port_maps.len(),
+            self.port_maps.len(),
             "one port map per monitored switch"
         );
-        self.config.port_maps = maps;
+        self.port_maps = maps;
         self
     }
 
     /// Replaces only the port maps the caller left unspecified.  Drivers
     /// that derive topology knowledge themselves (e.g. the simulator
-    /// deployment) use this before building, so the probe-plan colouring of
-    /// a large fleet sees the completed adjacency rather than the gaps.
+    /// deployment) use this before building, so the catch-value colouring
+    /// of a large fleet sees the completed adjacency rather than the gaps.
     pub fn fill_unspecified_port_maps(mut self, derived: Vec<SwitchPortMap>) -> Self {
         assert_eq!(
             derived.len(),
-            self.config.port_maps.len(),
+            self.port_maps.len(),
             "one derived port map per monitored switch"
         );
-        for (slot, map) in self.config.port_maps.iter_mut().zip(derived) {
+        for (slot, map) in self.port_maps.iter_mut().zip(derived) {
             if slot.is_unspecified() {
                 *slot = map;
             }
@@ -489,58 +468,22 @@ impl RumBuilder {
     /// unconfirmed gauge under `rum.sw{i}.*`, confirm latency under
     /// `rum.sw{i}.confirm_latency_us`).  Without this the engine uses a
     /// private registry, so `RumEngine::stats` behaves the same either way.
-    pub fn metrics(mut self, registry: std::sync::Arc<telemetry::Registry>) -> Self {
-        self.config.metrics = Some(registry);
+    pub fn metrics(mut self, registry: Arc<telemetry::Registry>) -> Self {
+        self.metrics = Some(registry);
         self
     }
 
-    /// Uses an explicit probe-field plan.
-    pub fn probe_plan(mut self, plan: ProbeFieldPlan) -> Self {
-        assert_eq!(
-            plan.catch_tos.len(),
-            self.config.port_maps.len(),
-            "one catch value per monitored switch"
-        );
-        self.config.probe_plan = plan;
-        self.derive_probe_plan = false;
-        self
-    }
-
-    /// Derives the probe-field plan from the monitored-switch adjacency via
-    /// vertex colouring (adjacent switches get distinct catch values).
-    pub fn probe_links(self, links: &[(usize, usize)]) -> Self {
-        let n = self.config.port_maps.len();
-        self.probe_plan(ProbeFieldPlan::from_links(links, n))
-    }
-
-    /// Resolves the deferred probe plan of a large fleet: colour the
-    /// adjacency the port maps describe so adjacent switches get distinct
-    /// catch codepoints.  Both directions of every port mapping and the
-    /// inject-via neighbour count as adjacency; links are collected in
-    /// sorted order (and the colouring itself is BTree-ordered), so the
-    /// derived plan is identical across drivers and runs for the same maps.
-    fn finalise(mut self) -> RumConfig {
-        if self.derive_probe_plan {
-            let n = self.config.port_maps.len();
-            let mut links: Vec<(usize, usize)> = Vec::new();
-            for (i, map) in self.config.port_maps.iter().enumerate() {
-                for &neighbour in map.port_to_switch.values() {
-                    links.push((i, neighbour.index()));
-                }
-                if let Some((neighbour, _)) = map.inject_via {
-                    links.push((i, neighbour.index()));
-                }
-            }
-            links.sort_unstable();
-            links.dedup();
-            self.config.probe_plan = ProbeFieldPlan::from_links(&links, n);
-        }
-        self.config
-    }
-
-    /// Finishes the configuration.
+    /// Finishes the configuration: the one place the probe topology is
+    /// built.
     pub fn build_config(self) -> RumConfig {
-        self.finalise()
+        RumConfig {
+            technique: self.technique,
+            fine_grained_acks: self.fine_grained_acks,
+            buffer_across_barriers: self.buffer_across_barriers,
+            record_confirmations: self.record_confirmations,
+            topology: Arc::new(ProbeTopology::new(&self.port_maps)),
+            metrics: self.metrics,
+        }
     }
 
     /// Builds a ready-to-drive [`RumEngine`].
@@ -550,7 +493,7 @@ impl RumBuilder {
     /// See [`RumEngine::new`]: sequential probing requires each port map to
     /// name at least one monitored neighbour.
     pub fn build(self) -> RumEngine {
-        RumEngine::new(self.finalise())
+        RumEngine::new(self.build_config())
     }
 
     /// Builds a [`crate::ShardedEngine`] with the shard count configured via
@@ -562,13 +505,18 @@ impl RumBuilder {
     /// See [`RumEngine::new`].
     pub fn build_sharded(self) -> crate::ShardedEngine {
         let shards = self.shards;
-        crate::ShardedEngine::new(self.finalise(), shards)
+        crate::ShardedEngine::new(self.build_config(), shards)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::coloring::assign_probe_colors;
+    use crate::engine::Input;
+    use crate::shard::tests::punted;
+    use crate::ShardRouter;
+    use std::collections::BTreeSet;
 
     #[test]
     fn technique_labels_and_defaults() {
@@ -583,48 +531,86 @@ mod tests {
         }
     }
 
+    /// The topology the technique tests probe switch 1 in: three switches,
+    /// switch 1's port 2 leads to switch 2, and switch 1's probes are
+    /// injected through switch 0's port 2.
+    pub(crate) fn probed_switch_one() -> Arc<ProbeTopology> {
+        let mut maps = vec![SwitchPortMap::default(); 3];
+        maps[1].port_to_switch.insert(2, SwitchId::new(2));
+        maps[1].inject_via = Some((SwitchId::new(0), 2));
+        Arc::new(ProbeTopology::new(&maps))
+    }
+
+    /// Port maps joining both ends of every link: switch `a` reaches `b`
+    /// through its port `b + 1`.
+    fn linked(n: usize, links: &[(usize, usize)]) -> Vec<SwitchPortMap> {
+        let mut maps = vec![SwitchPortMap::default(); n];
+        for &(a, b) in links {
+            maps[a]
+                .port_to_switch
+                .insert(b as PortNo + 1, SwitchId::new(b));
+            maps[b]
+                .port_to_switch
+                .insert(a as PortNo + 1, SwitchId::new(a));
+        }
+        maps
+    }
+
+    fn catch_values(topology: &ProbeTopology) -> Vec<u8> {
+        (0..topology.n_switches())
+            .map(|i| topology.catch_tos(SwitchId::new(i)))
+            .collect()
+    }
+
+    fn tos_frame(tos: u8) -> Vec<u8> {
+        let header = openflow::PacketHeader {
+            nw_tos: tos,
+            ..Default::default()
+        };
+        header.to_bytes()
+    }
+
     #[test]
     fn probe_plan_assigns_distinct_values_to_adjacent_switches() {
-        // Triangle: all three adjacent.
-        let plan = ProbeFieldPlan::from_links(&[(0, 1), (1, 2), (0, 2)], 3);
-        let sw = |i| SwitchId::new(i);
-        assert_ne!(plan.catch_tos(sw(0)), plan.catch_tos(sw(1)));
-        assert_ne!(plan.catch_tos(sw(1)), plan.catch_tos(sw(2)));
-        assert_ne!(plan.catch_tos(sw(0)), plan.catch_tos(sw(2)));
-        for i in 0..3 {
-            assert_ne!(plan.catch_tos(sw(i)) & 0xfc, PREPROBE_TOS & 0xfc);
-            assert!(plan.is_probe_tos(plan.catch_tos(sw(i))));
-            assert_eq!(
-                plan.switch_for_catch_tos(plan.catch_tos(sw(i))),
-                Some(sw(i))
-            );
+        let topology = ProbeTopology::new(&linked(3, &[(0, 1), (1, 2), (0, 2)]));
+        let values = catch_values(&topology);
+        assert_eq!(values.iter().collect::<BTreeSet<_>>().len(), 3);
+        for tos in values {
+            assert_ne!(tos & 0xfc, PREPROBE_TOS & 0xfc);
+            assert!(topology.marks(&tos_frame(tos)));
         }
-        assert!(plan.is_probe_tos(PREPROBE_TOS));
-        assert!(!plan.is_probe_tos(0x00));
-        assert_eq!(plan.switch_for_catch_tos(0x04), None);
+        assert!(topology.marks(&tos_frame(PREPROBE_TOS)));
+        assert!(!topology.marks(&tos_frame(0x00)));
+        assert!(!topology.marks(&tos_frame(0x04)));
     }
 
     #[test]
     fn probe_plan_reuses_colors_on_a_path() {
-        // A path of 5 switches is 2-colourable, so only 2 catch values are
-        // needed even though there are 5 switches.
-        let plan = ProbeFieldPlan::from_links(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5);
-        let distinct: std::collections::BTreeSet<u8> = plan.catch_tos.iter().copied().collect();
-        assert_eq!(distinct.len(), 2);
-        // Adjacent still differ.
-        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
-            assert_ne!(
-                plan.catch_tos(SwitchId::new(a)),
-                plan.catch_tos(SwitchId::new(b))
-            );
-        }
+        // Past the unique codepoints a path is coloured: two values serve
+        // the whole path, and neighbours still differ.
+        let n = MAX_UNIQUE_CATCH_SWITCHES + 8;
+        let links: Vec<_> = (1..n).map(|i| (i - 1, i)).collect();
+        let values = catch_values(&ProbeTopology::new(&linked(n, &links)));
+        assert_eq!(values.iter().collect::<BTreeSet<_>>().len(), 2);
+        assert!(values.windows(2).all(|w| w[0] != w[1]));
     }
 
     #[test]
     fn unique_per_switch_gives_all_distinct() {
-        let plan = ProbeFieldPlan::unique_per_switch(4);
-        let distinct: std::collections::BTreeSet<u8> = plan.catch_tos.iter().copied().collect();
-        assert_eq!(distinct.len(), 4);
+        // Up to the unique codepoints every switch gets its own value, the
+        // complete graph's colouring, whatever the port maps say.
+        for n in [1, 4, MAX_UNIQUE_CATCH_SWITCHES] {
+            let complete: Vec<_> = (0..n)
+                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                .collect();
+            let expected: Vec<u8> = (assign_probe_colors(&complete, n).into_iter())
+                .map(|c| CATCH_TOS_BASE - 4 * c as u8)
+                .collect();
+            let path: Vec<_> = (1..n).map(|i| (i - 1, i)).collect();
+            let values = catch_values(&ProbeTopology::new(&linked(n, &path)));
+            assert_eq!(values, expected, "{n} switches");
+            assert_eq!(values.iter().collect::<BTreeSet<_>>().len(), n);
+        }
     }
 
     #[test]
@@ -652,22 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_probe_links_colour_the_plan() {
-        let cfg = RumBuilder::new(3)
-            .probe_links(&[(0, 1), (1, 2)])
-            .build_config();
-        // A path is 2-colourable: ends share a value, middle differs.
-        assert_eq!(
-            cfg.probe_plan.catch_tos(SwitchId::new(0)),
-            cfg.probe_plan.catch_tos(SwitchId::new(2))
-        );
-        assert_ne!(
-            cfg.probe_plan.catch_tos(SwitchId::new(0)),
-            cfg.probe_plan.catch_tos(SwitchId::new(1))
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "one port map per monitored switch")]
     fn builder_rejects_wrong_port_map_count() {
         RumBuilder::new(3).port_maps(vec![SwitchPortMap::default(); 2]);
@@ -689,54 +659,163 @@ mod tests {
 
     #[test]
     fn large_fleets_derive_the_probe_plan_from_port_maps() {
-        // More switches than DSCP codepoints: the builder must not panic and
-        // must colour the catch values from the port-map adjacency so that
-        // neighbours never share one.
-        let n = MAX_UNIQUE_CATCH_SWITCHES + 938; // 1,000
-        let cfg = RumBuilder::new(n).port_maps(ring_maps(n)).build_config();
-        for i in 0..n {
-            let next = (i + 1) % n;
-            assert_ne!(
-                cfg.probe_plan.catch_tos(SwitchId::new(i)),
-                cfg.probe_plan.catch_tos(SwitchId::new(next)),
-                "ring neighbours {i} and {next} share a catch value"
-            );
-        }
-        // An even ring is 2-colourable.
-        let distinct: std::collections::BTreeSet<u8> =
-            cfg.probe_plan.catch_tos.iter().copied().collect();
-        assert_eq!(distinct.len(), 2);
-        // Derivation is deterministic: an identical build yields an
-        // identical plan (the cross-driver equality tests depend on this).
-        let again = RumBuilder::new(n).port_maps(ring_maps(n)).build_config();
-        assert_eq!(cfg.probe_plan.catch_tos, again.probe_plan.catch_tos);
-    }
-
-    #[test]
-    fn explicit_probe_plan_suppresses_derivation() {
-        let n = MAX_UNIQUE_CATCH_SWITCHES + 2;
-        let plan = ProbeFieldPlan::from_links(&[(0, 1)], n);
-        let expected = plan.catch_tos.clone();
-        let cfg = RumBuilder::new(n)
-            .probe_plan(plan)
-            .port_maps(ring_maps(n))
-            .build_config();
-        assert_eq!(cfg.probe_plan.catch_tos, expected);
+        // An even ring of 1,000 switches is 2-coloured from its port maps,
+        // and an identical build yields identical values (the cross-driver
+        // equality tests depend on this).
+        let n = 1000;
+        let build = || RumBuilder::new(n).port_maps(ring_maps(n)).build_config();
+        let values = catch_values(&build().topology);
+        assert_eq!(values.iter().collect::<BTreeSet<_>>().len(), 2);
+        assert!((0..n).all(|i| values[i] != values[(i + 1) % n]));
+        assert_eq!(values, catch_values(&build().topology));
     }
 
     #[test]
     fn fill_unspecified_port_maps_only_fills_gaps() {
         let mut explicit = SwitchPortMap::default();
         explicit.port_to_switch.insert(7, SwitchId::new(2));
-        let derived = ring_maps(3);
+        let mut maps = vec![SwitchPortMap::default(); 3];
+        maps[1] = explicit;
         let cfg = RumBuilder::new(3)
-            .port_map(SwitchId::new(1), explicit)
-            .fill_unspecified_port_maps(derived.clone())
+            .port_maps(maps)
+            .fill_unspecified_port_maps(ring_maps(3))
             .build_config();
         // Slot 1 keeps the caller's map; slots 0 and 2 take the derived ones.
-        assert_eq!(cfg.port_maps[1].next_hop(7), Some(SwitchId::new(2)));
-        assert_eq!(cfg.port_maps[1].next_hop(1), None);
-        assert_eq!(cfg.port_maps[0].next_hop(2), Some(SwitchId::new(1)));
-        assert_eq!(cfg.port_maps[2].next_hop(1), Some(SwitchId::new(1)));
+        let (topology, sw) = (&cfg.topology, SwitchId::new);
+        assert_eq!(topology.ports(sw(1)), &[(7, sw(2))]);
+        assert_eq!(topology.inject_via(sw(1)), None);
+        assert_eq!(topology.next_hop(sw(0), 2), Some(sw(1)));
+        assert_eq!(topology.next_hop(sw(2), 1), Some(sw(1)));
+        assert_eq!(topology.inject_via(sw(2)), Some((sw(1), 2)));
+    }
+
+    /// splitmix64: the seeded draws of the property test below.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// Random port maps of `kind` over `n` switches: ring, star, chain,
+    /// random graph (links in both directions), or random one-way ports.
+    /// Ports are distinct and sparse per switch; with `inject`, every switch
+    /// names a random other switch to inject through, by its port back when
+    /// it has one.
+    fn random_maps(draw: &mut Draw, n: usize, kind: usize, inject: bool) -> Vec<SwitchPortMap> {
+        let mut arcs: Vec<(usize, usize)> = match kind {
+            0 => (0..n).map(|i| (i, (i + 1) % n)).collect(),
+            1 => (1..n).map(|i| (0, i)).collect(),
+            2 => (1..n).map(|i| (i - 1, i)).collect(),
+            _ => (0..2 * n).map(|_| (draw.below(n), draw.below(n))).collect(),
+        };
+        if kind != 4 {
+            let back: Vec<_> = arcs.iter().map(|&(a, b)| (b, a)).collect();
+            arcs.extend(back);
+        }
+        let mut maps = vec![SwitchPortMap::default(); n];
+        let mut next_port = vec![0 as PortNo; n];
+        for (a, b) in arcs.into_iter().filter(|&(a, b)| a != b) {
+            next_port[a] += 1 + draw.below(3) as PortNo;
+            maps[a]
+                .port_to_switch
+                .insert(next_port[a], SwitchId::new(b));
+        }
+        if inject {
+            for a in 0..n {
+                let via = (a + 1 + draw.below(n - 1)) % n;
+                let back = maps[via]
+                    .port_to_switch
+                    .iter()
+                    .find(|(_, s)| s.index() == a);
+                let port = back.map_or(200 + draw.below(50) as PortNo, |(&p, _)| p);
+                maps[a].inject_via = Some((SwitchId::new(via), port));
+            }
+        }
+        maps
+    }
+
+    /// The topology against a brute-force reference over random port maps
+    /// on both sides of the unique-codepoint limit: catch values, probe
+    /// candidates and the shards the router hands a probe PacketIn to.
+    #[test]
+    fn topology_matches_brute_force_reference() {
+        for seed in 0..12u64 {
+            for kind in 0..5 {
+                for inject in [false, true] {
+                    let mut draw = Draw(seed * 10 + kind as u64);
+                    let small = 2 + draw.below(MAX_UNIQUE_CATCH_SWITCHES - 1);
+                    let large = MAX_UNIQUE_CATCH_SWITCHES + 1 + draw.below(100);
+                    for n in [small, large] {
+                        let case = format!("seed {seed}, kind {kind}, inject {inject}, n {n}");
+                        let state = draw.0;
+                        let maps = random_maps(&mut draw, n, kind, inject);
+                        check_topology(&maps, &case);
+                        // Maps equal in content, built in fresh hash maps.
+                        let again = random_maps(&mut Draw(state), n, kind, inject);
+                        assert_eq!(
+                            catch_values(&ProbeTopology::new(&maps)),
+                            catch_values(&ProbeTopology::new(&again)),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn check_topology(maps: &[SwitchPortMap], case: &str) {
+        let n = maps.len();
+        let config = RumBuilder::new(n).port_maps(maps.to_vec()).build_config();
+        let topology = &config.topology;
+        let values = catch_values(topology);
+        if n <= MAX_UNIQUE_CATCH_SWITCHES {
+            assert_eq!(values.iter().collect::<BTreeSet<_>>().len(), n, "{case}");
+        } else {
+            for (a, map) in maps.iter().enumerate() {
+                let via = map.inject_via.map(|(s, _)| s);
+                for b in map.port_to_switch.values().chain(via.iter()) {
+                    assert_ne!(values[a], values[b.index()], "{case}: {a} and {b}");
+                }
+            }
+        }
+        let routers: Vec<_> =
+            (([1, 3, 7].iter()).map(|&shards| ShardRouter::new(&config, shards))).collect();
+        for catch in (0..n).map(SwitchId::new) {
+            let upstream: BTreeSet<SwitchId> = (0..n)
+                .filter(|&s| maps[s].port_to_switch.values().any(|&c| c == catch))
+                .map(SwitchId::new)
+                .collect();
+            let named: Vec<PortNo> = maps[catch.index()].port_to_switch.keys().copied().collect();
+            for in_port in named.into_iter().chain([0, 199]) {
+                let expected: Vec<SwitchId> = match maps[catch.index()].next_hop(in_port) {
+                    Some(sender) => upstream.iter().copied().filter(|&s| s == sender).collect(),
+                    None => upstream.iter().copied().collect(),
+                };
+                assert_eq!(
+                    topology.candidates(catch, in_port),
+                    &expected[..],
+                    "{case}: catch {catch}, port {in_port}"
+                );
+                let probe = punted(catch.index(), in_port, tos_frame(topology.catch_tos(catch)));
+                for router in &routers {
+                    let owners: BTreeSet<usize> = (expected.iter().chain([&catch]))
+                        .map(|&s| router.shard_of(s))
+                        .collect();
+                    let mut delivered = Vec::new();
+                    router.deliver(probe.clone(), |k, input: Input| {
+                        assert_eq!(input, probe);
+                        delivered.push(k);
+                    });
+                    let owners: Vec<usize> = owners.into_iter().collect();
+                    assert_eq!(delivered, owners, "{case}: catch {catch}, port {in_port}");
+                }
+            }
+        }
     }
 }

@@ -29,12 +29,12 @@
 //! assert!(effects.is_empty()); // the baseline installs nothing up front
 //! ```
 
-use crate::config::{ProbeSources, RumConfig, TechniqueConfig};
+use crate::config::{RumConfig, TechniqueConfig};
 use crate::general::GeneralProbing;
 use crate::probe::catch_rule;
 use crate::sequential::SequentialProbing;
 use crate::technique::{AckTechnique, TechniqueOutput};
-use crate::technique::{AdaptiveDelay, StaticTimeout};
+use crate::technique::{AdaptiveDelay, StaticTimeout, XID_BAND};
 use openflow::messages::{FlowMod, PacketIn};
 use openflow::{OfMessage, PacketHeader, Xid};
 use std::collections::{HashMap, VecDeque};
@@ -419,8 +419,6 @@ pub struct RumEngine {
     owned: Range<usize>,
     /// State of the owned switches, in index order.
     switches: Vec<SwitchState>,
-    /// Which techniques a returning probe is offered to.
-    sources: Arc<ProbeSources>,
     /// The telemetry registry every statistic lives in — the one configured
     /// through [`crate::RumBuilder::metrics`], or a private registry so the
     /// stats surface works identically with telemetry off.
@@ -444,21 +442,15 @@ impl RumEngine {
     /// [`crate::SwitchPortMap`] to name at least one monitored neighbour;
     /// constructing an engine without one panics here (the simulator
     /// [`crate::deploy`] derives the maps from its topology, other
-    /// deployments must set them via [`crate::RumBuilder::port_map`]).
+    /// deployments must set them via [`crate::RumBuilder::port_maps`]).
     pub fn new(config: RumConfig) -> Self {
-        let sources = Arc::new(ProbeSources::new(&config.port_maps));
         let owned = 0..config.n_switches();
-        RumEngine::with_sources(Arc::new(config), sources, owned)
+        RumEngine::acting_for(Arc::new(config), owned)
     }
 
-    /// An engine acting for the switches in `owned` only, with the probe
-    /// sources of `config.port_maps` already derived — the shards of one
-    /// deployment share both.
-    pub(crate) fn with_sources(
-        config: Arc<RumConfig>,
-        sources: Arc<ProbeSources>,
-        owned: Range<usize>,
-    ) -> Self {
+    /// An engine acting for the switches in `owned` only — the shards of one
+    /// deployment share its configuration.
+    pub(crate) fn acting_for(config: Arc<RumConfig>, owned: Range<usize>) -> Self {
         let registry = config
             .metrics
             .clone()
@@ -478,7 +470,6 @@ impl RumEngine {
             config,
             owned,
             switches,
-            sources,
             registry,
             started: false,
             confirm_log: Vec::new(),
@@ -621,7 +612,7 @@ impl RumEngine {
         state.catch_generation += 1;
         state.metrics.proxy_flow_mods.inc();
         let xid = CATCH_XID_BASE | ((switch.index() as Xid) << 8) | (generation as Xid & 0xFF);
-        let fm = catch_rule(self.config.probe_plan.catch_tos(switch), u64::from(xid));
+        let fm = catch_rule(self.config.topology.catch_tos(switch), u64::from(xid));
         effects.push(Effect::ToSwitch {
             switch,
             message: OfMessage::FlowMod { xid, body: fm },
@@ -820,7 +811,7 @@ impl RumEngine {
     /// merely passing through — every PacketIn but the probes — is told
     /// apart by its ToS byte and never parsed.
     fn probe_header(&self, body: &PacketIn) -> Option<PacketHeader> {
-        if !self.config.probe_plan.marks(&body.data) {
+        if !self.config.topology.marks(&body.data) {
             return None;
         }
         PacketHeader::from_bytes(&body.data).ok()
@@ -854,8 +845,8 @@ impl RumEngine {
         // `catch`, so only the techniques upstream of `catch` are asked
         // (each ignores probes that are not its own), and of those only the
         // ones this instance runs.
-        let sources = Arc::clone(&self.sources);
-        for &sender in sources.candidates(catch, body.in_port) {
+        let topology = Arc::clone(&self.config.topology);
+        for &sender in topology.candidates(catch, body.in_port) {
             if !self.acts_for(sender) {
                 continue;
             }
@@ -1077,7 +1068,7 @@ fn is_liveness_msg(msg: &OfMessage) -> bool {
 }
 
 fn build_technique(config: &RumConfig, switch: SwitchId) -> Box<dyn AckTechnique> {
-    let xid_base = PROXY_XID_BASE + (switch.index() as u32 + 1) * 0x0001_0000;
+    let xid_base = PROXY_XID_BASE + (switch.index() as u32 + 1) * XID_BAND;
     match &config.technique {
         // The baseline is the proxy barrier with a zero hold-down (§3.1).
         TechniqueConfig::BarrierBaseline => Box::new(StaticTimeout::new(Duration::ZERO, xid_base)),
@@ -1090,10 +1081,10 @@ fn build_technique(config: &RumConfig, switch: SwitchId) -> Box<dyn AckTechnique
             batch_size,
             probe_interval,
         } => Box::new(SequentialProbing::new(
+            switch,
             *batch_size,
             *probe_interval,
-            config.probe_plan.clone(),
-            config.port_maps[switch.index()].clone(),
+            &config.topology,
             xid_base,
         )),
         TechniqueConfig::GeneralProbing {
@@ -1106,8 +1097,7 @@ fn build_technique(config: &RumConfig, switch: SwitchId) -> Box<dyn AckTechnique
                 *probe_interval,
                 *max_outstanding,
                 *fallback_delay,
-                config.probe_plan.clone(),
-                config.port_maps[switch.index()].clone(),
+                Arc::clone(&config.topology),
                 xid_base,
             );
             // Every experiment pre-installs a low-priority drop-all rule;

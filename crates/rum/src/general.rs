@@ -38,16 +38,17 @@
 //! probed on each tick once older than the lag bound, so liveness is bounded
 //! by `fallback_delay`.  Only a returned probe confirms.
 
-use crate::config::{ProbeFieldPlan, SwitchPortMap};
+use crate::config::ProbeTopology;
 use crate::engine::SwitchId;
 use crate::probe::{
     first_physical_output, synthesize_general_probe, GeneralProbe, ProbeSynthesisError,
 };
-use crate::technique::{AckTechnique, ProbeTick, TechniqueOutput, TOKEN_TICK};
+use crate::technique::{fresh_xid, AckTechnique, ProbeTick, TechniqueOutput, TOKEN_TICK};
 use ofswitch::FlowTable;
 use openflow::messages::{FlowMod, PacketOut};
 use openflow::{Action, OfMessage, PacketHeader, Xid};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Timer tokens >= this value are fallback confirmations (token - base = cookie).
@@ -73,8 +74,9 @@ pub struct GeneralProbing {
     tick: ProbeTick,
     max_outstanding: usize,
     fallback_delay: Duration,
-    plan: ProbeFieldPlan,
-    ports: SwitchPortMap,
+    /// The monitored switch, and where its probes go.
+    switch: SwitchId,
+    topology: Arc<ProbeTopology>,
 
     /// RUM's model of the switch's flow table: the seeded drop-all rule plus
     /// every controller mod on its way to the switch, applied with the
@@ -100,25 +102,24 @@ pub struct GeneralProbing {
 }
 
 impl GeneralProbing {
-    /// Creates the technique.
-    pub fn new(
-        switch_index: SwitchId,
+    /// Creates the technique for `switch` of `topology`.
+    pub(crate) fn new(
+        switch: SwitchId,
         probe_interval: Duration,
         max_outstanding: usize,
         fallback_delay: Duration,
-        plan: ProbeFieldPlan,
-        ports: SwitchPortMap,
+        topology: Arc<ProbeTopology>,
         xid_base: Xid,
     ) -> Self {
         assert!(max_outstanding > 0, "max_outstanding must be at least 1");
         // Each monitored switch gets its own 4096-wide band of probe ids.
-        let probe_id_base = 1 + (switch_index.index() as u16 % 15) * 4096;
+        let probe_id_base = 1 + (switch.index() as u16 % 15) * 4096;
         GeneralProbing {
             tick: ProbeTick::new(probe_interval),
             max_outstanding,
             fallback_delay,
-            plan,
-            ports,
+            switch,
+            topology,
             table: FlowTable::new(0),
             pending: Vec::new(),
             round: 0,
@@ -135,12 +136,6 @@ impl GeneralProbing {
     /// rule).
     pub fn seed_rule(&mut self, fm: &FlowMod) {
         let _ = self.table.apply(fm, Duration::ZERO);
-    }
-
-    fn fresh_xid(&mut self) -> Xid {
-        let x = self.next_xid;
-        self.next_xid = self.next_xid.wrapping_add(1);
-        x
     }
 
     fn fresh_probe_id(&mut self) -> u16 {
@@ -173,7 +168,7 @@ impl GeneralProbing {
     }
 
     fn inject_probe_for(&mut self, idx: usize, round: u64, out: &mut Vec<TechniqueOutput>) {
-        let Some((via_switch, via_port)) = self.ports.inject_via else {
+        let Some((via_switch, via_port)) = self.topology.inject_via(self.switch) else {
             return;
         };
         self.pending[idx].round = round;
@@ -181,7 +176,7 @@ impl GeneralProbing {
             vec![Action::output(via_port)],
             self.pending[idx].probe.packet.to_bytes(),
         );
-        let xid = self.fresh_xid();
+        let xid = fresh_xid(&mut self.next_xid);
         out.push(TechniqueOutput::InjectVia {
             switch: via_switch,
             msg: OfMessage::PacketOut { xid, body: po },
@@ -213,12 +208,13 @@ impl AckTechnique for GeneralProbing {
         let probe_id = self.fresh_probe_id();
         // Determine which neighbour will catch the probe: the switch behind
         // the rule's output port.  The mod enters the table model either way.
-        let catch_switch = first_physical_output(&fm.actions).and_then(|p| self.ports.next_hop(p));
+        let catch_switch = (first_physical_output(&fm.actions))
+            .and_then(|p| self.topology.next_hop(self.switch, p));
         let result = match catch_switch {
             Some(next) => synthesize_general_probe(
                 &mut self.table,
                 fm,
-                self.plan.catch_tos(next),
+                self.topology.catch_tos(next),
                 probe_id,
                 now,
             ),
@@ -316,21 +312,9 @@ impl AckTechnique for GeneralProbing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::probed_switch_one;
     use openflow::OfMatch;
     use std::net::Ipv4Addr;
-
-    fn ports() -> SwitchPortMap {
-        let mut m = SwitchPortMap {
-            port_to_switch: Default::default(),
-            inject_via: Some((SwitchId::new(0), 2)),
-        };
-        m.port_to_switch.insert(2, SwitchId::new(2));
-        m
-    }
-
-    fn plan() -> ProbeFieldPlan {
-        ProbeFieldPlan::unique_per_switch(3)
-    }
 
     fn new_technique() -> GeneralProbing {
         let mut t = GeneralProbing::new(
@@ -338,8 +322,7 @@ mod tests {
             Duration::from_millis(10),
             30,
             Duration::from_millis(300),
-            plan(),
-            ports(),
+            probed_switch_one(),
             0xB000_0000,
         );
         // Mirror the pre-installed drop-all rule.
@@ -401,7 +384,7 @@ mod tests {
         assert_eq!(probe_header.nw_src, Ipv4Addr::new(10, 0, 0, 1));
         assert_eq!(
             probe_header.nw_tos & 0xfc,
-            plan().catch_tos(SwitchId::new(2)) & 0xfc
+            probed_switch_one().catch_tos(SwitchId::new(2)) & 0xfc
         );
         assert!(confirms(&out).is_empty());
 
@@ -421,7 +404,7 @@ mod tests {
         let mut out = Vec::new();
         t.on_flow_mod(42, &forwarding_mod(1), Duration::ZERO, &mut out);
         let foreign = PacketHeader {
-            nw_tos: plan().catch_tos(SwitchId::new(2)),
+            nw_tos: probed_switch_one().catch_tos(SwitchId::new(2)),
             tp_src: 9999,
             ..Default::default()
         };
@@ -520,8 +503,7 @@ mod tests {
             Duration::from_millis(10),
             2, // cap at 2 outstanding probes per round
             Duration::from_millis(300),
-            plan(),
-            ports(),
+            probed_switch_one(),
             0xB000_0000,
         );
         t.seed_rule(&FlowMod::add(OfMatch::wildcard_all(), 0, vec![]));
@@ -789,8 +771,7 @@ mod tests {
                 INTERVAL,
                 CAP,
                 FALLBACK,
-                plan(),
-                ports(),
+                probed_switch_one(),
                 0xB000_0000,
             );
             t.seed_rule(&FlowMod::add(OfMatch::wildcard_all(), 0, vec![]));

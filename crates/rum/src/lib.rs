@@ -56,7 +56,7 @@ pub mod sequential;
 pub mod shard;
 pub mod technique;
 
-pub use config::{ProbeFieldPlan, RumBuilder, RumConfig, SwitchPortMap, TechniqueConfig};
+pub use config::{RumBuilder, RumConfig, SwitchPortMap, TechniqueConfig};
 pub use engine::{
     ConfirmRecord, Effect, Input, ProxyStats, RumEngine, SwitchId, TimerToken, PROXY_XID_BASE,
 };

@@ -15,7 +15,7 @@ use openflow::{Action, MacAddr, OfMatch, PacketHeader, PortNo, Wildcards};
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use crate::config::{CATCH_RULE_PRIORITY, PROBE_RULE_PRIORITY};
+use crate::config::{CATCH_RULE_PRIORITY, PREPROBE_TOS, PROBE_RULE_PRIORITY};
 
 /// The IP addresses probe packets use by default (TEST-NET-2, never assigned
 /// to real traffic).
@@ -35,18 +35,17 @@ pub fn catch_rule(catch_tos: u8, cookie: u64) -> FlowMod {
 }
 
 /// Builds (or re-versions) the sequential probing rule at a monitored switch:
-/// pre-probe packets are stamped with the current version (VLAN id), have
-/// their ToS rewritten to the *next-hop* switch's catch value, and are
-/// forwarded towards that neighbour.
+/// pre-probe packets ([`PREPROBE_TOS`]) are stamped with the current version
+/// (VLAN id), have their ToS rewritten to the *next-hop* switch's catch
+/// value, and are forwarded towards that neighbour.
 pub fn sequential_probe_rule(
-    preprobe_tos: u8,
     next_hop_catch_tos: u8,
     out_port: PortNo,
     version: u16,
     cookie: u64,
     first_install: bool,
 ) -> FlowMod {
-    let match_ = OfMatch::wildcard_all().with_nw_tos(preprobe_tos);
+    let match_ = OfMatch::wildcard_all().with_nw_tos(PREPROBE_TOS);
     let actions = vec![
         Action::SetVlanVid(version),
         Action::SetNwTos(next_hop_catch_tos),
@@ -60,8 +59,8 @@ pub fn sequential_probe_rule(
     fm.with_cookie(cookie)
 }
 
-/// The packet RUM repeatedly injects for sequential probing.
-pub fn sequential_probe_packet(preprobe_tos: u8) -> PacketHeader {
+/// The pre-probe packet RUM repeatedly injects for sequential probing.
+pub fn sequential_probe_packet() -> PacketHeader {
     let mut h = PacketHeader::ipv4_udp(
         MacAddr::from_id(0x52_55_4d_01),
         MacAddr::from_id(0x52_55_4d_02),
@@ -70,7 +69,7 @@ pub fn sequential_probe_packet(preprobe_tos: u8) -> PacketHeader {
         40_000,
         40_001,
     );
-    h.nw_tos = preprobe_tos;
+    h.nw_tos = PREPROBE_TOS;
     h
 }
 
@@ -261,8 +260,12 @@ fn candidate_before(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ProbeFieldPlan, PREPROBE_TOS};
-    use crate::engine::SwitchId;
+    use crate::config::CATCH_TOS_BASE;
+
+    /// Switch `i`'s catch value in a small fleet, one value per switch.
+    fn catch_of(i: u8) -> u8 {
+        CATCH_TOS_BASE - 4 * i
+    }
 
     /// A table model holding `rules`.
     fn table(rules: &[FlowMod]) -> FlowTable {
@@ -293,11 +296,10 @@ mod tests {
 
     #[test]
     fn catch_rule_matches_only_its_tos() {
-        let plan = ProbeFieldPlan::unique_per_switch(2);
-        let rule = catch_rule(plan.catch_tos(SwitchId::new(0)), 1);
+        let rule = catch_rule(catch_of(0), 1);
         assert_eq!(rule.priority, CATCH_RULE_PRIORITY);
         let mut pkt = PacketHeader {
-            nw_tos: plan.catch_tos(SwitchId::new(0)),
+            nw_tos: catch_of(0),
             ..Default::default()
         };
         assert!(rule.match_.matches(&pkt, 1));
@@ -307,16 +309,16 @@ mod tests {
 
     #[test]
     fn sequential_rule_rewrites_and_forwards() {
-        let fm = sequential_probe_rule(PREPROBE_TOS, 0xF8, 3, 7, 99, true);
+        let fm = sequential_probe_rule(0xF8, 3, 7, 99, true);
         assert_eq!(fm.priority, PROBE_RULE_PRIORITY);
-        let probe = sequential_probe_packet(PREPROBE_TOS);
+        let probe = sequential_probe_packet();
         assert!(fm.match_.matches(&probe, 1));
         let (rewritten, ports) = Action::apply_list(&fm.actions, &probe);
         assert_eq!(rewritten.nw_tos, 0xF8);
         assert_eq!(rewritten.dl_vlan, 7);
         assert_eq!(ports, vec![3]);
         // Version bumps reuse modify-strict so the rule is updated in place.
-        let bump = sequential_probe_rule(PREPROBE_TOS, 0xF8, 3, 8, 99, false);
+        let bump = sequential_probe_rule(0xF8, 3, 8, 99, false);
         assert_eq!(bump.match_, fm.match_);
         assert!(matches!(
             bump.command,
@@ -326,14 +328,13 @@ mod tests {
 
     #[test]
     fn general_probe_for_simple_forwarding_rule() {
-        let plan = ProbeFieldPlan::unique_per_switch(3);
-        let catch = plan.catch_tos(SwitchId::new(2));
+        let catch = catch_of(2);
         let rule = FlowMod::add(
             OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, 5), Ipv4Addr::new(10, 1, 0, 5)),
             100,
             vec![Action::output(2)],
         );
-        let mut table = base_table(plan.catch_tos(SwitchId::new(1)));
+        let mut table = base_table(catch_of(1));
         let probe = synthesize(&mut table, &rule, catch, 777).unwrap();
         assert_eq!(probe.out_port, 2);
         assert_eq!(probe.packet.nw_src, Ipv4Addr::new(10, 0, 0, 5));
@@ -383,7 +384,6 @@ mod tests {
     fn general_probe_detects_indistinguishable_fallback() {
         // A lower-priority rule already forwards the same traffic to the same
         // port: the probe cannot tell whether the new rule is installed.
-        let plan = ProbeFieldPlan::unique_per_switch(2);
         let rule = FlowMod::add(
             OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, 5), Ipv4Addr::new(10, 1, 0, 5)),
             100,
@@ -395,12 +395,7 @@ mod tests {
             vec![Action::output(2)],
         );
         assert_eq!(
-            synthesize(
-                &mut table(&[lower]),
-                &rule,
-                plan.catch_tos(SwitchId::new(1)),
-                1
-            ),
+            synthesize(&mut table(&[lower]), &rule, catch_of(1), 1),
             Err(ProbeSynthesisError::IndistinguishableFromFallback)
         );
     }
@@ -409,7 +404,6 @@ mod tests {
     fn general_probe_distinguishes_different_fallback_port() {
         // Same as above but the lower-priority rule forwards elsewhere, so the
         // probe is valid (paper: common ACL + forwarding combination).
-        let plan = ProbeFieldPlan::unique_per_switch(2);
         let rule = FlowMod::add(
             OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, 5), Ipv4Addr::new(10, 1, 0, 5)),
             100,
@@ -420,19 +414,12 @@ mod tests {
             50,
             vec![Action::output(3)],
         );
-        let probe = synthesize(
-            &mut table(&[lower]),
-            &rule,
-            plan.catch_tos(SwitchId::new(1)),
-            1,
-        )
-        .unwrap();
+        let probe = synthesize(&mut table(&[lower]), &rule, catch_of(1), 1).unwrap();
         assert_eq!(probe.out_port, 2);
     }
 
     #[test]
     fn general_probe_avoids_higher_priority_overlap_when_possible() {
-        let plan = ProbeFieldPlan::unique_per_switch(2);
         // Probed rule: everything to 10.1/16 -> port 2.
         let rule = FlowMod::add(
             OfMatch::wildcard_all().with_nw_dst_prefix(Ipv4Addr::new(10, 1, 0, 0), 16),
@@ -447,7 +434,7 @@ mod tests {
             vec![Action::output(9)],
         );
         let mut table = table(&[hijacker, FlowMod::add(OfMatch::wildcard_all(), 0, vec![])]);
-        let probe = synthesize(&mut table, &rule, plan.catch_tos(SwitchId::new(1)), 5).unwrap();
+        let probe = synthesize(&mut table, &rule, catch_of(1), 5).unwrap();
         // The chosen probe must not be the hijacked source address.
         assert_ne!(probe.packet.nw_src, PROBE_SRC_IP);
         assert!(rule.match_.matches(&probe.packet, 0));
@@ -455,7 +442,6 @@ mod tests {
 
     #[test]
     fn general_probe_fully_covered_fails() {
-        let plan = ProbeFieldPlan::unique_per_switch(2);
         let rule = FlowMod::add(
             OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, 5), Ipv4Addr::new(10, 1, 0, 5)),
             100,
@@ -468,12 +454,7 @@ mod tests {
             vec![Action::output(9)],
         );
         assert_eq!(
-            synthesize(
-                &mut table(&[cover]),
-                &rule,
-                plan.catch_tos(SwitchId::new(1)),
-                5
-            ),
+            synthesize(&mut table(&[cover]), &rule, catch_of(1), 5),
             Err(ProbeSynthesisError::CoveredByHigherPriority)
         );
     }

@@ -18,10 +18,10 @@
 //!   neighbour's connection) so the probing rule is exercised by the
 //!   *hardware* path, not the switch-local software path.
 
-use crate::config::{ProbeFieldPlan, SwitchPortMap};
+use crate::config::ProbeTopology;
 use crate::engine::SwitchId;
 use crate::probe::{sequential_probe_packet, sequential_probe_rule};
-use crate::technique::{AckTechnique, ProbeTick, TechniqueOutput, TOKEN_TICK};
+use crate::technique::{fresh_xid, AckTechnique, ProbeTick, TechniqueOutput, TOKEN_TICK};
 use openflow::messages::{FlowMod, PacketOut};
 use openflow::{Action, OfMessage, PacketHeader, PortNo, Xid};
 use std::collections::VecDeque;
@@ -44,14 +44,13 @@ pub struct SequentialProbing {
     batch_size: usize,
     /// The probe tick, injecting while confirmations are pending.
     tick: ProbeTick,
-    /// Probe field plan (pre-probe marker + per-switch catch values).
-    plan: ProbeFieldPlan,
-    /// Topology knowledge for this switch.
-    ports: SwitchPortMap,
     /// Port of this switch leading to the neighbour that will catch probes.
     catch_port: PortNo,
-    /// The neighbour switch that catches probes.
-    catch_switch: SwitchId,
+    /// The catch value of that neighbour.
+    catch_tos: u8,
+    /// The neighbour probes are injected through, and its port towards
+    /// this switch.
+    inject_via: Option<(SwitchId, PortNo)>,
 
     /// Modifications not yet covered by a probe-rule version.
     unversioned: Vec<u64>,
@@ -63,44 +62,32 @@ pub struct SequentialProbing {
 }
 
 impl SequentialProbing {
-    /// Creates the technique.
-    ///
-    /// `catch_port` is the monitored switch's port towards the neighbouring
-    /// switch `catch_switch`, which must hold a probe-catch rule (RUM installs
-    /// those at start-up on every switch).
-    pub fn new(
+    /// Creates the technique for `switch` of `topology`.  Probes leave
+    /// through the switch's lowest port leading to a monitored neighbour,
+    /// whose probe-catch rule punts them (RUM installs those at start-up on
+    /// every switch).
+    pub(crate) fn new(
+        switch: SwitchId,
         batch_size: usize,
         probe_interval: Duration,
-        plan: ProbeFieldPlan,
-        ports: SwitchPortMap,
+        topology: &ProbeTopology,
         xid_base: Xid,
     ) -> Self {
         assert!(batch_size > 0, "batch size must be at least 1");
-        let (catch_port, catch_switch) = ports
-            .port_to_switch
-            .iter()
-            .map(|(p, s)| (*p, *s))
-            .min()
+        let &(catch_port, catch_switch) = (topology.ports(switch).first())
             .expect("sequential probing needs at least one monitored neighbour");
         SequentialProbing {
             batch_size,
             tick: ProbeTick::new(probe_interval),
-            plan,
-            ports,
             catch_port,
-            catch_switch,
+            catch_tos: topology.catch_tos(catch_switch),
+            inject_via: topology.inject_via(switch),
             unversioned: Vec::new(),
             outstanding: VecDeque::new(),
             current_version: 0,
             probe_rule_installed: false,
             next_xid: xid_base,
         }
-    }
-
-    fn fresh_xid(&mut self) -> Xid {
-        let x = self.next_xid;
-        self.next_xid = self.next_xid.wrapping_add(1);
-        x
     }
 
     fn bump_version(&mut self, out: &mut Vec<TechniqueOutput>) {
@@ -117,11 +104,9 @@ impl SequentialProbing {
             version: self.current_version,
             cookies,
         });
-        let xid = self.fresh_xid();
-        let catch_tos = self.plan.catch_tos(self.catch_switch);
+        let xid = fresh_xid(&mut self.next_xid);
         let mut fm = sequential_probe_rule(
-            self.plan.preprobe_tos,
-            catch_tos,
+            self.catch_tos,
             self.catch_port,
             self.current_version,
             u64::from(xid),
@@ -136,12 +121,12 @@ impl SequentialProbing {
     }
 
     fn inject_probe(&mut self, out: &mut Vec<TechniqueOutput>) {
-        let Some((via_switch, via_port)) = self.ports.inject_via else {
+        let Some((via_switch, via_port)) = self.inject_via else {
             return;
         };
-        let packet = sequential_probe_packet(self.plan.preprobe_tos);
+        let packet = sequential_probe_packet();
         let po = PacketOut::inject(vec![Action::output(via_port)], packet.to_bytes());
-        let xid = self.fresh_xid();
+        let xid = fresh_xid(&mut self.next_xid);
         out.push(TechniqueOutput::InjectVia {
             switch: via_switch,
             msg: OfMessage::PacketOut { xid, body: po },
@@ -179,7 +164,7 @@ impl AckTechnique for SequentialProbing {
     ) {
         // Ownership check: the probe must carry the catch value of the switch
         // we forward probes to, and a version we actually issued.
-        if header.nw_tos & 0xfc != self.plan.catch_tos(self.catch_switch) & 0xfc {
+        if header.nw_tos & 0xfc != self.catch_tos & 0xfc {
             return;
         }
         let version = header.dl_vlan;
@@ -255,22 +240,9 @@ fn version_is_at_least(observed: u16, candidate: u16) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::tests::probed_switch_one;
     use openflow::OfMatch;
     use std::net::Ipv4Addr;
-
-    fn ports() -> SwitchPortMap {
-        let mut m = SwitchPortMap {
-            port_to_switch: Default::default(),
-            inject_via: Some((SwitchId::new(0), 2)),
-        };
-        // Port 2 leads to monitored switch 2.
-        m.port_to_switch.insert(2, SwitchId::new(2));
-        m
-    }
-
-    fn plan() -> ProbeFieldPlan {
-        ProbeFieldPlan::unique_per_switch(3)
-    }
 
     fn fm(i: u8) -> FlowMod {
         FlowMod::add(
@@ -282,17 +254,17 @@ mod tests {
 
     fn new_technique(batch: usize) -> SequentialProbing {
         SequentialProbing::new(
+            SwitchId::new(1),
             batch,
             Duration::from_millis(10),
-            plan(),
-            ports(),
+            &probed_switch_one(),
             0xA000_0000,
         )
     }
 
     fn probe_header(version: u16) -> PacketHeader {
-        let mut h = sequential_probe_packet(plan().preprobe_tos);
-        h.nw_tos = plan().catch_tos(SwitchId::new(2));
+        let mut h = sequential_probe_packet();
+        h.nw_tos = probed_switch_one().catch_tos(SwitchId::new(2));
         h.dl_vlan = version;
         h
     }
@@ -379,7 +351,7 @@ mod tests {
         t.on_flow_mod(1, &fm(1), Duration::ZERO, &mut out);
         // Wrong ToS (someone else's catch value).
         let mut h = probe_header(1);
-        h.nw_tos = plan().catch_tos(SwitchId::new(0));
+        h.nw_tos = probed_switch_one().catch_tos(SwitchId::new(0));
         let mut out = Vec::new();
         t.on_probe_packet(&h, Duration::ZERO, &mut out);
         assert!(out.is_empty());

@@ -35,7 +35,7 @@
 //! engine's.  Only the interleaving *across* switches may differ, which no
 //! per-switch invariant (and no connection byte stream) observes.
 
-use crate::config::{ProbeFieldPlan, ProbeSources, RumConfig};
+use crate::config::{ProbeTopology, RumConfig};
 use crate::engine::{ConfirmRecord, Effect, Input, ProxyStats, RumEngine, SwitchId};
 use openflow::OfMessage;
 use std::ops::Range;
@@ -62,43 +62,18 @@ pub enum Routing {
 pub struct ShardRouter {
     n_shards: usize,
     n_switches: usize,
-    probe_plan: ProbeFieldPlan,
-    sources: Arc<ProbeSources>,
-    /// Per switch N: the shards a probe PacketIn from N goes to when the
-    /// arrival port does not identify the sender — the owners of everything
-    /// upstream of N, and N's own — ascending.
-    probe_shards: Vec<Vec<usize>>,
+    topology: Arc<ProbeTopology>,
 }
 
 impl ShardRouter {
     /// A router for `n_shards` shards over `config`'s deployment.
     pub fn new(config: &RumConfig, n_shards: usize) -> Self {
-        let sources = Arc::new(ProbeSources::new(&config.port_maps));
-        ShardRouter::with_sources(config, n_shards, sources)
-    }
-
-    fn with_sources(config: &RumConfig, n_shards: usize, sources: Arc<ProbeSources>) -> Self {
         assert!(n_shards >= 1, "a deployment needs at least one shard");
-        let mut router = ShardRouter {
+        ShardRouter {
             n_shards,
             n_switches: config.n_switches(),
-            probe_plan: config.probe_plan.clone(),
-            sources,
-            probe_shards: Vec::new(),
-        };
-        router.probe_shards = (0..router.n_switches)
-            .map(|catch| {
-                let catch = SwitchId::new(catch);
-                let mut shards: Vec<usize> = (router.sources.upstream(catch).iter())
-                    .chain([&catch])
-                    .map(|&switch| router.shard_of(switch))
-                    .collect();
-                shards.sort_unstable();
-                shards.dedup();
-                shards
-            })
-            .collect();
-        router
+            topology: Arc::clone(&config.topology),
+        }
     }
 
     /// Number of shards routed over.
@@ -145,38 +120,39 @@ impl ShardRouter {
     /// Hands `input` to `to_shard` once per shard it concerns, in ascending
     /// shard order: the owner for everything affecting a single switch, and
     /// for a probe PacketIn from switch N the owners of the switches whose
-    /// probes N can catch plus N's own (see the module docs).
+    /// probes it can vouch for (the probe topology's candidates) plus N's own
+    /// (see the module docs).
     pub fn deliver(&self, input: Input, mut to_shard: impl FnMut(usize, Input)) {
-        let few;
-        let shards: &[usize] = match (self.route(&input), &input) {
-            (Routing::Shard(k), _) => {
-                few = [k, k];
-                &few[..1]
-            }
+        let (own, candidates) = match (self.route(&input), &input) {
+            (Routing::Shard(k), _) => return to_shard(k, input),
             (
                 Routing::Broadcast,
                 Input::FromSwitch {
                     switch,
                     message: OfMessage::PacketIn { body, .. },
                 },
-            ) => {
-                let own = self.shard_of(*switch);
-                let sender = self.sources.behind(*switch, body.in_port);
-                let other = sender.map_or(own, |s| self.shard_of(s));
-                few = [own.min(other), own.max(other)];
-                match (sender, self.probe_shards.get(switch.index())) {
-                    (None, Some(upstream)) => upstream,
-                    _ if own == other => &few[..1],
-                    _ => &few,
-                }
-            }
+            ) => (
+                self.shard_of(*switch),
+                self.topology.candidates(*switch, body.in_port),
+            ),
             (Routing::Broadcast, _) => unreachable!("only probe PacketIns are broadcast"),
         };
-        let (&last, rest) = shards.split_last().expect("an owner shard at least");
-        for &k in rest {
-            to_shard(k, input.clone());
+        // Candidates ascend, so do their owners: `own` is merged in, and a
+        // repeat is always the shard just before.
+        let owners = candidates.iter().map(|&s| self.shard_of(s));
+        let shards = (owners.clone().take_while(|&k| k < own))
+            .chain([own])
+            .chain(owners.skip_while(|&k| k <= own));
+        let mut held = None;
+        for k in shards {
+            match held {
+                Some(h) if h == k => continue,
+                Some(h) => to_shard(h, input.clone()),
+                None => {}
+            }
+            held = Some(k);
         }
-        to_shard(last, input);
+        to_shard(held.expect("the owner shard at least"), input);
     }
 
     /// True for a PacketIn punting one of RUM's own probe packets (reserved
@@ -188,7 +164,7 @@ impl ShardRouter {
             return false;
         };
         body.reason == openflow::constants::packet_in_reason::ACTION
-            && self.probe_plan.marks(&body.data)
+            && self.topology.marks(&body.data)
     }
 }
 
@@ -220,17 +196,10 @@ impl ShardedEngine {
         if config.metrics.is_none() {
             config.metrics = Some(Arc::new(Registry::new()));
         }
-        let sources = Arc::new(ProbeSources::new(&config.port_maps));
-        let router = ShardRouter::with_sources(&config, n_shards, Arc::clone(&sources));
+        let router = ShardRouter::new(&config, n_shards);
         let config = Arc::new(config);
         let shards = (0..n_shards)
-            .map(|k| {
-                RumEngine::with_sources(
-                    Arc::clone(&config),
-                    Arc::clone(&sources),
-                    router.owned_by(k),
-                )
-            })
+            .map(|k| RumEngine::acting_for(Arc::clone(&config), router.owned_by(k)))
             .collect();
         ShardedEngine { shards, router }
     }
@@ -523,7 +492,6 @@ pub(crate) mod tests {
         let config = RumBuilder::new(7)
             .technique(TechniqueConfig::default_general())
             .build_config();
-        let plan = config.probe_plan.clone();
         let router = ShardRouter::new(&config, 3);
         assert_eq!(router.n_shards(), 3);
         assert_eq!(
@@ -549,7 +517,7 @@ pub(crate) mod tests {
         // A probe-marked PacketIn broadcasts; ordinary PacketIns go to the
         // arrival switch's owner.
         let probe = openflow::PacketHeader {
-            nw_tos: plan.catch_tos(SwitchId::new(0)),
+            nw_tos: config.topology.catch_tos(SwitchId::new(0)),
             ..Default::default()
         };
         let packet_in = |data: Vec<u8>| OfMessage::PacketIn {
@@ -605,7 +573,7 @@ pub(crate) mod tests {
     /// A probe punted by `catch`'s catch rule after arriving on `in_port`.
     fn probe_return(config: &RumConfig, catch: usize, in_port: u16) -> Input {
         let header = openflow::PacketHeader {
-            nw_tos: config.probe_plan.catch_tos(SwitchId::new(catch)),
+            nw_tos: config.topology.catch_tos(SwitchId::new(catch)),
             ..Default::default()
         };
         punted(catch, in_port, header.to_bytes())

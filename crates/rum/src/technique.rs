@@ -15,6 +15,7 @@
 use crate::engine::SwitchId;
 use openflow::messages::FlowMod;
 use openflow::{OfMessage, PacketHeader, Xid};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -91,6 +92,19 @@ pub trait AckTechnique: Send {
     fn on_switch_reconnected(&mut self, _now: Duration, _out: &mut Vec<TechniqueOutput>) {}
 }
 
+/// Width of the xid band each switch's technique numbers its proxy messages
+/// in: switch `i`'s starts at `PROXY_XID_BASE + (i + 1) * XID_BAND`.
+pub(crate) const XID_BAND: Xid = 0x1_0000;
+
+/// Takes the next xid of a technique's band, wrapping inside the band: a
+/// technique never steps into the next switch's band or, past `u32::MAX`,
+/// below `PROXY_XID_BASE` into the controller's xids.
+pub(crate) fn fresh_xid(next: &mut Xid) -> Xid {
+    let xid = *next;
+    *next = (xid & !(XID_BAND - 1)) | (xid.wrapping_add(1) & (XID_BAND - 1));
+    xid
+}
+
 /// Timer token of the probing techniques' periodic tick.
 pub(crate) const TOKEN_TICK: u64 = 1;
 
@@ -151,6 +165,9 @@ pub struct StaticTimeout {
     next_xid: Xid,
     next_token: u64,
     barrier_covers: HashMap<Xid, Vec<u64>>,
+    /// Cookies whose barrier waits for an xid: every xid of the band awaits
+    /// a reply.
+    waiting: Vec<u64>,
     timer_covers: HashMap<u64, Vec<u64>>,
 }
 
@@ -163,16 +180,38 @@ impl StaticTimeout {
             next_xid: xid_base,
             next_token: 0,
             barrier_covers: HashMap::new(),
+            waiting: Vec::new(),
             timer_covers: HashMap::new(),
         }
     }
 
-    /// Sends a fresh proxy barrier covering `cookies`.
+    /// Sends a fresh proxy barrier covering `cookies` on an xid of the band
+    /// that awaits no reply, so that a reply names one barrier (a reused xid
+    /// would let an older barrier's reply confirm newer mods).
     fn barrier(&mut self, cookies: Vec<u64>, out: &mut Vec<TechniqueOutput>) {
-        let xid = self.next_xid;
-        self.next_xid = self.next_xid.wrapping_add(1);
-        self.barrier_covers.insert(xid, cookies);
-        out.push(TechniqueOutput::ToSwitch(OfMessage::BarrierRequest { xid }));
+        let xid = fresh_xid(&mut self.next_xid);
+        match self.barrier_covers.entry(xid) {
+            Entry::Vacant(slot) => {
+                slot.insert(cookies);
+                out.push(TechniqueOutput::ToSwitch(OfMessage::BarrierRequest { xid }));
+            }
+            Entry::Occupied(_) => self.barrier_past_used_xids(cookies, out),
+        }
+    }
+
+    /// The band's next xid still awaits its reply: the barrier takes the
+    /// first xid after it that does not or, while every xid of the band
+    /// awaits one, its cookies wait for the next reply.
+    #[cold]
+    fn barrier_past_used_xids(&mut self, mut cookies: Vec<u64>, out: &mut Vec<TechniqueOutput>) {
+        if self.barrier_covers.len() >= XID_BAND as usize {
+            self.waiting.append(&mut cookies);
+            return;
+        }
+        while self.barrier_covers.contains_key(&self.next_xid) {
+            fresh_xid(&mut self.next_xid);
+        }
+        self.barrier(cookies, out);
     }
 }
 
@@ -196,6 +235,10 @@ impl AckTechnique for StaticTimeout {
         let Some(cookies) = self.barrier_covers.remove(&xid) else {
             return;
         };
+        if !self.waiting.is_empty() {
+            let waiting = std::mem::take(&mut self.waiting);
+            self.barrier(waiting, out);
+        }
         if self.delay.is_zero() {
             out.extend(cookies.into_iter().map(TechniqueOutput::Confirm));
             return;
@@ -217,13 +260,16 @@ impl AckTechnique for StaticTimeout {
 
     fn on_switch_reconnected(&mut self, _now: Duration, out: &mut Vec<TechniqueOutput>) {
         // Covers whose barrier reply never came died with the old channel;
-        // fold them into one fresh barrier behind the re-issued
-        // modifications (covers whose hold-down timer is already running
-        // confirm on their own).
-        if self.barrier_covers.is_empty() {
+        // fold them, and the cookies waiting for an xid, into one fresh
+        // barrier behind the re-issued modifications (covers whose hold-down
+        // timer is already running confirm on their own).
+        if self.barrier_covers.is_empty() && self.waiting.is_empty() {
             return;
         }
-        let mut cookies: Vec<u64> = self.barrier_covers.drain().flat_map(|(_, v)| v).collect();
+        let mut cookies: Vec<u64> = (self.barrier_covers.drain())
+            .flat_map(|(_, v)| v)
+            .chain(self.waiting.drain(..))
+            .collect();
         cookies.sort_unstable();
         self.barrier(cookies, out);
     }
@@ -318,6 +364,56 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// A technique's proxy xids wrap inside its switch's 65,536-wide band:
+    /// the last switch's band ends at `u32::MAX`, past which a plain
+    /// increment would land on 0, among the controller's xids.
+    #[test]
+    fn barrier_xids_wrap_inside_their_band() {
+        for band in [0xFFFF_0000, crate::PROXY_XID_BASE + XID_BAND] {
+            let mut t = StaticTimeout::new(Duration::ZERO, band);
+            let mut xids = Vec::new();
+            for cookie in 0..=u64::from(XID_BAND) {
+                let mut out = Vec::new();
+                t.on_flow_mod(cookie, &fm(1), Duration::ZERO, &mut out);
+                let xid = barrier_xids(&out)[0];
+                t.on_switch_barrier_reply(xid, Duration::ZERO, &mut out);
+                assert_eq!(confirms(&out), vec![cookie]);
+                xids.push(xid);
+            }
+            assert!(xids
+                .iter()
+                .all(|&x| (band..=band + (XID_BAND - 1)).contains(&x)));
+            assert_eq!(xids[XID_BAND as usize - 1], band + (XID_BAND - 1));
+            assert_eq!(xids[XID_BAND as usize], band, "{band:#x}");
+        }
+    }
+
+    /// With every xid of the band awaiting a reply, a new mod's barrier
+    /// waits for one to come back; an xid whose reply is lost is skipped.
+    #[test]
+    fn a_full_band_reuses_no_xid_awaiting_a_reply() {
+        let band = 0xFFFF_0000;
+        let mut t = StaticTimeout::new(Duration::ZERO, band);
+        let mut out = Vec::new();
+        for cookie in 0..=u64::from(XID_BAND) {
+            t.on_flow_mod(cookie, &fm(1), Duration::ZERO, &mut out);
+        }
+        let xids = barrier_xids(&out);
+        assert_eq!(xids.len(), XID_BAND as usize, "the last barrier waits");
+        // The first barrier's reply confirms its own mod only, and frees its
+        // xid for the waiting one.
+        let mut out = Vec::new();
+        t.on_switch_barrier_reply(band, Duration::ZERO, &mut out);
+        assert_eq!(confirms(&out), vec![0]);
+        assert_eq!(barrier_xids(&out), vec![band]);
+        // Barrier `band + 1` is never answered: the next mods skip its xid.
+        t.on_switch_barrier_reply(band + 2, Duration::ZERO, &mut out);
+        t.on_switch_barrier_reply(band, Duration::ZERO, &mut out);
+        let mut out = Vec::new();
+        t.on_flow_mod(7, &fm(1), Duration::ZERO, &mut out);
+        assert_eq!(barrier_xids(&out), vec![band + 2]);
     }
 
     /// The baseline is the proxy barrier with a zero hold-down: the reply

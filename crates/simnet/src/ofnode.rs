@@ -172,11 +172,6 @@ impl OpenFlowSwitch {
         self.packet_ins_suppressed
     }
 
-    /// PacketOut messages executed so far.
-    pub fn packet_outs_processed(&self) -> u64 {
-        self.datapath.packet_outs()
-    }
-
     /// Data-plane packets that left on at least one wired port (or went to
     /// the controller) so far.
     pub fn data_packets_forwarded(&self) -> u64 {

@@ -36,7 +36,6 @@ use openflow::messages::{
     ErrorMsg, FlowMod, FlowRemoved, FlowStatsEntry, StatsReply, StatsRequest, MAX_STATS_BODY,
 };
 use openflow::{Action, OfMatch, OfMessage, PacketHeader, PortNo, Xid};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -1125,25 +1124,6 @@ fn flow_table_error_code(err: FlowTableError) -> u16 {
     err.error_code()
 }
 
-/// Convenience: a map from cookie to confirmation time, classified against a
-/// ground truth.  Returns `(false_acks, true_acks)` cookie lists.
-pub fn classify_confirmations(
-    truth: &GroundTruth,
-    confirmations: &HashMap<u64, Duration>,
-) -> (Vec<u64>, Vec<u64>) {
-    let mut false_acks = Vec::new();
-    let mut true_acks = Vec::new();
-    for (&cookie, &at) in confirmations {
-        match truth.classify(cookie, at) {
-            ConfirmVerdict::FalseAck => false_acks.push(cookie),
-            ConfirmVerdict::TrueAck => true_acks.push(cookie),
-        }
-    }
-    false_acks.sort_unstable();
-    true_acks.sort_unstable();
-    (false_acks, true_acks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1586,23 +1566,5 @@ mod tests {
             .count();
         assert_eq!(errors, 1);
         assert_eq!(b.counters().errors, 1);
-    }
-
-    #[test]
-    fn classify_confirmations_splits_true_and_false() {
-        let truth = GroundTruth {
-            events: vec![TruthEvent {
-                at: ms(100),
-                cookie: 1,
-                activated: true,
-            }],
-            wedged: vec![2],
-        };
-        let mut confirmations = HashMap::new();
-        confirmations.insert(1u64, ms(150)); // after activation: true
-        confirmations.insert(2u64, ms(150)); // wedged: false
-        let (false_acks, true_acks) = classify_confirmations(&truth, &confirmations);
-        assert_eq!(false_acks, vec![2]);
-        assert_eq!(true_acks, vec![1]);
     }
 }

@@ -43,8 +43,8 @@ pub mod model;
 pub mod oracle;
 
 pub use behavior::{
-    classify_confirmations, Behavior, BehaviorAction, BehaviorCounters, ConfirmVerdict, FaultPlan,
-    GroundTruth, PacketVerdict, TruthEvent,
+    Behavior, BehaviorAction, BehaviorCounters, ConfirmVerdict, FaultPlan, GroundTruth,
+    PacketVerdict, TruthEvent,
 };
 pub use datapath::Datapath;
 pub use flow_table::{FlowEntry, FlowModOutcome, FlowTable};

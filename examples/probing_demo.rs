@@ -6,7 +6,8 @@
 use rum_repro::ofswitch::FlowTable;
 use rum_repro::openflow::messages::FlowMod;
 use rum_repro::prelude::*;
-use rum_repro::rum::config::ProbeFieldPlan;
+use rum_repro::rum::coloring::assign_probe_colors;
+use rum_repro::rum::config::CATCH_TOS_BASE;
 use rum_repro::rum::probe::{
     catch_rule, sequential_probe_packet, sequential_probe_rule, synthesize_general_probe,
 };
@@ -17,37 +18,30 @@ fn main() {
     println!("== RUM probing machinery walk-through ==\n");
 
     // 1. Per-switch probe values: a triangle of switches needs three distinct
-    //    catch values; a longer chain can reuse them (vertex colouring).
-    let triangle = ProbeFieldPlan::from_links(&[(0, 1), (1, 2), (0, 2)], 3);
-    let chain = ProbeFieldPlan::from_links(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5);
-    println!(
-        "probe-catch ToS values (triangle): {:02x?}",
-        triangle.catch_values()
-    );
-    println!(
-        "probe-catch ToS values (5-chain):  {:02x?} (colours reused)\n",
-        chain.catch_values()
-    );
+    //    catch values; a longer chain can reuse them (vertex colouring, which
+    //    RUM applies to fleets too large for one value per switch).
+    let catch_values = |links: &[(usize, usize)], n| -> Vec<u8> {
+        (assign_probe_colors(links, n).into_iter())
+            .map(|colour| CATCH_TOS_BASE - 4 * colour as u8)
+            .collect()
+    };
+    let triangle = catch_values(&[(0, 1), (1, 2), (0, 2)], 3);
+    let chain = catch_values(&[(0, 1), (1, 2), (2, 3), (3, 4)], 5);
+    println!("probe-catch ToS values (triangle): {triangle:02x?}");
+    println!("probe-catch ToS values (5-chain):  {chain:02x?} (colours reused)\n");
 
     // 2. The rules RUM installs for sequential probing.
-    let catch = catch_rule(triangle.catch_tos(SwitchId::new(2)), 900);
+    let catch = catch_rule(triangle[2], 900);
     println!(
         "catch rule at S3: priority {}, match ToS 0x{:02x}, action -> controller",
         catch.priority, catch.match_.nw_tos
     );
-    let probe_rule = sequential_probe_rule(
-        triangle.preprobe_tos,
-        triangle.catch_tos(SwitchId::new(2)),
-        2,
-        7,
-        901,
-        true,
-    );
+    let probe_rule = sequential_probe_rule(triangle[2], 2, 7, 901, true);
     println!(
         "probe rule at S2: match ToS 0x{:02x}, actions {:?}\n",
         probe_rule.match_.nw_tos, probe_rule.actions
     );
-    let probe_packet = sequential_probe_packet(triangle.preprobe_tos);
+    let probe_packet = sequential_probe_packet();
     println!(
         "sequential probe packet: {} -> {}, ToS 0x{:02x}\n",
         probe_packet.nw_src, probe_packet.nw_dst, probe_packet.nw_tos
@@ -74,7 +68,7 @@ fn main() {
         100,
         vec![Action::output(2)],
     );
-    let catch_tos = triangle.catch_tos(SwitchId::new(2));
+    let catch_tos = triangle[2];
     match synthesize_general_probe(&mut table, &probed, catch_tos, 4242, Duration::ZERO) {
         Ok(probe) => println!(
             "general probe for '10.1/16 -> port 2': src {}, dst {}, ToS 0x{:02x}, tp_src {} (probe id), leaves via port {}",
