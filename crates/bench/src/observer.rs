@@ -358,8 +358,8 @@ fn render_sessiond(snapshot: &Snapshot, out: &mut String) {
     }
     let _ = writeln!(out, "{line}");
 
-    // Per-tenant rows (only the first `per_tenant_metrics` tenants are
-    // instrumented by the mux; the rest fold into the globals above).
+    // Per-tenant rows (the mux instruments only its first 32 tenants; the
+    // rest fold into the globals above).
     #[derive(Default)]
     struct TenantRow {
         in_flight: i64,

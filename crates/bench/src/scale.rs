@@ -225,14 +225,14 @@ mod tests {
         for (i, map) in maps.iter().enumerate() {
             let prev = SwitchId::new((i + 4) % 5);
             let next = SwitchId::new((i + 1) % 5);
-            assert_eq!(map.next_hop(RING_IN_PORT), Some(prev));
-            assert_eq!(map.next_hop(RING_OUT_PORT), Some(next));
+            assert_eq!(map.port_to_switch[&RING_IN_PORT], prev);
+            assert_eq!(map.port_to_switch[&RING_OUT_PORT], next);
             assert_eq!(map.inject_via, Some((prev, RING_OUT_PORT)));
         }
         // The two-switch ring degenerates to a pair wired both ways.
         let pair = ring_port_maps(2);
-        assert_eq!(pair[0].next_hop(RING_OUT_PORT), Some(SwitchId::new(1)));
-        assert_eq!(pair[1].next_hop(RING_OUT_PORT), Some(SwitchId::new(0)));
+        assert_eq!(pair[0].port_to_switch[&RING_OUT_PORT], SwitchId::new(1));
+        assert_eq!(pair[1].port_to_switch[&RING_OUT_PORT], SwitchId::new(0));
     }
 
     /// The fleet plan spreads rules round-robin across switches with unique

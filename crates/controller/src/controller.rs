@@ -23,13 +23,15 @@ pub use crate::session::AckMode;
 /// Timer token used to start the run; machine timers are offset by one.
 const TOKEN_START: u64 = 0;
 
+/// One-way control-channel latency of every message the node sends.
+const CONTROL_LATENCY: SimTime = SimTime::from_micros(200);
+
 /// A controller node driving a [`Machine`] against a set of switch
 /// connections inside the simulator.
 pub struct MachineNode<M: Machine> {
     label: String,
     machine: M,
     connections: Vec<NodeId>,
-    control_latency: SimTime,
     start_at: SimTime,
     started: bool,
     /// PacketIns from nodes that are not switch connections (the machine
@@ -45,7 +47,6 @@ impl<M: Machine> MachineNode<M> {
             label: label.into(),
             machine,
             connections: Vec::new(),
-            control_latency: SimTime::from_micros(200),
             start_at,
             started: false,
             stray_packet_ins: 0,
@@ -57,11 +58,6 @@ impl<M: Machine> MachineNode<M> {
     /// RUM proxy impersonating it.
     pub fn set_connections(&mut self, connections: Vec<NodeId>) {
         self.connections = connections;
-    }
-
-    /// Sets the one-way control-channel latency used for outgoing messages.
-    pub fn set_control_latency(&mut self, latency: SimTime) {
-        self.control_latency = latency;
     }
 
     /// The machine, for post-run inspection.
@@ -102,7 +98,7 @@ impl<M: Machine> MachineNode<M> {
                             time: ctx.now(),
                         });
                     }
-                    ctx.send_control(node, message, self.control_latency);
+                    ctx.send_control(node, message, CONTROL_LATENCY);
                 }
                 MachineEffect::ArmTimer { delay, raw } => ctx.set_timer(delay.into(), raw + 1),
                 MachineEffect::Confirmed { cookie } => {
@@ -156,7 +152,7 @@ impl<M: Machine + 'static> Node for MachineNode<M> {
                 // connection, so they go into the machine under a conn that
                 // sends can never resolve to.
                 let conn = ConnId::UNMAPPED;
-                let latency = self.control_latency;
+                let latency = CONTROL_LATENCY;
                 match message {
                     OfMessage::PacketIn { .. } => self.stray_packet_ins += 1,
                     OfMessage::EchoRequest { xid, data } => {

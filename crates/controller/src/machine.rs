@@ -260,9 +260,9 @@ impl Machine for SessionMachine {
 mod tests {
     use super::*;
     use crate::resync::tests::{flow_reply, rule, stats_entry};
-    use crate::resync::RESYNC_XID_BASE;
     use crate::{AckMode, BackoffPolicy, FailurePolicy, UpdatePlan};
     use openflow::messages::{FlowMod, FlowRemoved};
+    use openflow::types::RESYNC_READBACK_XID_BASE;
     use MachineEffect::{ArmTimer, Confirmed, Note, Send};
 
     const CONN: ConnId = ConnId::new(0);
@@ -370,7 +370,7 @@ mod tests {
         else {
             panic!("{out:?}")
         };
-        assert_eq!((*xid, *delay), (RESYNC_XID_BASE, pace));
+        assert_eq!((*xid, *delay), (RESYNC_READBACK_XID_BASE, pace));
         assert!(is_resync_token(*t3));
 
         // A resync timer token reaches the reconciler: the unanswered
@@ -380,14 +380,18 @@ mod tests {
             matches!(
                 &out[..],
                 [Send { message: OfMessage::StatsRequest { xid, .. }, .. }, ArmTimer { .. }]
-                    if *xid == RESYNC_XID_BASE + 1
+                    if *xid == RESYNC_READBACK_XID_BASE + 1
             ),
             "{out:?}"
         );
 
         // After the session settled, replies belong to the reconciler: the
         // readback matches the store (mod 1 aged out, mod 2 installed).
-        let reply = flow_reply(RESYNC_XID_BASE + 1, false, vec![stats_entry(&body(2))]);
+        let reply = flow_reply(
+            RESYNC_READBACK_XID_BASE + 1,
+            false,
+            vec![stats_entry(&body(2))],
+        );
         let out = step(&mut machine, from_switch(reply));
         assert!(matches!(&out[..], [Note { terminal: true, .. }]), "{out:?}");
         assert!(machine.reconciler().unwrap().status(0).unwrap().converged);

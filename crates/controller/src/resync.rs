@@ -42,32 +42,19 @@ use openflow::messages::{
     FlowMod, FlowModCommand, FlowRemoved, FlowStatsAccumulator, FlowStatsEntry, StatsReply,
     StatsRequest,
 };
+use openflow::types::{
+    take_xid_in, PROXY_XID_BASE, RESYNC_DELETE_XID_BASE, RESYNC_READBACK_XID_BASE,
+};
 use openflow::{constants::port, OfMatch, OfMessage, Xid};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{AtomicHistogram, Counter, Gauge, Registry};
 
-/// First xid used for readback flow-stats requests.  Each (re-)request gets
-/// a fresh xid so a straggler reply to a superseded request can never be
-/// mistaken for the current one.  Below the RUM proxy's reserved xid space.
-pub const RESYNC_XID_BASE: Xid = 0x6000_0000;
-
-/// First xid used for the strict deletes of stray rules (sent outside the
-/// delta session, verified by the next readback).  Disjoint from readback
-/// xids and below the RUM reserved space.
-pub const RESYNC_DELETE_XID_BASE: Xid = 0x7000_0000;
-
 /// All reconciler timer tokens are `>= RESYNC_TIMER_BASE`; session timer
 /// tokens are small sequence numbers, so [`crate::SessionMachine`] routes a
 /// fired timer by magnitude alone.
 pub const RESYNC_TIMER_BASE: u64 = 1 << 32;
-
-/// Rules whose cookie is in the RUM proxy's reserved namespace (probe and
-/// catch rules) belong to the proxy, not the controller; readbacks ignore
-/// them.  Mirrors `rum::PROXY_XID_BASE` — the crates cannot share the
-/// constant because `rum` dev-depends on this crate.
-const RUM_RESERVED_ID_BASE: u64 = 0x8000_0000;
 
 /// Backoff key salt for readback re-requests (mixed with the switch ref).
 const READBACK_BACKOFF_KEY: u64 = 0x5EAD_BACC;
@@ -388,7 +375,7 @@ impl Reconciler {
             store: DesiredStore::new(),
             switches: HashMap::new(),
             session_settled: false,
-            next_xid: RESYNC_XID_BASE,
+            next_xid: RESYNC_READBACK_XID_BASE,
             next_delete_xid: RESYNC_DELETE_XID_BASE,
             next_token: RESYNC_TIMER_BASE,
             timers: HashMap::new(),
@@ -542,8 +529,14 @@ impl Reconciler {
         switch: SwitchRef,
         effects: &mut Vec<ResyncEffect>,
     ) {
-        let xid = self.next_xid;
-        self.next_xid += 1;
+        // A fresh xid per (re-)request, so a straggler reply to a superseded
+        // request is never mistaken for the current one.  A switch awaits
+        // only its current xid and replies match per connection, so the
+        // wrap needs no skip.
+        let xid = take_xid_in(
+            &mut self.next_xid,
+            RESYNC_READBACK_XID_BASE..RESYNC_DELETE_XID_BASE,
+        );
         let state = self.switches.get_mut(&switch).expect("state exists");
         state.current_xid = Some(xid);
         state.acc.reset();
@@ -681,7 +674,7 @@ impl Reconciler {
         // The switch's controller-owned table view, strict identity keyed.
         let mut actual: HashMap<(OfMatch, u16), &FlowStatsEntry> = HashMap::new();
         for entry in &entries {
-            if entry.cookie >= RUM_RESERVED_ID_BASE {
+            if entry.cookie >= u64::from(PROXY_XID_BASE) {
                 continue; // RUM probe/catch rules belong to the proxy
             }
             actual.insert((entry.match_, entry.priority), entry);
@@ -754,8 +747,10 @@ impl Reconciler {
         let repairs: Vec<FlowMod> = missing.into_iter().chain(mismatched).cloned().collect();
         let delete_count = stray.len() as u64;
         for (match_, priority) in stray {
-            let xid = self.next_delete_xid;
-            self.next_delete_xid += 1;
+            let xid = take_xid_in(
+                &mut self.next_delete_xid,
+                RESYNC_DELETE_XID_BASE..PROXY_XID_BASE,
+            );
             effects.push(ResyncEffect::Send {
                 conn: ConnId::new(switch),
                 message: OfMessage::FlowMod {
@@ -1021,7 +1016,7 @@ pub(crate) mod tests {
 
         // Session settles: readback starts.
         let fx = r.handle(Duration::from_millis(1), ResyncInput::SessionSettled);
-        assert_eq!(sent_stats_xid(&fx), Some(RESYNC_XID_BASE));
+        assert_eq!(sent_stats_xid(&fx), Some(RESYNC_READBACK_XID_BASE));
         assert_eq!(armed_timers(&fx).len(), 1);
     }
 
@@ -1038,7 +1033,7 @@ pub(crate) mod tests {
                 conn: ConnId::new(0),
             },
         );
-        assert_eq!(sent_stats_xid(&fx), Some(RESYNC_XID_BASE));
+        assert_eq!(sent_stats_xid(&fx), Some(RESYNC_READBACK_XID_BASE));
     }
 
     #[test]
@@ -1243,7 +1238,7 @@ pub(crate) mod tests {
 
         // The proxy's catch rule (reserved cookie) is in the table but the
         // desired store is empty — it must not read as a stray.
-        let mut catch = rule(0, RUM_RESERVED_ID_BASE + 7);
+        let mut catch = rule(0, u64::from(PROXY_XID_BASE) + 7);
         catch.priority = 0;
         let fx = r.handle(
             Duration::from_millis(1),
@@ -1255,6 +1250,46 @@ pub(crate) mod tests {
         assert!(fx
             .iter()
             .any(|e| matches!(e, ResyncEffect::Converged { rounds: 1, .. })));
+    }
+
+    /// Readback and stray-delete xids wrap inside their own rows of the xid
+    /// layout, short of the next row.
+    #[test]
+    fn readback_and_delete_xids_wrap_inside_their_ranges() {
+        let mut r = Reconciler::new(config());
+        r.next_xid = RESYNC_DELETE_XID_BASE - 1;
+        r.next_delete_xid = PROXY_XID_BASE - 1;
+        r.handle(Duration::ZERO, ResyncInput::SessionSettled);
+        let readbacks: Vec<Xid> = (0..2)
+            .map(|switch| {
+                let conn = ConnId::new(switch);
+                let fx = r.handle(Duration::ZERO, ResyncInput::SwitchReconnected { conn });
+                sent_stats_xid(&fx).expect("readback sent")
+            })
+            .collect();
+        assert_eq!(
+            readbacks,
+            [RESYNC_DELETE_XID_BASE - 1, RESYNC_READBACK_XID_BASE]
+        );
+        let strays = vec![stats_entry(&rule(300, 42)), stats_entry(&rule(400, 43))];
+        let fx = r.handle(
+            Duration::from_millis(1),
+            ResyncInput::FromSwitch {
+                conn: ConnId::new(0),
+                message: flow_reply(readbacks[0], false, strays),
+            },
+        );
+        let deletes: Vec<Xid> = fx
+            .iter()
+            .filter_map(|e| match e {
+                ResyncEffect::Send {
+                    message: OfMessage::FlowMod { xid, .. },
+                    ..
+                } => Some(*xid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(deletes, [PROXY_XID_BASE - 1, RESYNC_DELETE_XID_BASE]);
     }
 
     #[test]

@@ -38,7 +38,9 @@
 use crate::backoff::BackoffPolicy;
 use crate::plan::UpdatePlan;
 use openflow::messages::FlowModCommand;
+use openflow::types::{take_xid_in, CONTROLLER_BARRIER_XID_BASE, RESYNC_READBACK_XID_BASE};
 use openflow::{OfMessage, Xid};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -402,7 +404,7 @@ impl UpdateSession {
             next_timer_token: 0,
             barrier_covers: HashMap::new(),
             since_last_barrier: Vec::new(),
-            next_barrier_xid: 0x4000_0000,
+            next_barrier_xid: CONTROLLER_BARRIER_XID_BASE,
             packet_ins_received: 0,
             stray_acks: 0,
             outcome: None,
@@ -670,14 +672,28 @@ impl UpdateSession {
         targets.sort_unstable();
         for target in targets {
             let ids = per_target.remove(&target).expect("key exists");
-            let xid = self.next_barrier_xid;
-            self.next_barrier_xid += 1;
-            self.barrier_covers.insert(xid, ids);
-            effects.push(SessionEffect::Send {
-                conn: ConnId::new(target),
-                message: OfMessage::BarrierRequest { xid },
-            });
+            self.send_barrier(ConnId::new(target), ids, effects);
         }
+    }
+
+    /// Sends a barrier confirming `ids` on the next controller-barrier xid
+    /// that awaits no reply: the allocator wraps inside its row of the xid
+    /// layout, and a reused xid would let an old reply confirm new ids.
+    fn send_barrier(&mut self, conn: ConnId, ids: Vec<u64>, effects: &mut Vec<SessionEffect>) {
+        let xid = loop {
+            let xid = take_xid_in(
+                &mut self.next_barrier_xid,
+                CONTROLLER_BARRIER_XID_BASE..RESYNC_READBACK_XID_BASE,
+            );
+            if let Entry::Vacant(slot) = self.barrier_covers.entry(xid) {
+                slot.insert(ids);
+                break xid;
+            }
+        };
+        effects.push(SessionEffect::Send {
+            conn,
+            message: OfMessage::BarrierRequest { xid },
+        });
     }
 
     // ------------------------------------------------------------------
@@ -859,13 +875,7 @@ impl UpdateSession {
         // In barrier mode the original covering barrier may have been lost
         // with the mod; issue a dedicated one so the retry can confirm.
         if let AckMode::Barriers { .. } = self.ack_mode {
-            let xid = self.next_barrier_xid;
-            self.next_barrier_xid += 1;
-            self.barrier_covers.insert(xid, vec![id]);
-            effects.push(SessionEffect::Send {
-                conn,
-                message: OfMessage::BarrierRequest { xid },
-            });
+            self.send_barrier(conn, vec![id], effects);
         }
         self.arm_mod_timeout(id, effects);
     }
@@ -1115,6 +1125,50 @@ mod tests {
         );
         assert!(s.is_complete());
         assert_eq!(s.completed_at(), Some(Duration::from_millis(3)));
+    }
+
+    fn sent_barrier_xids(effects: &[SessionEffect]) -> Vec<Xid> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                SessionEffect::Send {
+                    message: OfMessage::BarrierRequest { xid },
+                    ..
+                } => Some(*xid),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Past the last controller-barrier xid the allocator starts over at the
+    /// first, short of the reconciler's readback xids.
+    #[test]
+    fn barrier_xids_wrap_inside_their_range() {
+        let mut s = UpdateSession::new(flat_plan(2), AckMode::Barriers { batch: 1 }, 10);
+        s.next_barrier_xid = RESYNC_READBACK_XID_BASE - 1;
+        let fx = s.handle(Duration::ZERO, SessionInput::Started);
+        assert_eq!(
+            sent_barrier_xids(&fx),
+            [RESYNC_READBACK_XID_BASE - 1, CONTROLLER_BARRIER_XID_BASE]
+        );
+    }
+
+    /// A wrapped allocator skips an xid whose barrier still awaits its
+    /// reply: that reply must confirm only what the old barrier covered.
+    #[test]
+    fn barrier_xid_awaiting_its_reply_is_skipped() {
+        let mut s = UpdateSession::new(flat_plan(2), AckMode::Barriers { batch: 1 }, 10);
+        s.next_barrier_xid = RESYNC_READBACK_XID_BASE - 1;
+        s.barrier_covers
+            .insert(CONTROLLER_BARRIER_XID_BASE, Vec::new());
+        let fx = s.handle(Duration::ZERO, SessionInput::Started);
+        assert_eq!(
+            sent_barrier_xids(&fx),
+            [
+                RESYNC_READBACK_XID_BASE - 1,
+                CONTROLLER_BARRIER_XID_BASE + 1
+            ]
+        );
     }
 
     #[test]

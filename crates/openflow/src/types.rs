@@ -1,7 +1,26 @@
-//! Small value types shared across the OpenFlow stack.
+//! Small value types shared across the OpenFlow stack, and the layout of
+//! the xid space.
+//!
+//! # Xid layout
+//!
+//! One control channel carries xids minted by four parties: the update
+//! controller, its reconciler, the RUM proxy's per-switch techniques and
+//! the proxy engine itself.  Each owns one row of this table and never
+//! steps outside it (allocators wrap with [`take_xid_in`]), so an xid
+//! alone names the party it belongs to:
+//!
+//! | xids | owner |
+//! |------|-------|
+//! | `0 .. CONTROLLER_BARRIER_XID_BASE` | controller flow modifications (xid = modification id) |
+//! | `CONTROLLER_BARRIER_XID_BASE .. RESYNC_READBACK_XID_BASE` | controller barriers (`UpdateSession`, `SessionMux`) |
+//! | `RESYNC_READBACK_XID_BASE .. RESYNC_DELETE_XID_BASE` | reconciler flow-stats readbacks |
+//! | `RESYNC_DELETE_XID_BASE .. PROXY_XID_BASE` | reconciler strict deletes of stray rules |
+//! | `PROXY_XID_BASE .. CATCH_XID_BASE` | RUM techniques: switch `i`'s band of `TECHNIQUE_XID_BAND` xids starts at `PROXY_XID_BASE + (i + 1) * TECHNIQUE_XID_BAND` |
+//! | `CATCH_XID_BASE ..` | RUM catch-rule installs: `CATCH_XID_BASE \| switch << 8 \| generation` |
 
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// A 48-bit Ethernet MAC address.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -118,36 +137,48 @@ pub fn u32_to_ipv4(raw: u32) -> Ipv4Addr {
     Ipv4Addr::from(raw.to_be_bytes())
 }
 
-/// A monotonically increasing generator for OpenFlow transaction ids.
-///
-/// The RUM proxy must mint xids for the messages it originates (probe
-/// `PacketOut`s, barrier requests it injects) without colliding with xids
-/// used by the controller, so the generator starts from a configurable
-/// offset high in the 32-bit space.
-#[derive(Debug, Clone)]
-pub struct XidGenerator {
-    next: u32,
-}
+/// First controller barrier xid; the controller's modification ids stay
+/// below it.
+pub const CONTROLLER_BARRIER_XID_BASE: Xid = 0x4000_0000;
 
-impl XidGenerator {
-    /// Creates a generator starting at `start`.
-    pub fn new(start: u32) -> Self {
-        XidGenerator { next: start }
-    }
+/// First reconciler readback (flow-stats request) xid; the end of the
+/// controller's barrier xids.
+pub const RESYNC_READBACK_XID_BASE: Xid = 0x6000_0000;
 
-    /// Returns the next transaction id, wrapping on overflow.
-    pub fn next_xid(&mut self) -> Xid {
-        let xid = self.next;
-        self.next = self.next.wrapping_add(1);
-        xid
-    }
-}
+/// First xid of the reconciler's strict deletes of stray rules.
+pub const RESYNC_DELETE_XID_BASE: Xid = 0x7000_0000;
 
-impl Default for XidGenerator {
-    fn default() -> Self {
-        // High region reserved for proxy-originated messages.
-        XidGenerator::new(0x8000_0000)
-    }
+/// Transaction ids at or above this value belong to the RUM proxy, not the
+/// controller: the proxy rejects a controller message carrying one with
+/// `BAD_REQUEST` instead of misattributing its reply, and the reconciler
+/// leaves rules whose cookie is in this range (the proxy's probe and catch
+/// rules) alone.
+pub const PROXY_XID_BASE: Xid = 0x8000_0000;
+
+/// Width of the xid band each monitored switch's RUM technique numbers its
+/// proxy messages in.
+pub const TECHNIQUE_XID_BAND: Xid = 0x1_0000;
+
+/// First xid of the RUM proxy's probe-catch rule installs; every technique
+/// band lies below it.
+pub const CATCH_XID_BASE: Xid = 0xF000_0000;
+
+/// The largest fleet whose technique bands all end at or below
+/// [`CATCH_XID_BASE`]: band `i` starts at `PROXY_XID_BASE + (i + 1) *
+/// TECHNIQUE_XID_BAND`, so 28,671 switches.
+pub const MAX_PROXY_SWITCHES: usize =
+    ((CATCH_XID_BASE - PROXY_XID_BASE) / TECHNIQUE_XID_BAND) as usize - 1;
+
+/// Takes `*next` and advances it inside `range`, from the range's last xid
+/// back to its first: an allocator never leaves its row of the layout.
+pub fn take_xid_in(next: &mut Xid, range: Range<Xid>) -> Xid {
+    let xid = *next;
+    *next = if xid + 1 < range.end {
+        xid + 1
+    } else {
+        range.start
+    };
+    xid
 }
 
 #[cfg(test)]
@@ -186,16 +217,20 @@ mod tests {
     }
 
     #[test]
-    fn xid_generator_increments_and_wraps() {
-        let mut gen = XidGenerator::new(u32::MAX - 1);
-        assert_eq!(gen.next_xid(), u32::MAX - 1);
-        assert_eq!(gen.next_xid(), u32::MAX);
-        assert_eq!(gen.next_xid(), 0);
+    fn take_xid_in_wraps_inside_its_range() {
+        let range = CONTROLLER_BARRIER_XID_BASE..RESYNC_READBACK_XID_BASE;
+        let mut next = RESYNC_READBACK_XID_BASE - 1;
+        assert_eq!(take_xid_in(&mut next, range.clone()), range.end - 1);
+        assert_eq!(take_xid_in(&mut next, range.clone()), range.start);
+        assert_eq!(take_xid_in(&mut next, range.clone()), range.start + 1);
     }
 
     #[test]
-    fn default_xid_generator_starts_in_proxy_range() {
-        let mut gen = XidGenerator::default();
-        assert!(gen.next_xid() >= 0x8000_0000);
+    fn largest_fleet_keeps_every_band_below_the_catch_xids() {
+        let band_end =
+            |i: usize| PROXY_XID_BASE as u64 + (i as u64 + 2) * TECHNIQUE_XID_BAND as u64;
+        assert_eq!(MAX_PROXY_SWITCHES, 28_671);
+        assert_eq!(band_end(MAX_PROXY_SWITCHES - 1), CATCH_XID_BASE as u64);
+        assert!(band_end(MAX_PROXY_SWITCHES) > CATCH_XID_BASE as u64);
     }
 }

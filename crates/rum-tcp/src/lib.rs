@@ -32,7 +32,10 @@
 //! * [`switch_host`] — the `ofswitch::Datapath` machine hosted behind a TCP
 //!   client, emulating buggy (early barrier reply) or faithful switches.
 //!   Every switch decision is the machine's; the host owns the wall clock,
-//!   the deferred-reply queue, the [`Fabric`] cables and re-dialing.
+//!   the deferred-reply queue, the [`Fabric`] cables and re-dialing.  A
+//!   hosted switch publishes nothing while it runs: its tables and ground
+//!   truth come back once, as the [`SwitchReport`] of
+//!   [`SocketSwitchHandle::join`].
 //!   Pacing stays with the simulator driver: this loop rounds its sleeps
 //!   up to whole milliseconds, so a 30–40 µs spacing would cost every probe
 //!   round trip ~0.5–1 ms.
@@ -80,6 +83,5 @@ pub use mux_controller::{TcpMuxController, TcpMuxHandle};
 pub use proxy::{wait_for, ProxyConfig, ProxyCounters, ProxyHandle, RumTcpProxy};
 pub use relay::{Endpoint, EngineRelay, RelayEffects};
 pub use switch_host::{
-    spawn_switch, spawn_switch_with, Fabric, SocketSwitchHandle, SwitchCounters, SwitchHostOptions,
-    SwitchReport,
+    spawn_switch, spawn_switch_with, Fabric, SocketSwitchHandle, SwitchHostOptions, SwitchReport,
 };

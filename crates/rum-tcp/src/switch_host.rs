@@ -40,22 +40,11 @@ use openflow::{DatapathId, OfCodec, OfMessage, PacketHeader, PortNo};
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Live message counters of a hosted switch.
-#[derive(Debug, Default)]
-pub struct SwitchCounters {
-    /// Flow modifications accepted by the control plane.
-    pub flow_mods: AtomicU64,
-    /// Barrier requests answered.
-    pub barriers: AtomicU64,
-    /// Modifications rejected with an error.
-    pub errors: AtomicU64,
-}
 
 /// Final state of a hosted switch after its connection closed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,17 +64,11 @@ pub struct SwitchReport {
 
 /// A handle to a switch served on a background thread.
 pub struct SocketSwitchHandle {
-    counters: Arc<SwitchCounters>,
     stop: Arc<AtomicBool>,
     thread: JoinHandle<SwitchReport>,
 }
 
 impl SocketSwitchHandle {
-    /// Live counters (updated by the serving thread).
-    pub fn counters(&self) -> &SwitchCounters {
-        &self.counters
-    }
-
     /// Asks the serve loop to exit at its next poll (≤ one poll interval);
     /// [`SocketSwitchHandle::join`] then returns promptly even though the
     /// peer still holds the connection open.
@@ -216,7 +199,6 @@ pub fn spawn_switch_with(
     options: SwitchHostOptions,
 ) -> std::io::Result<SocketSwitchHandle> {
     let stream = TcpStream::connect(addr)?;
-    let counters = Arc::new(SwitchCounters::default());
     let stop = Arc::new(AtomicBool::new(false));
     // Attach to the fabric before returning: a neighbour spawned earlier may
     // forward a packet to this switch the moment the caller gets its handle,
@@ -226,15 +208,10 @@ pub fn spawn_switch_with(
         None => None,
     };
     let thread = {
-        let counters = Arc::clone(&counters);
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || run(stream, addr, model, options, port, &counters, &stop))
+        std::thread::spawn(move || run(stream, addr, model, options, port, &stop))
     };
-    Ok(SocketSwitchHandle {
-        counters,
-        stop,
-        thread,
-    })
+    Ok(SocketSwitchHandle { stop, thread })
 }
 
 struct Host {
@@ -351,7 +328,6 @@ fn run(
     model: SwitchModel,
     options: SwitchHostOptions,
     port: Option<FabricPort>,
-    counters: &SwitchCounters,
     stop: &AtomicBool,
 ) -> SwitchReport {
     let (dpid, n_ports) = match &options.fabric {
@@ -386,7 +362,7 @@ fn run(
     // peer that is genuinely gone ends the loop (~3 s of attempts).
     let mut barren_redials: u32 = 0;
     while let Some(conn) = stream.take() {
-        let got_any = serve_conn(conn, &mut host, port.as_ref(), counters, stop);
+        let got_any = serve_conn(conn, &mut host, port.as_ref(), stop);
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -456,7 +432,6 @@ fn serve_conn(
     stream: TcpStream,
     host: &mut Host,
     port: Option<&FabricPort>,
-    counters: &SwitchCounters,
     stop: &AtomicBool,
 ) -> bool {
     let _ = stream.set_nodelay(true);
@@ -528,10 +503,6 @@ fn serve_conn(
                 });
             }
         });
-        let engine = host.datapath.behavior().counters();
-        counters.flow_mods.store(engine.flow_mods, Ordering::SeqCst);
-        counters.barriers.store(engine.barriers, Ordering::SeqCst);
-        counters.errors.store(engine.errors, Ordering::SeqCst);
         if !alive {
             break;
         }
@@ -587,8 +558,6 @@ mod tests {
             reply_at < Duration::from_millis(90),
             "buggy switch replied after {reply_at:?}"
         );
-        assert_eq!(handle.counters().flow_mods.load(Ordering::SeqCst), 1);
-        assert_eq!(handle.counters().barriers.load(Ordering::SeqCst), 1);
         drop(peer);
         let report = handle.join();
         assert_eq!(report.control_rules, 1);

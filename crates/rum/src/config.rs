@@ -20,6 +20,7 @@
 
 use crate::coloring::assign_probe_colors;
 use crate::engine::{RumEngine, SwitchId};
+use openflow::types::MAX_PROXY_SWITCHES;
 use openflow::PortNo;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -145,11 +146,6 @@ pub struct SwitchPortMap {
 }
 
 impl SwitchPortMap {
-    /// The neighbouring monitored switch reached through `port`, if any.
-    pub fn next_hop(&self, port: PortNo) -> Option<SwitchId> {
-        self.port_to_switch.get(&port).copied()
-    }
-
     /// True when no topology knowledge has been configured at all (the
     /// simulator driver fills such slots in from its topology).
     pub fn is_unspecified(&self) -> bool {
@@ -475,7 +471,17 @@ impl RumBuilder {
 
     /// Finishes the configuration: the one place the probe topology is
     /// built.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a fleet larger than [`MAX_PROXY_SWITCHES`]: the last
+    /// switches' technique xids would run into the catch-rule xids.
     pub fn build_config(self) -> RumConfig {
+        assert!(
+            self.port_maps.len() <= MAX_PROXY_SWITCHES,
+            "{} switches exceed the xid layout: technique xid bands fit {MAX_PROXY_SWITCHES}",
+            self.port_maps.len()
+        );
         RumConfig {
             technique: self.technique,
             fine_grained_acks: self.fine_grained_acks,
@@ -619,8 +625,8 @@ pub(crate) mod tests {
         assert!(m.is_unspecified());
         m.port_to_switch.insert(2, SwitchId::new(1));
         assert!(!m.is_unspecified());
-        assert_eq!(m.next_hop(2), Some(SwitchId::new(1)));
-        assert_eq!(m.next_hop(3), None);
+        assert_eq!(m.port_to_switch.get(&2), Some(&SwitchId::new(1)));
+        assert_eq!(m.port_to_switch.get(&3), None);
     }
 
     #[test]
@@ -635,6 +641,18 @@ pub(crate) mod tests {
         assert!(cfg.buffer_across_barriers);
         assert_eq!(cfg.technique.label(), "sequential");
         assert_eq!(RumConfig::builder(2).build_config().n_switches(), 2);
+    }
+
+    #[test]
+    fn largest_fleet_the_xid_layout_allows_builds() {
+        let cfg = RumBuilder::new(MAX_PROXY_SWITCHES).build_config();
+        assert_eq!(cfg.n_switches(), 28_671);
+    }
+
+    #[test]
+    #[should_panic(expected = "28672 switches exceed the xid layout")]
+    fn builder_rejects_a_fleet_past_the_xid_layout() {
+        RumBuilder::new(MAX_PROXY_SWITCHES + 1).build_config();
     }
 
     #[test]
@@ -793,8 +811,9 @@ pub(crate) mod tests {
                 .collect();
             let named: Vec<PortNo> = maps[catch.index()].port_to_switch.keys().copied().collect();
             for in_port in named.into_iter().chain([0, 199]) {
-                let expected: Vec<SwitchId> = match maps[catch.index()].next_hop(in_port) {
-                    Some(sender) => upstream.iter().copied().filter(|&s| s == sender).collect(),
+                let expected: Vec<SwitchId> = match maps[catch.index()].port_to_switch.get(&in_port)
+                {
+                    Some(&sender) => upstream.iter().copied().filter(|&s| s == sender).collect(),
                     None => upstream.iter().copied().collect(),
                 };
                 assert_eq!(

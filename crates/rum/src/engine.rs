@@ -34,8 +34,9 @@ use crate::general::GeneralProbing;
 use crate::probe::catch_rule;
 use crate::sequential::SequentialProbing;
 use crate::technique::{AckTechnique, TechniqueOutput};
-use crate::technique::{AdaptiveDelay, StaticTimeout, XID_BAND};
+use crate::technique::{AdaptiveDelay, StaticTimeout};
 use openflow::messages::{FlowMod, PacketIn};
+use openflow::types::{CATCH_XID_BASE, TECHNIQUE_XID_BAND};
 use openflow::{OfMessage, PacketHeader, Xid};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -44,18 +45,11 @@ use std::sync::Arc;
 use std::time::Duration;
 use telemetry::{AtomicHistogram, Counter, Gauge, Registry};
 
-/// Transaction ids at or above this value belong to RUM, not the controller.
-///
-/// Controller messages carrying such an xid are rejected (see
-/// [`ProxyStats::rejected_xids`]) instead of being silently misattributed to
-/// RUM's own machinery.
-pub const PROXY_XID_BASE: Xid = 0x8000_0000;
-
-/// The xid region for probe-catch rules: `CATCH_XID_BASE | (switch << 8) |
-/// generation`.  Above every per-switch technique xid stream (which start at
-/// `PROXY_XID_BASE + (index + 1) * 0x0001_0000`), and deliberately shard
-/// invariant — see `RumEngine::install_catch_rule`.
-const CATCH_XID_BASE: Xid = 0xF000_0000;
+/// Transaction ids at or above this value belong to RUM, not the controller
+/// (the xid layout is `openflow::types`'s).  Controller messages carrying
+/// such an xid are rejected (see [`ProxyStats::rejected_xids`]) instead of
+/// being silently misattributed to RUM's own machinery.
+pub use openflow::types::PROXY_XID_BASE;
 
 /// Identifies one monitored switch within a RUM deployment.
 ///
@@ -1068,7 +1062,7 @@ fn is_liveness_msg(msg: &OfMessage) -> bool {
 }
 
 fn build_technique(config: &RumConfig, switch: SwitchId) -> Box<dyn AckTechnique> {
-    let xid_base = PROXY_XID_BASE + (switch.index() as u32 + 1) * XID_BAND;
+    let xid_base = PROXY_XID_BASE + (switch.index() as u32 + 1) * TECHNIQUE_XID_BAND;
     match &config.technique {
         // The baseline is the proxy barrier with a zero hold-down (§3.1).
         TechniqueConfig::BarrierBaseline => Box::new(StaticTimeout::new(Duration::ZERO, xid_base)),

@@ -59,7 +59,6 @@ const TOKEN_FALLBACK_BASE: u64 = 1 << 32;
 struct PendingRule {
     cookie: u64,
     probe: GeneralProbe,
-    probe_id: u16,
     /// When the controller's modification arrived.
     arrived: Duration,
     /// The round that last injected this rule's probe or, before the first
@@ -223,13 +222,22 @@ impl AckTechnique for GeneralProbing {
                 Err(ProbeSynthesisError::NoForwardingOutput)
             }
         };
+        // A return names one rule: a probe that would come back looking like
+        // a pending rule's cannot tell the two apart.
+        let result = result.and_then(|probe| {
+            let expected = &probe.expected_at_catch;
+            let mut pending = self.pending.iter().map(|p| &p.probe.expected_at_catch);
+            if pending.any(|other| same_return(other, expected)) {
+                return Err(ProbeSynthesisError::SameReturnAsPending);
+            }
+            Ok(probe)
+        });
         match result {
             Ok(probe) => {
                 let idle = self.pending.is_empty();
                 self.pending.push(PendingRule {
                     cookie,
                     probe,
-                    probe_id,
                     arrived: now,
                     round: self.round,
                 });
@@ -251,20 +259,14 @@ impl AckTechnique for GeneralProbing {
         now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
-        // Attribute the probe to a pending rule by probe id (or full header
-        // comparison when the id field was constrained by the rule).  The
-        // ToS byte must carry the expected neighbour's catch value — a probe
-        // surfacing with a different marker was not punted by the catch rule
-        // this probe was aimed at and proves nothing about the rule.
-        let position = self.pending.iter().position(|p| {
-            let expected = &p.probe.expected_at_catch;
-            let tos_match = expected.nw_tos & 0xfc == header.nw_tos & 0xfc;
-            let addresses_match =
-                expected.nw_src == header.nw_src && expected.nw_dst == header.nw_dst;
-            let id_match = header.tp_src == p.probe_id || header.tp_dst == p.probe_id;
-            let ports_match = expected.tp_src == header.tp_src && expected.tp_dst == header.tp_dst;
-            tos_match && addresses_match && (id_match || ports_match)
-        });
+        // Attribute the probe to the pending rule whose rewritten header it
+        // carries, field for field.  The ToS must carry the expected
+        // neighbour's catch value: a probe surfacing with a different marker
+        // was not punted by the catch rule it was aimed at, and one that
+        // differs elsewhere (VLAN, MACs, protocol, ports) left the switch
+        // through some other rule; neither proves anything about the rule.
+        let position =
+            (self.pending.iter()).position(|p| same_return(&p.probe.expected_at_catch, header));
         let Some(idx) = position else {
             return;
         };
@@ -309,11 +311,22 @@ impl AckTechnique for GeneralProbing {
     }
 }
 
+/// True when a probe returning with `header` is the one `expected`
+/// predicts: every field equal, the ToS compared without its ECN bits.
+fn same_return(expected: &PacketHeader, header: &PacketHeader) -> bool {
+    expected.nw_tos & 0xfc == header.nw_tos & 0xfc
+        && *expected
+            == PacketHeader {
+                nw_tos: expected.nw_tos,
+                ..*header
+            }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::tests::probed_switch_one;
-    use openflow::OfMatch;
+    use openflow::{MacAddr, OfMatch, Wildcards};
     use std::net::Ipv4Addr;
 
     fn new_technique() -> GeneralProbing {
@@ -943,5 +956,80 @@ mod tests {
         let mut out = Vec::new();
         t.on_probe_packet(&sent[0], Duration::from_millis(2), &mut out);
         assert_eq!(confirms(&out), vec![3]);
+    }
+
+    /// `forwarding_mod(1)` narrowed to both L4 ports, so its probe carries
+    /// no probe id, and to `in_port`.
+    fn port_pinned_mod(in_port: u16) -> FlowMod {
+        let mut fm = forwarding_mod(1);
+        fm.match_ = fm.match_.with_tp_dst(80).with_in_port(in_port);
+        fm.match_.wildcards = fm.match_.wildcards.with(Wildcards::TP_SRC, false);
+        fm.match_.tp_src = 1234;
+        fm
+    }
+
+    /// Two rules that differ only in their VLAN: the probe of the second
+    /// returns tagged 20 and confirms the second, not the older first.
+    #[test]
+    fn a_return_confirms_the_rule_whose_vlan_it_carries() {
+        let mut t = new_technique();
+        let mut out = Vec::new();
+        for (cookie, vlan) in [(1, 10), (2, 20)] {
+            let mut fm = port_pinned_mod(1);
+            fm.match_ = fm.match_.with_dl_vlan(vlan);
+            t.on_flow_mod(cookie, &fm, Duration::ZERO, &mut out);
+        }
+        assert!(fallbacks(&out).is_empty());
+        let mut out = Vec::new();
+        t.on_timer(TOKEN_TICK, Duration::from_millis(300), &mut out);
+        let sent = probes(&out);
+        let second = sent.iter().find(|h| h.dl_vlan == 20).expect("R2 probed");
+        let mut out = Vec::new();
+        t.on_probe_packet(second, Duration::from_millis(301), &mut out);
+        assert_eq!(confirms(&out), vec![2]);
+    }
+
+    /// Two rules whose probes would return alike (they differ only in the
+    /// in-port, which the returned header does not show): the second waits
+    /// for its fallback timer instead of sharing the first one's returns.
+    #[test]
+    fn a_probe_returning_like_a_pending_one_falls_back() {
+        let mut t = new_technique();
+        let mut out = Vec::new();
+        t.on_flow_mod(1, &port_pinned_mod(1), Duration::ZERO, &mut out);
+        assert_eq!(injections(&out), 1);
+        let mut out = Vec::new();
+        t.on_flow_mod(2, &port_pinned_mod(3), Duration::ZERO, &mut out);
+        assert_eq!(fallbacks(&out), vec![2]);
+        assert_eq!(
+            t.fallback_pending.get(&2),
+            Some(&ProbeSynthesisError::SameReturnAsPending)
+        );
+    }
+
+    /// A rewriting rule is confirmed only by a return that carries the
+    /// rewritten header (ECN bits aside); the probe as injected proves
+    /// nothing about it.
+    #[test]
+    fn a_return_must_carry_the_rules_rewrites() {
+        let mut t = new_technique();
+        let new_dst = MacAddr::from_id(0xBEEF);
+        let mut fm = forwarding_mod(1);
+        fm.actions = vec![Action::SetDlDst(new_dst), Action::output(2)];
+        let mut out = Vec::new();
+        t.on_flow_mod(6, &fm, Duration::ZERO, &mut out);
+        let sent = probes(&out);
+        assert_eq!(sent.len(), 1);
+        assert_ne!(sent[0].dl_dst, new_dst);
+        let mut out = Vec::new();
+        t.on_probe_packet(&sent[0], Duration::from_millis(1), &mut out);
+        assert!(confirms(&out).is_empty(), "the unrewritten probe");
+        let rewritten = PacketHeader {
+            dl_dst: new_dst,
+            nw_tos: sent[0].nw_tos | 0x01,
+            ..sent[0]
+        };
+        t.on_probe_packet(&rewritten, Duration::from_millis(2), &mut out);
+        assert_eq!(confirms(&out), vec![6]);
     }
 }

@@ -90,6 +90,10 @@ pub enum ProbeSynthesisError {
     /// The table handles the probe alike before and after the mod, so the
     /// probe cannot distinguish "installed" from "not installed yet".
     IndistinguishableFromFallback,
+    /// The probe would return with the same header as the probe of a rule
+    /// still pending on the same switch, so its return could not name one
+    /// rule.
+    SameReturnAsPending,
 }
 
 impl std::fmt::Display for ProbeSynthesisError {
@@ -103,6 +107,9 @@ impl std::fmt::Display for ProbeSynthesisError {
             }
             ProbeSynthesisError::IndistinguishableFromFallback => {
                 "the table handles the probe alike before and after the mod"
+            }
+            ProbeSynthesisError::SameReturnAsPending => {
+                "the probe would return like a pending rule's probe"
             }
         };
         f.write_str(s)

@@ -562,11 +562,11 @@ mod tests {
         let maps = derive_port_maps(sim.topology(), &switches);
         assert_eq!(maps.len(), 3);
         // B (index 1) reaches A through port 1 and C through port 2.
-        assert_eq!(maps[1].next_hop(1), Some(SwitchId::new(0)));
-        assert_eq!(maps[1].next_hop(2), Some(SwitchId::new(2)));
+        assert_eq!(maps[1].port_to_switch[&1], SwitchId::new(0));
+        assert_eq!(maps[1].port_to_switch[&2], SwitchId::new(2));
         // B's probes can be injected via A (which reaches B through port 2).
         assert_eq!(maps[1].inject_via, Some((SwitchId::new(0), 2)));
         // A has only one monitored neighbour: B.
-        assert_eq!(maps[0].next_hop(2), Some(SwitchId::new(1)));
+        assert_eq!(maps[0].port_to_switch[&2], SwitchId::new(1));
     }
 }

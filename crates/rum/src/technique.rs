@@ -14,6 +14,7 @@
 
 use crate::engine::SwitchId;
 use openflow::messages::FlowMod;
+use openflow::types::TECHNIQUE_XID_BAND;
 use openflow::{OfMessage, PacketHeader, Xid};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -92,16 +93,12 @@ pub trait AckTechnique: Send {
     fn on_switch_reconnected(&mut self, _now: Duration, _out: &mut Vec<TechniqueOutput>) {}
 }
 
-/// Width of the xid band each switch's technique numbers its proxy messages
-/// in: switch `i`'s starts at `PROXY_XID_BASE + (i + 1) * XID_BAND`.
-pub(crate) const XID_BAND: Xid = 0x1_0000;
-
 /// Takes the next xid of a technique's band, wrapping inside the band: a
 /// technique never steps into the next switch's band or, past `u32::MAX`,
 /// below `PROXY_XID_BASE` into the controller's xids.
 pub(crate) fn fresh_xid(next: &mut Xid) -> Xid {
     let xid = *next;
-    *next = (xid & !(XID_BAND - 1)) | (xid.wrapping_add(1) & (XID_BAND - 1));
+    *next = (xid & !(TECHNIQUE_XID_BAND - 1)) | (xid.wrapping_add(1) & (TECHNIQUE_XID_BAND - 1));
     xid
 }
 
@@ -204,7 +201,7 @@ impl StaticTimeout {
     /// awaits one, its cookies wait for the next reply.
     #[cold]
     fn barrier_past_used_xids(&mut self, mut cookies: Vec<u64>, out: &mut Vec<TechniqueOutput>) {
-        if self.barrier_covers.len() >= XID_BAND as usize {
+        if self.barrier_covers.len() >= TECHNIQUE_XID_BAND as usize {
             self.waiting.append(&mut cookies);
             return;
         }
@@ -371,10 +368,10 @@ mod tests {
     /// increment would land on 0, among the controller's xids.
     #[test]
     fn barrier_xids_wrap_inside_their_band() {
-        for band in [0xFFFF_0000, crate::PROXY_XID_BASE + XID_BAND] {
+        for band in [0xFFFF_0000, crate::PROXY_XID_BASE + TECHNIQUE_XID_BAND] {
             let mut t = StaticTimeout::new(Duration::ZERO, band);
             let mut xids = Vec::new();
-            for cookie in 0..=u64::from(XID_BAND) {
+            for cookie in 0..=u64::from(TECHNIQUE_XID_BAND) {
                 let mut out = Vec::new();
                 t.on_flow_mod(cookie, &fm(1), Duration::ZERO, &mut out);
                 let xid = barrier_xids(&out)[0];
@@ -384,9 +381,12 @@ mod tests {
             }
             assert!(xids
                 .iter()
-                .all(|&x| (band..=band + (XID_BAND - 1)).contains(&x)));
-            assert_eq!(xids[XID_BAND as usize - 1], band + (XID_BAND - 1));
-            assert_eq!(xids[XID_BAND as usize], band, "{band:#x}");
+                .all(|&x| (band..=band + (TECHNIQUE_XID_BAND - 1)).contains(&x)));
+            assert_eq!(
+                xids[TECHNIQUE_XID_BAND as usize - 1],
+                band + (TECHNIQUE_XID_BAND - 1)
+            );
+            assert_eq!(xids[TECHNIQUE_XID_BAND as usize], band, "{band:#x}");
         }
     }
 
@@ -397,11 +397,15 @@ mod tests {
         let band = 0xFFFF_0000;
         let mut t = StaticTimeout::new(Duration::ZERO, band);
         let mut out = Vec::new();
-        for cookie in 0..=u64::from(XID_BAND) {
+        for cookie in 0..=u64::from(TECHNIQUE_XID_BAND) {
             t.on_flow_mod(cookie, &fm(1), Duration::ZERO, &mut out);
         }
         let xids = barrier_xids(&out);
-        assert_eq!(xids.len(), XID_BAND as usize, "the last barrier waits");
+        assert_eq!(
+            xids.len(),
+            TECHNIQUE_XID_BAND as usize,
+            "the last barrier waits"
+        );
         // The first barrier's reply confirms its own mod only, and frees its
         // xid for the waiting one.
         let mut out = Vec::new();

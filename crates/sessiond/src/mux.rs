@@ -29,7 +29,9 @@ use controller::{
     AbortReport, AckMode, ConnId, FailurePolicy, Machine, MachineEffect, MachineInput,
     SessionEffect, SessionInput, SessionOutcome, SessionTimerToken, UpdatePlan, UpdateSession,
 };
+use openflow::types::{take_xid_in, CONTROLLER_BARRIER_XID_BASE, RESYNC_READBACK_XID_BASE};
 use openflow::{OfMatch, OfMessage, Xid};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -39,9 +41,10 @@ use telemetry::{AtomicHistogram, Counter, Gauge, Registry};
 /// Default width of each tenant's cookie/xid block (2^20 local ids).
 pub const DEFAULT_NAMESPACE_BITS: u32 = 20;
 
-/// First mux-allocated barrier xid.  The block up to the RUM proxy's
-/// reserved range (`0x8000_0000`) is the mux's to hand out.
-const MUX_BARRIER_BASE: Xid = 0x4000_0000;
+/// How many tenants get their own `sessiond.t{i}.*` metric series (the rest
+/// still feed every shared `sessiond.*` aggregate); bounds snapshot
+/// cardinality when soaking hundreds of sessions.
+const PER_TENANT_METRICS: usize = 32;
 
 /// Identifies one tenant session owned by a [`SessionMux`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -148,7 +151,8 @@ pub enum SessionState {
 /// Mux-wide configuration.  Every tenant session is created with the same
 /// acknowledgment mode, per-session window and failure policy; the
 /// cross-tenant knobs (global window, quantum, policy, namespace width) are
-/// the mux's own.
+/// the mux's own.  Per-tenant metric series are not configurable: the first
+/// 32 tenants get them (see [`SessionMux::attach_metrics`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MuxConfig {
     /// Acknowledgment mode for every tenant session.
@@ -171,10 +175,6 @@ pub struct MuxConfig {
     /// mux that holds a staged modification past the timeout will trigger
     /// spurious retries, so pair an enabled policy with a generous timeout.
     pub failure_policy: FailurePolicy,
-    /// How many tenants get their own `sessiond.t{i}.*` metric series (the
-    /// rest still feed every shared `sessiond.*` aggregate); bounds snapshot
-    /// cardinality when soaking hundreds of sessions.
-    pub per_tenant_metrics: usize,
 }
 
 impl Default for MuxConfig {
@@ -187,7 +187,6 @@ impl Default for MuxConfig {
             conflict_policy: ConflictPolicy::Serialize,
             namespace_bits: DEFAULT_NAMESPACE_BITS,
             failure_policy: FailurePolicy::disabled(),
-            per_tenant_metrics: 32,
         }
     }
 }
@@ -335,8 +334,7 @@ struct Tenant {
     /// rejected — this set (summed over tenants) is the global window.
     released_unconfirmed: HashSet<u64>,
     state: SessionState,
-    /// Per-tenant metric handles, for the first `per_tenant_metrics`
-    /// tenants.
+    /// Per-tenant metric handles, for the first 32 tenants.
     m_in_flight: Option<Arc<Gauge>>,
     m_confirmed: Option<Arc<Counter>>,
 }
@@ -396,7 +394,7 @@ impl SessionMux {
             waiters: VecDeque::new(),
             active_keys: HashMap::new(),
             barrier_map: HashMap::new(),
-            next_barrier_xid: MUX_BARRIER_BASE,
+            next_barrier_xid: CONTROLLER_BARRIER_XID_BASE,
             timer_map: HashMap::new(),
             next_timer_token: 0,
             global_in_flight: 0,
@@ -408,8 +406,8 @@ impl SessionMux {
     }
 
     /// Publishes mux progress into `registry` under `sessiond.*`; the first
-    /// [`MuxConfig::per_tenant_metrics`] tenants additionally get
-    /// `sessiond.t{i}.*` series.  Attach before the first submission.
+    /// 32 tenants additionally get `sessiond.t{i}.*` series.  Attach before
+    /// the first submission.
     pub fn attach_metrics(&mut self, registry: &Arc<Registry>) {
         self.metrics = Some(MuxMetrics::new(registry));
     }
@@ -422,7 +420,7 @@ impl SessionMux {
     /// How many sessions this mux can ever isolate: flow-mod xids must stay
     /// below the barrier range, so `2^(30 - bits) - 1` blocks exist.
     pub fn max_sessions(&self) -> usize {
-        ((u64::from(MUX_BARRIER_BASE) >> self.config.namespace_bits) - 1) as usize
+        ((u64::from(CONTROLLER_BARRIER_XID_BASE) >> self.config.namespace_bits) - 1) as usize
     }
 
     /// Exclusive upper bound on local plan ids (`2^namespace_bits`).
@@ -600,7 +598,7 @@ impl SessionMux {
             UpdateSession::new(plan, self.config.ack_mode, self.config.session_window);
         session.set_failure_policy(self.config.failure_policy);
         let (m_in_flight, m_confirmed) = match &self.metrics {
-            Some(m) if index < self.config.per_tenant_metrics => (
+            Some(m) if index < PER_TENANT_METRICS => (
                 Some(m.registry.gauge(&format!("sessiond.t{index}.in_flight"))),
                 Some(m.registry.counter(&format!("sessiond.t{index}.confirmed"))),
             ),
@@ -756,6 +754,23 @@ impl SessionMux {
         }
     }
 
+    /// The wire xid of tenant `sid`'s barrier `local`: the next
+    /// controller-barrier xid that awaits no reply (the allocator wraps
+    /// inside its row of the xid layout; a reused xid would route an old
+    /// reply to the wrong tenant barrier).
+    fn global_barrier_xid(&mut self, sid: SessionId, local: Xid) -> Xid {
+        loop {
+            let global = take_xid_in(
+                &mut self.next_barrier_xid,
+                CONTROLLER_BARRIER_XID_BASE..RESYNC_READBACK_XID_BASE,
+            );
+            if let Entry::Vacant(slot) = self.barrier_map.entry(global) {
+                slot.insert((sid, local));
+                return global;
+            }
+        }
+    }
+
     fn apply_effect(
         &mut self,
         sid: SessionId,
@@ -774,12 +789,9 @@ impl SessionMux {
                             body,
                         }
                     }
-                    OfMessage::BarrierRequest { xid } => {
-                        let global = self.next_barrier_xid;
-                        self.next_barrier_xid += 1;
-                        self.barrier_map.insert(global, (sid, xid));
-                        OfMessage::BarrierRequest { xid: global }
-                    }
+                    OfMessage::BarrierRequest { xid } => OfMessage::BarrierRequest {
+                        xid: self.global_barrier_xid(sid, xid),
+                    },
                     other => other,
                 };
                 self.tenants[sid.0].staged.push_back((conn, rewritten));
@@ -1316,6 +1328,78 @@ mod tests {
             .iter()
             .any(|e| matches!(e, MuxEffect::Confirmed { session, id: 1 } if *session == b)));
         assert_eq!(mux.session(a).unwrap().confirmed_count(), 0);
+    }
+
+    fn barrier_xids(effects: &[MuxEffect]) -> Vec<Xid> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                MuxEffect::Send {
+                    message: OfMessage::BarrierRequest { xid },
+                    ..
+                } => Some(*xid),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn barrier_mux() -> SessionMux {
+        SessionMux::new(MuxConfig {
+            ack_mode: AckMode::Barriers { batch: 1 },
+            session_window: 2,
+            global_window: 8,
+            ..MuxConfig::default()
+        })
+    }
+
+    /// Past the last controller-barrier xid the mux starts over at the
+    /// first, short of the reconciler's readback xids.
+    #[test]
+    fn wire_barrier_xids_wrap_inside_their_range() {
+        let mut mux = barrier_mux();
+        mux.next_barrier_xid = RESYNC_READBACK_XID_BASE - 1;
+        let mut fx = Vec::new();
+        mux.submit(plan_of(1, 1), Duration::ZERO, &mut fx).unwrap();
+        mux.submit(plan_of(2, 1), Duration::ZERO, &mut fx).unwrap();
+        assert_eq!(
+            barrier_xids(&fx),
+            [RESYNC_READBACK_XID_BASE - 1, CONTROLLER_BARRIER_XID_BASE]
+        );
+    }
+
+    /// After the wrap, the xid of a barrier still awaiting its reply is
+    /// skipped, and that reply still confirms the tenant that sent it.
+    #[test]
+    fn wire_barrier_xid_awaiting_its_reply_is_skipped() {
+        let mut mux = barrier_mux();
+        let mut fx = Vec::new();
+        let a = mux.submit(plan_of(1, 1), Duration::ZERO, &mut fx).unwrap();
+        assert_eq!(barrier_xids(&fx), [CONTROLLER_BARRIER_XID_BASE]);
+        mux.next_barrier_xid = RESYNC_READBACK_XID_BASE - 1;
+        let mut fx = Vec::new();
+        mux.submit(plan_of(2, 1), Duration::ZERO, &mut fx).unwrap();
+        mux.submit(plan_of(3, 1), Duration::ZERO, &mut fx).unwrap();
+        assert_eq!(
+            barrier_xids(&fx),
+            [
+                RESYNC_READBACK_XID_BASE - 1,
+                CONTROLLER_BARRIER_XID_BASE + 1
+            ]
+        );
+        let mut fx = Vec::new();
+        mux.handle(
+            Duration::from_millis(1),
+            MuxInput::FromSwitch {
+                conn: ConnId::new(0),
+                message: OfMessage::BarrierReply {
+                    xid: CONTROLLER_BARRIER_XID_BASE,
+                },
+            },
+            &mut fx,
+        );
+        assert!(fx
+            .iter()
+            .any(|e| matches!(e, MuxEffect::Confirmed { session, id: 1 } if *session == a)));
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl MuxController {
         self.0.set_connections(connections);
     }
 
-    /// Sets the one-way control-channel latency used for outgoing messages.
-    pub fn set_control_latency(&mut self, latency: SimTime) {
-        self.0.set_control_latency(latency);
-    }
-
     /// Read access to the mux (per-session state, outcomes, counters).
     pub fn mux(&self) -> &SessionMux {
         &self.0.machine().mux

@@ -5,7 +5,8 @@
 //! data plane, the three barrier modes, and a seedable [`FaultPlan`]
 //! covering the paper's adversary space — silent rule drops, delayed
 //! data-plane sync bursts, acknowledgment loss/duplication, and
-//! control-channel disconnect with a table wipe (switch restart).
+//! control-channel disconnect with a table wipe (switch restart) — plus the
+//! flow-stats reply loss the reconciler's readback must survive.
 //!
 //! It is a sans-IO state machine in the same style as `rum::RumEngine` and
 //! `controller::UpdateSession`: drivers feed it decoded OpenFlow messages
@@ -62,11 +63,12 @@ const SALT_ACK_DUP: u64 = 0xD0;
 const SALT_REORDER_DEFER: u64 = 0xDE;
 const SALT_REORDER_KEY: u64 = 0x0D;
 const SALT_STATS_DROP: u64 = 0x5A;
-const SALT_STATS_TRUNC: u64 = 0x7C;
 
 /// A deterministic, seedable description of how a switch misbehaves beyond
 /// its timing model.  [`FaultPlan::none`] is a fault-free switch; every
 /// field composes independently with the [`SwitchModel`]'s barrier mode.
+/// Each field is one that a test, gate or benchmark turns on; flow-stats
+/// replies are either answered whole from the control-plane table or lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed for every fault decision.  The same seed reproduces the same
@@ -101,15 +103,6 @@ pub struct FaultPlan {
     /// never); hash of `(seed, xid)`.  The reconciler's readback must
     /// re-request under backoff to make progress.
     pub stats_drop_one_in: u32,
-    /// Truncate roughly one in this many flow-stats replies (0 = never) to
-    /// the first half of their entries; hash of `(seed, xid)`.  A truncated
-    /// readback makes installed rules look missing — the reconciler
-    /// re-installs them (harmless) and converges on the next round.
-    pub stats_truncate_one_in: u32,
-    /// Answer flow-stats requests from the lagging *data-plane* table
-    /// instead of the control-plane view — the stale snapshot a switch
-    /// returns while a sync burst is still in flight.
-    pub stats_stale_snapshot: bool,
 }
 
 impl FaultPlan {
@@ -124,8 +117,6 @@ impl FaultPlan {
             ack_duplicate_one_in: 0,
             restart_after_mods: None,
             stats_drop_one_in: 0,
-            stats_truncate_one_in: 0,
-            stats_stale_snapshot: false,
         }
     }
 
@@ -175,18 +166,6 @@ impl FaultPlan {
         self
     }
 
-    /// Fluent: flow-stats-reply truncation, one in `one_in`.
-    pub fn with_stats_truncation(mut self, one_in: u32) -> Self {
-        self.stats_truncate_one_in = one_in;
-        self
-    }
-
-    /// Fluent: flow-stats answered from the lagging data-plane snapshot.
-    pub fn with_stale_stats(mut self) -> Self {
-        self.stats_stale_snapshot = true;
-        self
-    }
-
     /// Keyed per-value decision: true roughly one time in `one_in`.
     fn decide(&self, salt: u64, value: u64) -> bool {
         let one_in = match salt {
@@ -194,7 +173,6 @@ impl FaultPlan {
             SALT_ACK_LOSS => self.ack_loss_one_in,
             SALT_ACK_DUP => self.ack_duplicate_one_in,
             SALT_STATS_DROP => self.stats_drop_one_in,
-            SALT_STATS_TRUNC => self.stats_truncate_one_in,
             _ => 0,
         };
         if one_in == 0 {
@@ -412,8 +390,6 @@ pub struct BehaviorCounters {
     pub flow_stats: u64,
     /// Flow-stats replies suppressed by the stats-loss fault.
     pub stats_replies_lost: u64,
-    /// Flow-stats replies truncated by the truncation fault.
-    pub stats_replies_truncated: u64,
     /// `FlowRemoved` notifications sent for expired `SEND_FLOW_REM` rules.
     pub flow_removed_sent: u64,
 }
@@ -750,11 +726,6 @@ impl Behavior {
             ready.sort_by_key(|op| op.seq);
         }
 
-        if self.model.dataplane_sync_batch != 0 && ready.len() > self.model.dataplane_sync_batch {
-            let overflow = ready.split_off(self.model.dataplane_sync_batch);
-            self.pending.extend(overflow);
-        }
-
         if !ready.is_empty() {
             let mut latency = self.model.dataplane_sync_latency;
             if self.faults.sync_burst_every != 0
@@ -846,9 +817,9 @@ impl Behavior {
         }
     }
 
-    /// Answers a flow-stats request from the live table, fragmenting the
-    /// reply when it overflows one message and running it through the
-    /// stats-targeted faults (reply loss, truncation, stale snapshot).
+    /// Answers a flow-stats request from the control-plane table,
+    /// fragmenting the reply when it overflows one message; the stats-loss
+    /// fault may swallow the whole reply.
     pub fn on_flow_stats(
         &mut self,
         now: Duration,
@@ -865,14 +836,8 @@ impl Behavior {
             self.counters.stats_replies_lost += 1;
             return;
         }
-        // The stale-snapshot fault reads the lagging data-plane table — what
-        // a switch reports while a sync burst is still in flight.
-        let table = if self.faults.stats_stale_snapshot {
-            &self.data
-        } else {
-            &self.control
-        };
-        let mut entries: Vec<FlowStatsEntry> = table
+        let entries: Vec<FlowStatsEntry> = self
+            .control
             .entries()
             .filter(|e| match_.covers(&e.match_))
             .map(|e| FlowStatsEntry {
@@ -889,10 +854,6 @@ impl Behavior {
                 actions: e.actions.clone(),
             })
             .collect();
-        if self.faults.decide(SALT_STATS_TRUNC, u64::from(xid)) && !entries.is_empty() {
-            self.counters.stats_replies_truncated += 1;
-            entries.truncate(entries.len().div_ceil(2));
-        }
         for message in StatsReply::flow_fragments(xid, entries, MAX_STATS_BODY) {
             out.push(BehaviorAction::Reply {
                 at: done_at,

@@ -50,7 +50,6 @@ pub struct Datapath {
     /// coming back; that reply completes the handshake and must not be
     /// answered with yet another `Hello` (the two sides would ping-pong).
     hello_pending: bool,
-    packet_outs: u64,
     forwarded: u64,
 }
 
@@ -70,7 +69,6 @@ impl Datapath {
             behavior: Behavior::new(model, faults),
             config: SwitchConfig::default(),
             hello_pending: false,
-            packet_outs: 0,
             forwarded: 0,
         }
     }
@@ -94,11 +92,6 @@ impl Datapath {
     /// charging pacing work to the control-plane CPU, settling at teardown.
     pub fn behavior_mut(&mut self) -> &mut Behavior {
         &mut self.behavior
-    }
-
-    /// `PacketOut` messages executed so far.
-    pub fn packet_outs(&self) -> u64 {
-        self.packet_outs
     }
 
     /// See [`Behavior::advance`].
@@ -242,7 +235,6 @@ impl Datapath {
     /// Executes a `PacketOut`: each output of its action list either goes
     /// through the flow table (`OFPP_TABLE`) or leaves directly.
     fn packet_out(&mut self, now: Duration, po: PacketOut, out: &mut Vec<BehaviorAction>) {
-        self.packet_outs += 1;
         let Ok(header) = PacketHeader::from_bytes(&po.data) else {
             return;
         };
@@ -545,9 +537,8 @@ mod tests {
             (of_port::NONE, packet_in_reason::ACTION)
         );
         assert_eq!(PacketHeader::from_bytes(&body.data).unwrap(), h);
-        // Unparsable data executes nothing but still counts.
+        // Unparsable data executes nothing.
         assert!(packet_out(&mut dp, PacketOut::single_port(2, vec![1, 2, 3])).is_empty());
-        assert_eq!(dp.packet_outs(), 4);
     }
 
     /// A PacketOut to `IN_PORT`, `FLOOD` or `ALL` is reflected / flooded like

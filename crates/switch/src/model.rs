@@ -66,14 +66,13 @@ pub struct SwitchModel {
     /// Additional processing time per already-installed rule (models the
     /// occupancy-dependent slowdown).
     pub per_rule_slowdown: Duration,
-    /// Interval between data-plane synchronisation points.
+    /// Interval between data-plane synchronisation points.  Each point
+    /// pushes every modification the control plane has digested by then;
+    /// there is no per-synchronisation cap.
     pub dataplane_sync_period: Duration,
     /// Extra latency between a synchronisation point and the rules actually
     /// forwarding traffic (TCAM write + pipeline flush).
     pub dataplane_sync_latency: Duration,
-    /// Maximum number of modifications pushed to the data plane per
-    /// synchronisation (0 = unlimited).
-    pub dataplane_sync_batch: usize,
     /// Control-plane processing time per `PacketOut`.
     pub packet_out_time: Duration,
     /// Control-plane processing time per generated `PacketIn`.
@@ -102,7 +101,6 @@ impl SwitchModel {
             per_rule_slowdown: Duration::ZERO,
             dataplane_sync_period: Duration::from_micros(500),
             dataplane_sync_latency: Duration::from_micros(100),
-            dataplane_sync_batch: 0,
             packet_out_time: Duration::from_micros(20),
             packet_in_time: Duration::from_micros(20),
             packet_out_interval: Duration::from_micros(30),
@@ -128,7 +126,6 @@ impl SwitchModel {
             // and the 100–300 ms control/data-plane gap.
             dataplane_sync_period: Duration::from_millis(200),
             dataplane_sync_latency: Duration::from_millis(90),
-            dataplane_sync_batch: 0,
             // 1/7006 s and 1/5531 s.
             packet_out_time: Duration::from_micros(100),
             packet_in_time: Duration::from_micros(30),
@@ -160,7 +157,6 @@ impl SwitchModel {
             per_rule_slowdown: Duration::ZERO,
             dataplane_sync_period: Duration::from_millis(40),
             dataplane_sync_latency: Duration::from_millis(12),
-            dataplane_sync_batch: 0,
             packet_out_time: Duration::from_micros(20),
             packet_in_time: Duration::from_micros(10),
             packet_out_interval: Duration::from_micros(30),

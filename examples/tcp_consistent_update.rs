@@ -174,18 +174,20 @@ fn run_tcp(n_flows: u32, telemetry: bool) -> Vec<u64> {
     let order = ctrl_handle.confirmed_order();
     assert_eq!(order.len(), n_mods, "every modification must confirm");
 
-    let s2_mods = switch_handles[1]
-        .counters()
-        .flow_mods
-        .load(std::sync::atomic::Ordering::SeqCst);
-    println!("S2 accepted {s2_mods} rule installations over its socket");
-
     if let Some(server) = server {
         validate_snapshot(server.local_addr(), n_mods);
         server.shutdown();
     }
     ctrl_handle.shutdown();
     proxy_handle.shutdown();
+    for handle in &switch_handles {
+        handle.stop();
+    }
+    let s2 = switch_handles.swap_remove(1).join();
+    println!(
+        "S2 ended with {} rules in its control-plane table",
+        s2.control_rules
+    );
     order
 }
 
