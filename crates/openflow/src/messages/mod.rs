@@ -591,6 +591,20 @@ impl OfMessage {
         Ok(msg)
     }
 
+    /// The error `err_type`/`code` answering this request: its xid, and its
+    /// first 64 bytes echoed, as OpenFlow 1.0 asks.
+    pub fn error_reply(&self, err_type: u16, code: u16) -> OfMessage {
+        let mut data = self.encode_to_vec().unwrap_or_default();
+        data.truncate(64);
+        let body = ErrorMsg {
+            err_type,
+            code,
+            data,
+        };
+        let xid = self.xid();
+        OfMessage::Error { xid, body }
+    }
+
     /// Builds the positive acknowledgment RUM sends to a RUM-aware
     /// controller when the flow-mod with transaction id `acked_xid` is known
     /// to be active in the data plane (paper §4: an error message with an

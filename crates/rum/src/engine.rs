@@ -18,6 +18,15 @@
 //! epoch (simulation start, proxy start-up, ...).  The engine only compares
 //! and adds times, so any monotonic origin works.
 //!
+//! Each switch's open controller flow-mods sit in one ledger, under the
+//! [`ModId`] the engine gives every new mod; techniques name mods by it, and
+//! the xid is one attribute of the mod.  A flow-mod with the xid and the
+//! body of the newest open mod with that xid re-sends it: it is forwarded,
+//! but it is not a new mod.  Any other flow-mod is new, with its own ack
+//! (carrying its xid), barrier coverage and restart re-issue.  A switch
+//! `Error` closes the oldest open mod with its xid, unless the request it
+//! echoes is not a flow-mod.
+//!
 //! ```
 //! use rum::{Effect, Input, RumBuilder, TechniqueConfig};
 //! use std::time::Duration;
@@ -33,8 +42,9 @@ use crate::config::{RumConfig, TechniqueConfig};
 use crate::general::GeneralProbing;
 use crate::probe::catch_rule;
 use crate::sequential::SequentialProbing;
-use crate::technique::{AckTechnique, TechniqueOutput};
+use crate::technique::{AckTechnique, ModId, TechniqueOutput};
 use crate::technique::{AdaptiveDelay, StaticTimeout};
+use openflow::constants::msg_type;
 use openflow::messages::{FlowMod, PacketIn};
 use openflow::types::{CATCH_XID_BASE, TECHNIQUE_XID_BAND};
 use openflow::{OfMessage, PacketHeader, Xid};
@@ -185,14 +195,14 @@ pub enum Effect {
         /// Token identifying the timer.
         token: TimerToken,
     },
-    /// The modification with this cookie on `switch` is now confirmed active
-    /// in the data plane.  Purely observational — the matching
+    /// The modification with this cookie (its xid) on `switch` is now
+    /// confirmed active in the data plane.  Purely observational — the matching
     /// acknowledgment messages (fine-grained ack, barrier release) are
     /// emitted as separate [`Effect::ToController`] effects.
     Confirmed {
         /// The switch the rule was installed on.
         switch: SwitchId,
-        /// The confirmed modification's cookie.
+        /// The confirmed modification's cookie: its xid.
         cookie: u64,
     },
 }
@@ -260,8 +270,8 @@ struct SwitchMetrics {
     rejected_xids: Arc<Counter>,
     reconnects: Arc<Counter>,
     reissued_flow_mods: Arc<Counter>,
-    /// Modifications currently awaiting confirmation (mirrors the
-    /// `unconfirmed` map for live observers).
+    /// Modifications currently awaiting confirmation (mirrors the ledger
+    /// for live observers).
     unconfirmed: Arc<Gauge>,
     /// Received-to-confirmed latency per modification, in microseconds.
     confirm_latency_us: Arc<AtomicHistogram>,
@@ -313,54 +323,89 @@ impl SwitchMetrics {
 pub struct ConfirmRecord {
     /// The switch the rule was confirmed on.
     pub switch: SwitchId,
-    /// The confirmed modification's cookie.
+    /// The confirmed modification's cookie: its xid.
     pub cookie: u64,
     /// When the engine emitted the confirmation (driver epoch).
     pub at: Duration,
 }
 
-/// A controller barrier whose reply is being withheld.
-///
-/// Instead of a cloned set of required cookies the barrier carries a
-/// *count*: it was created at event sequence `created_seq`, so it waits for
-/// exactly the modifications whose insertion sequence is below that — a
-/// cookie resolving decrements every younger barrier.  This keeps barrier
-/// creation O(1) where it used to clone the whole `unconfirmed` set.
-#[derive(Debug)]
+/// A controller barrier whose reply is being withheld.  It covers every
+/// mod numbered below `covers`, the ledger's next id when it arrived, and
+/// is released once the switch has replied and none of those is open.
 struct PendingBarrier {
     xid: Xid,
-    /// Unresolved modifications this barrier still waits for.
-    remaining: usize,
-    /// Event sequence at creation; covers cookies inserted before it.
-    created_seq: u64,
+    covers: ModId,
     switch_replied: bool,
 }
 
-/// One unconfirmed controller modification: its insertion sequence (for
-/// barrier covers), when it arrived (for the confirm-latency histogram),
-/// plus the flow-mod body, retained so a switch restart can be healed by
-/// re-issuing exactly what the controller asked for.
-struct UnconfirmedMod {
-    seq: u64,
+/// One open controller modification: its id and xid, its arrival (for the
+/// confirm-latency histogram) and its body (for a restart's re-issue).
+struct OpenMod {
+    id: ModId,
+    xid: Xid,
     received_at: Duration,
     flow_mod: FlowMod,
 }
 
-/// Per-monitored-switch engine state.
-///
-/// Memory stays bounded by the amount of *outstanding* work: resolved
-/// cookies decrement the pending barriers' counters instead of accumulating
-/// in ever-growing "confirmed" sets, and a confirmation drops the retained
-/// flow-mod body, so a long-running deployment (the TCP proxy) does not leak
-/// per-modification state.
+/// A switch's open controller modifications by [`ModId`], until each is
+/// confirmed or refused: memory is bounded by the open mods.
+#[derive(Default)]
+struct Ledger {
+    next: ModId,
+    /// The open mods in id order (ids are handed out increasing): a close
+    /// in confirm order pops the front, any other shifts the shorter side.
+    open: VecDeque<OpenMod>,
+    /// Per xid: the newest open mod carrying it, and how many open mods do.
+    by_xid: HashMap<Xid, (ModId, u32)>,
+}
+
+impl Ledger {
+    /// Records a controller flow-mod and returns its new id, or `None` when
+    /// it re-sends the newest open mod with its xid (an identical body).
+    fn open(&mut self, xid: Xid, flow_mod: &FlowMod, now: Duration) -> Option<ModId> {
+        let id = self.next;
+        let (newest, count) = self.by_xid.entry(xid).or_insert((id, 0));
+        let newest_at = (*count > 0).then(|| self.open.binary_search_by_key(newest, |m| m.id));
+        if newest_at.is_some_and(|at| self.open[at.expect("indexed")].flow_mod == *flow_mod) {
+            return None;
+        }
+        (*newest, *count) = (id, *count + 1);
+        self.next += 1;
+        let flow_mod = flow_mod.clone();
+        self.open.push_back(OpenMod {
+            id,
+            xid,
+            received_at: now,
+            flow_mod,
+        });
+        Some(id)
+    }
+
+    /// Closes mod `id`; `None` when it is not open.
+    fn close(&mut self, id: ModId) -> Option<OpenMod> {
+        let at = match self.open.front() {
+            Some(oldest) if oldest.id == id => 0,
+            _ => self.open.binary_search_by_key(&id, |m| m.id).ok()?,
+        };
+        let m = self.open.remove(at)?;
+        let (_, count) = self.by_xid.remove(&m.xid).expect("indexed");
+        if count > 1 {
+            let newest = self.with_xid(m.xid).next_back().expect("counted");
+            self.by_xid.insert(m.xid, (newest, count - 1));
+        }
+        Some(m)
+    }
+
+    /// The open mods carrying `xid`, oldest first.
+    fn with_xid(&self, xid: Xid) -> impl DoubleEndedIterator<Item = ModId> + '_ {
+        (self.open.iter()).filter_map(move |m| (m.xid == xid).then_some(m.id))
+    }
+}
+
+/// Per-monitored-switch engine state, bounded by its outstanding work.
 struct SwitchState {
-    id: SwitchId,
     technique: Box<dyn AckTechnique>,
-    /// Unconfirmed modification cookies → insertion sequence + retained body.
-    unconfirmed: HashMap<u64, UnconfirmedMod>,
-    /// Per-switch counter ordering unconfirmed insertions and barrier
-    /// creations against each other.
-    next_event_seq: u64,
+    ledger: Ledger,
     /// How many catch rules were installed on this switch so far (one at
     /// start, one per reconnect) — makes catch-rule xids a pure function of
     /// (switch, generation) so sharded and unsharded engines emit identical
@@ -372,32 +417,9 @@ struct SwitchState {
 }
 
 impl SwitchState {
-    fn new(id: SwitchId, technique: Box<dyn AckTechnique>, metrics: SwitchMetrics) -> Self {
-        SwitchState {
-            id,
-            technique,
-            unconfirmed: HashMap::new(),
-            next_event_seq: 0,
-            catch_generation: 0,
-            pending_barriers: VecDeque::new(),
-            buffered: VecDeque::new(),
-            metrics,
-        }
-    }
-
-    /// Mirrors the unconfirmed-map size into the live gauge.
+    /// Mirrors the ledger's size into the live gauge.
     fn sync_unconfirmed_gauge(&self) {
-        self.metrics.unconfirmed.set(self.unconfirmed.len() as i64);
-    }
-
-    /// A cookie inserted at `inserted_seq` is resolved (confirmed or
-    /// failed): every barrier created after it stops waiting for it.
-    fn resolve_cookie(&mut self, inserted_seq: u64) {
-        for b in &mut self.pending_barriers {
-            if b.created_seq > inserted_seq {
-                b.remaining -= 1;
-            }
-        }
+        self.metrics.unconfirmed.set(self.ledger.open.len() as i64);
     }
 }
 
@@ -451,13 +473,13 @@ impl RumEngine {
             .unwrap_or_else(|| Arc::new(Registry::new()));
         let switches = owned
             .clone()
-            .map(|i| {
-                let switch = SwitchId::new(i);
-                SwitchState::new(
-                    switch,
-                    build_technique(&config, switch),
-                    SwitchMetrics::new(&registry, switch),
-                )
+            .map(|i| SwitchState {
+                technique: build_technique(&config, SwitchId::new(i)),
+                ledger: Ledger::default(),
+                catch_generation: 0,
+                pending_barriers: VecDeque::new(),
+                buffered: VecDeque::new(),
+                metrics: SwitchMetrics::new(&registry, SwitchId::new(i)),
             })
             .collect();
         RumEngine {
@@ -496,7 +518,7 @@ impl RumEngine {
     /// the telemetry registry (see [`RumEngine::metrics`]).
     pub fn stats(&self, switch: SwitchId) -> ProxyStats {
         let s = &self.switches[self.slot(switch)];
-        s.metrics.to_stats(s.unconfirmed.len() as u64)
+        s.metrics.to_stats(s.ledger.open.len() as u64)
     }
 
     /// Total statistics summed over the switches this instance owns — the
@@ -504,7 +526,7 @@ impl RumEngine {
     pub fn total_stats(&self) -> ProxyStats {
         let mut total = ProxyStats::default();
         for s in &self.switches {
-            total += s.metrics.to_stats(s.unconfirmed.len() as u64);
+            total += s.metrics.to_stats(s.ledger.open.len() as u64);
         }
         total
     }
@@ -543,18 +565,14 @@ impl RumEngine {
         self.started = true;
         // A sharded instance acts only for the switches it owns; its peers
         // install the catch rules of theirs.
-        for i in 0..self.switches.len() {
-            let switch = self.switches[i].id;
+        for switch in self.owned.clone().map(SwitchId::new) {
             // Install the probe-catch rule on every switch when any probing
             // technique is active (general probing needs catch rules on
             // neighbours of the probed switch, so install everywhere).
             if self.config.technique.is_probing() {
                 self.install_catch_rule(switch, &mut effects);
             }
-            let mut out = std::mem::take(&mut self.tech_out);
-            self.switches[i].technique.start(now, &mut out);
-            self.apply_outputs(switch, &mut out, now, &mut effects);
-            self.tech_out = out;
+            self.tell_technique(switch, now, &mut effects, |t, out| t.start(now, out));
         }
         effects
     }
@@ -577,20 +595,23 @@ impl RumEngine {
     /// allocation.
     pub fn handle_into(&mut self, now: Duration, input: Input, effects: &mut Vec<Effect>) {
         match input {
-            Input::FromController { switch, message } => {
-                if self.acts_for(switch) {
-                    self.on_controller_msg(switch, message, now, effects);
-                }
+            Input::FromController { switch, message } if self.acts_for(switch) => {
+                self.on_controller_msg(switch, message, now, effects);
             }
             Input::FromSwitch { switch, message } => {
                 self.on_switch_msg(switch, message, now, effects);
             }
-            Input::TimerFired { token } => {
-                self.on_timer(token, now, effects);
+            Input::TimerFired { token } if self.acts_for(token.switch()) => {
+                let own = token.technique_token();
+                self.tell_technique(token.switch(), now, effects, |t, out| {
+                    t.on_timer(own, now, out)
+                });
             }
-            Input::SwitchReconnected { switch } => {
+            Input::SwitchReconnected { switch } if self.acts_for(switch) => {
                 self.on_switch_reconnected(switch, now, effects);
             }
+            // Another shard's switch.
+            _ => {}
         }
     }
 
@@ -669,29 +690,18 @@ impl RumEngine {
         let i = self.slot(switch);
         match msg {
             OfMessage::FlowMod { xid, ref body } => {
-                let id = u64::from(xid);
                 let state = &mut self.switches[i];
                 state.metrics.controller_flow_mods.inc();
-                // Record the insertion sequence so later barriers know they
-                // cover this modification (fresh cookies only: a re-sent
-                // unconfirmed cookie keeps its original position), and
-                // retain the body so a switch restart can re-issue it.
-                let seq = state.next_event_seq;
-                if let std::collections::hash_map::Entry::Vacant(e) = state.unconfirmed.entry(id) {
-                    e.insert(UnconfirmedMod {
-                        seq,
-                        received_at: now,
-                        flow_mod: body.clone(),
-                    });
-                    state.next_event_seq += 1;
-                    state.sync_unconfirmed_gauge();
-                }
+                // A re-send of an open mod is forwarded, but it keeps its id
+                // and barrier coverage and the technique does not see it.
+                let id = state.ledger.open(xid, body, now);
+                state.sync_unconfirmed_gauge();
                 // Run the technique on the borrowed body first, then move
                 // the message into the forwarding effect — no clone.
                 let mut out = std::mem::take(&mut self.tech_out);
-                self.switches[i]
-                    .technique
-                    .on_flow_mod(id, body, now, &mut out);
+                if let Some(id) = id {
+                    (self.switches[i].technique).on_flow_mod(id, body, now, &mut out);
+                }
                 effects.push(Effect::ToSwitch {
                     switch,
                     message: msg,
@@ -702,12 +712,9 @@ impl RumEngine {
             OfMessage::BarrierRequest { xid } => {
                 let state = &mut self.switches[i];
                 state.metrics.controller_barriers.inc();
-                let created_seq = state.next_event_seq;
-                state.next_event_seq += 1;
                 state.pending_barriers.push_back(PendingBarrier {
                     xid,
-                    remaining: state.unconfirmed.len(),
-                    created_seq,
+                    covers: state.ledger.next,
                     switch_replied: false,
                 });
                 // Still forward the barrier so the switch's own ordering
@@ -755,12 +762,9 @@ impl RumEngine {
         match msg {
             OfMessage::BarrierReply { xid } => {
                 if xid >= PROXY_XID_BASE {
-                    let mut out = std::mem::take(&mut self.tech_out);
-                    self.switches[i]
-                        .technique
-                        .on_switch_barrier_reply(xid, now, &mut out);
-                    self.apply_outputs(switch, &mut out, now, effects);
-                    self.tech_out = out;
+                    self.tell_technique(switch, now, effects, |t, out| {
+                        t.on_switch_barrier_reply(xid, now, out)
+                    });
                 } else {
                     if let Some(b) = self.switches[i]
                         .pending_barriers
@@ -772,26 +776,33 @@ impl RumEngine {
                     self.try_release_barriers(switch, now, effects);
                 }
             }
-            OfMessage::Error { xid, .. } => {
-                if xid >= PROXY_XID_BASE {
-                    // One of RUM's own rules failed; nothing sensible to tell
-                    // the controller.  The technique will fall back on
-                    // timeouts (probes simply never return).
-                } else {
-                    // A controller modification failed: the rule will never
-                    // appear in the data plane, so treat it as resolved for
-                    // barrier purposes and pass the error through.
-                    let id = u64::from(xid);
-                    if let Some(m) = self.switches[i].unconfirmed.remove(&id) {
-                        self.switches[i].resolve_cookie(m.seq);
-                        self.switches[i].sync_unconfirmed_gauge();
-                    }
-                    effects.push(Effect::ToController {
-                        via: switch,
-                        message: msg,
-                    });
-                    self.try_release_barriers(switch, now, effects);
+            OfMessage::Error { xid, ref body } if xid < PROXY_XID_BASE => {
+                // A controller modification failed: the rule will never
+                // appear in the data plane, so the oldest open mod with that
+                // xid is closed (for barriers and the technique) and the
+                // error passes through.  An error echoing a request other
+                // than a flow-mod answers that request; one echoing nothing
+                // is taken to answer the mod.
+                let state = &mut self.switches[i];
+                let echoed = body.data.get(1).is_none_or(|&t| t == msg_type::FLOW_MOD);
+                // A scan of the open mods; errors are rare.
+                if let Some(id) = echoed.then(|| state.ledger.with_xid(xid).next()).flatten() {
+                    state.ledger.close(id);
+                    state.sync_unconfirmed_gauge();
+                    state.technique.on_rejected(id);
                 }
+                effects.push(Effect::ToController {
+                    via: switch,
+                    message: msg,
+                });
+                self.try_release_barriers(switch, now, effects);
+            }
+            OfMessage::Error { .. } => {
+                // One of RUM's own rules failed; nothing sensible to tell the
+                // controller, and no technique hears of it.  A rule with a
+                // probe never falls back to a timer, so if a neighbour
+                // refuses its catch rule, every probed rule upstream of it
+                // stays pending.
             }
             other => effects.push(Effect::ToController {
                 via: switch,
@@ -841,35 +852,12 @@ impl RumEngine {
         // ones this instance runs.
         let topology = Arc::clone(&self.config.topology);
         for &sender in topology.candidates(catch, body.in_port) {
-            if !self.acts_for(sender) {
-                continue;
+            if self.acts_for(sender) {
+                self.tell_technique(sender, now, effects, |t, out| {
+                    t.on_probe_packet(header, now, out)
+                });
             }
-            let i = self.slot(sender);
-            let mut out = std::mem::take(&mut self.tech_out);
-            self.switches[i]
-                .technique
-                .on_probe_packet(header, now, &mut out);
-            self.apply_outputs(sender, &mut out, now, effects);
-            self.tech_out = out;
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Timers
-    // ------------------------------------------------------------------
-
-    fn on_timer(&mut self, token: TimerToken, now: Duration, effects: &mut Vec<Effect>) {
-        let switch = token.switch();
-        if !self.acts_for(switch) {
-            return;
-        }
-        let i = self.slot(switch);
-        let mut out = std::mem::take(&mut self.tech_out);
-        self.switches[i]
-            .technique
-            .on_timer(token.technique_token(), now, &mut out);
-        self.apply_outputs(switch, &mut out, now, effects);
-        self.tech_out = out;
     }
 
     // ------------------------------------------------------------------
@@ -897,54 +885,51 @@ impl RumEngine {
         now: Duration,
         effects: &mut Vec<Effect>,
     ) {
-        if !self.acts_for(switch) {
-            return;
-        }
         let i = self.slot(switch);
         self.switches[i].metrics.reconnects.inc();
         if self.config.technique.is_probing() {
             self.install_catch_rule(switch, effects);
         }
-        let mut pending: Vec<(u64, u64)> = self.switches[i]
-            .unconfirmed
-            .iter()
-            .map(|(&cookie, m)| (m.seq, cookie))
-            .collect();
-        pending.sort_unstable();
-        for (_, cookie) in pending {
-            let body = self.switches[i].unconfirmed[&cookie].flow_mod.clone();
-            self.switches[i].metrics.reissued_flow_mods.inc();
+        let state = &self.switches[i];
+        for m in &state.ledger.open {
+            state.metrics.reissued_flow_mods.inc();
             effects.push(Effect::ToSwitch {
                 switch,
                 message: OfMessage::FlowMod {
-                    xid: cookie as Xid,
-                    body,
+                    xid: m.xid,
+                    body: m.flow_mod.clone(),
                 },
             });
         }
-        let unanswered: Vec<Xid> = self.switches[i]
-            .pending_barriers
-            .iter()
-            .filter(|b| !b.switch_replied)
-            .map(|b| b.xid)
-            .collect();
-        for xid in unanswered {
+        for b in state.pending_barriers.iter().filter(|b| !b.switch_replied) {
             effects.push(Effect::ToSwitch {
                 switch,
-                message: OfMessage::BarrierRequest { xid },
+                message: OfMessage::BarrierRequest { xid: b.xid },
             });
         }
-        let mut out = std::mem::take(&mut self.tech_out);
-        self.switches[i]
-            .technique
-            .on_switch_reconnected(now, &mut out);
-        self.apply_outputs(switch, &mut out, now, effects);
-        self.tech_out = out;
+        self.tell_technique(switch, now, effects, |t, out| {
+            t.on_switch_reconnected(now, out)
+        });
     }
 
     // ------------------------------------------------------------------
     // Technique output handling
     // ------------------------------------------------------------------
+
+    /// Runs `event` on `switch`'s technique and carries out its outputs.
+    fn tell_technique(
+        &mut self,
+        switch: SwitchId,
+        now: Duration,
+        effects: &mut Vec<Effect>,
+        event: impl FnOnce(&mut dyn AckTechnique, &mut Vec<TechniqueOutput>),
+    ) {
+        let i = self.slot(switch);
+        let mut out = std::mem::take(&mut self.tech_out);
+        event(self.switches[i].technique.as_mut(), &mut out);
+        self.apply_outputs(switch, &mut out, now, effects);
+        self.tech_out = out;
+    }
 
     fn apply_outputs(
         &mut self,
@@ -956,7 +941,7 @@ impl RumEngine {
         let i = self.slot(switch);
         for output in outputs.drain(..) {
             match output {
-                TechniqueOutput::Confirm(cookie) => self.confirm(switch, cookie, now, effects),
+                TechniqueOutput::Confirm(id) => self.confirm(switch, id, now, effects),
                 TechniqueOutput::ToSwitch(message) => {
                     if matches!(message, OfMessage::FlowMod { .. }) {
                         self.switches[i].metrics.proxy_flow_mods.inc();
@@ -980,14 +965,16 @@ impl RumEngine {
         }
     }
 
-    fn confirm(&mut self, switch: SwitchId, cookie: u64, now: Duration, effects: &mut Vec<Effect>) {
+    /// Closes mod `id` as confirmed and acknowledges it by its xid; a mod
+    /// no longer open confirms nothing.
+    fn confirm(&mut self, switch: SwitchId, id: ModId, now: Duration, effects: &mut Vec<Effect>) {
         let i = self.slot(switch);
         let state = &mut self.switches[i];
-        let Some(m) = state.unconfirmed.remove(&cookie) else {
+        let Some(m) = state.ledger.close(id) else {
             return;
         };
-        state.resolve_cookie(m.seq);
         state.sync_unconfirmed_gauge();
+        let cookie = u64::from(m.xid);
         state
             .metrics
             .confirm_latency_us
@@ -1005,7 +992,7 @@ impl RumEngine {
             state.metrics.acks_sent.inc();
             effects.push(Effect::ToController {
                 via: switch,
-                message: OfMessage::rum_ack(cookie as Xid),
+                message: OfMessage::rum_ack(m.xid),
             });
         }
         self.try_release_barriers(switch, now, effects);
@@ -1018,7 +1005,8 @@ impl RumEngine {
             let Some(front) = state.pending_barriers.front() else {
                 break;
             };
-            if !(front.switch_replied && front.remaining == 0) {
+            let oldest_open = state.ledger.open.front().map(|m| m.id);
+            if !front.switch_replied || oldest_open.is_some_and(|id| id < front.covers) {
                 break;
             }
             let barrier = state.pending_barriers.pop_front().expect("front exists");
@@ -1108,10 +1096,312 @@ mod tests {
     use crate::config::RumBuilder;
     use openflow::messages::FlowMod;
     use openflow::{Action, OfMatch};
+    use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
 
     fn engine(technique: TechniqueConfig) -> RumEngine {
         RumBuilder::new(1).technique(technique).build()
+    }
+
+    /// An engine, every effect it emitted, and its armed timers by
+    /// (deadline, position in the log).
+    struct Run {
+        engine: RumEngine,
+        log: Vec<Effect>,
+        timers: BTreeMap<(Duration, usize), TimerToken>,
+    }
+
+    impl Run {
+        /// A started engine on a 3-switch ring (or on one switch).
+        fn on_ring(technique: TechniqueConfig) -> Self {
+            Run::started(RumEngine::new(crate::shard::tests::ring(3, technique)))
+        }
+
+        fn started(mut engine: RumEngine) -> Self {
+            let effects = engine.start(Duration::ZERO);
+            let mut run = Run {
+                engine,
+                log: Vec::new(),
+                timers: BTreeMap::new(),
+            };
+            run.record(Duration::ZERO, effects);
+            run
+        }
+
+        fn record(&mut self, now: Duration, effects: Vec<Effect>) {
+            for effect in effects {
+                if let Effect::ArmTimer { delay, token } = effect {
+                    self.timers.insert((now + delay, self.log.len()), token);
+                }
+                self.log.push(effect);
+            }
+        }
+
+        fn feed(&mut self, now: Duration, input: Input) {
+            let effects = self.engine.handle(now, input);
+            self.record(now, effects);
+        }
+
+        /// Feeds controller message `message` for switch 0 at `ms`.
+        fn send(&mut self, ms: u64, message: OfMessage) {
+            let switch = SwitchId::new(0);
+            self.feed(
+                Duration::from_millis(ms),
+                Input::FromController { switch, message },
+            );
+        }
+
+        /// Feeds switch 0's message `message` at `ms`.
+        fn reply(&mut self, ms: u64, message: OfMessage) {
+            let switch = SwitchId::new(0);
+            self.feed(
+                Duration::from_millis(ms),
+                Input::FromSwitch { switch, message },
+            );
+        }
+
+        /// Fires every timer due by `until`, in deadline order.
+        fn fire_until(&mut self, until: Duration) {
+            while let Some(entry) = self.timers.first_entry() {
+                let (at, _) = *entry.key();
+                if at > until {
+                    break;
+                }
+                let token = entry.remove();
+                self.feed(at, Input::TimerFired { token });
+            }
+        }
+
+        /// Switch 0's rules whose probes were injected from log entry
+        /// `from` on, by the rule number `rule` gives them.
+        fn probed(&self, from: usize) -> Vec<(u8, Vec<u8>)> {
+            (self.log[from..].iter())
+                .filter_map(|effect| match effect {
+                    Effect::InjectVia {
+                        message: OfMessage::PacketOut { body, .. },
+                        ..
+                    } => {
+                        let header = PacketHeader::from_bytes(&body.data).unwrap();
+                        Some((header.nw_src.octets()[3], body.data.clone()))
+                    }
+                    _ => None,
+                })
+                .collect()
+        }
+
+        /// The xids of the acks and barrier replies sent to the controller,
+        /// and of the mods confirmed, in order.
+        fn answered(&self) -> (Vec<Xid>, Vec<Xid>, Vec<u64>) {
+            let (mut acks, mut barriers, mut confirmed) = (vec![], vec![], vec![]);
+            for effect in &self.log {
+                match effect {
+                    Effect::ToController {
+                        message: OfMessage::BarrierReply { xid },
+                        ..
+                    } => barriers.push(*xid),
+                    Effect::ToController { message, .. } => acks.extend(message.as_rum_ack()),
+                    Effect::Confirmed { cookie, .. } => confirmed.push(*cookie),
+                    _ => {}
+                }
+            }
+            (acks, barriers, confirmed)
+        }
+    }
+
+    /// Controller flow-mod `xid` adding `10.0.0.i → 10.1.0.i`, out port 2.
+    fn rule(i: u8, xid: Xid) -> OfMessage {
+        let m = OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, i), Ipv4Addr::new(10, 1, 0, i));
+        OfMessage::FlowMod {
+            xid,
+            body: FlowMod::add(m, 100, vec![Action::output(2)]),
+        }
+    }
+
+    /// The switch's `FLOW_MOD_FAILED` answering `request`.
+    fn refused(request: &OfMessage) -> OfMessage {
+        request.error_reply(openflow::constants::error_type::FLOW_MOD_FAILED, 0)
+    }
+
+    /// A controller retry re-sends an open mod unchanged: it is forwarded
+    /// but is the same mod, so the technique, whose model already holds
+    /// the rule, is not asked again and cannot settle for a fallback timer.
+    /// Only the probe's return confirms it, once.
+    #[test]
+    fn a_resent_open_mod_is_confirmed_only_by_its_probe() {
+        let mut run = Run::on_ring(TechniqueConfig::default_general());
+        run.send(0, rule(1, 7));
+        run.send(50, rule(1, 7));
+        let forwarded = (run.log.iter())
+            .filter(|e| {
+                matches!(
+                    e,
+                    Effect::ToSwitch {
+                        message: OfMessage::FlowMod { xid: 7, .. },
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(forwarded, 2, "the re-send is forwarded");
+        run.fire_until(Duration::from_secs(2));
+        assert_eq!(
+            run.answered().2,
+            Vec::<u64>::new(),
+            "confirmed without a probe"
+        );
+        assert_eq!(run.engine.stats(SwitchId::new(0)).unconfirmed, 1);
+
+        let (_, probe) = run.probed(0).pop().expect("rule 1 is probed");
+        run.feed(
+            Duration::from_millis(2_001),
+            crate::shard::tests::punted(1, 1, probe.clone()),
+        );
+        run.feed(
+            Duration::from_millis(2_002),
+            crate::shard::tests::punted(1, 1, probe),
+        );
+        assert_eq!(run.answered(), (vec![7], vec![], vec![7]));
+    }
+
+    /// The switch refuses the first 30 of 31 rules: each leaves the probe
+    /// window at its error, so rule 31 is probed and confirmed instead of
+    /// waiting behind 30 rules that can never come back.
+    #[test]
+    fn refused_rules_leave_the_probe_window() {
+        let mut run = Run::on_ring(TechniqueConfig::default_general());
+        for i in 1..=31 {
+            run.send(0, rule(i, Xid::from(i)));
+        }
+        for i in 1..=30 {
+            run.reply(1, refused(&rule(i, Xid::from(i))));
+        }
+        let refused_at = run.log.len();
+        assert_eq!(run.engine.stats(SwitchId::new(0)).unconfirmed, 1);
+        run.fire_until(Duration::from_secs(2));
+        let probed = run.probed(refused_at);
+        assert!(!probed.is_empty());
+        assert!(
+            probed.iter().all(|(i, _)| *i == 31),
+            "a refused rule was probed"
+        );
+        let (_, probe) = probed[0].clone();
+        run.feed(
+            Duration::from_millis(2_001),
+            crate::shard::tests::punted(1, 1, probe),
+        );
+        assert_eq!(run.answered().2, vec![31]);
+        assert_eq!(run.engine.stats(SwitchId::new(0)).unconfirmed, 0);
+    }
+
+    /// Two different mods under xid 7 are two mods: barrier 8 covers both
+    /// and is held until the second confirms, and each gets its own ack.
+    #[test]
+    fn a_reused_xid_names_a_new_mod() {
+        let mut run = Run::on_ring(TechniqueConfig::default_general());
+        run.send(0, rule(1, 7));
+        run.send(1, rule(2, 7));
+        run.send(2, OfMessage::BarrierRequest { xid: 8 });
+        run.reply(3, OfMessage::BarrierReply { xid: 8 });
+        let (_, first) = run.probed(0).pop().expect("A is probed on arrival");
+        run.feed(
+            Duration::from_millis(4),
+            crate::shard::tests::punted(1, 1, first),
+        );
+        assert_eq!(
+            run.answered(),
+            (vec![7], vec![], vec![7]),
+            "B is still open"
+        );
+        let mark = run.log.len();
+        run.fire_until(Duration::from_millis(50));
+        let (i, second) = run.probed(mark).pop().expect("B is probed at a tick");
+        assert_eq!(i, 2);
+        run.feed(
+            Duration::from_millis(51),
+            crate::shard::tests::punted(1, 1, second),
+        );
+        assert_eq!(run.answered(), (vec![7, 7], vec![8], vec![7, 7]));
+    }
+
+    /// A restart re-issues both open mods under a reused xid, in order.
+    #[test]
+    fn a_restart_reissues_every_mod_of_a_reused_xid() {
+        let mut run = Run::started(engine(TechniqueConfig::BarrierBaseline));
+        run.send(0, rule(1, 7));
+        run.send(1, rule(2, 7));
+        let mark = run.log.len();
+        run.feed(
+            Duration::from_millis(5),
+            Input::SwitchReconnected {
+                switch: SwitchId::new(0),
+            },
+        );
+        let reissued: Vec<&OfMessage> = (run.log[mark..].iter())
+            .filter_map(|effect| match effect {
+                Effect::ToSwitch { message, .. }
+                    if matches!(message, OfMessage::FlowMod { .. }) =>
+                {
+                    Some(message)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reissued, [&rule(1, 7), &rule(2, 7)]);
+        assert_eq!(run.engine.stats(SwitchId::new(0)).reissued_flow_mods, 2);
+    }
+
+    /// An `Error` whose echoed request is an echo, not a flow-mod, closes
+    /// no mod: barrier 9 is still held until mod 5's hold-down ends.
+    #[test]
+    fn an_error_answering_another_request_closes_no_mod() {
+        let mut run = Run::started(engine(TechniqueConfig::StaticTimeout {
+            delay: Duration::from_millis(300),
+        }));
+        run.send(0, flow_mod(5));
+        let echo = OfMessage::EchoRequest {
+            xid: 5,
+            data: vec![],
+        };
+        run.send(0, echo.clone());
+        run.send(0, OfMessage::BarrierRequest { xid: 9 });
+        let barriers: Vec<Xid> = (run.log.iter())
+            .filter_map(|effect| match effect {
+                Effect::ToSwitch {
+                    message: OfMessage::BarrierRequest { xid },
+                    ..
+                } => Some(*xid),
+                _ => None,
+            })
+            .collect();
+        for xid in barriers {
+            run.reply(1, OfMessage::BarrierReply { xid });
+        }
+        run.reply(
+            4,
+            echo.error_reply(openflow::constants::error_type::BAD_REQUEST, 0),
+        );
+        assert_eq!(
+            run.answered(),
+            (vec![], vec![], vec![]),
+            "barrier 9 released"
+        );
+        run.fire_until(Duration::from_secs(1));
+        assert_eq!(run.answered(), (vec![5], vec![9], vec![5]));
+    }
+
+    /// A mod confirms once, however often its technique claims it.
+    #[test]
+    fn a_mod_confirms_once() {
+        let mut run = Run::started(engine(TechniqueConfig::AdaptiveDelay {
+            assumed_rate: 100.0,
+            assumed_sync_lag: Duration::ZERO,
+        }));
+        run.send(0, flow_mod(5));
+        let token = TimerToken::from_raw(0);
+        for ms in [10, 20] {
+            run.feed(Duration::from_millis(ms), Input::TimerFired { token });
+        }
+        assert_eq!(run.answered(), (vec![5], vec![], vec![5]));
     }
 
     fn flow_mod(xid: Xid) -> OfMessage {
@@ -1764,31 +2054,7 @@ mod tests {
     /// order; one reconnect) reuses no cookie.
     #[test]
     fn effect_stream_is_pinned() {
-        use crate::shard::tests::{punted, ring};
-        use std::collections::BTreeMap;
-
-        /// An engine, every effect it emitted, and its armed timers by
-        /// (deadline, position in the log).
-        struct Run {
-            engine: RumEngine,
-            log: Vec<Effect>,
-            timers: BTreeMap<(Duration, usize), TimerToken>,
-        }
-        impl Run {
-            fn record(&mut self, now: Duration, effects: Vec<Effect>) {
-                for effect in effects {
-                    if let Effect::ArmTimer { delay, token } = effect {
-                        self.timers.insert((now + delay, self.log.len()), token);
-                    }
-                    self.log.push(effect);
-                }
-            }
-
-            fn feed(&mut self, now: Duration, input: Input) {
-                let effects = self.engine.handle(now, input);
-                self.record(now, effects);
-            }
-        }
+        use crate::shard::tests::punted;
 
         let sw = SwitchId::new(0);
         let m = |i| OfMatch::ipv4_pair(Ipv4Addr::new(10, 0, 0, i), Ipv4Addr::new(10, 1, 0, i));
@@ -1823,16 +2089,10 @@ mod tests {
                 0xc72b_07c0_6359_bbfd,
             ),
             (TechniqueConfig::default_sequential(), 0x0f58_a1cc_4623_4bf7),
-            (TechniqueConfig::default_general(), 0x5d46_d28a_9f8f_f9b1),
+            (TechniqueConfig::default_general(), 0x2120_012d_c66e_66a3),
         ] {
             let label = technique.label();
-            let mut run = Run {
-                engine: RumEngine::new(ring(3, technique)),
-                log: Vec::new(),
-                timers: BTreeMap::new(),
-            };
-            let effects = run.engine.start(Duration::ZERO);
-            run.record(Duration::ZERO, effects);
+            let mut run = Run::on_ring(technique);
             for (t, message) in (1..).zip(script.clone()) {
                 run.feed(
                     Duration::from_millis(t),
@@ -1872,14 +2132,7 @@ mod tests {
             if let Some(data) = probe {
                 run.feed(Duration::from_millis(6), punted(1, 1, data));
             }
-            while let Some(entry) = run.timers.first_entry() {
-                let (at, _) = *entry.key();
-                if at > Duration::from_secs(1) {
-                    break;
-                }
-                let token = entry.remove();
-                run.feed(at, Input::TimerFired { token });
-            }
+            run.fire_until(Duration::from_secs(1));
             run.feed(
                 Duration::from_secs(2),
                 Input::SwitchReconnected { switch: sw },

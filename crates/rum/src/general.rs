@@ -43,7 +43,7 @@ use crate::engine::SwitchId;
 use crate::probe::{
     first_physical_output, synthesize_general_probe, GeneralProbe, ProbeSynthesisError,
 };
-use crate::technique::{fresh_xid, AckTechnique, ProbeTick, TechniqueOutput, TOKEN_TICK};
+use crate::technique::{fresh_xid, AckTechnique, ModId, ProbeTick, TechniqueOutput, TOKEN_TICK};
 use ofswitch::FlowTable;
 use openflow::messages::{FlowMod, PacketOut};
 use openflow::{Action, OfMessage, PacketHeader, Xid};
@@ -51,13 +51,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Timer tokens >= this value are fallback confirmations (token - base = cookie).
+/// Timer tokens >= this value are fallback confirmations (token - base =
+/// the mod's id, so a late timer can only confirm the mod it was armed for).
 const TOKEN_FALLBACK_BASE: u64 = 1 << 32;
 
 /// State of one rule modification awaiting confirmation.
 #[derive(Debug)]
 struct PendingRule {
-    cookie: u64,
+    id: ModId,
     probe: GeneralProbe,
     /// When the controller's modification arrived.
     arrived: Duration,
@@ -90,8 +91,8 @@ pub struct GeneralProbing {
     /// Predicted control → data plane lag: the shortest arrival → confirm
     /// time observed, never above `fallback_delay`.
     lag: Duration,
-    /// Pending fallback confirmations: cookie -> why no probe exists.
-    fallback_pending: HashMap<u64, ProbeSynthesisError>,
+    /// Pending fallback confirmations: mod -> why no probe exists.
+    fallback_pending: HashMap<ModId, ProbeSynthesisError>,
     /// First probe id of this instance's id range (ids are partitioned per
     /// monitored switch so probes can never be attributed to the wrong
     /// switch's technique).
@@ -149,14 +150,14 @@ impl GeneralProbing {
 
     fn arm_fallback(
         &mut self,
-        cookie: u64,
+        id: ModId,
         reason: ProbeSynthesisError,
         out: &mut Vec<TechniqueOutput>,
     ) {
-        self.fallback_pending.insert(cookie, reason);
+        self.fallback_pending.insert(id, reason);
         out.push(TechniqueOutput::SetTimer {
             delay: self.fallback_delay,
-            token: TOKEN_FALLBACK_BASE + cookie,
+            token: TOKEN_FALLBACK_BASE + id,
         });
     }
 
@@ -190,7 +191,7 @@ impl AckTechnique for GeneralProbing {
 
     fn on_flow_mod(
         &mut self,
-        cookie: u64,
+        id: ModId,
         fm: &FlowMod,
         now: Duration,
         out: &mut Vec<TechniqueOutput>,
@@ -200,7 +201,7 @@ impl AckTechnique for GeneralProbing {
         // Deletions cannot be confirmed by a positive probe; fall back.
         if fm.command.is_delete() {
             let _ = self.table.apply(fm, now);
-            self.arm_fallback(cookie, ProbeSynthesisError::NoForwardingOutput, out);
+            self.arm_fallback(id, ProbeSynthesisError::NoForwardingOutput, out);
             return;
         }
 
@@ -236,7 +237,7 @@ impl AckTechnique for GeneralProbing {
             Ok(probe) => {
                 let idle = self.pending.is_empty();
                 self.pending.push(PendingRule {
-                    cookie,
+                    id,
                     probe,
                     arrived: now,
                     round: self.round,
@@ -249,7 +250,7 @@ impl AckTechnique for GeneralProbing {
                     self.inject_probe_for(0, round, out);
                 }
             }
-            Err(reason) => self.arm_fallback(cookie, reason, out),
+            Err(reason) => self.arm_fallback(id, reason, out),
         }
     }
 
@@ -271,7 +272,7 @@ impl AckTechnique for GeneralProbing {
             return;
         };
         let confirmed = self.pending.remove(idx);
-        out.push(TechniqueOutput::Confirm(confirmed.cookie));
+        out.push(TechniqueOutput::Confirm(confirmed.id));
         self.lag = self.lag.min(now.saturating_sub(confirmed.arrived));
         // The rule went live: re-probe, once, every rule that arrived before
         // the confirmed rule's last injection and was not probed since.  A
@@ -286,11 +287,17 @@ impl AckTechnique for GeneralProbing {
         }
     }
 
+    fn on_rejected(&mut self, id: ModId) {
+        // A refused rule never returns; its model entry stays.
+        self.pending.retain(|p| p.id != id);
+        self.fallback_pending.remove(&id);
+    }
+
     fn on_timer(&mut self, token: u64, now: Duration, out: &mut Vec<TechniqueOutput>) {
         if token >= TOKEN_FALLBACK_BASE {
-            let cookie = token - TOKEN_FALLBACK_BASE;
-            if self.fallback_pending.remove(&cookie).is_some() {
-                out.push(TechniqueOutput::Confirm(cookie));
+            let id = token - TOKEN_FALLBACK_BASE;
+            if self.fallback_pending.remove(&id).is_some() {
+                out.push(TechniqueOutput::Confirm(id));
             }
             return;
         }
@@ -360,7 +367,7 @@ mod tests {
             .collect()
     }
 
-    /// The cookies whose fallback timer `out` arms.
+    /// The mods whose fallback timer `out` arms.
     fn fallbacks(out: &[TechniqueOutput]) -> Vec<u64> {
         out.iter()
             .filter_map(|o| match o {
@@ -480,7 +487,7 @@ mod tests {
         assert_eq!(injections(&out), 1);
     }
 
-    /// Two unprobeable DELETEs under one cookie arm two fallback timers;
+    /// Two unprobeable DELETEs under one id arm two fallback timers;
     /// once both have fired nothing is pending, so the next tick lets the
     /// cadence lapse instead of re-arming it forever.
     #[test]
@@ -801,17 +808,119 @@ mod tests {
                     w.apply(out, now);
                 }
                 for p in &t.pending {
-                    let (arrived, _, first) = w.rules[p.cookie as usize];
+                    let (arrived, _, first) = w.rules[p.id as usize];
                     let deadline = arrived + FALLBACK + INTERVAL;
                     assert!(
                         first.is_some_and(|f| f <= deadline) || now <= deadline,
                         "seed {seed}: rule {} arrived at {arrived:?}, unprobed at {now:?}",
-                        p.cookie
+                        p.id
                     );
                 }
             }
             assert!(w.rules.len() > 20, "seed {seed}: {} rules", w.rules.len());
         }
+    }
+
+    /// After any interleaving of ADD, MODIFY and DELETE mods on one switch,
+    /// which applies them in order at random times while ticks fire and
+    /// probes return in any order, a return confirms only a rule whose own
+    /// probe the oracle table (`LinearFlowTable`, holding the mods applied
+    /// so far) sends to the catch switch with exactly the returned header.
+    #[test]
+    fn a_return_confirms_only_a_rule_the_oracle_returns_it_for() {
+        use openflow::messages::FlowModCommand;
+        let mut confirmed = 0;
+        for seed in 1..=20u64 {
+            let mut w = Harness {
+                rules: Vec::new(),
+                tick_at: None,
+                in_flight: Vec::new(),
+                rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            };
+            let mut t = new_technique();
+            let mut oracle = ofswitch::LinearFlowTable::new(0);
+            let drop_all = FlowMod::add(OfMatch::wildcard_all(), 0, vec![]);
+            oracle.apply(&drop_all, Duration::ZERO).unwrap();
+            // Where the oracle sends `packet`: the header it carries on the
+            // port towards the catch switch, if it leaves there.
+            let returns = |oracle: &ofswitch::LinearFlowTable, packet: &PacketHeader| {
+                let entry = oracle.peek_lookup(packet, 1)?;
+                let (header, ports) = Action::apply_list(&entry.actions, packet);
+                ports.contains(&2).then_some(header)
+            };
+            let (mut mods, mut applied, mut probes) = (Vec::new(), 0, Vec::new());
+            let mut probe_of = HashMap::new();
+            for step in 0..1_500 {
+                let (now, mut out) = (Duration::from_millis(step), Vec::new());
+                match w.draw(6) {
+                    0 => {
+                        let (a, b) = (w.draw(8) as u8 + 1, w.draw(8) as u8 + 1);
+                        let match_ = match w.draw(8) {
+                            0 => OfMatch::wildcard_all().with_nw_dst_prefix(
+                                Ipv4Addr::new(10, 1, 0, b),
+                                [16, 24, 32][w.draw(3) as usize],
+                            ),
+                            // No room for a probe id: the VLAN tells them apart.
+                            1 | 2 => port_pinned_mod(1)
+                                .match_
+                                .with_dl_vlan([10, 20][w.draw(2) as usize]),
+                            _ => OfMatch::ipv4_pair(
+                                Ipv4Addr::new(10, 0, 0, a),
+                                Ipv4Addr::new(10, 1, 0, b),
+                            ),
+                        };
+                        let actions = match w.draw(5) {
+                            0 => vec![],
+                            1 => vec![Action::output(3)],
+                            2 => vec![
+                                Action::SetDlDst(MacAddr::from_id(0xBEEF)),
+                                Action::output(2),
+                            ],
+                            3 => vec![Action::SetVlanVid(10), Action::output(2)],
+                            _ => vec![Action::output(2)],
+                        };
+                        let mut fm = FlowMod::add(match_, [50, 100][w.draw(2) as usize], actions);
+                        fm.command = match w.draw(8) {
+                            0 => FlowModCommand::Modify,
+                            1 => FlowModCommand::ModifyStrict,
+                            2 => FlowModCommand::Delete,
+                            3 => FlowModCommand::DeleteStrict,
+                            _ => FlowModCommand::Add,
+                        };
+                        let id = mods.len() as ModId;
+                        t.on_flow_mod(id, &fm, now, &mut out);
+                        mods.push(fm);
+                        if let Some(p) = t.pending.iter().find(|p| p.id == id) {
+                            probe_of.insert(id, p.probe.packet);
+                        }
+                    }
+                    1 | 2 if applied < mods.len() => {
+                        let _ = oracle.apply(&mods[applied], now);
+                        applied += 1;
+                    }
+                    3 => t.on_timer(TOKEN_TICK, now, &mut out),
+                    _ if !probes.is_empty() => {
+                        let packet = probes.swap_remove(w.draw(probes.len() as u64) as usize);
+                        let Some(header) = returns(&oracle, &packet) else {
+                            continue;
+                        };
+                        t.on_probe_packet(&header, now, &mut out);
+                        for id in confirms(&out) {
+                            confirmed += 1;
+                            assert_eq!(
+                                returns(&oracle, &probe_of[&id]),
+                                Some(header),
+                                "seed {seed}: mod {id} {:?} confirmed by {header:?}",
+                                mods[id as usize]
+                            );
+                        }
+                    }
+                    _ => {}
+                }
+                probes.extend(self::probes(&out));
+            }
+        }
+        assert!(confirmed > 200, "a thin run: {confirmed} confirms");
     }
 
     /// A silently dropped rule is the canary for good; every rule behind it

@@ -21,7 +21,7 @@
 use crate::config::ProbeTopology;
 use crate::engine::SwitchId;
 use crate::probe::{sequential_probe_packet, sequential_probe_rule};
-use crate::technique::{fresh_xid, AckTechnique, ProbeTick, TechniqueOutput, TOKEN_TICK};
+use crate::technique::{fresh_xid, AckTechnique, ModId, ProbeTick, TechniqueOutput, TOKEN_TICK};
 use openflow::messages::{FlowMod, PacketOut};
 use openflow::{Action, OfMessage, PacketHeader, PortNo, Xid};
 use std::collections::VecDeque;
@@ -34,7 +34,7 @@ const MAX_VERSION: u16 = 4094;
 #[derive(Debug, Clone)]
 struct Batch {
     version: u16,
-    cookies: Vec<u64>,
+    ids: Vec<ModId>,
 }
 
 /// The sequential-probing acknowledgment technique for one monitored switch.
@@ -53,7 +53,7 @@ pub struct SequentialProbing {
     inject_via: Option<(SwitchId, PortNo)>,
 
     /// Modifications not yet covered by a probe-rule version.
-    unversioned: Vec<u64>,
+    unversioned: Vec<ModId>,
     /// Batches whose probe has not yet come back, oldest first.
     outstanding: VecDeque<Batch>,
     current_version: u16,
@@ -99,20 +99,19 @@ impl SequentialProbing {
         } else {
             self.current_version + 1
         };
-        let cookies = std::mem::take(&mut self.unversioned);
+        let ids = std::mem::take(&mut self.unversioned);
         self.outstanding.push_back(Batch {
             version: self.current_version,
-            cookies,
+            ids,
         });
         let xid = fresh_xid(&mut self.next_xid);
-        let mut fm = sequential_probe_rule(
+        let fm = sequential_probe_rule(
             self.catch_tos,
             self.catch_port,
             self.current_version,
             u64::from(xid),
             !self.probe_rule_installed,
         );
-        fm.cookie = u64::from(xid);
         self.probe_rule_installed = true;
         out.push(TechniqueOutput::ToSwitch(OfMessage::FlowMod {
             xid,
@@ -144,12 +143,12 @@ impl AckTechnique for SequentialProbing {
 
     fn on_flow_mod(
         &mut self,
-        cookie: u64,
+        id: ModId,
         _fm: &FlowMod,
         _now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
-        self.unversioned.push(cookie);
+        self.unversioned.push(id);
         if self.unversioned.len() >= self.batch_size {
             self.bump_version(out);
         }
@@ -178,7 +177,7 @@ impl AckTechnique for SequentialProbing {
             let done = front.version;
             if version_is_at_least(version, done) {
                 let batch = self.outstanding.pop_front().expect("front exists");
-                out.extend(batch.cookies.into_iter().map(TechniqueOutput::Confirm));
+                out.extend(batch.ids.into_iter().map(TechniqueOutput::Confirm));
                 if done == version {
                     break;
                 }
@@ -196,12 +195,9 @@ impl AckTechnique for SequentialProbing {
         // *behind* the re-issued modifications — order preservation then
         // makes the new version vouch for everything re-sent, exactly like
         // on a fresh switch.
-        let mut cookies: Vec<u64> = Vec::new();
-        for batch in self.outstanding.drain(..) {
-            cookies.extend(batch.cookies);
-        }
-        cookies.append(&mut self.unversioned);
-        self.unversioned = cookies;
+        let mut ids: Vec<ModId> = self.outstanding.drain(..).flat_map(|b| b.ids).collect();
+        ids.append(&mut self.unversioned);
+        self.unversioned = ids;
         self.probe_rule_installed = false;
         if !self.unversioned.is_empty() {
             self.bump_version(out);

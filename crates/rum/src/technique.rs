@@ -4,9 +4,14 @@
 //! A technique is instantiated per monitored switch.  It receives the events
 //! the RUM proxy observes (flow modifications from the controller, barrier
 //! replies from the switch, probe packets coming back, timers it armed) and
-//! emits [`TechniqueOutput`]s: most importantly `Confirm(cookie)`, the claim
-//! that the rule with that cookie is now active in the data plane.  The
-//! engine reads nothing else from a technique.
+//! emits [`TechniqueOutput`]s: most importantly `Confirm(id)`, the claim
+//! that the modification with that [`ModId`] is now active in the data
+//! plane.  The engine reads nothing else from a technique.
+//!
+//! The engine alone records which mods are open (its ledger, see
+//! [`crate::engine`]): a technique sees each new mod once, by [`ModId`],
+//! hears of one the switch refused by [`AckTechnique::on_rejected`], and a
+//! `Confirm` of a mod no longer open is ignored.
 //!
 //! The barrier baseline and "delaying barrier acknowledgments" are one proxy
 //! barrier, [`StaticTimeout`]: the baseline is its zero hold-down.  The two
@@ -20,12 +25,17 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::Duration;
 
+/// A controller flow-mod's number on its switch.  The engine gives each new
+/// mod the next one, so ids order a switch's mods by arrival and are never
+/// reused, whatever xids the controller picks.
+pub type ModId = u64;
+
 /// Something a technique wants the RUM proxy to do.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TechniqueOutput {
-    /// The rule installed by the controller flow-mod with this cookie is now
-    /// (believed to be) active in the data plane.
-    Confirm(u64),
+    /// The controller flow-mod with this id is now (believed to be) active
+    /// in the data plane.
+    Confirm(ModId),
     /// Send a proxy-originated message to the monitored switch.
     ToSwitch(OfMessage),
     /// Send a proxy-originated message (typically a probe `PacketOut`) on the
@@ -52,11 +62,11 @@ pub trait AckTechnique: Send {
     /// rules) are emitted here.
     fn start(&mut self, _now: Duration, _out: &mut Vec<TechniqueOutput>) {}
 
-    /// The controller sent a flow modification (already forwarded to the
-    /// switch by the proxy).
+    /// The controller sent a new flow modification, numbered `id` (already
+    /// forwarded to the switch by the proxy).
     fn on_flow_mod(
         &mut self,
-        cookie: u64,
+        id: ModId,
         fm: &FlowMod,
         now: Duration,
         out: &mut Vec<TechniqueOutput>,
@@ -80,6 +90,10 @@ pub trait AckTechnique: Send {
         _out: &mut Vec<TechniqueOutput>,
     ) {
     }
+
+    /// The switch refused mod `id` (an `Error` answering it): it will never
+    /// be active, and the engine has closed it.
+    fn on_rejected(&mut self, _id: ModId) {}
 
     /// A timer armed by this technique fired.
     fn on_timer(&mut self, _token: u64, _now: Duration, _out: &mut Vec<TechniqueOutput>) {}
@@ -160,12 +174,11 @@ impl ProbeTick {
 pub struct StaticTimeout {
     delay: Duration,
     next_xid: Xid,
-    next_token: u64,
-    barrier_covers: HashMap<Xid, Vec<u64>>,
-    /// Cookies whose barrier waits for an xid: every xid of the band awaits
+    barrier_covers: HashMap<Xid, Vec<ModId>>,
+    /// Mods whose barrier waits for an xid: every xid of the band awaits
     /// a reply.
-    waiting: Vec<u64>,
-    timer_covers: HashMap<u64, Vec<u64>>,
+    waiting: Vec<ModId>,
+    timer_covers: HashMap<u64, Vec<ModId>>,
 }
 
 impl StaticTimeout {
@@ -175,52 +188,51 @@ impl StaticTimeout {
         StaticTimeout {
             delay,
             next_xid: xid_base,
-            next_token: 0,
             barrier_covers: HashMap::new(),
             waiting: Vec::new(),
             timer_covers: HashMap::new(),
         }
     }
 
-    /// Sends a fresh proxy barrier covering `cookies` on an xid of the band
+    /// Sends a fresh proxy barrier covering `ids` on an xid of the band
     /// that awaits no reply, so that a reply names one barrier (a reused xid
     /// would let an older barrier's reply confirm newer mods).
-    fn barrier(&mut self, cookies: Vec<u64>, out: &mut Vec<TechniqueOutput>) {
+    fn barrier(&mut self, ids: Vec<ModId>, out: &mut Vec<TechniqueOutput>) {
         let xid = fresh_xid(&mut self.next_xid);
         match self.barrier_covers.entry(xid) {
             Entry::Vacant(slot) => {
-                slot.insert(cookies);
+                slot.insert(ids);
                 out.push(TechniqueOutput::ToSwitch(OfMessage::BarrierRequest { xid }));
             }
-            Entry::Occupied(_) => self.barrier_past_used_xids(cookies, out),
+            Entry::Occupied(_) => self.barrier_past_used_xids(ids, out),
         }
     }
 
     /// The band's next xid still awaits its reply: the barrier takes the
     /// first xid after it that does not or, while every xid of the band
-    /// awaits one, its cookies wait for the next reply.
+    /// awaits one, its ids wait for the next reply.
     #[cold]
-    fn barrier_past_used_xids(&mut self, mut cookies: Vec<u64>, out: &mut Vec<TechniqueOutput>) {
+    fn barrier_past_used_xids(&mut self, mut ids: Vec<ModId>, out: &mut Vec<TechniqueOutput>) {
         if self.barrier_covers.len() >= TECHNIQUE_XID_BAND as usize {
-            self.waiting.append(&mut cookies);
+            self.waiting.append(&mut ids);
             return;
         }
         while self.barrier_covers.contains_key(&self.next_xid) {
             fresh_xid(&mut self.next_xid);
         }
-        self.barrier(cookies, out);
+        self.barrier(ids, out);
     }
 }
 
 impl AckTechnique for StaticTimeout {
     fn on_flow_mod(
         &mut self,
-        cookie: u64,
+        id: ModId,
         _fm: &FlowMod,
         _now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
-        self.barrier(vec![cookie], out);
+        self.barrier(vec![id], out);
     }
 
     fn on_switch_barrier_reply(
@@ -229,7 +241,7 @@ impl AckTechnique for StaticTimeout {
         _now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
-        let Some(cookies) = self.barrier_covers.remove(&xid) else {
+        let Some(ids) = self.barrier_covers.remove(&xid) else {
             return;
         };
         if !self.waiting.is_empty() {
@@ -237,12 +249,12 @@ impl AckTechnique for StaticTimeout {
             self.barrier(waiting, out);
         }
         if self.delay.is_zero() {
-            out.extend(cookies.into_iter().map(TechniqueOutput::Confirm));
+            out.extend(ids.into_iter().map(TechniqueOutput::Confirm));
             return;
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timer_covers.insert(token, cookies);
+        // A mod is in one cover at a time, so its first id names the timer.
+        let token = ids[0];
+        self.timer_covers.insert(token, ids);
         out.push(TechniqueOutput::SetTimer {
             delay: self.delay,
             token,
@@ -250,25 +262,25 @@ impl AckTechnique for StaticTimeout {
     }
 
     fn on_timer(&mut self, token: u64, _now: Duration, out: &mut Vec<TechniqueOutput>) {
-        if let Some(cookies) = self.timer_covers.remove(&token) {
-            out.extend(cookies.into_iter().map(TechniqueOutput::Confirm));
+        if let Some(ids) = self.timer_covers.remove(&token) {
+            out.extend(ids.into_iter().map(TechniqueOutput::Confirm));
         }
     }
 
     fn on_switch_reconnected(&mut self, _now: Duration, out: &mut Vec<TechniqueOutput>) {
         // Covers whose barrier reply never came died with the old channel;
-        // fold them, and the cookies waiting for an xid, into one fresh
+        // fold them, and the ids waiting for an xid, into one fresh
         // barrier behind the re-issued modifications (covers whose hold-down
         // timer is already running confirm on their own).
         if self.barrier_covers.is_empty() && self.waiting.is_empty() {
             return;
         }
-        let mut cookies: Vec<u64> = (self.barrier_covers.drain())
+        let mut ids: Vec<ModId> = (self.barrier_covers.drain())
             .flat_map(|(_, v)| v)
             .chain(self.waiting.drain(..))
             .collect();
-        cookies.sort_unstable();
-        self.barrier(cookies, out);
+        ids.sort_unstable();
+        self.barrier(ids, out);
     }
 }
 
@@ -282,8 +294,6 @@ pub struct AdaptiveDelay {
     assumed_per_mod: Duration,
     assumed_sync_lag: Duration,
     virtual_done: Duration,
-    next_token: u64,
-    timer_covers: HashMap<u64, u64>,
 }
 
 impl AdaptiveDelay {
@@ -296,8 +306,6 @@ impl AdaptiveDelay {
             assumed_per_mod: Duration::from_secs_f64(1.0 / assumed_rate),
             assumed_sync_lag,
             virtual_done: Duration::ZERO,
-            next_token: 0,
-            timer_covers: HashMap::new(),
         }
     }
 }
@@ -305,29 +313,25 @@ impl AdaptiveDelay {
 impl AckTechnique for AdaptiveDelay {
     fn on_flow_mod(
         &mut self,
-        cookie: u64,
+        id: ModId,
         _fm: &FlowMod,
         now: Duration,
         out: &mut Vec<TechniqueOutput>,
     ) {
         // The switch works through modifications serially at the assumed
         // rate; our estimate of when this one lands is the running virtual
-        // completion time plus the assumed data-plane lag.
+        // completion time plus the assumed data-plane lag.  The timer's
+        // token is the mod it confirms.
         self.virtual_done = self.virtual_done.max(now) + self.assumed_per_mod;
         let confirm_at = self.virtual_done + self.assumed_sync_lag;
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timer_covers.insert(token, cookie);
         out.push(TechniqueOutput::SetTimer {
             delay: confirm_at.saturating_sub(now),
-            token,
+            token: id,
         });
     }
 
     fn on_timer(&mut self, token: u64, _now: Duration, out: &mut Vec<TechniqueOutput>) {
-        if let Some(cookie) = self.timer_covers.remove(&token) {
-            out.push(TechniqueOutput::Confirm(cookie));
-        }
+        out.push(TechniqueOutput::Confirm(token));
     }
 }
 
@@ -515,12 +519,13 @@ mod tests {
         assert_eq!(delays[1], Duration::from_millis(110));
         assert_eq!(delays[2], Duration::from_millis(115));
 
-        let mut out = Vec::new();
-        t.on_timer(0, Duration::from_millis(105), &mut out);
-        assert_eq!(confirms(&out), vec![0]);
-        let mut out = Vec::new();
-        t.on_timer(0, Duration::from_millis(110), &mut out);
-        assert!(out.is_empty(), "each estimate confirms once");
+        // Each timer's token is the mod it confirms; that a mod confirms
+        // once is the engine ledger's to ensure.
+        for id in [0, 2] {
+            let mut out = Vec::new();
+            t.on_timer(id, Duration::from_millis(105), &mut out);
+            assert_eq!(confirms(&out), vec![id]);
+        }
     }
 
     #[test]

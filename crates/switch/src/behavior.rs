@@ -34,7 +34,7 @@ use crate::flow_table::{FlowTable, FlowTableError};
 use crate::model::{BarrierMode, SwitchModel};
 use openflow::constants::error_type;
 use openflow::messages::{
-    ErrorMsg, FlowMod, FlowRemoved, FlowStatsEntry, StatsReply, StatsRequest, MAX_STATS_BODY,
+    FlowMod, FlowRemoved, FlowStatsEntry, StatsReply, StatsRequest, MAX_STATS_BODY,
 };
 use openflow::{Action, OfMatch, OfMessage, PacketHeader, PortNo, Xid};
 use std::collections::VecDeque;
@@ -904,16 +904,11 @@ impl Behavior {
             }
             Err(err) => {
                 self.counters.errors += 1;
+                let request = OfMessage::FlowMod { xid, body: fm };
+                let code = flow_table_error_code(err);
                 out.push(BehaviorAction::Reply {
                     at: done_at,
-                    message: OfMessage::Error {
-                        xid,
-                        body: ErrorMsg {
-                            err_type: error_type::FLOW_MOD_FAILED,
-                            code: flow_table_error_code(err),
-                            data: Vec::new(),
-                        },
-                    },
+                    message: request.error_reply(error_type::FLOW_MOD_FAILED, code),
                 });
             }
         }
@@ -1513,19 +1508,21 @@ mod tests {
         let mut out = Vec::new();
         b.on_flow_mod(ms(1), 1, fm(1, 1), &mut out);
         b.on_flow_mod(ms(2), 2, fm(2, 2), &mut out);
-        let errors = out
-            .iter()
-            .filter(|a| {
-                matches!(
-                    a,
-                    BehaviorAction::Reply {
-                        message: OfMessage::Error { .. },
-                        ..
-                    }
-                )
+        let errors: Vec<&[u8]> = (out.iter())
+            .filter_map(|a| match a {
+                BehaviorAction::Reply {
+                    message: OfMessage::Error { xid: 2, body },
+                    ..
+                } => Some(&body.data[..]),
+                _ => None,
             })
-            .count();
-        assert_eq!(errors, 1);
+            .collect();
+        // The error echoes the refused request's first 64 bytes.
+        let request = OfMessage::FlowMod {
+            xid: 2,
+            body: fm(2, 2),
+        };
+        assert_eq!(errors, [&request.encode_to_vec().unwrap()[..64]]);
         assert_eq!(b.counters().errors, 1);
     }
 }

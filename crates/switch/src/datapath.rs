@@ -29,8 +29,8 @@ use crate::behavior::{Behavior, BehaviorAction, FaultPlan};
 use crate::model::SwitchModel;
 use openflow::constants::{error_type, packet_in_reason, port as of_port};
 use openflow::messages::{
-    ErrorMsg, FeaturesReply, PacketIn, PacketOut, PortStatsEntry, StatsReply, StatsRequest,
-    SwitchConfig, TableStatsEntry,
+    FeaturesReply, PacketIn, PacketOut, PortStatsEntry, StatsReply, StatsRequest, SwitchConfig,
+    TableStatsEntry,
 };
 use openflow::{Action, DatapathId, OfMessage, PacketHeader, PortNo, Wildcards, Xid};
 use std::time::Duration;
@@ -152,14 +152,7 @@ impl Datapath {
             | OfMessage::Error { .. } => return, // accepted and ignored
             // Controller-bound messages arriving at a switch indicate a
             // mis-wired experiment.
-            other => OfMessage::Error {
-                xid: other.xid(),
-                body: ErrorMsg {
-                    err_type: error_type::BAD_REQUEST,
-                    code: 0,
-                    data: Vec::new(),
-                },
-            },
+            other => other.error_reply(error_type::BAD_REQUEST, 0),
         };
         out.push(BehaviorAction::Reply { at: now, message });
     }
@@ -465,7 +458,9 @@ mod tests {
         .is_empty());
         match &replies(&mut dp, OfMessage::BarrierReply { xid: 21 })[..] {
             [OfMessage::Error { xid: 21, body }] => {
-                assert_eq!(body.err_type, error_type::BAD_REQUEST)
+                assert_eq!(body.err_type, error_type::BAD_REQUEST);
+                let request = OfMessage::BarrierReply { xid: 21 };
+                assert_eq!(body.data, request.encode_to_vec().unwrap());
             }
             other => panic!("{other:?}"),
         }
